@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -15,44 +16,13 @@ from . import control, dynamics, guidance, metrics, sensors, sim
 from .core import BodyState, CameraIntrinsics, ConfigError, Pose2D, UsvParams
 
 
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
 def _parse_str(s: str) -> str:
     return s.strip()
 
 
-def _parse_speed_law(s: str) -> guidance.SpeedLaw:
-    try:
-        return guidance.SpeedLaw(s.strip().lower())
-    except ValueError:
-        raise ConfigError(f"unknown speed_law {s!r}") from None
-
-
-def _parse_target_kind(s: str) -> sim.TrajectoryKind:
-    try:
-        return sim.TrajectoryKind(s.strip().lower())
-    except ValueError:
-        raise ConfigError(f"unknown target kind {s!r}") from None
-
-
-def _parse_tracker_kind(s: str) -> sim.TrackerKind:
-    try:
-        return sim.TrackerKind(s.strip().lower())
-    except ValueError:
-        raise ConfigError(f"unknown tracker kind {s!r}") from None
-
-
-def _parse_controller_kind(s: str) -> sim.ControllerKind:
-    try:
-        return sim.ControllerKind(s.strip().lower())
-    except ValueError:
-        raise ConfigError(f"unknown controller kind {s!r}") from None
+def _enum(cls):
+    """Parser for an enum-valued key: case-insensitive lookup by value."""
+    return lambda s: cls(s.strip().lower())
 
 
 def _parse_floats(s: str, n: int) -> tuple[float, ...]:
@@ -66,7 +36,7 @@ def _parse_vertices(s: str) -> tuple[tuple[float, float], ...]:
     groups = [g for g in s.split(";") if g.strip()]
     if len(groups) != 3:
         raise ConfigError(f"vertices needs 3 'x,y' pairs separated by ';', got {s!r}")
-    return tuple((lambda xy: (xy[0], xy[1]))(_parse_floats(g, 2)) for g in groups)
+    return tuple(_parse_floats(g, 2) for g in groups)
 
 
 def _parse_halfwidth(s: str) -> int | None:
@@ -77,95 +47,95 @@ def _parse_halfwidth(s: str) -> int | None:
 
 
 _SCHEMA: dict[str, dict[str, object]] = {
-    "run": {"name": _parse_str, "duration": _parse_float, "dt": _parse_float, "seed": _parse_int},
+    "run": {"name": _parse_str, "duration": float, "dt": float, "seed": int},
     "usv": {
-        "m": _parse_float,
-        "izz": _parse_float,
-        "l": _parse_float,
-        "u_max": _parse_float,
-        "udot_max": _parse_float,
-        "rdot_max": _parse_float,
-        "thrust_min": _parse_float,
-        "thrust_max": _parse_float,
-        "u_abs_cap": _parse_float,
-        "r_abs_cap": _parse_float,
-        "x0": _parse_float,
-        "y0": _parse_float,
-        "psi0": _parse_float,
-        "u0": _parse_float,
-        "r0": _parse_float,
+        "m": float,
+        "izz": float,
+        "l": float,
+        "u_max": float,
+        "udot_max": float,
+        "rdot_max": float,
+        "thrust_min": float,
+        "thrust_max": float,
+        "u_abs_cap": float,
+        "r_abs_cap": float,
+        "x0": float,
+        "y0": float,
+        "psi0": float,
+        "u0": float,
+        "r0": float,
     },
-    "camera": {"width": _parse_int, "height": _parse_int, "fx": _parse_float},
+    "camera": {"width": int, "height": int, "fx": float},
     "sea": {
-        "wave_gain": _parse_float,
-        "wave_period": _parse_float,
-        "wave_phase": _parse_float,
-        "wave_force_amp": _parse_float,
-        "wave_torque_amp": _parse_float,
-        "wind_x": _parse_float,
-        "wind_y": _parse_float,
-        "wind_drag_coeff": _parse_float,
-        "visibility": _parse_float,
+        "wave_gain": float,
+        "wave_period": float,
+        "wave_phase": float,
+        "wave_force_amp": float,
+        "wave_torque_amp": float,
+        "wind_x": float,
+        "wind_y": float,
+        "wind_drag_coeff": float,
+        "visibility": float,
     },
     "guidance": {
-        "standoff": _parse_float,
-        "lidar_max_range": _parse_float,
-        "u_max": _parse_float,
-        "lost_frames_threshold": _parse_int,
-        "search_yaw_bias": _parse_float,
-        "speed_law": _parse_speed_law,
-        "holding_decay": _parse_float,
+        "standoff": float,
+        "lidar_max_range": float,
+        "u_max": float,
+        "lost_frames_threshold": int,
+        "search_yaw_bias": float,
+        "speed_law": _enum(guidance.SpeedLaw),
+        "holding_decay": float,
     },
     "sensors": {
-        "lidar_sigma": _parse_float,
-        "u_sigma": _parse_float,
-        "psi_sigma": _parse_float,
-        "r_sigma": _parse_float,
-        "frame_stride": _parse_int,
+        "lidar_sigma": float,
+        "u_sigma": float,
+        "psi_sigma": float,
+        "r_sigma": float,
+        "frame_stride": int,
     },
     "target": {
-        "kind": _parse_target_kind,
-        "x0": _parse_float,
-        "y0": _parse_float,
-        "psi0": _parse_float,
-        "speed": _parse_float,
-        "extent": _parse_float,
+        "kind": _enum(sim.TrajectoryKind),
+        "x0": float,
+        "y0": float,
+        "psi0": float,
+        "speed": float,
+        "extent": float,
         "vertices": _parse_vertices,
         "triangle_center": lambda s: _parse_floats(s, 2),
-        "triangle_side": _parse_float,
+        "triangle_side": float,
     },
     "tracker": {
-        "kind": _parse_tracker_kind,
-        "sigma_center_px": _parse_float,
-        "sigma_scale": _parse_float,
-        "p_drop_base": _parse_float,
-        "ncc_peak_threshold": _parse_float,
+        "kind": _enum(sim.TrackerKind),
+        "sigma_center_px": float,
+        "sigma_scale": float,
+        "p_drop_base": float,
+        "ncc_peak_threshold": float,
         "ncc_search_halfwidth": _parse_halfwidth,
-        "ncc_context_margin": _parse_float,
-        "render_noise_sigma": _parse_float,
+        "ncc_context_margin": float,
+        "render_noise_sigma": float,
     },
     "controller": {
-        "kind": _parse_controller_kind,
-        "pid_kp_u": _parse_float,
-        "pid_ki_u": _parse_float,
-        "pid_kd_u": _parse_float,
-        "pid_kp_psi": _parse_float,
-        "pid_ki_psi": _parse_float,
-        "pid_kd_psi": _parse_float,
-        "pid_integral_limit": _parse_float,
-        "pid_derivative_filter_tau": _parse_float,
-        "smc_lambda_u": _parse_float,
-        "smc_eta_u": _parse_float,
-        "smc_lambda_psi": _parse_float,
-        "smc_eta_psi": _parse_float,
-        "smc_phi": _parse_float,
-        "smc_ref_filter_tau": _parse_float,
+        "kind": _enum(sim.ControllerKind),
+        "pid_kp_u": float,
+        "pid_ki_u": float,
+        "pid_kd_u": float,
+        "pid_kp_psi": float,
+        "pid_ki_psi": float,
+        "pid_kd_psi": float,
+        "pid_integral_limit": float,
+        "pid_derivative_filter_tau": float,
+        "smc_lambda_u": float,
+        "smc_eta_u": float,
+        "smc_lambda_psi": float,
+        "smc_eta_psi": float,
+        "smc_phi": float,
+        "smc_ref_filter_tau": float,
         "lqr_q": lambda s: _parse_floats(s, 3),
         "lqr_r": lambda s: _parse_floats(s, 2),
     },
     "cost": {
         "q_pixel": lambda s: _parse_floats(s, 2),
-        "q_distance": _parse_float,
+        "q_distance": float,
         "r_effort": lambda s: _parse_floats(s, 2),
     },
 }
@@ -179,7 +149,7 @@ def parse_scenario(text: str, default_name: str = "scenario") -> sim.Scenario:
     except configparser.Error as exc:
         raise ConfigError(f"malformed scenario file: {exc}") from None
 
-    values: dict[str, dict[str, object]] = {}
+    values: dict[str, dict[str, Any]] = {}
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
@@ -195,144 +165,95 @@ def parse_scenario(text: str, default_name: str = "scenario") -> sim.Scenario:
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
 
-    def sec(name: str) -> dict[str, object]:
-        return values.get(name, {})
-
-    def pick(section: dict[str, object], mapping: dict[str, str]) -> dict[str, object]:
-        return {dst: section[src] for src, dst in mapping.items() if src in section}
-
     try:
-        return _build_scenario(sec, pick, default_name)
+        return _build_scenario(values, default_name)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _build_scenario(sec, pick, default_name: str) -> sim.Scenario:
-    run = sec("run")
+def _pick(section: dict[str, Any], *names: str, **renames: str) -> dict[str, Any]:
+    """Keyword arguments for the keys a section sets; ``renames`` maps key -> field.
+
+    Keys the file leaves out are not passed, so the dataclass defaults apply.
+    """
+    fields = {name: name for name in names} | renames
+    return {field: section[key] for key, field in fields.items() if key in section}
+
+
+def _diagonals(section: dict[str, Any], **renames: str) -> dict[str, Any]:
+    """Like _pick, for keys listing the diagonal of a weight matrix."""
+    return {field: np.diag(v) for field, v in _pick(section, **renames).items()}
+
+
+def _build_scenario(values: dict[str, dict[str, Any]], default_name: str) -> sim.Scenario:
+    def sec(name: str) -> dict[str, Any]:
+        return values.get(name, {})
+
     usv = sec("usv")
-    params_kwargs = pick(
-        usv,
-        {
-            "m": "m",
-            "izz": "Izz",
-            "l": "l",
-            "u_max": "u_max",
-            "udot_max": "udot_max",
-            "rdot_max": "rdot_max",
-            "thrust_min": "thrust_min",
-            "thrust_max": "thrust_max",
-            "u_abs_cap": "u_abs_cap",
-            "r_abs_cap": "r_abs_cap",
-        },
+    params = UsvParams(
+        **_pick(usv, "m", "l", "u_max", "udot_max", "rdot_max", "thrust_min", "thrust_max",
+                "u_abs_cap", "r_abs_cap", izz="Izz")
     )
-    params = UsvParams(**params_kwargs)  # type: ignore[arg-type]
     initial = BodyState(
-        pose=Pose2D(
-            x=float(usv.get("x0", 0.0)),
-            y=float(usv.get("y0", 0.0)),
-            psi=float(usv.get("psi0", 0.0)),
-        ),
-        u=float(usv.get("u0", 0.0)),
-        r=float(usv.get("r0", 0.0)),
+        pose=Pose2D(**_pick(usv, x0="x", y0="y", psi0="psi")),
+        **_pick(usv, u0="u", r0="r"),
     )
 
-    cam_sec = sec("camera")
-    camera = CameraIntrinsics(
-        width=int(cam_sec.get("width", 640)),
-        height=int(cam_sec.get("height", 480)),
-        fx=float(cam_sec.get("fx", 500.0)),
-    )
-
-    sea_sec = dict(sec("sea"))
-    wind = (float(sea_sec.pop("wind_x", 0.0)), float(sea_sec.pop("wind_y", 0.0)))
-    sea = dynamics.SeaState(wind_velocity=wind, **sea_sec)  # type: ignore[arg-type]
-
-    gcfg = guidance.GuidanceConfig(**sec("guidance"))  # type: ignore[arg-type]
-    noise = sim.SensorNoise(**sec("sensors"))  # type: ignore[arg-type]
+    sea_kwargs = dict(sec("sea"))
+    calm_x, calm_y = dynamics.SeaState.wind_velocity  # the dataclass default
+    wind = (sea_kwargs.pop("wind_x", calm_x), sea_kwargs.pop("wind_y", calm_y))
+    sea = dynamics.SeaState(wind_velocity=wind, **sea_kwargs)
 
     tgt = sec("target")
-    kind = tgt.get("kind", sim.TrajectoryKind.LINE)
-    vertices = tgt.get("vertices")
-    if kind is sim.TrajectoryKind.TRIANGLE and vertices is None:
-        center = tgt.get("triangle_center", (40.0, 0.0))
-        side = float(tgt.get("triangle_side", 20.0))
-        vertices = sim.default_triangle(tuple(center), side)  # type: ignore[arg-type]
+    target_kwargs = _pick(tgt, "kind", "speed", "vertices", "extent")
+    if tgt.get("kind") is sim.TrajectoryKind.TRIANGLE and "vertices" not in tgt:
+        target_kwargs["vertices"] = sim.default_triangle(
+            **_pick(tgt, triangle_center="center", triangle_side="side")
+        )
     target = sim.TrajectorySpec(
-        kind=kind,  # type: ignore[arg-type]
-        origin=Pose2D(
-            x=float(tgt.get("x0", 0.0)),
-            y=float(tgt.get("y0", 0.0)),
-            psi=float(tgt.get("psi0", 0.0)),
-        ),
-        speed=float(tgt.get("speed", 1.0)),
-        vertices=vertices,  # type: ignore[arg-type]
-        extent=float(tgt.get("extent", 2.0)),
+        origin=Pose2D(**_pick(tgt, x0="x", y0="y", psi0="psi")),
+        **target_kwargs,
     )
 
     trk = sec("tracker")
-    noise_kwargs = pick(
-        trk,
-        {
-            "sigma_center_px": "sigma_center_px",
-            "sigma_scale": "sigma_scale",
-            "p_drop_base": "p_drop_base",
-        },
-    )
     tracker = sim.TrackerSpec(
-        kind=trk.get("kind", sim.TrackerKind.EMULATOR),  # type: ignore[arg-type]
-        noise=sensors.TrackerNoiseConfig(**noise_kwargs),  # type: ignore[arg-type]
-        ncc_peak_threshold=float(trk.get("ncc_peak_threshold", 0.2)),
-        ncc_search_halfwidth=trk.get("ncc_search_halfwidth"),  # type: ignore[arg-type]
-        ncc_context_margin=float(trk.get("ncc_context_margin", 0.35)),
-        render_noise_sigma=float(trk.get("render_noise_sigma", 0.02)),
+        noise=sensors.TrackerNoiseConfig(
+            **_pick(trk, "sigma_center_px", "sigma_scale", "p_drop_base")
+        ),
+        **_pick(trk, "kind", "ncc_peak_threshold", "ncc_search_halfwidth", "ncc_context_margin",
+                "render_noise_sigma"),
     )
 
     ctl = sec("controller")
-    pid_kwargs = {
-        k.removeprefix("pid_"): v for k, v in ctl.items() if k.startswith("pid_")
-    }
-    smc_kwargs = {
-        k.removeprefix("smc_"): v for k, v in ctl.items() if k.startswith("smc_")
-    }
-    lqr_kwargs = {}
-    if "lqr_q" in ctl:
-        lqr_kwargs["Q"] = np.diag(ctl["lqr_q"])  # type: ignore[arg-type]
-    if "lqr_r" in ctl:
-        lqr_kwargs["R"] = np.diag(ctl["lqr_r"])  # type: ignore[arg-type]
+    pid_kwargs = {k.removeprefix("pid_"): v for k, v in ctl.items() if k.startswith("pid_")}
+    smc_kwargs = {k.removeprefix("smc_"): v for k, v in ctl.items() if k.startswith("smc_")}
     controller = sim.ControllerSpec(
-        kind=ctl.get("kind", sim.ControllerKind.LQR),  # type: ignore[arg-type]
-        pid=control.PidGains(**pid_kwargs),  # type: ignore[arg-type]
-        smc=control.SmcGains(**smc_kwargs),  # type: ignore[arg-type]
-        lqr=control.LqrWeights(**lqr_kwargs),
+        pid=control.PidGains(**pid_kwargs),
+        smc=control.SmcGains(**smc_kwargs),
+        lqr=control.LqrWeights(**_diagonals(ctl, lqr_q="Q", lqr_r="R")),
+        **_pick(ctl, "kind"),
     )
 
     cost_sec = sec("cost")
-    cost_kwargs = {}
-    if "q_pixel" in cost_sec:
-        cost_kwargs["Q_pixel"] = np.diag(cost_sec["q_pixel"])  # type: ignore[arg-type]
-    if "r_effort" in cost_sec:
-        cost_kwargs["R_effort"] = np.diag(cost_sec["r_effort"])  # type: ignore[arg-type]
-    if "q_distance" in cost_sec:
-        cost_kwargs["Q_distance"] = float(cost_sec["q_distance"])  # type: ignore[arg-type]
-    cost = metrics.CostWeights(**cost_kwargs)
+    cost = metrics.CostWeights(
+        **_diagonals(cost_sec, q_pixel="Q_pixel", r_effort="R_effort"),
+        **_pick(cost_sec, q_distance="Q_distance"),
+    )
 
     return sim.Scenario(
-        name=str(run.get("name", default_name)),
-        duration=float(run.get("duration", 30.0)),
-        dt=float(run.get("dt", 0.02)),
-        seed=int(run.get("seed", 0)),
+        **({"name": default_name} | sec("run")),
         params=params,
         initial=initial,
         target=target,
         sea=sea,
-        camera=camera,
-        guidance_cfg=gcfg,
+        camera=CameraIntrinsics(**sec("camera")),
+        guidance_cfg=guidance.GuidanceConfig(**sec("guidance")),
         tracker=tracker,
         controller=controller,
         cost=cost,
-        sensor_noise=noise,
+        sensor_noise=sim.SensorNoise(**sec("sensors")),
     )
 
 

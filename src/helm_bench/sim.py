@@ -172,67 +172,6 @@ class Scenario:
             raise ConfigError("scenario too long: duration/dt exceeds 1e7 steps")
 
 
-_LOG_FLOAT_COLUMNS = (
-    "t",
-    "x",
-    "y",
-    "psi",
-    "u",
-    "r",
-    "target_x",
-    "target_y",
-    "target_psi",
-    "det_x",
-    "det_y",
-    "det_w",
-    "det_h",
-    "lidar",
-    "u_ref",
-    "e_psi",
-    "e_d",
-    "e_y",
-    "T1",
-    "T2",
-    "TL",
-    "TR",
-    "gt_x",
-    "gt_y",
-    "gt_w",
-    "gt_h",
-)
-
-LOG_COLUMNS = (
-    "t",
-    "x",
-    "y",
-    "psi",
-    "u",
-    "r",
-    "target_x",
-    "target_y",
-    "target_psi",
-    "det_valid",
-    "det_x",
-    "det_y",
-    "det_w",
-    "det_h",
-    "lidar",
-    "mode",
-    "u_ref",
-    "e_psi",
-    "e_d",
-    "e_y",
-    "T1",
-    "T2",
-    "TL",
-    "TR",
-    "gt_x",
-    "gt_y",
-    "gt_w",
-    "gt_h",
-)
-
-
 @dataclass
 class RunLog:
     """Column-oriented run record; exact CSV layout in docs/logformat.md."""
@@ -291,21 +230,20 @@ class RunLog:
 
     def to_csv(self) -> str:
         """Deterministic CSV: shortest round-trip float formatting."""
-        lines = [",".join(LOG_COLUMNS)]
+        # Lazy per-column iterators: zip formats one row at a time, so no
+        # column of cell strings is held whole.
+        cells = []
+        for name in LOG_COLUMNS:
+            column = getattr(self, name)
+            if name == "mode":
+                cells.append(column)
+            elif name == "det_valid":
+                cells.append(str(int(v)) for v in column)
+            else:
+                cells.append(map(repr, map(float, column)))
+        lines = [",".join(LOG_COLUMNS)] + [",".join(row) for row in zip(*cells, strict=True)]
         if self.error is not None:
             lines.insert(0, f"# error: {self.error}")
-        n = len(self.t)
-        cols = {name: getattr(self, name) for name in LOG_COLUMNS}
-        for i in range(n):
-            cells = []
-            for name in LOG_COLUMNS:
-                if name == "mode":
-                    cells.append(self.mode[i])
-                elif name == "det_valid":
-                    cells.append(str(int(cols[name][i])))
-                else:
-                    cells.append(repr(float(cols[name][i])))
-            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -315,22 +253,39 @@ class RunLog:
         if lines and lines[0].startswith("# error:"):
             error = lines[0][len("# error:") :].strip()
             lines = lines[1:]
-        header = lines[0].split(",")
-        if tuple(header) != LOG_COLUMNS:
+        if not lines or tuple(lines[0].split(",")) != LOG_COLUMNS:
             raise ConfigError("unrecognized run-log header")
-        raw: dict[str, list] = {name: [] for name in LOG_COLUMNS}
-        for ln in lines[1:]:
-            for name, cell in zip(LOG_COLUMNS, ln.split(",")):
-                raw[name].append(cell)
-        data = {}
-        for name in LOG_COLUMNS:
-            if name == "mode":
-                data[name] = raw[name]
-            elif name == "det_valid":
-                data[name] = np.array([int(v) for v in raw[name]])
-            else:
-                data[name] = np.array([float(v) for v in raw[name]])
-        return cls(**data, error=error)
+        rows = [ln.split(",") for ln in lines[1:]]
+        for i, row in enumerate(rows, start=1):
+            if len(row) != len(LOG_COLUMNS):
+                raise ConfigError(f"run-log row {i} has {len(row)} cells, expected {len(LOG_COLUMNS)}")
+        try:
+            columns = _columns(rows)
+        except ValueError as exc:
+            raise ConfigError(f"malformed run-log cell: {exc}") from None
+        return cls(**columns, error=error)
+
+
+# CSV column order: every RunLog field except the error note.
+LOG_COLUMNS = tuple(f.name for f in dataclasses.fields(RunLog) if f.name != "error")
+
+
+def _columns(rows: list) -> dict:
+    """Typed RunLog columns from rows holding one cell per LOG_COLUMNS entry.
+
+    Cells may be values or their CSV text: mode stays a list of strings,
+    det_valid becomes an int array and every other column a float array.
+    """
+    columns = zip(*rows) if rows else [()] * len(LOG_COLUMNS)
+    data: dict = {}
+    for name, column in zip(LOG_COLUMNS, columns):
+        if name == "mode":
+            data[name] = list(column)
+        elif name == "det_valid":
+            data[name] = np.array(column, dtype=int)
+        else:
+            data[name] = np.array(column, dtype=float)
+    return data
 
 
 class _Controller:
@@ -390,7 +345,8 @@ def run_scenario(sc: Scenario) -> RunLog:
         else None
     )
 
-    cols: dict[str, list] = {name: [] for name in LOG_COLUMNS}
+    rows: list[tuple] = []
+    no_box = (math.nan,) * 4
     state = sc.initial
     det = sensors.Detection(valid=False)
     e_y = 0.0
@@ -438,36 +394,20 @@ def run_scenario(sc: Scenario) -> RunLog:
         pair = dynamics.saturate(dynamics.mix(gen), params)
         eff = dynamics.unmix(pair)
 
-        cols["t"].append(t)
-        cols["x"].append(state.pose.x)
-        cols["y"].append(state.pose.y)
-        cols["psi"].append(state.pose.psi)
-        cols["u"].append(state.u)
-        cols["r"].append(state.r)
-        cols["target_x"].append(target.x)
-        cols["target_y"].append(target.y)
-        cols["target_psi"].append(target.psi)
-        cols["det_valid"].append(1 if det.valid else 0)
-        for name, v in zip(
-            ("det_x", "det_y", "det_w", "det_h"),
-            (det.box.x, det.box.y, det.box.w, det.box.h) if det.valid and det.box else (math.nan,) * 4,
-        ):
-            cols[name].append(v)
-        cols["lidar"].append(math.nan if rng_range is None else rng_range)
-        cols["mode"].append(cmd.mode.value)
-        cols["u_ref"].append(cmd.u_ref)
-        cols["e_psi"].append(cmd.e_psi)
-        cols["e_d"].append(cmd.e_d)
-        cols["e_y"].append(e_y)
-        cols["T1"].append(eff.T1)
-        cols["T2"].append(eff.T2)
-        cols["TL"].append(pair.left)
-        cols["TR"].append(pair.right)
-        for name, v in zip(
-            ("gt_x", "gt_y", "gt_w", "gt_h"),
-            (gt_box.x, gt_box.y, gt_box.w, gt_box.h) if gt_box is not None else (math.nan,) * 4,
-        ):
-            cols[name].append(v)
+        det_cells = (det.box.x, det.box.y, det.box.w, det.box.h) if det.valid and det.box else no_box
+        gt_cells = (gt_box.x, gt_box.y, gt_box.w, gt_box.h) if gt_box is not None else no_box
+        # One cell per LOG_COLUMNS entry, in RunLog field order.
+        rows.append(
+            (
+                t, state.pose.x, state.pose.y, state.pose.psi, state.u, state.r,
+                target.x, target.y, target.psi,
+                1 if det.valid else 0, *det_cells,
+                math.nan if rng_range is None else rng_range,
+                cmd.mode.value, cmd.u_ref, cmd.e_psi, cmd.e_d, e_y,
+                eff.T1, eff.T2, pair.left, pair.right,
+                *gt_cells,
+            )
+        )
 
         if k < n_steps:
             try:
@@ -476,15 +416,7 @@ def run_scenario(sc: Scenario) -> RunLog:
                 error = str(exc)
                 break
 
-    data = {}
-    for name in LOG_COLUMNS:
-        if name == "mode":
-            data[name] = cols[name]
-        elif name == "det_valid":
-            data[name] = np.array(cols[name], dtype=int)
-        else:
-            data[name] = np.array(cols[name], dtype=float)
-    return RunLog(**data, error=error)
+    return RunLog(**_columns(rows), error=error)
 
 
 # --- run summaries and sweeps -------------------------------------------
@@ -562,30 +494,31 @@ def _set_by_path(sc: Scenario, path: str, value):
         raise ConfigError(f"unknown sweep path: {path}")
     current = getattr(chain[-1], parts[-1])
     rebuilt = _coerce_like(current, value, path)
-    for obj, name in zip(chain[::-1], parts[::-1]):
-        rebuilt = dataclasses.replace(obj, **{name: rebuilt})
+    try:
+        for obj, name in zip(chain[::-1], parts[::-1]):
+            rebuilt = dataclasses.replace(obj, **{name: rebuilt})
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return rebuilt
 
 
 def _coerce_like(current, value, path: str):
-    """Parse a sweep value (usually a string) to the type of the current field."""
-    if isinstance(value, str):
+    """Parse a sweep value (usually a string) to the type of the current field.
+
+    Only enum, int, float and str fields can be swept.
+    """
+    field_type = type(current)
+    if not isinstance(current, (enum.Enum, int, float, str)):
+        raise ConfigError(f"{path}: cannot sweep a field of type {field_type.__name__}")
+    try:
         if isinstance(current, enum.Enum):
-            try:
-                return type(current)(value.lower())
-            except ValueError:
-                raise ConfigError(f"{path}: unknown value {value!r}") from None
-        if isinstance(current, bool):
-            return value.lower() in ("1", "true", "yes")
-        if isinstance(current, int) and not isinstance(current, bool):
-            return int(value)
-        if isinstance(current, float):
-            return float(value)
-        return value
-    if isinstance(current, enum.Enum) and not isinstance(value, enum.Enum):
-        return type(current)(value)
-    if isinstance(current, float):
-        return float(value)
+            return field_type(value.lower() if isinstance(value, str) else value)
+        if isinstance(value, str) or isinstance(current, float):
+            return field_type(value)
+    except (ValueError, TypeError):
+        raise ConfigError(f"{path}: cannot parse {value!r} as {field_type.__name__}") from None
     return value
 
 

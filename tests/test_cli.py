@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: file outputs, reports, and exit codes."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from helm_bench.cli import main
 from helm_bench.core import BoundingBox
 from helm_bench.metrics import REPORT_COLUMNS, format_boxes, load_boxes
 from helm_bench.sim import LOG_COLUMNS, RunLog
+
+SEA_LINE = Path(__file__).resolve().parent.parent / "scenarios" / "sea_line.ini"
 
 QUICK = """
 [run]
@@ -221,6 +224,22 @@ class TestSweep:
                    "--values", ",", "--out", str(tmp_path / "s.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "axis, value",
+        [
+            ("sea.visibility", "1.5"),  # rejected by SeaState validation
+            ("sea.wind_velocity", "1"),  # a tuple field cannot take one sweep value
+        ],
+    )
+    def test_bad_value_is_exit_1(self, tmp_path, capsys, axis, value):
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--scenario", str(SEA_LINE), "--axis", axis,
+                   "--values", value, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert axis in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPlot:
     @pytest.fixture()
@@ -241,6 +260,14 @@ class TestPlot:
         target.mkdir()
         rc = main(["plot", "--log", str(runlog), "--out", str(target)])
         assert rc == 2
+
+    def test_truncated_row_is_exit_1(self, runlog, tmp_path, capsys):
+        lines = read(runlog).splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+        runlog.write_text("\n".join(lines) + "\n")
+        rc = main(["plot", "--log", str(runlog), "--out", str(tmp_path / "p.svg")])
+        assert rc == 1
+        assert "cells" in capsys.readouterr().err
 
     def test_unknown_kind_is_usage_error(self, runlog, tmp_path):
         with pytest.raises(SystemExit) as exc:

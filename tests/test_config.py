@@ -113,21 +113,9 @@ r_effort = 2e-4, 2e-4
 
 class TestDefaults:
     def test_empty_text_gives_library_defaults(self):
+        # repr covers every nested field, numpy weight matrices included.
         sc = parse_scenario("", default_name="empty")
-        ref = Scenario(name="empty")
-        assert sc.name == ref.name
-        assert (sc.duration, sc.dt, sc.seed) == (ref.duration, ref.dt, ref.seed)
-        assert sc.params == ref.params
-        assert sc.initial == ref.initial
-        assert sc.target == ref.target
-        assert sc.sea == ref.sea
-        assert sc.camera == ref.camera
-        assert sc.guidance_cfg == ref.guidance_cfg
-        assert sc.sensor_noise == ref.sensor_noise
-        assert sc.tracker == ref.tracker
-        assert sc.controller.kind == ref.controller.kind
-        assert np.array_equal(sc.controller.lqr.Q, ref.controller.lqr.Q)
-        assert np.array_equal(sc.cost.Q_pixel, ref.cost.Q_pixel)
+        assert repr(sc) == repr(Scenario(name="empty"))
 
     def test_default_name_from_argument(self):
         assert parse_scenario("").name == "scenario"

@@ -1,6 +1,8 @@
 """Target trajectories, the closed-loop driver, run summaries, and sweeps."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +239,31 @@ class TestRunLogCsv:
     def test_header_matches_log_columns(self):
         text = run_scenario(quick_scenario()).to_csv()
         assert text.splitlines()[0] == ",".join(LOG_COLUMNS)
+
+    def test_row_with_wrong_cell_count_rejected(self):
+        lines = run_scenario(quick_scenario()).to_csv().splitlines()
+        short = lines[:-1] + [lines[-1].rsplit(",", 1)[0]]
+        with pytest.raises(ConfigError, match="cells"):
+            RunLog.from_csv("\n".join(short) + "\n")
+        long = lines[:-1] + [lines[-1] + ",0.0"]
+        with pytest.raises(ConfigError, match="cells"):
+            RunLog.from_csv("\n".join(long) + "\n")
+
+    def test_non_numeric_cell_rejected(self):
+        lines = run_scenario(quick_scenario()).to_csv().splitlines()
+        cells = lines[1].split(",")
+        cells[LOG_COLUMNS.index("x")] = "abc"
+        with pytest.raises(ConfigError, match="abc"):
+            RunLog.from_csv("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+
+
+def test_logformat_doc_lists_log_columns_in_order():
+    """The column table in docs/logformat.md names every LOG_COLUMNS entry, in order."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "logformat.md").read_text()
+    table = doc.split("## runlog.csv columns", 1)[1].split("\n\n", 2)[1]
+    rows = [ln for ln in table.splitlines() if ln.startswith("| `")]
+    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert tuple(names) == LOG_COLUMNS
 
 
 def synthetic_log(e_psi, TL=None, TR=None, dt=0.02):
