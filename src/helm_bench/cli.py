@@ -143,16 +143,10 @@ def _cmd_gains(args) -> int:
     kind = sim.ControllerKind.LQR if args.lqr else sc.controller.kind
     if kind is sim.ControllerKind.LQR:
         gain = control.lqr_gain(sc.params, sc.controller.lqr)
-        A, B = control.build_system(sc.params)
-        import numpy as np
-
-        eigs = np.linalg.eigvals(A - B @ gain.K)
+        eigs = sorted(gain.eigenvalues, key=lambda z: z.real)
         print(_format_matrix("K", gain.K))
         print(_format_matrix("P", gain.P))
-        print(
-            "closed-loop eigenvalues: "
-            + ", ".join(f"{e.real:+.6f}{e.imag:+.6f}j" for e in sorted(eigs, key=lambda z: z.real))
-        )
+        print("closed-loop eigenvalues: " + ", ".join(f"{e.real:+.6f}{e.imag:+.6f}j" for e in eigs))
     elif kind is sim.ControllerKind.PID:
         print(sc.controller.pid)
     else:

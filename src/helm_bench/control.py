@@ -91,6 +91,7 @@ class LqrGain:
 
     K: np.ndarray  # 2x3
     P: np.ndarray  # 3x3
+    eigenvalues: np.ndarray  # 3, of the closed loop A - B K
 
 
 @dataclass
@@ -335,7 +336,7 @@ def lqr_gain(params: UsvParams, weights: LqrWeights) -> LqrGain:
     eigs = np.linalg.eigvals(A - B @ K)
     if np.any(eigs.real >= 0.0):
         raise NumericalError(f"closed loop is not strictly stable: eigenvalues {eigs}")
-    return LqrGain(K=K, P=P)
+    return LqrGain(K=K, P=P, eigenvalues=eigs)
 
 
 def lqr_step(

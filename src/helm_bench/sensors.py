@@ -106,6 +106,12 @@ def emulate_tracker(
     return Detection(valid=True, box=BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h), score=1.0)
 
 
+Roi = tuple[int, int, int, int]  # (y0, y1, x0, x1): rows y0..y1-1, columns x0..x1-1
+
+NOISE_TILE = 32  # px, side of the square frame tiles that key the sensor noise
+_TIE_TOLERANCE = 1e-12  # ZNCC scores closer than this to the peak tie with it
+
+
 def render_frame(
     usv: Pose2D,
     target: Pose2D,
@@ -114,27 +120,82 @@ def render_frame(
     visibility: float,
     rng: np.random.Generator,
     noise_sigma: float = 0.02,
+    roi: Roi | None = None,
 ) -> np.ndarray:
     """Grayscale frame: sea at 0.3, target rectangle at 0.8, haze toward 0.6.
 
     Haze blends the scene with weight (1 - visibility); sensor noise of the
     given sigma is added after the blend, then intensities clip to [0, 1].
-    Returns a (height, width) float array.
+    Returns the (height, width) frame, or with roi only that region of it;
+    an empty region is allowed.
+
+    Each call draws one 64-bit frame key from rng, whatever the roi and the
+    sigma. The noise of each NOISE_TILE-square tile of the frame comes from
+    a Philox stream whose key is the frame key and whose counter is the
+    tile's row-major index, so a region equals the same crop of the full
+    frame bit for bit.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ConfigError("visibility must lie in [0, 1]")
-    frame = np.full((cam.height, cam.width), 0.3)
+    y0, y1, x0, x1 = (0, cam.height, 0, cam.width) if roi is None else roi
+    if not (0 <= y0 <= y1 <= cam.height and 0 <= x0 <= x1 <= cam.width):
+        raise ValueError(f"roi {roi} does not lie inside the {cam.height}x{cam.width} frame")
+    frame_key = int(rng.integers(0, 2**64, dtype=np.uint64))
+    haze = (1.0 - visibility) * 0.6
+    frame = np.full((y1 - y0, x1 - x0), visibility * 0.3 + haze)
     box = project_target(usv, target, extent, cam)
     if box is not None and box.w > 0.0 and box.h > 0.0:
-        x0 = int(math.floor(box.x))
-        y0 = int(math.floor(box.y))
-        x1 = int(math.ceil(box.x + box.w))
-        y1 = int(math.ceil(box.y + box.h))
-        frame[max(y0, 0) : min(y1, cam.height), max(x0, 0) : min(x1, cam.width)] = 0.8
-    frame = visibility * frame + (1.0 - visibility) * 0.6
-    if noise_sigma > 0.0:
-        frame = frame + rng.normal(0.0, noise_sigma, size=frame.shape)
-    return np.clip(frame, 0.0, 1.0)
+        bx0 = max(int(math.floor(box.x)), x0)
+        by0 = max(int(math.floor(box.y)), y0)
+        bx1 = min(int(math.ceil(box.x + box.w)), x1)
+        by1 = min(int(math.ceil(box.y + box.h)), y1)
+        if bx1 > bx0 and by1 > by0:
+            frame[by0 - y0 : by1 - y0, bx0 - x0 : bx1 - x0] = visibility * 0.8 + haze
+    if noise_sigma > 0.0 and frame.size:
+        _add_tile_noise(frame, (y0, y1, x0, x1), cam.width, frame_key, noise_sigma)
+    return np.clip(frame, 0.0, 1.0, out=frame)
+
+
+def _add_tile_noise(frame: np.ndarray, roi: Roi, width: int, frame_key: int, sigma: float) -> None:
+    """Add sigma-scaled normals to the roi region of a frame width pixels wide.
+
+    One bit generator serves every tile: resetting its state is cheaper than
+    building a new one. A tile draws its normals in row-major order and
+    stops after the last row the region needs.
+    """
+    y0, y1, x0, x1 = roi
+    tile = NOISE_TILE
+    tiles_per_row = -(-width // tile)
+    bits = np.random.Philox(key=frame_key)
+    normals = np.random.Generator(bits)
+    state = bits.state
+    counter = state["state"]["counter"]
+    for ty in range(y0 // tile, (y1 - 1) // tile + 1):
+        r0 = max(y0 - ty * tile, 0)
+        r1 = min(y1 - ty * tile, tile)
+        for tx in range(x0 // tile, (x1 - 1) // tile + 1):
+            c0 = max(x0 - tx * tile, 0)
+            c1 = min(x1 - tx * tile, tile)
+            # The tile index sits in the counter's top word, so the blocks
+            # of one tile never reach those of the next.
+            counter[3] = ty * tiles_per_row + tx
+            bits.state = state
+            z = normals.standard_normal(r1 * tile).reshape(r1, tile)
+            fy = ty * tile + r0 - y0
+            fx = tx * tile + c0 - x0
+            frame[fy : fy + r1 - r0, fx : fx + c1 - c0] += sigma * z[r0:r1, c0:c1]
+
+
+def _box_sums(a: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Sum of every h x w box of a, indexed by its top-left corner.
+
+    Read from a summed-area table in O(a.size) (J.P. Lewis, "Fast
+    Normalized Cross-Correlation", Vision Interface 1995).
+    """
+    table = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    np.cumsum(a, axis=0, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+    return table[h:, w:] - table[:-h, w:] - table[h:, :-w] + table[:-h, :-w]
 
 
 def zncc_scores(window: np.ndarray, template: np.ndarray) -> np.ndarray:
@@ -142,24 +203,77 @@ def zncc_scores(window: np.ndarray, template: np.ndarray) -> np.ndarray:
 
     Returns an array of scores indexed by the template's top-left corner
     within the window; placements with a flat patch score 0. Raises
-    ValueError on a zero-variance template.
+    ValueError on a zero-variance template or a window smaller than it.
     """
     th, tw = template.shape
+    if window.shape[0] < th or window.shape[1] < tw:
+        raise ValueError("window smaller than the template")
     t0 = template - template.mean()
     t_energy = float(np.sum(t0 * t0))
     if t_energy <= 0.0:
         raise ValueError("degenerate template with zero variance")
-    patches = np.lib.stride_tricks.sliding_window_view(window, (th, tw))
-    n = th * tw
+    # ZNCC ignores an offset of the window. Subtracting one of its pixels
+    # keeps the sums small, and makes a flat window exactly zero.
+    shifted = window - window[0, 0]
+    patches = np.lib.stride_tricks.sliding_window_view(shifted, (th, tw))
     cross = np.einsum("ijkl,kl->ij", patches, t0)
-    sums = np.einsum("ijkl->ij", patches)
-    sq_sums = np.einsum("ijkl,ijkl->ij", patches, patches)
-    w_energy = sq_sums - sums * sums / n
-    w_energy = np.maximum(w_energy, 0.0)
+    sums = _box_sums(shifted, th, tw)
+    sq_sums = _box_sums(shifted * shifted, th, tw)
+    w_energy = np.maximum(sq_sums - sums * sums / (th * tw), 0.0)
     denom = np.sqrt(w_energy * t_energy)
     scores = np.zeros_like(cross)
     np.divide(cross, denom, out=scores, where=denom > 0.0)
     return scores
+
+
+def search_roi(
+    center: tuple[float, float], halfwidth: float, template_shape: tuple[int, int], bounds: Roi
+) -> Roi:
+    """Pixels that a template of template_shape covers near center.
+
+    The region holds every placement whose top-left corner lies within
+    ±halfwidth of the one that centers the template on (cx, cy), clipped to
+    bounds. It is empty when no whole placement fits.
+    """
+    cx, cy = center
+    th, tw = template_shape
+    by0, by1, bx0, bx1 = bounds
+    base_x = cx - tw / 2.0
+    base_y = cy - th / 2.0
+    x0 = max(int(math.floor(base_x - halfwidth)), bx0)
+    y0 = max(int(math.floor(base_y - halfwidth)), by0)
+    x1 = min(int(math.ceil(base_x + halfwidth)) + tw, bx1)
+    y1 = min(int(math.ceil(base_y + halfwidth)) + th, by1)
+    if x1 - x0 < tw or y1 - y0 < th:
+        return (by0, by0, bx0, bx0)
+    return (y0, y1, x0, x1)
+
+
+def template_roi(truth: BoundingBox, margin: float, bounds: Roi) -> Roi:
+    """The truth box grown by margin times its size on each side, clipped to bounds.
+
+    Empty when the box lies outside bounds.
+    """
+    by0, by1, bx0, bx1 = bounds
+    mx = margin * truth.w
+    my = margin * truth.h
+    x0 = int(math.floor(max(truth.x - mx, bx0)))
+    y0 = int(math.floor(max(truth.y - my, by0)))
+    x1 = int(math.ceil(min(truth.x + truth.w + mx, bx1)))
+    y1 = int(math.ceil(min(truth.y + truth.h + my, by1)))
+    if x1 - x0 < 1 or y1 - y0 < 1:
+        return (by0, by0, bx0, bx0)
+    return (y0, y1, x0, x1)
+
+
+def _bounds(frame: np.ndarray, roi: Roi | None) -> Roi:
+    """Where frame sits in the image: all of it, or the given region."""
+    if roi is None:
+        return (0, frame.shape[0], 0, frame.shape[1])
+    y0, y1, x0, x1 = roi
+    if frame.shape != (y1 - y0, x1 - x0):
+        raise ValueError(f"frame of shape {frame.shape} does not match roi {roi}")
+    return roi
 
 
 def ncc_track(
@@ -167,35 +281,33 @@ def ncc_track(
     template: np.ndarray,
     search_window: tuple[tuple[float, float], float],
     peak_threshold: float = 0.2,
+    roi: Roi | None = None,
 ) -> Detection:
     """Best ZNCC placement of template inside frame near a previous center.
 
     search_window is ((cx, cy), halfwidth): the template slides over every
     placement whose center stays within ±halfwidth pixels of (cx, cy), and
-    the first row-major maximum wins. The detection box has the template's
-    size; a peak below peak_threshold (or a window too small to search)
-    comes back with valid=False.
+    the first row-major maximum (to within 1e-12) wins. frame is the whole
+    image, or with roi only that region of it; the search stays inside the
+    pixels given, and the center and the box are in image coordinates. The
+    detection box has the template's size; a peak below peak_threshold (or
+    a window too small to search) comes back with valid=False.
     """
-    (cx, cy), halfwidth = search_window
+    center, halfwidth = search_window
     th, tw = template.shape
-    fh, fw = frame.shape
-    if th > fh or tw > fw:
+    fy0, _, fx0, _ = bounds = _bounds(frame, roi)
+    y0, y1, x0, x1 = search_roi(center, halfwidth, template.shape, bounds)
+    if y1 == y0:
         return Detection(valid=False)
-    # Top-left template placement that would recenter on the previous hit.
-    base_x = cx - tw / 2.0
-    base_y = cy - th / 2.0
-    x0 = max(int(math.floor(base_x - halfwidth)), 0)
-    y0 = max(int(math.floor(base_y - halfwidth)), 0)
-    x1 = min(int(math.ceil(base_x + halfwidth)) + tw, fw)
-    y1 = min(int(math.ceil(base_y + halfwidth)) + th, fh)
-    if x1 - x0 < tw or y1 - y0 < th:
-        return Detection(valid=False)
-    window = frame[y0:y1, x0:x1]
+    window = frame[y0 - fy0 : y1 - fy0, x0 - fx0 : x1 - fx0]
     try:
         scores = zncc_scores(window, template)
     except ValueError:
         return Detection(valid=False)
-    flat = int(np.argmax(scores))  # first maximum in row-major order
+    # The summed-area sums round differently at different placements, so
+    # identical patches can score a few ulps apart: scores this close to the
+    # peak count as ties, and the first in row-major order wins.
+    flat = int(np.argmax(scores >= scores.max() - _TIE_TOLERANCE))
     py, px = divmod(flat, scores.shape[1])
     peak = float(scores[py, px])
     box = BoundingBox(float(x0 + px), float(y0 + py), float(tw), float(th))
@@ -211,6 +323,10 @@ class NccTracker:
     object boundary carries structure; reported boxes keep the original box
     size centered on the match. A peak below the threshold flags the frame
     as lost and the search stays around the last confident location.
+
+    window() names the region of the image that the next initialize or
+    track call reads, so a caller can render just that region and pass it
+    with its roi.
     """
 
     def __init__(
@@ -233,18 +349,38 @@ class NccTracker:
         self._box_size: tuple[float, float] | None = None
         self._center: tuple[float, float] | None = None
 
-    def initialize(self, frame: np.ndarray, truth: BoundingBox) -> None:
-        """Crop the template around the frame-0 ground-truth box."""
-        h, w = frame.shape
-        mx = self.context_margin * truth.w
-        my = self.context_margin * truth.h
-        x0 = int(math.floor(max(truth.x - mx, 0.0)))
-        y0 = int(math.floor(max(truth.y - my, 0.0)))
-        x1 = int(math.ceil(min(truth.x + truth.w + mx, w)))
-        y1 = int(math.ceil(min(truth.y + truth.h + my, h)))
-        if x1 - x0 < 1 or y1 - y0 < 1:
+    def _search_window(self) -> tuple[tuple[float, float], float]:
+        """((cx, cy), halfwidth) around the last confident location."""
+        halfwidth = (
+            self.search_halfwidth
+            if self.search_halfwidth is not None
+            else self._template.shape[1]
+        )
+        return self._center, halfwidth
+
+    def window(self, frame_shape: tuple[int, int], truth: BoundingBox | None = None) -> Roi:
+        """Region of a frame_shape image that the next call reads.
+
+        Before initialize, the template crop around truth; after it, the
+        search window around the last confident location.
+        """
+        bounds = (0, frame_shape[0], 0, frame_shape[1])
+        if self._template is None:
+            if truth is None:
+                raise RuntimeError("an uninitialized tracker needs the ground-truth box")
+            return template_roi(truth, self.context_margin, bounds)
+        return search_roi(*self._search_window(), self._template.shape, bounds)
+
+    def initialize(self, frame: np.ndarray, truth: BoundingBox, roi: Roi | None = None) -> None:
+        """Crop the template around the frame-0 ground-truth box.
+
+        frame is the whole image, or with roi only that region of it.
+        """
+        fy0, _, fx0, _ = bounds = _bounds(frame, roi)
+        y0, y1, x0, x1 = template_roi(truth, self.context_margin, bounds)
+        if y1 == y0:
             raise ConfigError("ground-truth box lies outside the frame")
-        self._template = frame[y0:y1, x0:x1].copy()
+        self._template = frame[y0 - fy0 : y1 - fy0, x0 - fx0 : x1 - fx0].copy()
         self._box_size = (truth.w, truth.h)
         self._center = truth.center()
 
@@ -252,16 +388,14 @@ class NccTracker:
     def initialized(self) -> bool:
         return self._template is not None
 
-    def track(self, frame: np.ndarray) -> Detection:
-        """Match the template near the previous location; lost below threshold."""
+    def track(self, frame: np.ndarray, roi: Roi | None = None) -> Detection:
+        """Match the template near the previous location; lost below threshold.
+
+        frame is the whole image, or with roi only that region of it.
+        """
         if self._template is None or self._center is None or self._box_size is None:
             raise RuntimeError("tracker used before initialize()")
-        halfwidth = (
-            self.search_halfwidth
-            if self.search_halfwidth is not None
-            else self._template.shape[1]
-        )
-        det = ncc_track(frame, self._template, (self._center, halfwidth), self.peak_threshold)
+        det = ncc_track(frame, self._template, self._search_window(), self.peak_threshold, roi)
         if not det.valid or det.box is None:
             return Detection(valid=False, score=det.score)
         match_cx, match_cy = det.box.center()

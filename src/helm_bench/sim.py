@@ -263,6 +263,12 @@ class RunLog:
             columns = _columns(rows)
         except ValueError as exc:
             raise ConfigError(f"malformed run-log cell: {exc}") from None
+        if not np.isin(columns["det_valid"], (0, 1)).all():
+            raise ConfigError("run-log det_valid must be 0 or 1")
+        modes = {m.value for m in guidance.GuidanceMode}
+        for i, mode in enumerate(columns["mode"], start=1):
+            if mode not in modes:
+                raise ConfigError(f"run-log row {i}: {mode!r} is not a guidance mode")
         return cls(**columns, error=error)
 
 
@@ -362,6 +368,14 @@ def run_scenario(sc: Scenario) -> RunLog:
                 det = sensors.emulate_tracker(gt_box, sc.sea.visibility, sc.tracker.noise, tracker_rng)
             else:
                 assert ncc is not None
+                can_start = gt_box is not None and gt_box.w >= 1.0 and gt_box.h >= 1.0
+                # Render only the region the tracker reads. A frame with
+                # nothing to read still draws its key, so later frames keep
+                # their noise.
+                if ncc.initialized or can_start:
+                    roi = ncc.window((cam.height, cam.width), gt_box)
+                else:
+                    roi = (0, 0, 0, 0)
                 frame = sensors.render_frame(
                     state.pose,
                     target,
@@ -370,15 +384,15 @@ def run_scenario(sc: Scenario) -> RunLog:
                     sc.sea.visibility,
                     render_rng,
                     noise_sigma=sc.tracker.render_noise_sigma,
+                    roi=roi,
                 )
-                if not ncc.initialized:
-                    if gt_box is not None and gt_box.w >= 1.0 and gt_box.h >= 1.0:
-                        ncc.initialize(frame, gt_box)
-                        det = sensors.Detection(valid=True, box=gt_box, score=1.0)
-                    else:
-                        det = sensors.Detection(valid=False)
+                if ncc.initialized:
+                    det = ncc.track(frame, roi)
+                elif can_start:
+                    ncc.initialize(frame, gt_box, roi)
+                    det = sensors.Detection(valid=True, box=gt_box, score=1.0)
                 else:
-                    det = ncc.track(frame)
+                    det = sensors.Detection(valid=False)
 
         rng_range = sensors.lidar_range(
             state.pose, target, sc.guidance_cfg.lidar_max_range, sc.sensor_noise.lidar_sigma, lidar_rng
@@ -507,7 +521,8 @@ def _set_by_path(sc: Scenario, path: str, value):
 def _coerce_like(current, value, path: str):
     """Parse a sweep value (usually a string) to the type of the current field.
 
-    Only enum, int, float and str fields can be swept.
+    Only enum, int, float and str fields can be swept, and a float field
+    takes only finite values.
     """
     field_type = type(current)
     if not isinstance(current, (enum.Enum, int, float, str)):
@@ -516,9 +531,11 @@ def _coerce_like(current, value, path: str):
         if isinstance(current, enum.Enum):
             return field_type(value.lower() if isinstance(value, str) else value)
         if isinstance(value, str) or isinstance(current, float):
-            return field_type(value)
+            value = field_type(value)
     except (ValueError, TypeError):
         raise ConfigError(f"{path}: cannot parse {value!r} as {field_type.__name__}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: {value!r} is not finite")
     return value
 
 

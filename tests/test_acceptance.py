@@ -75,6 +75,14 @@ GOLDEN_SHA256 = {
     ("sea_triangle", "LQR"): "c64f6b7124175be52ae324021cee7abf30190b228036d3a8c84158636eca8053",
 }
 
+# sha256 of RunLog.to_csv() for ncc_standoff at its shipped seed, keyed by
+# [sea] visibility. Pins the rendered-frame noise keying and the ZNCC tracker;
+# the digests also depend on numpy's Philox and standard_normal streams.
+NCC_GOLDEN_SHA256 = {
+    1.0: "b0dd384c0fcfb29f01463b5efef33a61b0816e4341fbb320f11c83c80232fa24",
+    0.1: "38d781b97a74ff2af0be1112ecdab1dbed2597c59086b1253d04b126d37f44cd",
+}
+
 
 CHECKLIST: list[str] = []  # echoed after the run by conftest.pytest_terminal_summary
 
@@ -328,6 +336,15 @@ def test_criterion_6_tracker_degradation():
 
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"criterion 6 took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("visibility", sorted(NCC_GOLDEN_SHA256))
+def test_ncc_standoff_golden(visibility):
+    """The template-tracker scenario's run log at its shipped seed."""
+    base = load_scenario(str(SCENARIOS / "ncc_standoff.ini"))
+    sc = dataclasses.replace(base, sea=dataclasses.replace(base.sea, visibility=visibility))
+    digest = hashlib.sha256(run_scenario(sc).to_csv().encode()).hexdigest()
+    assert digest == NCC_GOLDEN_SHA256[visibility]
 
 
 def test_criterion_7_determinism(tmp_path, monkeypatch):

@@ -240,6 +240,17 @@ class TestSweep:
         assert axis in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_exit_1(self, quick_ini, tmp_path, capsys, value):
+        out = tmp_path / "s.csv"
+        # "--values=..." keeps argparse from reading "-inf" as an option
+        rc = main(["sweep", "--scenario", str(quick_ini), "--axis", "sea.wave_gain",
+                   f"--values={value}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPlot:
     @pytest.fixture()
@@ -268,6 +279,25 @@ class TestPlot:
         rc = main(["plot", "--log", str(runlog), "--out", str(tmp_path / "p.svg")])
         assert rc == 1
         assert "cells" in capsys.readouterr().err
+
+    def _replace_cell(self, runlog, column, value):
+        lines = read(runlog).splitlines()
+        cells = lines[-1].split(",")
+        cells[LOG_COLUMNS.index(column)] = value
+        lines[-1] = ",".join(cells)
+        runlog.write_text("\n".join(lines) + "\n")
+
+    def test_det_valid_other_than_0_or_1_is_exit_1(self, runlog, tmp_path, capsys):
+        self._replace_cell(runlog, "det_valid", "2")
+        rc = main(["plot", "--log", str(runlog), "--out", str(tmp_path / "p.svg")])
+        assert rc == 1
+        assert "det_valid" in capsys.readouterr().err
+
+    def test_unknown_mode_is_exit_1(self, runlog, tmp_path, capsys):
+        self._replace_cell(runlog, "mode", "drifting")
+        rc = main(["plot", "--log", str(runlog), "--out", str(tmp_path / "p.svg")])
+        assert rc == 1
+        assert "drifting" in capsys.readouterr().err
 
     def test_unknown_kind_is_usage_error(self, runlog, tmp_path):
         with pytest.raises(SystemExit) as exc:

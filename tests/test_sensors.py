@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helm_bench.core import BodyState, BoundingBox, CameraIntrinsics, ConfigError, Pose2D
 from helm_bench.seeding import stream
 from helm_bench.sensors import (
+    NOISE_TILE,
     Detection,
     NccTracker,
     TrackerNoiseConfig,
@@ -169,7 +172,115 @@ class TestRenderFrame:
         assert np.all(frame == pytest.approx(0.3))
 
 
+@st.composite
+def spans(draw, n):
+    """(a, b) with 0 <= a <= b <= n: empty, one pixel, or any, often on a tile edge."""
+    edges = [e for k in range(0, n + 1, NOISE_TILE) for e in (k - 1, k, k + 1) if 0 <= e <= n]
+    coord = st.one_of(st.integers(0, n), st.sampled_from(edges))
+    a = draw(coord)
+    kind = draw(st.sampled_from(["empty", "pixel", "any"]))
+    if kind == "empty":
+        return a, a
+    if kind == "pixel":
+        a = min(a, n - 1)
+        return a, a + 1
+    b = draw(coord)
+    return min(a, b), max(a, b)
+
+
+@st.composite
+def render_cases(draw):
+    cam = CameraIntrinsics(
+        width=draw(st.sampled_from([1, 31, 32, 33, 100, 640])),
+        height=draw(st.sampled_from([1, 31, 32, 33, 70, 480])),
+        fx=draw(st.floats(50.0, 600.0)),
+    )
+    y0, y1 = draw(spans(cam.height))
+    x0, x1 = draw(spans(cam.width))
+    usv = Pose2D(0.0, 0.0, draw(st.floats(-0.5, 0.5)))
+    target = Pose2D(draw(st.floats(1.0, 30.0)), draw(st.floats(-10.0, 10.0)), 0.0)
+    return dict(
+        cam=cam,
+        roi=(y0, y1, x0, x1),
+        usv=usv,
+        target=target,
+        extent=draw(st.floats(0.2, 5.0)),
+        visibility=draw(st.floats(0.0, 1.0)),
+        sigma=draw(st.sampled_from([0.0, 0.01, 0.05, 0.3])),
+        seed=draw(st.integers(0, 2**31)),
+    )
+
+
+class TestRenderRoi:
+    @settings(max_examples=150, deadline=None)
+    @given(render_cases())
+    def test_roi_equals_crop_of_full_frame(self, case):
+        full_rng, roi_rng = stream(case["seed"], "render"), stream(case["seed"], "render")
+        args = (case["usv"], case["target"], case["extent"], case["cam"], case["visibility"])
+        full = render_frame(*args, full_rng, noise_sigma=case["sigma"])
+        part = render_frame(*args, roi_rng, noise_sigma=case["sigma"], roi=case["roi"])
+        y0, y1, x0, x1 = case["roi"]
+        assert part.shape == (y1 - y0, x1 - x0)
+        assert np.array_equal(part, full[y0:y1, x0:x1])
+        # one frame key per call, whatever the roi: the streams stay aligned
+        assert full_rng.integers(2**63) == roi_rng.integers(2**63)
+
+    def test_noise_differs_between_frames_and_tiles(self):
+        rng = stream(4, "render")
+        args = (Pose2D(0, 0, 0), Pose2D(-10, 0, 0), 2.0, CAM, 1.0)
+        a = render_frame(*args, rng, noise_sigma=0.05)
+        b = render_frame(*args, rng, noise_sigma=0.05)
+        t = NOISE_TILE
+        # Independent streams share no pixel value; overlapping ones (one
+        # tile's draws a shifted copy of another's) would share most of them.
+        first = set(a[:t, :t].ravel())
+        for other in (a[:t, t : 2 * t], a[t : 2 * t, :t], a[t : 2 * t, t : 2 * t], b[:t, :t]):
+            assert not first & set(other.ravel())
+        assert abs(float(np.std(a - 0.3)) - 0.05) < 0.001
+
+    @pytest.mark.parametrize("roi", [(0, 481, 0, 10), (5, 4, 0, 10), (-1, 3, 0, 10), (0, 3, 0, 641)])
+    def test_roi_outside_frame_rejected(self, roi):
+        with pytest.raises(ValueError):
+            render_frame(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), roi=roi)
+
+
+def einsum_zncc(window, template):
+    """Reference ZNCC: every patch sum by einsum over the sliding windows."""
+    th, tw = template.shape
+    t0 = template - template.mean()
+    t_energy = float(np.sum(t0 * t0))
+    patches = np.lib.stride_tricks.sliding_window_view(window, (th, tw))
+    cross = np.einsum("ijkl,kl->ij", patches, t0)
+    sums = np.einsum("ijkl->ij", patches)
+    sq_sums = np.einsum("ijkl,ijkl->ij", patches, patches)
+    w_energy = np.maximum(sq_sums - sums * sums / (th * tw), 0.0)
+    denom = np.sqrt(w_energy * t_energy)
+    scores = np.zeros_like(cross)
+    np.divide(cross, denom, out=scores, where=denom > 0.0)
+    return scores
+
+
 class TestZnccScores:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_einsum_reference(self, seed):
+        rng = stream(seed, "zncc")
+        template = rng.random((114, 114))
+        window = np.clip(0.3 + 0.05 * rng.standard_normal((131, 131)), 0.0, 1.0)
+        oy, ox = rng.integers(0, 18, size=2)
+        window[oy : oy + 114, ox : ox + 114] = 0.25 + 0.5 * template + 0.02 * rng.standard_normal((114, 114))
+        got = zncc_scores(window, template)
+        want = einsum_zncc(window, template)
+        assert got.shape == want.shape == (18, 18)
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.argmax(got) == np.argmax(want) == oy * 18 + ox
+
+    @pytest.mark.parametrize("level", [0.3, 0.6, 0.123456789])
+    def test_flat_window_scores_zero(self, level):
+        template = stream(1, "zncc").random((114, 114))
+        scores = zncc_scores(np.full((131, 131), level), template)
+        assert np.abs(scores).max() < 1e-6
+
+
     def test_self_match_scores_one(self):
         rng = stream(2, "z")
         template = rng.random((8, 8))
@@ -311,6 +422,47 @@ class TestNccTracker:
         assert det.valid
         assert det.box.w == 12.0 and det.box.h == 10.0
         assert abs(det.box.x - 30.0) <= 1.0 and abs(det.box.y - 20.0) <= 1.0
+
+
+class TestTrackerWindow:
+    def _scene(self):
+        rng = stream(21, "win")
+        frame = np.clip(0.3 + 0.02 * rng.standard_normal((90, 120)), 0, 1)
+        frame[30:45, 50:68] = rng.random((15, 18))
+        return frame
+
+    def test_window_is_template_crop_then_search_region(self):
+        tracker = NccTracker(search_halfwidth=5)
+        truth = BoundingBox(50.0, 30.0, 18.0, 15.0)
+        crop = tracker.window((90, 120), truth)
+        assert crop == (24, 51, 43, 75)  # the box grown by 0.35 of its size
+        tracker.initialize(self._scene(), truth)
+        # every top-left within +-5 px of the centered placement, plus the template
+        assert tracker.window((90, 120)) == (19, 56, 38, 80)
+
+    def test_window_clips_to_frame(self):
+        tracker = NccTracker()
+        assert tracker.window((40, 40), BoundingBox(30.0, 30.0, 20.0, 20.0)) == (23, 40, 23, 40)
+
+    def test_region_calls_match_whole_frame_calls(self):
+        frame = self._scene()
+        truth = BoundingBox(50.0, 30.0, 18.0, 15.0)
+        whole, part = NccTracker(search_halfwidth=6), NccTracker(search_halfwidth=6)
+        whole.initialize(frame, truth)
+        roi = part.window(frame.shape, truth)
+        part.initialize(frame[roi[0] : roi[1], roi[2] : roi[3]], truth, roi)
+        rng = stream(5, "moves")
+        for _ in range(10):
+            shifted = np.roll(frame, tuple(int(v) for v in rng.integers(-2, 3, size=2)), axis=(0, 1))
+            roi = part.window(shifted.shape)
+            want = whole.track(shifted)
+            got = part.track(shifted[roi[0] : roi[1], roi[2] : roi[3]], roi)
+            assert got == want and want.valid
+
+    def test_region_must_match_frame_shape(self):
+        tracker = NccTracker()
+        with pytest.raises(ValueError):
+            tracker.initialize(np.zeros((10, 10)), BoundingBox(2.0, 2.0, 4.0, 4.0), (0, 12, 0, 10))
 
 
 class TestLidar:

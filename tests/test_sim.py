@@ -1,5 +1,6 @@
 """Target trajectories, the closed-loop driver, run summaries, and sweeps."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helm_bench import sim
+from helm_bench import sensors, sim
+from helm_bench.config import load_scenario
 from helm_bench.core import BoundingBox, ConfigError, Pose2D
 from helm_bench.dynamics import SeaState
 from helm_bench.guidance import GuidanceConfig
@@ -215,6 +217,35 @@ class TestRunScenario:
             Scenario(dt=0.5)
         with pytest.raises(ConfigError):
             Scenario(duration=1e7, dt=0.001)  # too many steps
+
+
+class TestNccRegionRender:
+    """run_scenario renders only the region the NCC tracker reads."""
+
+    @pytest.mark.parametrize("visibility", [1.0, 0.1])
+    def test_same_log_as_cropping_full_frames(self, monkeypatch, visibility):
+        base = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "ncc_standoff.ini")
+        sc = dataclasses.replace(
+            base, duration=1.0, sea=dataclasses.replace(base.sea, visibility=visibility)
+        )
+        fast = run_scenario(sc)
+
+        render = sensors.render_frame
+        regions = []
+
+        def full_then_crop(*args, roi=None, **kwargs):
+            regions.append(roi)
+            frame = render(*args, **kwargs)
+            return frame if roi is None else frame[roi[0] : roi[1], roi[2] : roi[3]]
+
+        monkeypatch.setattr(sensors, "render_frame", full_then_crop)
+        assert run_scenario(sc).to_csv() == fast.to_csv()
+        # one render per camera frame, never of the whole frame
+        assert len(regions) == 26
+        full = sc.camera.height * sc.camera.width
+        assert all((y1 - y0) * (x1 - x0) < full / 10 for y0, y1, x0, x1 in regions)
+        if visibility < 1.0:
+            assert not fast.det_valid.all()  # the lost-track path ran
 
 
 class TestRunLogCsv:
