@@ -246,6 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a word that starts with "-" as an option unless it is a
+    # plain negative decimal; joining "--values" to its word lets lists such
+    # as "-1e-3" or "-inf" through.
+    if "--values" in argv[:-1]:
+        i = argv.index("--values")
+        argv[i : i + 2] = [f"--values={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

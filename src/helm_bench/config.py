@@ -7,6 +7,7 @@ back to the library defaults.
 from __future__ import annotations
 
 import configparser
+import math
 from pathlib import Path
 from typing import Any
 
@@ -37,6 +38,15 @@ def _parse_vertices(s: str) -> tuple[tuple[float, float], ...]:
     if len(groups) != 3:
         raise ConfigError(f"vertices needs 3 'x,y' pairs separated by ';', got {s!r}")
     return tuple(_parse_floats(g, 2) for g in groups)
+
+
+def _finite(value: Any) -> bool:
+    """False if a parsed value is, or holds, a NaN or infinite float."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, tuple):
+        return all(map(_finite, value))
+    return True
 
 
 def _parse_halfwidth(s: str) -> int | None:
@@ -164,6 +174,8 @@ def parse_scenario(text: str, default_name: str = "scenario") -> sim.Scenario:
                 raise
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
+            if not _finite(values[section][key]):
+                raise ConfigError(f"[{section}] {key}: {raw.strip()!r} is not finite")
 
     try:
         return _build_scenario(values, default_name)

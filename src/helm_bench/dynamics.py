@@ -65,9 +65,27 @@ class StateDerivative:
     dr: float
 
 
+def _mix(T1: float, T2: float) -> tuple[float, float]:
+    return T1 / 2.0 - T2 / 2.0, T1 / 2.0 + T2 / 2.0
+
+
+def _saturate(left: float, right: float, params: UsvParams) -> tuple[float, float]:
+    lo, hi = params.thrust_min, params.thrust_max
+    return min(max(left, lo), hi), min(max(right, lo), hi)
+
+
+def thrust_forces(T1: float, T2: float, params: UsvParams) -> tuple[float, float]:
+    """Saturated per-thruster forces (left, right) for the channel commands.
+
+    The float form of saturate(mix(GeneralizedThrust(T1, T2)), params); the
+    commands the thrusters then apply are T1 = left + right, T2 = right - left.
+    """
+    return _saturate(*_mix(T1, T2), params)
+
+
 def mix(gen: GeneralizedThrust) -> ThrustPair:
     """Split channel commands onto the two thrusters."""
-    return ThrustPair(left=gen.T1 / 2.0 - gen.T2 / 2.0, right=gen.T1 / 2.0 + gen.T2 / 2.0)
+    return ThrustPair(*_mix(gen.T1, gen.T2))
 
 
 def unmix(pair: ThrustPair) -> GeneralizedThrust:
@@ -77,8 +95,23 @@ def unmix(pair: ThrustPair) -> GeneralizedThrust:
 
 def saturate(pair: ThrustPair, params: UsvParams) -> ThrustPair:
     """Clamp each thruster to its force limits."""
-    lo, hi = params.thrust_min, params.thrust_max
-    return ThrustPair(left=min(max(pair.left, lo), hi), right=min(max(pair.right, lo), hi))
+    return ThrustPair(*_saturate(pair.left, pair.right, params))
+
+
+def _forcing(
+    t: float, sea: SeaState, u: float, psi: float, params: UsvParams
+) -> tuple[float, float, float, float]:
+    """(f_surge, tau_yaw, drift_x, drift_y) at time t; see disturbance_at()."""
+    if sea.wave_gain == 0.0 and sea.wind_velocity == (0.0, 0.0):
+        return 0.0, 0.0, 0.0, 0.0
+    arg = 2.0 * math.pi * t / sea.wave_period + sea.wave_phase
+    f_surge = sea.wave_gain * sea.wave_force_amp * math.sin(arg)
+    tau_yaw = sea.wave_gain * sea.wave_torque_amp * math.sin(arg + math.pi / 2.0)
+    vx = u * math.cos(psi)
+    vy = u * math.sin(psi)
+    scale = sea.wind_drag_coeff / params.m
+    wind_x, wind_y = sea.wind_velocity
+    return f_surge, tau_yaw, scale * (wind_x - vx), scale * (wind_y - vy)
 
 
 def disturbance_at(t: float, sea: SeaState, state: BodyState, params: UsvParams) -> Disturbance:
@@ -90,47 +123,33 @@ def disturbance_at(t: float, sea: SeaState, state: BodyState, params: UsvParams)
     vessel is doing — the relative-wind drag applies only once wind or waves
     are switched on.
     """
-    if sea.wave_gain == 0.0 and sea.wind_velocity == (0.0, 0.0):
-        return Disturbance()
-    arg = 2.0 * math.pi * t / sea.wave_period + sea.wave_phase
-    f_surge = sea.wave_gain * sea.wave_force_amp * math.sin(arg)
-    tau_yaw = sea.wave_gain * sea.wave_torque_amp * math.sin(arg + math.pi / 2.0)
-    vx = state.u * math.cos(state.pose.psi)
-    vy = state.u * math.sin(state.pose.psi)
-    scale = sea.wind_drag_coeff / params.m
-    drift = (
-        scale * (sea.wind_velocity[0] - vx),
-        scale * (sea.wind_velocity[1] - vy),
-    )
-    return Disturbance(f_surge=f_surge, tau_yaw=tau_yaw, drift=drift)
+    f_surge, tau_yaw, wx, wy = _forcing(t, sea, state.u, state.pose.psi, params)
+    return Disturbance(f_surge=f_surge, tau_yaw=tau_yaw, drift=(wx, wy))
+
+
+def _accelerations(
+    left: float, right: float, f_surge: float, tau_yaw: float, params: UsvParams
+) -> tuple[float, float]:
+    """(du, dr), each clamped at its actuator cap."""
+    du = (left + right + f_surge) / params.m
+    du = min(max(du, -params.udot_max), params.udot_max)
+    dr = ((right - left) * params.l + tau_yaw) / params.Izz
+    dr = min(max(dr, -params.rdot_max), params.rdot_max)
+    return du, dr
+
+
+def _velocity(u: float, psi: float, wx: float, wy: float) -> tuple[float, float]:
+    """World-frame (dx, dy) at surge speed u and heading psi."""
+    return u * math.cos(psi) + wx, u * math.sin(psi) + wy
 
 
 def derivatives(
     state: BodyState, pair: ThrustPair, dist: Disturbance, params: UsvParams
 ) -> StateDerivative:
     """Reduced 3-DOF rates; accelerations clamp at the actuator caps."""
-    du = (pair.left + pair.right + dist.f_surge) / params.m
-    du = min(max(du, -params.udot_max), params.udot_max)
-    dr = ((pair.right - pair.left) * params.l + dist.tau_yaw) / params.Izz
-    dr = min(max(dr, -params.rdot_max), params.rdot_max)
-    return StateDerivative(
-        dx=state.u * math.cos(state.pose.psi) + dist.drift[0],
-        dy=state.u * math.sin(state.pose.psi) + dist.drift[1],
-        dpsi=state.r,
-        du=du,
-        dr=dr,
-    )
-
-
-def _deriv_vec(
-    vec: tuple[float, float, float, float, float],
-    pair: ThrustPair,
-    dist: Disturbance,
-    params: UsvParams,
-) -> tuple[float, float, float, float, float]:
-    x, y, psi, u, r = vec
-    d = derivatives(BodyState(Pose2D(x, y, psi), u, r), pair, dist, params)
-    return (d.dx, d.dy, d.dpsi, d.du, d.dr)
+    du, dr = _accelerations(pair.left, pair.right, dist.f_surge, dist.tau_yaw, params)
+    dx, dy = _velocity(state.u, state.pose.psi, *dist.drift)
+    return StateDerivative(dx=dx, dy=dy, dpsi=state.r, du=du, dr=dr)
 
 
 def step(
@@ -144,25 +163,42 @@ def step(
     """Advance one fixed RK4 step.
 
     The disturbance is evaluated once at the step start and held constant
-    across the four stages, keeping the step deterministic in t.
+    across the four stages, keeping the step deterministic in t. The surge
+    and yaw accelerations depend only on the thrust and the disturbance, so
+    they are held over the step as well. Each stage's heading is wrapped
+    onto (-pi, pi] before its cos and sin; a stage or result that leaves the
+    finite domain raises IntegrationError.
     """
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
-    dist = disturbance_at(t, sea, state, params)
-
-    v0 = (state.pose.x, state.pose.y, state.pose.psi, state.u, state.r)
-    k1 = _deriv_vec(v0, pair, dist, params)
-    k2 = _deriv_vec(tuple(a + 0.5 * dt * b for a, b in zip(v0, k1)), pair, dist, params)
-    k3 = _deriv_vec(tuple(a + 0.5 * dt * b for a, b in zip(v0, k2)), pair, dist, params)
-    k4 = _deriv_vec(tuple(a + dt * b for a, b in zip(v0, k3)), pair, dist, params)
-    out = [
-        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(v0, k1, k2, k3, k4)
-    ]
-    if not all(math.isfinite(v) for v in out):
-        raise IntegrationError(f"non-finite state after step at t={t}: {out}")
-
-    x, y, psi, u, r = out
+    pose = state.pose
+    x, y, psi, u, r = pose.x, pose.y, pose.psi, state.u, state.r
+    f_surge, tau_yaw, wx, wy = _forcing(t, sea, u, psi, params)
+    du, dr = _accelerations(pair.left, pair.right, f_surge, tau_yaw, params)
+    # The rates of x and y do not depend on x and y, so no stage position
+    # is formed; stages 2 and 3 share their speed and rate. The stage-1
+    # heading is the pose's, which Pose2D holds wrapped already.
+    h = 0.5 * dt
+    u2 = u + h * du
+    r2 = r + h * dr
+    u4 = u + dt * du
+    r4 = r + dt * dr
+    try:
+        dx1, dy1 = _velocity(u, psi, wx, wy)
+        dx2, dy2 = _velocity(u2, wrap_angle(psi + h * r), wx, wy)
+        dx3, dy3 = _velocity(u2, wrap_angle(psi + h * r2), wx, wy)
+        dx4, dy4 = _velocity(u4, wrap_angle(psi + dt * r2), wx, wy)
+    except ValueError as exc:  # from wrap_angle
+        raise IntegrationError(f"non-finite heading inside step at t={t}: {exc}") from None
+    c = dt / 6.0
+    x = x + c * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+    y = y + c * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
+    psi = psi + c * (r + 2.0 * r2 + 2.0 * r2 + r4)
+    u = u + c * (du + 2.0 * du + 2.0 * du + du)
+    r = r + c * (dr + 2.0 * dr + 2.0 * dr + dr)
+    isfinite = math.isfinite
+    if not (isfinite(x) and isfinite(y) and isfinite(psi) and isfinite(u) and isfinite(r)):
+        raise IntegrationError(f"non-finite state after step at t={t}: {[x, y, psi, u, r]}")
     u = min(max(u, -params.u_abs_cap), params.u_abs_cap)
     r = min(max(r, -params.r_abs_cap), params.r_abs_cap)
-    return BodyState(Pose2D(x, y, wrap_angle(psi)), u, r)
+    return BodyState(Pose2D(x, y, psi), u, r)  # Pose2D wraps psi

@@ -81,13 +81,16 @@ def emulate_tracker(
     visibility: float,
     noise: TrackerNoiseConfig,
     rng: np.random.Generator,
+    cam: CameraIntrinsics | None = None,
 ) -> Detection:
     """Degrade a ground-truth box the way a real tracker would.
 
     Draw order per call: one uniform for dropout, then (if kept) two normals
     for the center and one for the size. Dropout probability is
     1 - (1 - p_drop_base) * visibility; center jitter scales with
-    1 / visibility.
+    1 / visibility. Given the camera, a detection whose jittered center
+    leaves the image is invalid: a tracker cannot report a target outside
+    its frame. That is decided after the draws, so the stream stays aligned.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ConfigError("visibility must lie in [0, 1]")
@@ -101,6 +104,8 @@ def emulate_tracker(
     cx += rng.normal(0.0, sigma_c)
     cy += rng.normal(0.0, sigma_c)
     scale = max(1.0 + rng.normal(0.0, noise.sigma_scale), 0.0)
+    if cam is not None and not (0.0 <= cx <= cam.width and 0.0 <= cy <= cam.height):
+        return Detection(valid=False)
     w = truth.w * scale
     h = truth.h * scale
     return Detection(valid=True, box=BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h), score=1.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,6 +68,17 @@ def default_triangle(center: tuple[float, float] = (40.0, 0.0), side: float = 20
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _triangle_edges(vertices: tuple[tuple[float, float], ...]):
+    """((ax, ay, ex, ey, length) per edge, perimeter) of a closed triangle."""
+    edges = []
+    for i in range(3):
+        ax, ay = vertices[i]
+        bx, by = vertices[(i + 1) % 3]
+        edges.append((ax, ay, bx - ax, by - ay, math.hypot(bx - ax, by - ay)))
+    return tuple(edges), sum(e[4] for e in edges)
+
+
 def target_pose(spec: TrajectorySpec, t: float) -> Pose2D:
     """Pose of the target at time t (>= 0); triangles loop at constant speed.
 
@@ -83,12 +95,7 @@ def target_pose(spec: TrajectorySpec, t: float) -> Pose2D:
             psi=spec.origin.psi,
         )
     assert spec.vertices is not None
-    edges = []
-    for i in range(3):
-        ax, ay = spec.vertices[i]
-        bx, by = spec.vertices[(i + 1) % 3]
-        edges.append((ax, ay, bx - ax, by - ay, math.hypot(bx - ax, by - ay)))
-    perimeter = sum(e[4] for e in edges)
+    edges, perimeter = _triangle_edges(spec.vertices)
     s = math.fmod(spec.speed * t, perimeter)
     for ax, ay, ex, ey, length in edges:
         if s < length:
@@ -244,7 +251,8 @@ class RunLog:
         lines = [",".join(LOG_COLUMNS)] + [",".join(row) for row in zip(*cells, strict=True)]
         if self.error is not None:
             lines.insert(0, f"# error: {self.error}")
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the final newline, without copying the joined text
+        return "\n".join(lines)
 
     @classmethod
     def from_csv(cls, text: str) -> "RunLog":
@@ -365,7 +373,9 @@ def run_scenario(sc: Scenario) -> RunLog:
 
         if k % sc.sensor_noise.frame_stride == 0:
             if sc.tracker.kind is TrackerKind.EMULATOR:
-                det = sensors.emulate_tracker(gt_box, sc.sea.visibility, sc.tracker.noise, tracker_rng)
+                det = sensors.emulate_tracker(
+                    gt_box, sc.sea.visibility, sc.tracker.noise, tracker_rng, cam
+                )
             else:
                 assert ncc is not None
                 can_start = gt_box is not None and gt_box.w >= 1.0 and gt_box.h >= 1.0
@@ -405,8 +415,7 @@ def run_scenario(sc: Scenario) -> RunLog:
             e_y = (cam.cy - det.box.center()[1]) / cam.fx
 
         gen = ctrl.step(meas, cmd, t, sc.dt)
-        pair = dynamics.saturate(dynamics.mix(gen), params)
-        eff = dynamics.unmix(pair)
+        left, right = dynamics.thrust_forces(gen.T1, gen.T2, params)
 
         det_cells = (det.box.x, det.box.y, det.box.w, det.box.h) if det.valid and det.box else no_box
         gt_cells = (gt_box.x, gt_box.y, gt_box.w, gt_box.h) if gt_box is not None else no_box
@@ -418,12 +427,13 @@ def run_scenario(sc: Scenario) -> RunLog:
                 1 if det.valid else 0, *det_cells,
                 math.nan if rng_range is None else rng_range,
                 cmd.mode.value, cmd.u_ref, cmd.e_psi, cmd.e_d, e_y,
-                eff.T1, eff.T2, pair.left, pair.right,
+                left + right, right - left, left, right,
                 *gt_cells,
             )
         )
 
         if k < n_steps:
+            pair = dynamics.ThrustPair(left, right)
             try:
                 state = dynamics.step(state, pair, sc.sea, t, sc.dt, params)
             except IntegrationError as exc:

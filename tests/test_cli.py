@@ -12,6 +12,7 @@ from helm_bench.metrics import REPORT_COLUMNS, format_boxes, load_boxes
 from helm_bench.sim import LOG_COLUMNS, RunLog
 
 SEA_LINE = Path(__file__).resolve().parent.parent / "scenarios" / "sea_line.ini"
+SEA_TRIANGLE = SEA_LINE.with_name("sea_triangle.ini")
 
 QUICK = """
 [run]
@@ -190,6 +191,21 @@ class TestGains:
         assert "K =" in capsys.readouterr().out
 
 
+class TestOffImageDetection:
+    def test_jittered_emulator_runs_to_the_end(self, tmp_path):
+        # 20 px of centre jitter puts some emulated boxes off the image
+        text = SEA_TRIANGLE.read_text().replace("sigma_center_px = 0.0", "sigma_center_px = 20.0")
+        ini = tmp_path / "sea_triangle.ini"
+        ini.write_text(text)
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(ini), "--out", str(out)]) == 0
+        log = RunLog.from_csv(read(out / "runlog.csv"))
+        assert log.error is None and len(log) == 3001
+        # no dropouts are configured, so a visible target reported invalid
+        # was an off-image detection
+        assert np.any(~np.isnan(log.gt_x) & (log.det_valid == 0))
+
+
 class TestSweep:
     def test_sweep_csv(self, quick_ini, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -238,6 +254,23 @@ class TestSweep:
         assert rc == 1
         err = capsys.readouterr().err
         assert axis in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["-1e-3", "-1e-3,2e-3", "-.5"])
+    def test_negative_value_after_a_space(self, quick_ini, tmp_path, values):
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--scenario", str(quick_ini), "--axis", "sea.wave_phase",
+                   "--values", values, "--out", str(out)])
+        assert rc == 0
+        assert [ln.split(",")[1] for ln in read(out).splitlines()[1:]] == values.split(",")
+
+    def test_minus_inf_after_a_space_is_exit_1(self, quick_ini, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--scenario", str(quick_ini), "--axis", "sea.wave_gain",
+                   "--values", "-inf", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

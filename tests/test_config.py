@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helm_bench.config import load_scenario, parse_scenario
+from helm_bench.config import _SCHEMA, load_scenario, parse_scenario
 from helm_bench.core import ConfigError
 from helm_bench.guidance import SpeedLaw
 from helm_bench.sim import ControllerKind, Scenario, TrackerKind, TrajectoryKind
@@ -212,6 +212,48 @@ class TestSchemaEnforcement:
     def test_malformed_ini(self):
         with pytest.raises(ConfigError, match="malformed"):
             parse_scenario("run]\nduration = 1\n")
+
+
+# Keys that hold several floats, each with a value that is finite but one.
+_FLOAT_TUPLE_KEYS = {
+    ("target", "vertices"): "0,0; 3,{}; 0,4",
+    ("target", "triangle_center"): "12, {}",
+    ("controller", "lqr_q"): "1, {}, 1",
+    ("controller", "lqr_r"): "{}, 1",
+    ("cost", "q_pixel"): "1, {}",
+    ("cost", "r_effort"): "{}, 1",
+}
+_FLOAT_KEYS = [(sec, key) for sec, keys in _SCHEMA.items() for key, p in keys.items() if p is float]
+
+
+class TestNonFiniteRejected:
+    def test_every_float_valued_key_is_covered(self):
+        # a key parsed to floats by some other parser must join _FLOAT_TUPLE_KEYS
+        for sec, keys in _SCHEMA.items():
+            for key in keys:
+                if (sec, key) in _FLOAT_TUPLE_KEYS or (sec, key) in _FLOAT_KEYS:
+                    continue
+                sample = {"vertices": "0,0; 1,0; 0,1"}.get(key, "1, 1")
+                try:
+                    value = keys[key](sample)
+                except (ValueError, TypeError):
+                    continue
+                assert not isinstance(value, (float, tuple)), (sec, key)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("sec, key", _FLOAT_KEYS, ids=lambda v: v)
+    def test_float_key(self, sec, key, raw):
+        with pytest.raises(ConfigError, match=rf"\[{sec}\] {key}: .* is not finite"):
+            parse_scenario(f"[{sec}]\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize("raw", ["nan", "-inf"])
+    @pytest.mark.parametrize("sec, key", list(_FLOAT_TUPLE_KEYS), ids=lambda v: v)
+    def test_float_tuple_key(self, sec, key, raw):
+        text = f"[{sec}]\n{key} = {_FLOAT_TUPLE_KEYS[sec, key].format(raw)}\n"
+        with pytest.raises(ConfigError, match=rf"\[{sec}\] {key}: .* is not finite"):
+            parse_scenario(text)
+        # the same value with a finite entry parses
+        parse_scenario(f"[{sec}]\n{key} = {_FLOAT_TUPLE_KEYS[sec, key].format('2')}\n")
 
 
 class TestTriangleConstruction:

@@ -3,21 +3,23 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helm_bench.core import BodyState, IntegrationError, Pose2D, UsvParams
+from helm_bench.core import BodyState, IntegrationError, Pose2D, UsvParams, wrap_angle
 from helm_bench.dynamics import (
     CALM,
     Disturbance,
     GeneralizedThrust,
     SeaState,
+    StateDerivative,
     ThrustPair,
     derivatives,
     disturbance_at,
     mix,
     saturate,
     step,
+    thrust_forces,
     unmix,
 )
 
@@ -226,3 +228,150 @@ class TestStep:
         bad = BodyState(Pose2D(0, 0, 0), u=math.inf, r=0.0)
         with pytest.raises(IntegrationError):
             step(bad, ThrustPair(0, 0), CALM, 0.0, 0.02, PARAMS)
+
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_non_finite_stage_heading_diagnosed(self, r):
+        # the stage headings go non-finite before the result does
+        bad = BodyState(Pose2D(0, 0, 0), u=0.0, r=r)
+        with pytest.raises(IntegrationError, match="non-finite heading"):
+            step(bad, ThrustPair(0, 0), CALM, 0.0, 0.02, PARAMS)
+
+
+# --- oracle: the dataclass RK4 that step() replaced, kept verbatim -------
+
+
+def _ref_disturbance_at(t, sea, state, params):
+    if sea.wave_gain == 0.0 and sea.wind_velocity == (0.0, 0.0):
+        return Disturbance()
+    arg = 2.0 * math.pi * t / sea.wave_period + sea.wave_phase
+    f_surge = sea.wave_gain * sea.wave_force_amp * math.sin(arg)
+    tau_yaw = sea.wave_gain * sea.wave_torque_amp * math.sin(arg + math.pi / 2.0)
+    vx = state.u * math.cos(state.pose.psi)
+    vy = state.u * math.sin(state.pose.psi)
+    scale = sea.wind_drag_coeff / params.m
+    drift = (
+        scale * (sea.wind_velocity[0] - vx),
+        scale * (sea.wind_velocity[1] - vy),
+    )
+    return Disturbance(f_surge=f_surge, tau_yaw=tau_yaw, drift=drift)
+
+
+def _ref_derivatives(state, pair, dist, params):
+    du = (pair.left + pair.right + dist.f_surge) / params.m
+    du = min(max(du, -params.udot_max), params.udot_max)
+    dr = ((pair.right - pair.left) * params.l + dist.tau_yaw) / params.Izz
+    dr = min(max(dr, -params.rdot_max), params.rdot_max)
+    return StateDerivative(
+        dx=state.u * math.cos(state.pose.psi) + dist.drift[0],
+        dy=state.u * math.sin(state.pose.psi) + dist.drift[1],
+        dpsi=state.r,
+        du=du,
+        dr=dr,
+    )
+
+
+def _ref_deriv_vec(vec, pair, dist, params):
+    x, y, psi, u, r = vec
+    d = _ref_derivatives(BodyState(Pose2D(x, y, psi), u, r), pair, dist, params)
+    return (d.dx, d.dy, d.dpsi, d.du, d.dr)
+
+
+def _ref_step(state, pair, sea, t, dt, params):
+    if not 0.0 < dt <= 0.1:
+        raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
+    dist = _ref_disturbance_at(t, sea, state, params)
+
+    v0 = (state.pose.x, state.pose.y, state.pose.psi, state.u, state.r)
+    k1 = _ref_deriv_vec(v0, pair, dist, params)
+    k2 = _ref_deriv_vec(tuple(a + 0.5 * dt * b for a, b in zip(v0, k1)), pair, dist, params)
+    k3 = _ref_deriv_vec(tuple(a + 0.5 * dt * b for a, b in zip(v0, k2)), pair, dist, params)
+    k4 = _ref_deriv_vec(tuple(a + dt * b for a, b in zip(v0, k3)), pair, dist, params)
+    out = [
+        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(v0, k1, k2, k3, k4)
+    ]
+    if not all(math.isfinite(v) for v in out):
+        raise IntegrationError(f"non-finite state after step at t={t}: {out}")
+
+    x, y, psi, u, r = out
+    u = min(max(u, -params.u_abs_cap), params.u_abs_cap)
+    r = min(max(r, -params.r_abs_cap), params.r_abs_cap)
+    return BodyState(Pose2D(x, y, wrap_angle(psi)), u, r)
+
+
+def _ref_mix(gen):
+    return ThrustPair(left=gen.T1 / 2.0 - gen.T2 / 2.0, right=gen.T1 / 2.0 + gen.T2 / 2.0)
+
+
+def _ref_unmix(pair):
+    return GeneralizedThrust(T1=pair.left + pair.right, T2=pair.right - pair.left)
+
+
+def _ref_saturate(pair, params):
+    lo, hi = params.thrust_min, params.thrust_max
+    return ThrustPair(left=min(max(pair.left, lo), hi), right=min(max(pair.right, lo), hi))
+
+
+def _bits(state):
+    return [v.hex() for v in (state.pose.x, state.pose.y, state.pose.psi, state.u, state.r)]
+
+
+def _near(*centers, width):
+    return st.one_of(*(st.floats(c - width, c + width) for c in centers))
+
+
+_HEADINGS = st.one_of(st.floats(-4.0, 4.0), _near(math.pi, -math.pi, width=1e-9))
+_SPEEDS = st.one_of(st.floats(-5.0, 5.0), _near(5.0, -5.0, width=1e-9))
+_RATES = st.one_of(st.floats(-2.0, 2.0), _near(2.0, -2.0, width=1e-9))
+_THRUSTS = st.one_of(st.floats(-150.0, 150.0), st.sampled_from([-100.0, 100.0, 0.0, -0.0]))
+_SEAS = st.one_of(
+    st.just(CALM),
+    st.builds(
+        SeaState,
+        wave_gain=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        wave_period=st.floats(0.5, 20.0),
+        wave_phase=st.floats(-math.pi, math.pi),
+        wind_velocity=st.one_of(
+            st.just((0.0, 0.0)), st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+        ),
+    ),
+)
+# Channel commands, with values whose halves overflow or round to zero.
+_COMMANDS = st.one_of(st.floats(), st.sampled_from([1.7e308, -1.7e308, 5e-324, -5e-324]))
+_PARAMS = st.sampled_from([PARAMS, UsvParams(rdot_max=5.0, udot_max=50.0)])
+
+
+class TestStepOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.floats(-1e3, 1e3),
+        st.floats(-1e3, 1e3),
+        _HEADINGS,
+        _SPEEDS,
+        _RATES,
+        _THRUSTS,
+        _THRUSTS,
+        _SEAS,
+        st.floats(0.0, 1e3),
+        st.floats(0.0, 0.1, exclude_min=True),
+        _PARAMS,
+    )
+    def test_bit_identical_to_dataclass_rk4(self, x, y, psi, u, r, left, right, sea, t, dt, params):
+        state = BodyState(Pose2D(x, y, psi), u, r)
+        pair = ThrustPair(left, right)
+        want = _ref_step(state, pair, sea, t, dt, params)
+        assert _bits(step(state, pair, sea, t, dt, params)) == _bits(want)
+
+    @given(_COMMANDS, _COMMANDS, _PARAMS)
+    def test_thrust_forces_is_saturated_mix(self, t1, t2, params):
+        gen = GeneralizedThrust(t1, t2)
+        left, right = thrust_forces(t1, t2, params)
+        pair = _ref_saturate(_ref_mix(gen), params)
+        applied = _ref_unmix(pair)
+        want = [pair.left.hex(), pair.right.hex()]
+        assert [left.hex(), right.hex()] == want
+        assert [(left + right).hex(), (right - left).hex()] == [applied.T1.hex(), applied.T2.hex()]
+        # the dataclass wrappers agree with their reference copies too
+        got = saturate(mix(gen), params)
+        assert [got.left.hex(), got.right.hex()] == want
+        assert unmix(got) == applied or math.isnan(applied.T1) or math.isnan(applied.T2)

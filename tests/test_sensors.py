@@ -133,6 +133,23 @@ class TestEmulateTracker:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrackerNoiseConfig(sigma_center_px=-1.0)
+
+    def test_center_off_image_is_a_miss(self):
+        # a box at the left edge with 20 px jitter lands off the image often
+        edge = BoundingBox(0.0, 190.0, 4.0, 100.0)
+        cfg = TrackerNoiseConfig(sigma_center_px=20.0, sigma_scale=0.0, p_drop_base=0.0)
+        rng, free = stream(9, "t"), stream(9, "t")
+        misses = 0
+        for _ in range(200):
+            det = emulate_tracker(edge, 1.0, cfg, rng, CAM)
+            unchecked = emulate_tracker(edge, 1.0, cfg, free)
+            cx, cy = unchecked.box.center()
+            inside = 0.0 <= cx <= CAM.width and 0.0 <= cy <= CAM.height
+            assert det.valid == inside
+            if inside:
+                assert det.box == unchecked.box
+            misses += not inside
+        assert 50 < misses < 150  # both streams stayed aligned throughout
         with pytest.raises(ConfigError):
             TrackerNoiseConfig(p_drop_base=1.0)
 
