@@ -98,6 +98,11 @@ class CameraIntrinsics:
         object.__setattr__(self, "cy", self.height / 2.0)
         object.__setattr__(self, "hfov", 2.0 * math.atan(self.width / (2.0 * self.fx)))
 
+    def sees(self, box: BoundingBox) -> bool:
+        """Whether the box center lies in the image, edges included."""
+        cx, cy = box.center()
+        return 0.0 <= cx <= self.width and 0.0 <= cy <= self.height
+
 
 @dataclass(frozen=True)
 class UsvParams:

@@ -62,7 +62,7 @@ class GuidanceConfig:
 def pixel_error(box: BoundingBox, cam: CameraIntrinsics) -> PixelError:
     """Offset of the box center from the image center, positive left/up."""
     cx, cy = box.center()
-    if not (0.0 <= cx <= cam.width and 0.0 <= cy <= cam.height):
+    if not cam.sees(box):
         raise ValueError(f"box center ({cx}, {cy}) lies outside the image")
     return PixelError(ex=cam.cx - cx, ey=cam.cy - cy)
 

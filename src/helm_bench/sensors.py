@@ -81,16 +81,17 @@ def emulate_tracker(
     visibility: float,
     noise: TrackerNoiseConfig,
     rng: np.random.Generator,
-    cam: CameraIntrinsics | None = None,
+    cam: CameraIntrinsics,
 ) -> Detection:
     """Degrade a ground-truth box the way a real tracker would.
 
     Draw order per call: one uniform for dropout, then (if kept) two normals
     for the center and one for the size. Dropout probability is
     1 - (1 - p_drop_base) * visibility; center jitter scales with
-    1 / visibility. Given the camera, a detection whose jittered center
-    leaves the image is invalid: a tracker cannot report a target outside
-    its frame. That is decided after the draws, so the stream stays aligned.
+    1 / visibility. A detection whose jittered box the camera does not see
+    (CameraIntrinsics.sees) is invalid: a tracker cannot report a target
+    outside its frame. That is decided after the draws, so the stream stays
+    aligned.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ConfigError("visibility must lie in [0, 1]")
@@ -104,11 +105,12 @@ def emulate_tracker(
     cx += rng.normal(0.0, sigma_c)
     cy += rng.normal(0.0, sigma_c)
     scale = max(1.0 + rng.normal(0.0, noise.sigma_scale), 0.0)
-    if cam is not None and not (0.0 <= cx <= cam.width and 0.0 <= cy <= cam.height):
-        return Detection(valid=False)
     w = truth.w * scale
     h = truth.h * scale
-    return Detection(valid=True, box=BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h), score=1.0)
+    box = BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
+    if not cam.sees(box):
+        return Detection(valid=False)
+    return Detection(valid=True, box=box, score=1.0)
 
 
 Roi = tuple[int, int, int, int]  # (y0, y1, x0, x1): rows y0..y1-1, columns x0..x1-1

@@ -49,11 +49,23 @@ class TrajectorySpec:
         if self.kind is TrajectoryKind.TRIANGLE:
             if self.vertices is None or len(self.vertices) != 3:
                 raise ConfigError("TRIANGLE needs exactly 3 vertices")
-            for i in range(3):
-                ax, ay = self.vertices[i]
-                bx, by = self.vertices[(i + 1) % 3]
-                if math.hypot(bx - ax, by - ay) <= 0.0:
-                    raise ConfigError("triangle edges must have positive length")
+            if any(length <= 0.0 for *_, length in self.edges):
+                raise ConfigError("triangle edges must have positive length")
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """(ax, ay, ex, ey, length) of each edge of the closed TRIANGLE path."""
+        assert self.vertices is not None
+        edges = []
+        for i in range(3):
+            ax, ay = self.vertices[i]
+            bx, by = self.vertices[(i + 1) % 3]
+            edges.append((ax, ay, bx - ax, by - ay, math.hypot(bx - ax, by - ay)))
+        return tuple(edges)
+
+    @functools.cached_property
+    def perimeter(self) -> float:
+        return sum(e[4] for e in self.edges)
 
 
 def default_triangle(center: tuple[float, float] = (40.0, 0.0), side: float = 20.0):
@@ -66,17 +78,6 @@ def default_triangle(center: tuple[float, float] = (40.0, 0.0), side: float = 20
         )
         for k in range(3)
     )
-
-
-@functools.lru_cache(maxsize=16)
-def _triangle_edges(vertices: tuple[tuple[float, float], ...]):
-    """((ax, ay, ex, ey, length) per edge, perimeter) of a closed triangle."""
-    edges = []
-    for i in range(3):
-        ax, ay = vertices[i]
-        bx, by = vertices[(i + 1) % 3]
-        edges.append((ax, ay, bx - ax, by - ay, math.hypot(bx - ax, by - ay)))
-    return tuple(edges), sum(e[4] for e in edges)
 
 
 def target_pose(spec: TrajectorySpec, t: float) -> Pose2D:
@@ -94,16 +95,14 @@ def target_pose(spec: TrajectorySpec, t: float) -> Pose2D:
             y=spec.origin.y + spec.speed * t * math.sin(spec.origin.psi),
             psi=spec.origin.psi,
         )
-    assert spec.vertices is not None
-    edges, perimeter = _triangle_edges(spec.vertices)
-    s = math.fmod(spec.speed * t, perimeter)
-    for ax, ay, ex, ey, length in edges:
+    s = math.fmod(spec.speed * t, spec.perimeter)
+    for ax, ay, ex, ey, length in spec.edges:
         if s < length:
             f = s / length
             return Pose2D(x=ax + f * ex, y=ay + f * ey, psi=math.atan2(ey, ex))
         s -= length
     # fmod rounding can land exactly on the perimeter: wrap to the first vertex.
-    ax, ay, ex, ey, _ = edges[0]
+    ax, ay, ex, ey, _ = spec.edges[0]
     return Pose2D(x=ax, y=ay, psi=math.atan2(ey, ex))
 
 

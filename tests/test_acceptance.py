@@ -31,7 +31,7 @@ import pytest
 from helm_bench.cli import main
 from helm_bench.config import load_scenario
 from helm_bench.control import LqrWeights, SmcGains, build_system, care_residual, lqr_gain
-from helm_bench.core import BodyState, BoundingBox, Pose2D, UsvParams
+from helm_bench.core import BodyState, BoundingBox, CameraIntrinsics, Pose2D, UsvParams
 from helm_bench.dynamics import SeaState, ThrustPair, step
 from helm_bench.metrics import (
     NORM_PRECISION_THRESHOLDS,
@@ -329,8 +329,9 @@ def test_criterion_6_tracker_degradation():
         noise = TrackerNoiseConfig(p_drop_base=0.2)
         box = BoundingBox(100.0, 100.0, 40.0, 40.0)
         rng = np.random.default_rng(2026)
+        cam = CameraIntrinsics()
         drops = sum(
-            1 for _ in range(10_000) if not emulate_tracker(box, 0.6, noise, rng).valid
+            1 for _ in range(10_000) if not emulate_tracker(box, 0.6, noise, rng, cam).valid
         )
         assert abs(drops / 10_000 - 0.52) <= 0.01
 

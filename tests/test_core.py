@@ -110,6 +110,19 @@ class TestCameraIntrinsics:
         with pytest.raises(ConfigError):
             CameraIntrinsics(**kwargs)
 
+    @pytest.mark.parametrize(
+        "box, seen",
+        [
+            (BoundingBox(310.0, 230.0, 20.0, 20.0), True),
+            (BoundingBox(-5.0, -5.0, 10.0, 10.0), True),  # center on the corner
+            (BoundingBox(635.0, 475.0, 10.0, 10.0), True),
+            (BoundingBox(-6.0, 230.0, 10.0, 10.0), False),
+            (BoundingBox(310.0, 476.0, 10.0, 10.0), False),
+        ],
+    )
+    def test_sees_box_center(self, box, seen):
+        assert CameraIntrinsics().sees(box) is seen
+
 
 class TestUsvParams:
     def test_defaults_are_valid(self):

@@ -85,25 +85,25 @@ class TestEmulateTracker:
 
     def test_noiseless_passthrough(self):
         cfg = TrackerNoiseConfig(sigma_center_px=0.0, sigma_scale=0.0, p_drop_base=0.0)
-        det = emulate_tracker(self.TRUTH, 1.0, cfg, stream(0, "t"))
+        det = emulate_tracker(self.TRUTH, 1.0, cfg, stream(0, "t"), CAM)
         assert det.valid and det.box == self.TRUTH
 
     def test_no_truth_is_a_miss(self):
         cfg = TrackerNoiseConfig()
-        det = emulate_tracker(None, 1.0, cfg, stream(0, "t"))
+        det = emulate_tracker(None, 1.0, cfg, stream(0, "t"), CAM)
         assert not det.valid and det.box is None
 
     def test_zero_visibility_always_drops(self):
         cfg = TrackerNoiseConfig(p_drop_base=0.0)
         rng = stream(3, "t")
-        assert all(not emulate_tracker(self.TRUTH, 0.0, cfg, rng).valid for _ in range(200))
+        assert all(not emulate_tracker(self.TRUTH, 0.0, cfg, rng, CAM).valid for _ in range(200))
 
     def test_center_error_std_scales_with_visibility(self):
         cfg = TrackerNoiseConfig(sigma_center_px=2.0, sigma_scale=0.0, p_drop_base=0.0)
         rng = stream(42, "t")
         errs = []
         for _ in range(10_000):
-            det = emulate_tracker(self.TRUTH, 0.5, cfg, rng)
+            det = emulate_tracker(self.TRUTH, 0.5, cfg, rng, CAM)
             if det.valid:
                 errs.append(det.box.center()[0] - self.TRUTH.center()[0])
         assert 3.8 < float(np.std(errs)) < 4.2  # sigma / visibility = 4
@@ -113,45 +113,48 @@ class TestEmulateTracker:
         rng = stream(7, "t")
         vis = 0.6
         n = 10_000
-        drops = sum(not emulate_tracker(self.TRUTH, vis, cfg, rng).valid for _ in range(n))
+        drops = sum(not emulate_tracker(self.TRUTH, vis, cfg, rng, CAM).valid for _ in range(n))
         expected = 1.0 - (1.0 - 0.2) * vis
         assert drops / n == pytest.approx(expected, abs=0.015)
 
     def test_reproducible_given_seed(self):
         cfg = TrackerNoiseConfig()
-        a = [emulate_tracker(self.TRUTH, 0.8, cfg, stream(5, "t")) for _ in range(1)]
-        b = [emulate_tracker(self.TRUTH, 0.8, cfg, stream(5, "t")) for _ in range(1)]
+        a = [emulate_tracker(self.TRUTH, 0.8, cfg, stream(5, "t"), CAM) for _ in range(1)]
+        b = [emulate_tracker(self.TRUTH, 0.8, cfg, stream(5, "t"), CAM) for _ in range(1)]
         assert a == b
 
     def test_size_jitter_never_negative(self):
         cfg = TrackerNoiseConfig(sigma_center_px=0.0, sigma_scale=10.0, p_drop_base=0.0)
         rng = stream(1, "t")
         for _ in range(500):
-            det = emulate_tracker(self.TRUTH, 1.0, cfg, rng)
+            det = emulate_tracker(self.TRUTH, 1.0, cfg, rng, CAM)
             assert det.box.w >= 0.0 and det.box.h >= 0.0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrackerNoiseConfig(sigma_center_px=-1.0)
+        with pytest.raises(ConfigError):
+            TrackerNoiseConfig(p_drop_base=1.0)
 
     def test_center_off_image_is_a_miss(self):
         # a box at the left edge with 20 px jitter lands off the image often
         edge = BoundingBox(0.0, 190.0, 4.0, 100.0)
         cfg = TrackerNoiseConfig(sigma_center_px=20.0, sigma_scale=0.0, p_drop_base=0.0)
-        rng, free = stream(9, "t"), stream(9, "t")
+        rng, draws = stream(9, "t"), stream(9, "t")
         misses = 0
         for _ in range(200):
             det = emulate_tracker(edge, 1.0, cfg, rng, CAM)
-            unchecked = emulate_tracker(edge, 1.0, cfg, free)
-            cx, cy = unchecked.box.center()
+            # replay the emulator's four draws: dropout, center x, center y, size
+            draws.uniform()
+            cx = 2.0 + draws.normal(0.0, 20.0)
+            cy = 240.0 + draws.normal(0.0, 20.0)
+            draws.normal(0.0, 0.0)
             inside = 0.0 <= cx <= CAM.width and 0.0 <= cy <= CAM.height
             assert det.valid == inside
             if inside:
-                assert det.box == unchecked.box
+                assert det.box.center() == pytest.approx((cx, cy), abs=1e-12)
             misses += not inside
-        assert 50 < misses < 150  # both streams stayed aligned throughout
-        with pytest.raises(ConfigError):
-            TrackerNoiseConfig(p_drop_base=1.0)
+        assert 50 < misses < 150  # the emulator drew exactly four values per call
 
 
 class TestRenderFrame:

@@ -59,6 +59,15 @@ class TestTargetPose:
             vertices=((0.0, 0.0), (3.0, 0.0), (3.0, 4.0)),
         )
 
+    def test_triangle_edges_belong_to_their_spec(self):
+        spec = self.triangle()
+        before = repr(spec)
+        assert spec.perimeter == 12.0
+        assert repr(spec) == before and spec == self.triangle()
+        moved = dataclasses.replace(spec, vertices=((0.0, 0.0), (6.0, 0.0), (6.0, 8.0)))
+        assert moved.perimeter == 24.0
+        assert (target_pose(moved, 9.0).x, target_pose(moved, 9.0).y) == (6.0, 3.0)
+
     def test_triangle_periodic_at_perimeter(self):
         spec = self.triangle()
         start = target_pose(spec, 0.0)
