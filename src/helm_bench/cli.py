@@ -1,8 +1,9 @@
 """helm-bench command line: simulate, evaluate, gains, sweep, plot.
 
 Exit codes: 0 success, 1 usage/validation problems, 2 runtime failures.
-Output files are written atomically (temp file + rename). Evaluation and
-sweeps honor the HELM_BENCH_THREADS environment variable.
+Output files are written atomically (temp file + rename). The
+HELM_BENCH_THREADS environment variable caps the evaluate worker threads;
+sweeps run serially.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ def _cmd_simulate(args) -> int:
     atomic_write_text(out / "runlog.csv", log.to_csv())
     atomic_write_text(out / "groundtruth.txt", metrics.format_boxes(log.gt_boxes()))
     atomic_write_text(out / "predictions.txt", metrics.format_boxes(log.pred_boxes()))
+    if log.error is not None:
+        print(f"run aborted early: {log.error}", file=sys.stderr)
+        return 2
     summary = sim.summarize(log, sc.cost)
     print(
         f"{sc.name}: {len(log)} records, settling={summary.settling_time:.3g} s, "
         f"rms_e_psi_ss={summary.rms_e_psi_ss:.4g} rad, J={summary.cost:.6g}"
     )
-    if log.error is not None:
-        print(f"run aborted early: {log.error}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -161,7 +162,7 @@ def _cmd_sweep(args) -> int:
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise ConfigError("--values must list at least one value")
-    csv_text = sim.run_sweep(sc, args.axis, values, max_workers=_thread_count(len(values)))
+    csv_text = sim.run_sweep(sc, args.axis, values)
     atomic_write_text(args.out, csv_text)
     print(f"wrote {args.out} ({len(values)} variants)")
     return 0

@@ -98,7 +98,6 @@ class LqrGain:
 class ControllerState:
     """Mutable per-controller memory shared by the step functions."""
 
-    prev_t: float | None = None
     # PID
     i_u: float = 0.0
     i_psi: float = 0.0

@@ -37,6 +37,9 @@ class TrackerNoiseConfig:
     def __post_init__(self) -> None:
         if self.sigma_center_px < 0.0 or self.sigma_scale < 0.0:
             raise ConfigError("noise sigmas must be >= 0")
+        # -0.0 passes the check above, but rng.normal rejects it as a scale.
+        for name in ("sigma_center_px", "sigma_scale"):
+            object.__setattr__(self, name, abs(getattr(self, name)))
         if not 0.0 <= self.p_drop_base < 1.0:
             raise ConfigError("p_drop_base must lie in [0, 1)")
 

@@ -18,6 +18,7 @@ from .core import (
     CameraIntrinsics,
     ConfigError,
     IntegrationError,
+    NumericalError,
     Pose2D,
     UsvParams,
     wrap_angle,
@@ -150,6 +151,9 @@ class SensorNoise:
             raise ConfigError("frame_stride must be >= 1")
         if min(self.lidar_sigma, self.u_sigma, self.psi_sigma, self.r_sigma) < 0.0:
             raise ConfigError("sensor sigmas must be >= 0")
+        # -0.0 passes the check above, but rng.normal rejects it as a scale.
+        for name in ("lidar_sigma", "u_sigma", "psi_sigma", "r_sigma"):
+            object.__setattr__(self, name, abs(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -174,6 +178,8 @@ class Scenario:
             raise ConfigError("duration must be > 0")
         if not 0.0 < self.dt <= 0.1:
             raise ConfigError("dt must lie in (0, 0.1]")
+        if math.floor(self.duration / self.dt + 1e-9) < 1:
+            raise ConfigError("duration must span at least one step of dt")
         if self.duration / self.dt > 1e7:
             raise ConfigError("scenario too long: duration/dt exceeds 1e7 steps")
 
@@ -301,41 +307,14 @@ def _columns(rows: list) -> dict:
     return data
 
 
-class _Controller:
-    """Uniform stepping facade over the three control laws."""
-
-    def __init__(self, spec: ControllerSpec, params: UsvParams) -> None:
-        self.spec = spec
-        self.params = params
-        self.state = control.ControllerState()
-        self.lqr = control.lqr_gain(params, spec.lqr) if spec.kind is ControllerKind.LQR else None
-
-    def reset(self) -> None:
-        self.state.reset()
-
-    def step(
-        self, meas: sensors.StateMeasurement, cmd: guidance.GuidanceCommand, t: float, dt: float
-    ) -> dynamics.GeneralizedThrust:
-        psi_ref = wrap_angle(meas.psi + cmd.e_psi)
-        if self.spec.kind is ControllerKind.PID:
-            out = control.pid_step(self.state, cmd.u_ref - meas.u, cmd.e_psi, dt, self.spec.pid)
-        elif self.spec.kind is ControllerKind.SMC:
-            refs = control.smc_refs(self.state, cmd.u_ref, psi_ref, meas.u, dt, self.spec.smc)
-            out = control.smc_step(self.state, refs, meas, self.spec.smc, self.params)
-        else:
-            assert self.lqr is not None
-            out = control.lqr_step(self.lqr, meas, (cmd.u_ref, psi_ref))
-        self.state.prev_t = t
-        return out
-
-
 def run_scenario(sc: Scenario) -> RunLog:
     """Drive the closed loop and return the structured log.
 
     One record per control step at t = k*dt for k = 0..floor(duration/dt);
     the state advance after the last record is not logged. Identical
     (scenario, seed) pairs produce bit-identical logs. If the plant leaves
-    the finite domain the log is truncated and carries an error note.
+    the finite domain the log is truncated and carries an error note; if
+    no LQR gain can be solved for the plant, the log has no rows.
     """
     n_steps = int(math.floor(sc.duration / sc.dt + 1e-9))
     params = sc.params
@@ -347,7 +326,14 @@ def run_scenario(sc: Scenario) -> RunLog:
     render_rng = stream(sc.seed, "render")
 
     gstate = guidance.GuidanceState()
-    ctrl = _Controller(sc.controller, params)
+    law = sc.controller
+    cstate = control.ControllerState()
+    lqr = None
+    if law.kind is ControllerKind.LQR:
+        try:
+            lqr = control.lqr_gain(params, law.lqr)
+        except NumericalError as exc:
+            return RunLog(**_columns([]), error=f"no LQR gain: {exc}")
     ncc = (
         sensors.NccTracker(
             peak_threshold=sc.tracker.ncc_peak_threshold,
@@ -413,7 +399,15 @@ def run_scenario(sc: Scenario) -> RunLog:
         if det.valid and det.box is not None:
             e_y = (cam.cy - det.box.center()[1]) / cam.fx
 
-        gen = ctrl.step(meas, cmd, t, sc.dt)
+        if law.kind is ControllerKind.PID:
+            gen = control.pid_step(cstate, cmd.u_ref - meas.u, cmd.e_psi, sc.dt, law.pid)
+        else:
+            psi_ref = wrap_angle(meas.psi + cmd.e_psi)
+            if law.kind is ControllerKind.SMC:
+                refs = control.smc_refs(cstate, cmd.u_ref, psi_ref, meas.u, sc.dt, law.smc)
+                gen = control.smc_step(cstate, refs, meas, law.smc, params)
+            else:
+                gen = control.lqr_step(lqr, meas, (cmd.u_ref, psi_ref))
         left, right = dynamics.thrust_forces(gen.T1, gen.T2, params)
 
         det_cells = (det.box.x, det.box.y, det.box.w, det.box.h) if det.valid and det.box else no_box
@@ -578,40 +572,25 @@ SWEEP_COLUMNS = (
 )
 
 
-def sweep(base: Scenario, axis: str, values: list, max_workers: int = 1) -> list[tuple[object, RunSummary]]:
-    """Run one variant per value (independent derived seeds), in input order."""
-    from concurrent.futures import ThreadPoolExecutor
+def sweep(base: Scenario, axis: str, values: list) -> list[tuple[object, RunSummary]]:
+    """Run one variant per value (independent derived seeds), in input order.
 
+    A variant whose run aborts raises IntegrationError.
+    """
     variants = [sweep_variant(base, axis, v, i) for i, v in enumerate(values)]
-
-    def one(sc: Scenario) -> RunSummary:
-        return summarize(run_scenario(sc), sc.cost)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            summaries = list(pool.map(one, variants))
-    else:
-        summaries = [one(sc) for sc in variants]
-    return list(zip(values, summaries))
+    rows = []
+    for value, sc in zip(values, variants):
+        log = run_scenario(sc)
+        if log.error is not None:
+            raise IntegrationError(f"{sc.name}: run aborted early: {log.error}")
+        rows.append((value, summarize(log, sc.cost)))
+    return rows
 
 
-def run_sweep(base: Scenario, axis: str, values: list, max_workers: int = 1) -> str:
+def run_sweep(base: Scenario, axis: str, values: list) -> str:
     """Run every variant and render the summary CSV (rows in input order)."""
     lines = [",".join(SWEEP_COLUMNS)]
-    for value, summary in sweep(base, axis, values, max_workers=max_workers):
-        lines.append(
-            ",".join(
-                [
-                    axis,
-                    _format_value(value),
-                    repr(float(summary.settling_time)),
-                    repr(float(summary.overshoot_pct)),
-                    repr(float(summary.rms_e_psi_ss)),
-                    repr(float(summary.tv_left)),
-                    repr(float(summary.tv_right)),
-                    repr(float(summary.tv_total)),
-                    repr(float(summary.cost)),
-                ]
-            )
-        )
+    for value, summary in sweep(base, axis, values):
+        cells = [repr(float(v)) for v in dataclasses.astuple(summary)]
+        lines.append(",".join([axis, _format_value(value), *cells]))
     return "\n".join(lines) + "\n"

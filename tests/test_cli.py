@@ -64,6 +64,23 @@ class TestSimulate:
         main(["simulate", "--scenario", str(ini), "--out", str(out_b), "--seed", "2"])
         assert read(out_a / "predictions.txt") != read(out_b / "predictions.txt")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow by design
+    def test_first_step_abort_is_exit_2(self, tmp_path, capsys):
+        ini = tmp_path / "fast.ini"
+        ini.write_text(QUICK + "\n[usv]\nu0 = 1e308\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(ini), "--out", str(out)]) == 2
+        assert "run aborted early" in capsys.readouterr().err
+        assert len(RunLog.from_csv(read(out / "runlog.csv"))) == 1
+
+    def test_duration_shorter_than_dt_is_exit_1(self, tmp_path, capsys):
+        ini = tmp_path / "short.ini"
+        ini.write_text("[run]\nduration = 0.01\ndt = 0.02\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(ini), "--out", str(out)]) == 1
+        assert "at least one step" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_scenario_is_exit_1(self, tmp_path, capsys):
         rc = main(["simulate", "--scenario", str(tmp_path / "no.ini"), "--out", str(tmp_path)])
         assert rc == 1
@@ -153,6 +170,31 @@ class TestEvaluate:
         assert rc == 1
         assert "b" in capsys.readouterr().err
 
+    def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
+        gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+        for k in range(6):
+            write_boxes(gt_dir / f"s{k}.txt", BOXES)
+            shifted = [BoundingBox(b.x + k, b.y, b.w, b.h) for b in BOXES]
+            write_boxes(pred_dir / f"s{k}.txt", shifted)
+        outs = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("HELM_BENCH_THREADS", threads)
+            out = tmp_path / f"report_{threads}.csv"
+            assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir),
+                         "--out", str(out), "--curves"]) == 0
+            curves = out.with_name(out.stem + "_curves.csv")
+            outs[threads] = (out.read_bytes(), curves.read_bytes())
+        assert outs["1"] == outs["4"]
+
+    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch, capsys):
+        write_boxes(tmp_path / "gt.txt", BOXES)
+        write_boxes(tmp_path / "pred.txt", BOXES)
+        monkeypatch.setenv("HELM_BENCH_THREADS", "zero")
+        rc = main(["evaluate", "--gt", str(tmp_path / "gt.txt"),
+                   "--pred", str(tmp_path / "pred.txt"), "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert "HELM_BENCH_THREADS" in capsys.readouterr().err
+
     def test_single_file_pair(self, tmp_path):
         write_boxes(tmp_path / "gt.txt", BOXES)
         write_boxes(tmp_path / "pred.txt", BOXES)
@@ -227,13 +269,6 @@ class TestSweep:
                          "--values", "1.0,0.7,0.4", "--out", str(out)]) == 0
             outs[threads] = read(out)
         assert outs["1"] == outs["4"]
-
-    def test_bad_thread_env_is_config_error(self, quick_ini, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HELM_BENCH_THREADS", "zero")
-        rc = main(["sweep", "--scenario", str(quick_ini), "--axis", "sea.visibility",
-                   "--values", "1.0", "--out", str(tmp_path / "s.csv")])
-        assert rc == 1
-        assert "HELM_BENCH_THREADS" in capsys.readouterr().err
 
     def test_empty_values_rejected(self, quick_ini, tmp_path, capsys):
         rc = main(["sweep", "--scenario", str(quick_ini), "--axis", "sea.visibility",

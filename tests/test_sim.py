@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helm_bench import sensors, sim
-from helm_bench.config import load_scenario
-from helm_bench.core import BoundingBox, ConfigError, Pose2D
+from helm_bench.config import _SCHEMA, load_scenario, parse_scenario
+from helm_bench.core import BodyState, BoundingBox, ConfigError, IntegrationError, Pose2D
 from helm_bench.dynamics import SeaState
 from helm_bench.guidance import GuidanceConfig
 from helm_bench.metrics import CostWeights
@@ -391,7 +393,78 @@ class TestSweep:
         rows = sweep(quick_scenario(), "sea.visibility", [0.9, 0.3, 0.6])
         assert [v for v, _ in rows] == [0.9, 0.3, 0.6]
 
-    def test_thread_count_does_not_change_results(self):
-        serial = sweep(quick_scenario(), "sea.visibility", [1.0, 0.5], max_workers=1)
-        threaded = sweep(quick_scenario(), "sea.visibility", [1.0, 0.5], max_workers=2)
-        assert serial == threaded
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow by design
+    def test_aborted_variant_is_an_integration_error(self):
+        # u0 = 1e308 leaves the finite domain in the first step
+        base = quick_scenario(initial=BodyState(u=1e308))
+        with pytest.raises(IntegrationError, match=r"quick\[sea.visibility=0.5\]: run aborted"):
+            sweep(base, "sea.visibility", [0.5])
+
+
+_NUMERIC_KEYS = [
+    (sec, key, parser)
+    for sec, keys in _SCHEMA.items()
+    for key, parser in keys.items()
+    if parser in (float, int)
+]
+_FLOAT_TEXTS = ["-0.0", "0", "1e-300", "-1e-300", "1e6", "-1e6",
+                "0.02", "0.5", "-0.5", "1", "-3", "20"]
+_INT_TEXTS = ["0", "1", "-1", "2", "1000000", "-1000000"]
+
+
+@st.composite
+def scenario_texts(draw) -> str:
+    """Scenario text setting one to four numeric keys, at most 1 s long."""
+    sections: dict[str, dict[str, str]] = {"run": {"duration": "1"}}
+    keys = draw(st.lists(st.sampled_from(_NUMERIC_KEYS), min_size=1, max_size=4, unique=True))
+    for sec, key, parser in keys:
+        value = draw(st.sampled_from(_FLOAT_TEXTS if parser is float else _INT_TEXTS))
+        if (sec, key) == ("run", "duration"):
+            value = str(min(float(value), 1.0))
+        sections.setdefault(sec, {})[key] = value
+    return "".join(
+        f"[{sec}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for sec, keys in sections.items()
+    )
+
+
+class TestAcceptedScenarios:
+    """Any scenario the parser accepts runs to its end or to a logged abort."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in degenerate plants
+    @settings(max_examples=200, deadline=None)
+    @given(scenario_texts())
+    @example("[run]\nduration = 1\n[sensors]\nlidar_sigma = -0.0\n")
+    def test_runs_or_logs_an_abort(self, text):
+        try:
+            sc = parse_scenario(text)
+        except ConfigError:
+            return
+        log = run_scenario(sc)
+        if log.error is None:
+            assert len(log) == math.floor(sc.duration / sc.dt + 1e-9) + 1
+        else:
+            assert log.to_csv().startswith("# error: ")
+
+    @pytest.mark.parametrize(
+        "sec, key",
+        [("sensors", k) for k in ("lidar_sigma", "u_sigma", "psi_sigma", "r_sigma")]
+        + [("tracker", k) for k in ("sigma_center_px", "sigma_scale")],
+    )
+    def test_negative_zero_sigma_runs_like_zero(self, sec, key):
+        text = "[run]\nduration = 1\n[target]\nx0 = 15\n[{}]\n{} = {}\n"
+        negative, positive = (
+            run_scenario(parse_scenario(text.format(sec, key, v))).to_csv() for v in ("-0.0", "0.0")
+        )
+        assert negative == positive
+
+    def test_duration_without_a_step_rejected(self):
+        with pytest.raises(ConfigError, match="at least one step"):
+            Scenario(duration=0.01, dt=0.02)
+        Scenario(duration=0.02, dt=0.02)  # one step, two records
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow by design
+    def test_unsolvable_lqr_gain_gives_an_empty_log(self):
+        log = run_scenario(parse_scenario("[run]\nduration = 1\n[usv]\nizz = 1e-300\n"))
+        assert len(log) == 0
+        assert log.error.startswith("no LQR gain: ")
