@@ -301,19 +301,22 @@ def solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
         # Pole placement at {-1, -2}: char poly s^2 + 3 s + 2.
         K = np.array([[2.0 / (a * b2), 3.0 / b2]])
         P2 = None
-        for _ in range(_NK_MAX_ITER):
-            Acl = A2 - B2 @ K
-            S = Q2 + K.T * r2 @ K
-            P_next = _solve_lyapunov_2x2(Acl, S)
-            if P2 is not None and np.linalg.norm(P_next - P2) <= 1e-13 * max(
-                1.0, np.linalg.norm(P_next)
-            ):
+        # A degenerate plant overflows here; it then fails to converge and
+        # raises NumericalError, so numpy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(_NK_MAX_ITER):
+                Acl = A2 - B2 @ K
+                S = Q2 + K.T * r2 @ K
+                P_next = _solve_lyapunov_2x2(Acl, S)
+                if P2 is not None and np.linalg.norm(P_next - P2) <= 1e-13 * max(
+                    1.0, np.linalg.norm(P_next)
+                ):
+                    P2 = P_next
+                    break
                 P2 = P_next
-                break
-            P2 = P_next
-            K = (B2.T @ P2) / r2
-        else:
-            raise NumericalError("Newton-Kleinman iteration did not converge in 50 steps")
+                K = (B2.T @ P2) / r2
+            else:
+                raise NumericalError("Newton-Kleinman iteration did not converge in 50 steps")
 
     P = np.zeros((3, 3))
     P[0, 0] = p_u

@@ -208,29 +208,72 @@ def _box_sums(a: np.ndarray, h: int, w: int) -> np.ndarray:
     return table[h:, w:] - table[:-h, w:] - table[h:, :-w] + table[:-h, :-w]
 
 
-def zncc_scores(window: np.ndarray, template: np.ndarray) -> np.ndarray:
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n: a size pocketfft transforms fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+class TemplateCache:
+    """A template's zero-mean pixels, their energy, and conjugate spectra.
+
+    zncc_scores builds one per call unless it is given one; a tracker that
+    matches one template over many frames keeps one, so the template is
+    transformed once per padded size.
+    """
+
+    def __init__(self, template: np.ndarray) -> None:
+        self.zero_mean = template - template.mean()
+        self.energy = float(np.sum(self.zero_mean * self.zero_mean))
+        self._spectra: dict[tuple[int, int], np.ndarray] = {}
+
+    def spectrum(self, shape: tuple[int, int]) -> np.ndarray:
+        """Conjugate of the zero-mean template's rfft2 padded to shape."""
+        spec = self._spectra.get(shape)
+        if spec is None:
+            spec = self._spectra[shape] = np.fft.rfft2(self.zero_mean, s=shape).conj()
+        return spec
+
+
+def zncc_scores(
+    window: np.ndarray, template: np.ndarray, cache: TemplateCache | None = None
+) -> np.ndarray:
     """Zero-normalized cross-correlation of template over every placement.
 
     Returns an array of scores indexed by the template's top-left corner
     within the window; placements with a flat patch score 0. Raises
     ValueError on a zero-variance template or a window smaller than it.
+    cache, if given, must have been built from template.
+
+    The cross term is a circular correlation by FFT (Lewis 1995), padded on
+    each axis to the smallest 5-smooth size at least the window's side: no
+    valid placement wraps, and pocketfft is slow on sizes with large prime
+    factors. The window sums come from summed-area tables.
     """
     th, tw = template.shape
-    if window.shape[0] < th or window.shape[1] < tw:
+    wh, ww = window.shape
+    if wh < th or ww < tw:
         raise ValueError("window smaller than the template")
-    t0 = template - template.mean()
-    t_energy = float(np.sum(t0 * t0))
-    if t_energy <= 0.0:
+    if cache is None:
+        cache = TemplateCache(template)
+    if cache.energy <= 0.0:
         raise ValueError("degenerate template with zero variance")
     # ZNCC ignores an offset of the window. Subtracting one of its pixels
     # keeps the sums small, and makes a flat window exactly zero.
     shifted = window - window[0, 0]
-    patches = np.lib.stride_tricks.sliding_window_view(shifted, (th, tw))
-    cross = np.einsum("ijkl,kl->ij", patches, t0)
+    shape = (_fast_len(wh), _fast_len(ww))
+    product = np.fft.rfft2(shifted, s=shape) * cache.spectrum(shape)
+    cross = np.fft.irfft2(product, s=shape)[: wh - th + 1, : ww - tw + 1]
     sums = _box_sums(shifted, th, tw)
     sq_sums = _box_sums(shifted * shifted, th, tw)
     w_energy = np.maximum(sq_sums - sums * sums / (th * tw), 0.0)
-    denom = np.sqrt(w_energy * t_energy)
+    denom = np.sqrt(w_energy * cache.energy)
     scores = np.zeros_like(cross)
     np.divide(cross, denom, out=scores, where=denom > 0.0)
     return scores
@@ -292,6 +335,7 @@ def ncc_track(
     search_window: tuple[tuple[float, float], float],
     peak_threshold: float = 0.2,
     roi: Roi | None = None,
+    cache: TemplateCache | None = None,
 ) -> Detection:
     """Best ZNCC placement of template inside frame near a previous center.
 
@@ -301,7 +345,8 @@ def ncc_track(
     image, or with roi only that region of it; the search stays inside the
     pixels given, and the center and the box are in image coordinates. The
     detection box has the template's size; a peak below peak_threshold (or
-    a window too small to search) comes back with valid=False.
+    a window too small to search) comes back with valid=False. cache, if
+    given, is passed on to zncc_scores.
     """
     center, halfwidth = search_window
     th, tw = template.shape
@@ -311,7 +356,7 @@ def ncc_track(
         return Detection(valid=False)
     window = frame[y0 - fy0 : y1 - fy0, x0 - fx0 : x1 - fx0]
     try:
-        scores = zncc_scores(window, template)
+        scores = zncc_scores(window, template, cache)
     except ValueError:
         return Detection(valid=False)
     # The summed-area sums round differently at different placements, so
@@ -356,6 +401,7 @@ class NccTracker:
 
     def reset(self) -> None:
         self._template: np.ndarray | None = None
+        self._cache: TemplateCache | None = None
         self._box_size: tuple[float, float] | None = None
         self._center: tuple[float, float] | None = None
 
@@ -391,6 +437,7 @@ class NccTracker:
         if y1 == y0:
             raise ConfigError("ground-truth box lies outside the frame")
         self._template = frame[y0 - fy0 : y1 - fy0, x0 - fx0 : x1 - fx0].copy()
+        self._cache = TemplateCache(self._template)
         self._box_size = (truth.w, truth.h)
         self._center = truth.center()
 
@@ -405,7 +452,9 @@ class NccTracker:
         """
         if self._template is None or self._center is None or self._box_size is None:
             raise RuntimeError("tracker used before initialize()")
-        det = ncc_track(frame, self._template, self._search_window(), self.peak_threshold, roi)
+        det = ncc_track(
+            frame, self._template, self._search_window(), self.peak_threshold, roi, self._cache
+        )
         if not det.valid or det.box is None:
             return Detection(valid=False, score=det.score)
         match_cx, match_cy = det.box.center()

@@ -135,6 +135,12 @@ class TrackerSpec:
     ncc_context_margin: float = 0.35
     render_noise_sigma: float = 0.02
 
+    def __post_init__(self) -> None:
+        # Reject here what NccTracker would reject once the run has started.
+        sensors.NccTracker(
+            self.ncc_peak_threshold, self.ncc_search_halfwidth, self.ncc_context_margin
+        )
+
 
 @dataclass(frozen=True)
 class SensorNoise:
@@ -351,87 +357,90 @@ def run_scenario(sc: Scenario) -> RunLog:
     e_y = 0.0
     error: str | None = None
 
-    for k in range(n_steps + 1):
-        t = k * sc.dt
-        target = target_pose(sc.target, t)
-        gt_box = sensors.project_target(state.pose, target, sc.target.extent, cam)
+    # dynamics.step's finite check turns an overflow into a logged abort, so
+    # numpy need not warn about it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            t = k * sc.dt
+            target = target_pose(sc.target, t)
+            gt_box = sensors.project_target(state.pose, target, sc.target.extent, cam)
 
-        if k % sc.sensor_noise.frame_stride == 0:
-            if sc.tracker.kind is TrackerKind.EMULATOR:
-                det = sensors.emulate_tracker(
-                    gt_box, sc.sea.visibility, sc.tracker.noise, tracker_rng, cam
-                )
-            else:
-                assert ncc is not None
-                can_start = gt_box is not None and gt_box.w >= 1.0 and gt_box.h >= 1.0
-                # Render only the region the tracker reads. A frame with
-                # nothing to read still draws its key, so later frames keep
-                # their noise.
-                if ncc.initialized or can_start:
-                    roi = ncc.window((cam.height, cam.width), gt_box)
+            if k % sc.sensor_noise.frame_stride == 0:
+                if sc.tracker.kind is TrackerKind.EMULATOR:
+                    det = sensors.emulate_tracker(
+                        gt_box, sc.sea.visibility, sc.tracker.noise, tracker_rng, cam
+                    )
                 else:
-                    roi = (0, 0, 0, 0)
-                frame = sensors.render_frame(
-                    state.pose,
-                    target,
-                    sc.target.extent,
-                    cam,
-                    sc.sea.visibility,
-                    render_rng,
-                    noise_sigma=sc.tracker.render_noise_sigma,
-                    roi=roi,
-                )
-                if ncc.initialized:
-                    det = ncc.track(frame, roi)
-                elif can_start:
-                    ncc.initialize(frame, gt_box, roi)
-                    det = sensors.Detection(valid=True, box=gt_box, score=1.0)
-                else:
-                    det = sensors.Detection(valid=False)
+                    assert ncc is not None
+                    can_start = gt_box is not None and gt_box.w >= 1.0 and gt_box.h >= 1.0
+                    # Render only the region the tracker reads. A frame with
+                    # nothing to read still draws its key, so later frames keep
+                    # their noise.
+                    if ncc.initialized or can_start:
+                        roi = ncc.window((cam.height, cam.width), gt_box)
+                    else:
+                        roi = (0, 0, 0, 0)
+                    frame = sensors.render_frame(
+                        state.pose,
+                        target,
+                        sc.target.extent,
+                        cam,
+                        sc.sea.visibility,
+                        render_rng,
+                        noise_sigma=sc.tracker.render_noise_sigma,
+                        roi=roi,
+                    )
+                    if ncc.initialized:
+                        det = ncc.track(frame, roi)
+                    elif can_start:
+                        ncc.initialize(frame, gt_box, roi)
+                        det = sensors.Detection(valid=True, box=gt_box, score=1.0)
+                    else:
+                        det = sensors.Detection(valid=False)
 
-        rng_range = sensors.lidar_range(
-            state.pose, target, sc.guidance_cfg.lidar_max_range, sc.sensor_noise.lidar_sigma, lidar_rng
-        )
-        meas = sensors.measure_state(
-            state, sc.sensor_noise.u_sigma, sc.sensor_noise.psi_sigma, sc.sensor_noise.r_sigma, imu_rng
-        )
-        cmd = guidance.guidance_step(det, rng_range, sc.guidance_cfg, cam, gstate)
-        if det.valid and det.box is not None:
-            e_y = (cam.cy - det.box.center()[1]) / cam.fx
-
-        if law.kind is ControllerKind.PID:
-            gen = control.pid_step(cstate, cmd.u_ref - meas.u, cmd.e_psi, sc.dt, law.pid)
-        else:
-            psi_ref = wrap_angle(meas.psi + cmd.e_psi)
-            if law.kind is ControllerKind.SMC:
-                refs = control.smc_refs(cstate, cmd.u_ref, psi_ref, meas.u, sc.dt, law.smc)
-                gen = control.smc_step(cstate, refs, meas, law.smc, params)
-            else:
-                gen = control.lqr_step(lqr, meas, (cmd.u_ref, psi_ref))
-        left, right = dynamics.thrust_forces(gen.T1, gen.T2, params)
-
-        det_cells = (det.box.x, det.box.y, det.box.w, det.box.h) if det.valid and det.box else no_box
-        gt_cells = (gt_box.x, gt_box.y, gt_box.w, gt_box.h) if gt_box is not None else no_box
-        # One cell per LOG_COLUMNS entry, in RunLog field order.
-        rows.append(
-            (
-                t, state.pose.x, state.pose.y, state.pose.psi, state.u, state.r,
-                target.x, target.y, target.psi,
-                1 if det.valid else 0, *det_cells,
-                math.nan if rng_range is None else rng_range,
-                cmd.mode.value, cmd.u_ref, cmd.e_psi, cmd.e_d, e_y,
-                left + right, right - left, left, right,
-                *gt_cells,
+            rng_range = sensors.lidar_range(
+                state.pose, target, sc.guidance_cfg.lidar_max_range, sc.sensor_noise.lidar_sigma, lidar_rng
             )
-        )
+            meas = sensors.measure_state(
+                state, sc.sensor_noise.u_sigma, sc.sensor_noise.psi_sigma, sc.sensor_noise.r_sigma, imu_rng
+            )
+            cmd = guidance.guidance_step(det, rng_range, sc.guidance_cfg, cam, gstate)
+            if det.valid and det.box is not None:
+                e_y = (cam.cy - det.box.center()[1]) / cam.fx
 
-        if k < n_steps:
-            pair = dynamics.ThrustPair(left, right)
-            try:
-                state = dynamics.step(state, pair, sc.sea, t, sc.dt, params)
-            except IntegrationError as exc:
-                error = str(exc)
-                break
+            if law.kind is ControllerKind.PID:
+                gen = control.pid_step(cstate, cmd.u_ref - meas.u, cmd.e_psi, sc.dt, law.pid)
+            else:
+                psi_ref = wrap_angle(meas.psi + cmd.e_psi)
+                if law.kind is ControllerKind.SMC:
+                    refs = control.smc_refs(cstate, cmd.u_ref, psi_ref, meas.u, sc.dt, law.smc)
+                    gen = control.smc_step(cstate, refs, meas, law.smc, params)
+                else:
+                    gen = control.lqr_step(lqr, meas, (cmd.u_ref, psi_ref))
+            left, right = dynamics.thrust_forces(gen.T1, gen.T2, params)
+
+            det_cells = (det.box.x, det.box.y, det.box.w, det.box.h) if det.valid and det.box else no_box
+            gt_cells = (gt_box.x, gt_box.y, gt_box.w, gt_box.h) if gt_box is not None else no_box
+            # One cell per LOG_COLUMNS entry, in RunLog field order.
+            rows.append(
+                (
+                    t, state.pose.x, state.pose.y, state.pose.psi, state.u, state.r,
+                    target.x, target.y, target.psi,
+                    1 if det.valid else 0, *det_cells,
+                    math.nan if rng_range is None else rng_range,
+                    cmd.mode.value, cmd.u_ref, cmd.e_psi, cmd.e_d, e_y,
+                    left + right, right - left, left, right,
+                    *gt_cells,
+                )
+            )
+
+            if k < n_steps:
+                pair = dynamics.ThrustPair(left, right)
+                try:
+                    state = dynamics.step(state, pair, sc.sea, t, sc.dt, params)
+                except IntegrationError as exc:
+                    error = str(exc)
+                    break
 
     return RunLog(**_columns(rows), error=error)
 

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: file outputs, reports, and exit codes."""
 
+import hashlib
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +66,6 @@ class TestSimulate:
         main(["simulate", "--scenario", str(ini), "--out", str(out_b), "--seed", "2"])
         assert read(out_a / "predictions.txt") != read(out_b / "predictions.txt")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow by design
     def test_first_step_abort_is_exit_2(self, tmp_path, capsys):
         ini = tmp_path / "fast.ini"
         ini.write_text(QUICK + "\n[usv]\nu0 = 1e308\n")
@@ -72,6 +73,34 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(ini), "--out", str(out)]) == 2
         assert "run aborted early" in capsys.readouterr().err
         assert len(RunLog.from_csv(read(out / "runlog.csv"))) == 1
+
+    @pytest.mark.parametrize(
+        "usv, error, digest",
+        [
+            (
+                "u0 = 1e308",
+                "non-finite state after step at t=0.0: [inf, 0.0, 0.0, 1e+308, 0.0]",
+                "50985141adc9b6241287083e21ed53b4107f34042e03950831ed687edfd2fe90",
+            ),
+            (
+                "izz = 1e-300",
+                "no LQR gain: Newton-Kleinman iteration did not converge in 50 steps",
+                "d1f859d84efe6e2371cb6f9b8abd0fd54e9e27d262883847bf031bac9260620d",
+            ),
+        ],
+    )
+    def test_degenerate_plant_aborts_without_warnings(self, tmp_path, capsys, usv, error, digest):
+        ini = tmp_path / "degenerate.ini"
+        ini.write_text(QUICK + f"\n[usv]\n{usv}\n")
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--scenario", str(ini), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"run aborted early: {error}\n"
+        runlog = (out / "runlog.csv").read_bytes()
+        assert runlog.startswith(f"# error: {error}\n".encode())
+        # the bytes numpy's overflow warnings used to precede
+        assert hashlib.sha256(runlog).hexdigest() == digest
 
     def test_duration_shorter_than_dt_is_exit_1(self, tmp_path, capsys):
         ini = tmp_path / "short.ini"

@@ -14,6 +14,8 @@ from helm_bench.sensors import (
     Detection,
     NccTracker,
     TrackerNoiseConfig,
+    _box_sums,
+    _fast_len,
     emulate_tracker,
     lidar_range,
     measure_state,
@@ -280,7 +282,88 @@ def einsum_zncc(window, template):
     return scores
 
 
+def einsum_cross_zncc(window, template, cache=None):
+    """zncc_scores with its cross term summed by einsum over the sliding windows.
+
+    The window offset, the summed-area sums and the divide are zncc_scores'
+    own, so the two differ only in how the cross term is summed.
+    """
+    th, tw = template.shape
+    t0 = template - template.mean()
+    shifted = window - window[0, 0]
+    patches = np.lib.stride_tricks.sliding_window_view(shifted, (th, tw))
+    cross = np.einsum("ijkl,kl->ij", patches, t0)
+    sums = _box_sums(shifted, th, tw)
+    sq_sums = _box_sums(shifted * shifted, th, tw)
+    w_energy = np.maximum(sq_sums - sums * sums / (th * tw), 0.0)
+    denom = np.sqrt(w_energy * float(np.sum(t0 * t0)))
+    scores = np.zeros_like(cross)
+    np.divide(cross, denom, out=scores, where=denom > 0.0)
+    return scores
+
+
+def _tie_rule_pick(scores):
+    """Placement ncc_track picks: first row-major score within 1e-12 of the peak."""
+    return int(np.argmax(scores >= scores.max() - 1e-12))
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 131]
+
+
+@st.composite
+def zncc_cases(draw):
+    """(window, template) pairs: noisy, flat-with-a-bright-target, or equal."""
+    th, tw = draw(st.integers(2, 14)), draw(st.integers(2, 14))
+    sides = st.one_of(st.integers(2, 40), st.sampled_from(_PRIMES))
+    wh, ww = max(draw(sides), th), max(draw(sides), tw)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    template = rng.random((th, tw))
+    kind = draw(st.sampled_from(["noise", "flat", "equal"]))
+    if kind == "equal":
+        return template.copy(), template
+    if kind == "noise":
+        window = np.clip(0.3 + 0.05 * rng.standard_normal((wh, ww)), 0.0, 1.0)
+    else:
+        window = np.full((wh, ww), draw(st.sampled_from([0.0, 0.3, 0.123456789])))
+    # a bright target, the template itself or a uniform block, partly off the window
+    y = int(rng.integers(-th // 2, wh))
+    x = int(rng.integers(-tw // 2, ww))
+    patch = template if draw(st.booleans()) else np.full((th, tw), 0.8)
+    y0, x0 = max(y, 0), max(x, 0)
+    y1, x1 = min(y + th, wh), min(x + tw, ww)
+    window[y0:y1, x0:x1] = patch[y0 - y : y1 - y, x0 - x : x1 - x]
+    return window, template
+
+
+class TestFastLen:
+    def test_smallest_5_smooth_at_least_n(self):
+        smooth = sorted(
+            2**a * 3**b * 5**c
+            for a in range(12) for b in range(8) for c in range(6)
+            if 2**a * 3**b * 5**c <= 2048
+        )
+        for n in range(1, 2001):
+            assert _fast_len(n) == next(m for m in smooth if m >= n), n
+
+
 class TestZnccScores:
+    @settings(max_examples=300, deadline=None)
+    @given(zncc_cases())
+    def test_fft_matches_einsum_cross_term(self, case):
+        window, template = case
+        got = zncc_scores(window, template)
+        want = einsum_cross_zncc(window, template)
+        assert got.shape == want.shape
+        # A flat patch's variance from the summed-area sums is roundoff, not
+        # 0, so it scores roundoff over roundoff: near 0 under either cross
+        # term, but not the same.
+        patches = np.lib.stride_tricks.sliding_window_view(window, template.shape)
+        flat = patches.max(axis=(2, 3)) == patches.min(axis=(2, 3))
+        assert np.abs(got - want)[~flat].max(initial=0.0) <= 1e-12
+        assert np.abs(got[flat]).max(initial=0.0) <= 1e-6
+        if want.max() > 1e-6:
+            assert _tie_rule_pick(got) == _tie_rule_pick(want)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_einsum_reference(self, seed):
         rng = stream(seed, "zncc")
@@ -478,6 +561,27 @@ class TestTrackerWindow:
             want = whole.track(shifted)
             got = part.track(shifted[roi[0] : roi[1], roi[2] : roi[3]], roi)
             assert got == want and want.valid
+
+    @pytest.mark.parametrize("reset", [False, True])
+    def test_reinitialized_tracker_matches_a_fresh_one(self, reset):
+        # Both templates have the same shape, so they share an FFT size: a
+        # spectrum kept from the first would be picked up for the second.
+        frame = self._scene()
+        other = np.clip(0.6 + 0.02 * stream(22, "win").standard_normal(frame.shape), 0, 1)
+        other[40:55, 20:38] = stream(23, "win").random((15, 18))
+        used, fresh = NccTracker(search_halfwidth=6), NccTracker(search_halfwidth=6)
+        used.initialize(frame, BoundingBox(50.0, 30.0, 18.0, 15.0))
+        assert used.track(frame).valid
+        if reset:
+            used.reset()
+        truth = BoundingBox(20.0, 40.0, 18.0, 15.0)
+        used.initialize(other, truth)
+        fresh.initialize(other, truth)
+        rng = stream(6, "moves")
+        for _ in range(5):
+            shifted = np.roll(other, tuple(int(v) for v in rng.integers(-2, 3, size=2)), axis=(0, 1))
+            want = fresh.track(shifted)
+            assert used.track(shifted) == want and want.valid
 
     def test_region_must_match_frame_shape(self):
         tracker = NccTracker()

@@ -32,6 +32,7 @@ from helm_bench.sim import (
     sweep_variant,
     target_pose,
 )
+from test_sensors import einsum_cross_zncc
 
 
 class TestTargetPose:
@@ -259,6 +260,31 @@ class TestNccRegionRender:
             assert not fast.det_valid.all()  # the lost-track path ran
 
 
+class TestNccFftCrossTerm:
+    """The FFT cross term leaves NCC run logs byte-identical to an einsum one."""
+
+    @pytest.mark.parametrize("halfwidth", [8, 20])
+    @pytest.mark.parametrize("visibility", [1.0, 0.1])
+    def test_same_log_as_einsum_cross_term(self, monkeypatch, halfwidth, visibility):
+        base = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "ncc_standoff.ini")
+        sc = dataclasses.replace(
+            base,
+            duration=2.0,
+            sea=dataclasses.replace(base.sea, visibility=visibility),
+            tracker=dataclasses.replace(base.tracker, ncc_search_halfwidth=halfwidth),
+        )
+        fft = run_scenario(sc).to_csv()
+        calls = []
+
+        def einsum_scores(*args):
+            calls.append(args[0].shape)
+            return einsum_cross_zncc(*args)
+
+        monkeypatch.setattr(sensors, "zncc_scores", einsum_scores)
+        assert run_scenario(sc).to_csv().encode() == fft.encode()
+        assert len(calls) == 50  # every frame after the first is matched
+
+
 class TestRunLogCsv:
     def test_round_trip(self):
         log = run_scenario(quick_scenario())
@@ -393,7 +419,6 @@ class TestSweep:
         rows = sweep(quick_scenario(), "sea.visibility", [0.9, 0.3, 0.6])
         assert [v for v, _ in rows] == [0.9, 0.3, 0.6]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow by design
     def test_aborted_variant_is_an_integration_error(self):
         # u0 = 1e308 leaves the finite domain in the first step
         base = quick_scenario(initial=BodyState(u=1e308))
@@ -401,26 +426,54 @@ class TestSweep:
             sweep(base, "sea.visibility", [0.5])
 
 
-_NUMERIC_KEYS = [
-    (sec, key, parser)
-    for sec, keys in _SCHEMA.items()
-    for key, parser in keys.items()
-    if parser in (float, int)
-]
 _FLOAT_TEXTS = ["-0.0", "0", "1e-300", "-1e-300", "1e6", "-1e6",
                 "0.02", "0.5", "-0.5", "1", "-3", "20"]
 _INT_TEXTS = ["0", "1", "-1", "2", "1000000", "-1000000"]
+# (section, key, value texts) for every numeric key, then for keys with
+# enum or tuple values
+_KEYS = [
+    (sec, key, _FLOAT_TEXTS if parser is float else _INT_TEXTS)
+    for sec, keys in _SCHEMA.items()
+    for key, parser in keys.items()
+    if parser in (float, int)
+] + [
+    ("target", "kind", ["line", "triangle", "stationary"]),
+    ("target", "vertices", ["0,0; 10,0; 0,10", "0,0; 0,0; 0,0", "0,0; 1,0; 2,0",
+                            "-1e6,0; 1e6,0; 0,1e-300"]),
+    ("controller", "kind", ["pid", "smc", "lqr"]),
+    ("controller", "lqr_q", ["1,1,1", "0,0,0", "1e6,1e-300,0", "-1,1,1"]),
+    ("controller", "lqr_r", ["1,1", "0,1", "1e-300,1e6", "-1,1"]),
+]
+_NCC_KEYS = [
+    ("tracker", "ncc_search_halfwidth", ["auto", "-1", "0", "3", "20", "1000000"]),
+    ("tracker", "ncc_context_margin", ["0", "0.35", "1", "5", "1e6"]),
+    ("tracker", "render_noise_sigma", ["0", "1e-9", "0.05", "0.3", "-0.0", "1e6"]),
+]
 
 
 @st.composite
 def scenario_texts(draw) -> str:
-    """Scenario text setting one to four numeric keys, at most 1 s long."""
+    """Scenario text setting one to four keys, at most 1 s long.
+
+    Half the scenarios track with NCC for at most 0.2 s on a small camera,
+    with the target 8 m ahead; their search windows, clipped at the frame
+    edge, reach the FFT with odd and non-square sizes. Their camera keys are
+    not drawn: the tracker renders up to a whole frame, and a camera a
+    million pixels wide would allocate gigabytes.
+    """
     sections: dict[str, dict[str, str]] = {"run": {"duration": "1"}}
-    keys = draw(st.lists(st.sampled_from(_NUMERIC_KEYS), min_size=1, max_size=4, unique=True))
-    for sec, key, parser in keys:
-        value = draw(st.sampled_from(_FLOAT_TEXTS if parser is float else _INT_TEXTS))
+    pool = _KEYS
+    if draw(st.booleans()):
+        sections["run"]["duration"] = "0.2"
+        sections["camera"] = {"width": "96", "height": "72", "fx": "60"}
+        sections["target"] = {"x0": "8", "y0": "1"}
+        sections["tracker"] = {"kind": "ncc"}
+        pool = [k for k in _KEYS if k[0] != "camera"] + _NCC_KEYS
+    keys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique_by=lambda k: k[:2]))
+    for sec, key, texts in keys:
+        value = draw(st.sampled_from(texts))
         if (sec, key) == ("run", "duration"):
-            value = str(min(float(value), 1.0))
+            value = str(min(float(value), float(sections["run"]["duration"])))
         sections.setdefault(sec, {})[key] = value
     return "".join(
         f"[{sec}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
@@ -431,7 +484,6 @@ def scenario_texts(draw) -> str:
 class TestAcceptedScenarios:
     """Any scenario the parser accepts runs to its end or to a logged abort."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in degenerate plants
     @settings(max_examples=200, deadline=None)
     @given(scenario_texts())
     @example("[run]\nduration = 1\n[sensors]\nlidar_sigma = -0.0\n")
@@ -463,7 +515,6 @@ class TestAcceptedScenarios:
             Scenario(duration=0.01, dt=0.02)
         Scenario(duration=0.02, dt=0.02)  # one step, two records
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow by design
     def test_unsolvable_lqr_gain_gives_an_empty_log(self):
         log = run_scenario(parse_scenario("[run]\nduration = 1\n[usv]\nizz = 1e-300\n"))
         assert len(log) == 0
