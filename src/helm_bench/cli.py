@@ -71,7 +71,15 @@ def _sequence_files(root: Path) -> list[Path]:
     return files
 
 
-def _evaluate_tracker(gt_dir: Path, pred_dir: Path, workers: int) -> list[tuple[str, metrics.MetricReport]]:
+def _evaluate_tracker(
+    gt_dir: Path, pred_dir: Path, workers: int, truth: dict[Path, metrics.Boxes]
+) -> list[tuple[str, metrics.MetricReport]]:
+    """Score each ground-truth sequence against its prediction file.
+
+    `truth` holds the ground-truth boxes read so far in this evaluate call,
+    by path, so each ground-truth file is read once however many trackers
+    are scored.
+    """
     gt_files = _sequence_files(gt_dir)
     pairs = []
     for gt_path in gt_files:
@@ -81,7 +89,12 @@ def _evaluate_tracker(gt_dir: Path, pred_dir: Path, workers: int) -> list[tuple[
         pairs.append((gt_path, pred_path))
 
     def one(pair) -> metrics.MetricReport:
-        return metrics.evaluate_sequence(pair[0], pair[1])
+        gt_path, pred_path = pair
+        gt = truth.get(gt_path)
+        if gt is None:
+            # The paths of one call are distinct, so no two threads write one key.
+            gt = truth[gt_path] = metrics.load_boxes(gt_path)
+        return metrics.evaluate_boxes(gt, metrics.load_boxes(pred_path))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -102,17 +115,18 @@ def _cmd_evaluate(args) -> int:
     tracker_dirs = (
         sorted(d for d in pred_dir.iterdir() if d.is_dir()) if pred_dir.is_dir() else []
     )
+    truth: dict[Path, metrics.Boxes] = {}
     rows: list[tuple[str, metrics.MetricReport]] = []
     curve_rows: list[tuple[str, metrics.MetricReport]] = []
     if tracker_dirs:
         # One row per tracker: aggregate over its sequences.
         for tdir in tracker_dirs:
-            per_seq = _evaluate_tracker(gt_dir, tdir, _thread_count(16))
+            per_seq = _evaluate_tracker(gt_dir, tdir, _thread_count(16), truth)
             agg = metrics.aggregate_reports([r for _, r in per_seq])
             rows.append((tdir.name, agg))
             curve_rows.append((tdir.name, agg))
     else:
-        per_seq = _evaluate_tracker(gt_dir, pred_dir, _thread_count(16))
+        per_seq = _evaluate_tracker(gt_dir, pred_dir, _thread_count(16), truth)
         rows.extend(per_seq)
         agg = metrics.aggregate_reports([r for _, r in per_seq])
         rows.append(("mean", agg))

@@ -121,6 +121,9 @@ class ControllerSpec:
     lqr: control.LqrWeights = field(default_factory=control.LqrWeights)
 
 
+MAX_NCC_CAMERA_PIXELS = 4096 * 4096
+
+
 class TrackerKind(enum.Enum):
     EMULATOR = "emulator"
     NCC = "ncc"
@@ -140,6 +143,9 @@ class TrackerSpec:
         sensors.NccTracker(
             self.ncc_peak_threshold, self.ncc_search_halfwidth, self.ncc_context_margin
         )
+        if self.render_noise_sigma < 0.0:
+            raise ConfigError("render_noise_sigma must be >= 0")
+        object.__setattr__(self, "render_noise_sigma", abs(self.render_noise_sigma))  # -0.0 as 0.0
 
 
 @dataclass(frozen=True)
@@ -188,6 +194,13 @@ class Scenario:
             raise ConfigError("duration must span at least one step of dt")
         if self.duration / self.dt > 1e7:
             raise ConfigError("scenario too long: duration/dt exceeds 1e7 steps")
+        pixels = self.camera.width * self.camera.height
+        if self.tracker.kind is TrackerKind.NCC and pixels > MAX_NCC_CAMERA_PIXELS:
+            # The NCC tracker renders up to a whole frame of float64 pixels.
+            raise ConfigError(
+                f"an ncc tracker needs a camera of at most {MAX_NCC_CAMERA_PIXELS} pixels, "
+                f"got {self.camera.width}x{self.camera.height}"
+            )
 
 
 @dataclass

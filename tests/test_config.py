@@ -9,7 +9,13 @@ import pytest
 from helm_bench.config import _SCHEMA, load_scenario, parse_scenario
 from helm_bench.core import ConfigError
 from helm_bench.guidance import SpeedLaw
-from helm_bench.sim import ControllerKind, Scenario, TrackerKind, TrajectoryKind
+from helm_bench.sim import (
+    MAX_NCC_CAMERA_PIXELS,
+    ControllerKind,
+    Scenario,
+    TrackerKind,
+    TrajectoryKind,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -285,6 +291,31 @@ class TestHalfwidthParsing:
     def test_integer_halfwidth(self):
         sc = parse_scenario("[tracker]\nncc_search_halfwidth = 9\n")
         assert sc.tracker.ncc_search_halfwidth == 9
+
+
+class TestNccTrackerLimits:
+    def test_negative_render_noise_sigma_rejected(self):
+        with pytest.raises(ConfigError, match="render_noise_sigma must be >= 0"):
+            parse_scenario("[tracker]\nkind = ncc\nrender_noise_sigma = -0.5\n")
+
+    def test_negative_zero_render_noise_sigma_is_zero(self):
+        sigma = parse_scenario("[tracker]\nrender_noise_sigma = -0.0\n").tracker.render_noise_sigma
+        assert sigma == 0.0 and math.copysign(1.0, sigma) == 1.0
+
+    def test_huge_ncc_camera_rejected_at_parse_time(self):
+        camera = "[camera]\nwidth = 1000000\nheight = 1000000\nfx = 1000000\n[target]\nx0 = 15\n"
+        with pytest.raises(ConfigError, match=r"ncc tracker needs a camera of at most 16777216 pixels, got 1000000x1000000"):
+            parse_scenario(camera + "[tracker]\nkind = ncc\n")
+        parse_scenario(camera)  # the emulator renders nothing
+
+    def test_camera_bound_is_inclusive(self):
+        assert MAX_NCC_CAMERA_PIXELS == 4096 * 4096
+        parse_scenario("[camera]\nwidth = 4096\nheight = 4096\n[tracker]\nkind = ncc\n")
+        with pytest.raises(ConfigError, match="got 4097x4096"):
+            parse_scenario("[camera]\nwidth = 4097\nheight = 4096\n[tracker]\nkind = ncc\n")
+
+    def test_ncc_standoff_loads(self):
+        assert load_scenario(SCENARIO_DIR / "ncc_standoff.ini").tracker.kind is TrackerKind.NCC
 
 
 class TestLoadScenario:

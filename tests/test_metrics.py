@@ -1,18 +1,26 @@
 """Overlap/precision metrics, the integrated tracking cost, and box-file round trips."""
 
 import math
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helm_bench import metrics
+from helm_bench.cli import main
 from helm_bench.core import BoundingBox, EvaluationError
 from helm_bench.metrics import (
     NORM_PRECISION_THRESHOLDS,
     PRECISION_THRESHOLDS,
     REPORT_COLUMNS,
     SUCCESS_THRESHOLDS,
+    Boxes,
     CostWeights,
+    MetricReport,
     aggregate_reports,
     evaluate_boxes,
     evaluate_sequence,
@@ -375,3 +383,335 @@ class TestReportFormatting:
         assert lines[0] == "sequence,curve,threshold,value"
         n = len(SUCCESS_THRESHOLDS) + len(PRECISION_THRESHOLDS) + len(NORM_PRECISION_THRESHOLDS)
         assert len(lines) == 1 + n
+
+
+# --- oracle: the per-box scorer and parser that the array code replaced, kept verbatim ---
+
+
+def _ref_iou(a: BoundingBox, b: BoundingBox) -> float:
+    ix = max(0.0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
+    iy = max(0.0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
+    inter = ix * iy
+    union = a.w * a.h + b.w * b.h - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def _ref_success_curve(ious):
+    ious = np.asarray(ious, dtype=float)
+    if ious.size == 0:
+        raise EvaluationError("cannot evaluate an empty sequence")
+    return np.array([100.0 * np.mean(ious >= tau) for tau in SUCCESS_THRESHOLDS])
+
+
+def _ref_success_auc(ious):
+    curve = _ref_success_curve(ious)
+    return curve, float(np.mean(curve))
+
+
+def _ref_op_at(ious, tau):
+    ious = np.asarray(ious, dtype=float)
+    if ious.size == 0:
+        raise EvaluationError("cannot evaluate an empty sequence")
+    return float(100.0 * np.mean(ious >= tau))
+
+
+def _ref_precision_at(center_errors, tau_px=20.0):
+    errors = np.asarray(center_errors, dtype=float)
+    if errors.size == 0:
+        raise EvaluationError("cannot evaluate an empty sequence")
+    return float(100.0 * np.mean(errors <= tau_px))
+
+
+def _ref_norm_center_errors(gt, pred):
+    out = np.empty(len(gt))
+    for k, (g, p) in enumerate(zip(gt, pred)):
+        if g is None:
+            raise EvaluationError(f"frame {k}: missing ground truth cannot be normalized")
+        if g.w <= 0.0 or g.h <= 0.0:
+            raise EvaluationError(f"frame {k}: degenerate ground-truth box {g}")
+        if p is None:
+            out[k] = math.inf
+            continue
+        gcx, gcy = g.center()
+        pcx, pcy = p.center()
+        out[k] = math.hypot((pcx - gcx) / g.w, (pcy - gcy) / g.h)
+    return out
+
+
+def _ref_norm_precision_at(gt, pred, tau=0.2):
+    errors = _ref_norm_center_errors(gt, pred)
+    if errors.size == 0:
+        raise EvaluationError("cannot evaluate an empty sequence")
+    curve = np.array([100.0 * np.mean(errors <= t) for t in NORM_PRECISION_THRESHOLDS])
+    return float(100.0 * np.mean(errors <= tau)), curve
+
+
+def _ref_evaluate_boxes(gt, pred):
+    if len(gt) != len(pred):
+        raise EvaluationError(f"frame count mismatch: gt {len(gt)} vs pred {len(pred)}")
+    pairs = [(g, p) for g, p in zip(gt, pred) if g is not None]
+    if not pairs:
+        raise EvaluationError("no frames with ground truth to evaluate")
+    kept_gt = [g for g, _ in pairs]
+    kept_pred = [p for _, p in pairs]
+
+    ious = np.array([0.0 if p is None else _ref_iou(g, p) for g, p in pairs])
+    center_err = np.empty(len(pairs))
+    for k, (g, p) in enumerate(pairs):
+        if p is None:
+            center_err[k] = math.inf
+        else:
+            gcx, gcy = g.center()
+            pcx, pcy = p.center()
+            center_err[k] = math.hypot(pcx - gcx, pcy - gcy)
+
+    s_curve, auc = _ref_success_auc(ious)
+    p_curve = np.array([100.0 * np.mean(center_err <= t) for t in PRECISION_THRESHOLDS])
+    norm_prec, np_curve = _ref_norm_precision_at(kept_gt, kept_pred)
+    return MetricReport(
+        auc=auc,
+        op50=_ref_op_at(ious, 0.5),
+        op75=_ref_op_at(ious, 0.75),
+        precision=_ref_precision_at(center_err),
+        norm_precision=norm_prec,
+        n_frames=len(pairs),
+        success_curve=s_curve,
+        precision_curve=p_curve,
+        norm_precision_curve=np_curve,
+    )
+
+
+def _ref_load_boxes(path):
+    boxes = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.replace(",", " ").replace("\t", " ").split()
+            if len(fields) != 4:
+                raise EvaluationError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+            try:
+                values = [float(v) for v in fields]
+            except ValueError as exc:
+                raise EvaluationError(f"{path}:{lineno}: {exc}") from None
+            nans = [math.isnan(v) for v in values]
+            if all(nans):
+                boxes.append(None)
+            elif any(nans):
+                raise EvaluationError(f"{path}:{lineno}: partial nan box")
+            else:
+                try:
+                    boxes.append(BoundingBox(*values))
+                except ValueError as exc:
+                    raise EvaluationError(f"{path}:{lineno}: {exc}") from None
+    if not boxes:
+        raise EvaluationError(f"{path}: no boxes found")
+    return boxes
+
+
+# --- equivalence of the array scorer with the oracle ---------------------
+
+
+def _bits(report: MetricReport) -> list:
+    scalars = (report.auc, report.op50, report.op75, report.precision, report.norm_precision)
+    curves = (report.success_curve, report.precision_curve, report.norm_precision_curve)
+    return [v.hex() for v in scalars] + [report.n_frames] + [c.tobytes() for c in curves]
+
+
+def _outcome(load, evaluate, gt_path, pred_path):
+    """Report bits and bytes of scoring two box files, or the EvaluationError text."""
+    try:
+        gt, pred = load(gt_path), load(pred_path)
+        boxes = [list(gt), list(pred)]
+        report = evaluate(gt, pred)
+    except EvaluationError as exc:
+        return str(exc)
+    rows = [("seq", report)]
+    return boxes, _bits(report), metrics.format_report(rows), metrics.format_curves(rows)
+
+
+_COORDS = st.one_of(
+    st.floats(-400.0, 400.0),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, 5e-324]),
+)
+_SIZES = st.one_of(st.floats(0.0, 200.0), st.sampled_from([0.0, -0.0, 1e308, math.inf, 5e-324]))
+_GT_SIZES = st.one_of(st.floats(0.5, 200.0), st.sampled_from([1e308, math.inf, 5e-324]))
+_PRED_BOXES = st.one_of(st.none(), st.tuples(_COORDS, _COORDS, _SIZES, _SIZES))
+_GT_BOXES = st.one_of(st.none(), st.tuples(_COORDS, _COORDS, _GT_SIZES, _GT_SIZES))
+_DEGENERATE_SIZES = st.sampled_from([(0.0, 5.0), (-0.0, 5.0), (5.0, -0.0), (3.0, 0.0)])
+_SEPARATORS = st.sampled_from([",", "\t", " ", ", ", " ,\t"])
+_BLANKS = st.sampled_from(["", "", "", "  ", "\t"])
+_BAD_LINES = st.sampled_from([
+    "1,2,3", "1,2,3,4,5", ",,,", "1,2,abc,4", "nan,1,2,3", "1,2,-3,4", "1,2,3,-inf",
+])
+
+
+def _format(value: float, style: int) -> str:
+    return repr(value) if style == 0 else f"{value:.6f}" if style == 1 else f"{value:.17g}"
+
+
+@st.composite
+def _box_text(draw, boxes):
+    """A box file holding `boxes`, with mixed separators, blank lines and line ends."""
+    lines = []
+    for box in boxes:
+        while draw(st.integers(0, 9)) == 7:
+            lines.append(draw(_BLANKS))
+        values = (math.nan,) * 4 if box is None else box
+        style = draw(st.integers(0, 2))
+        lines.append(draw(_SEPARATORS).join(_format(v, style) for v in values))
+    if draw(st.integers(0, 9)) == 7:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BAD_LINES))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@st.composite
+def _box_file_pair(draw):
+    frames = draw(st.lists(st.tuples(_GT_BOXES, _PRED_BOXES), min_size=1, max_size=12))
+    gt = [g for g, _ in frames]
+    pred = [p for _, p in frames]
+    if draw(st.integers(0, 9)) == 7:
+        pred = pred[:-1]  # a frame count mismatch
+    if gt and draw(st.integers(0, 9)) == 7:
+        gt[draw(st.integers(0, len(gt) - 1))] = (1.0, 2.0, *draw(_DEGENERATE_SIZES))
+    return draw(_box_text(gt)), draw(_box_text(pred))
+
+
+def _write(directory: Path, name: str, text: str) -> Path:
+    path = directory / name
+    path.write_bytes(text.encode())
+    return path
+
+
+class TestEvaluateOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_box_file_pair())
+    def test_box_files_score_as_the_per_box_loop(self, texts):
+        with tempfile.TemporaryDirectory() as tmp:
+            gt = _write(Path(tmp), "gt.txt", texts[0])
+            pred = _write(Path(tmp), "pred.txt", texts[1])
+            want = _outcome(_ref_load_boxes, _ref_evaluate_boxes, gt, pred)
+            assert _outcome(load_boxes, evaluate_boxes, gt, pred) == want
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2,3,4\n1,2,3\n", r":2: expected 4 fields, got 3$"),
+            ("1,2,3,4\n,\n", r":2: expected 4 fields, got 0$"),
+            ("1,2,3,4\n1,2,abc,4\n", r":2: could not convert string to float: 'abc'$"),
+            ("nan,nan,nan,nan\n1,nan,3,4\n", r":2: partial nan box$"),
+            ("1,2,3,4\n1,2,3,-4\n", r":2: box size must be non-negative: w=3.0, h=-4.0$"),
+            ("\n  \n\t\n", r"bad\.txt: no boxes found$"),
+        ],
+    )
+    def test_each_malformed_file_message(self, tmp_path, text, message):
+        path = _write(tmp_path, "bad.txt", text)
+        with pytest.raises(EvaluationError, match=message) as got:
+            load_boxes(path)
+        with pytest.raises(EvaluationError) as want:
+            _ref_load_boxes(path)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("first", ["1,2,3", "x,2,3,4", "nan,2,3,4", "1,2,-3,4"])
+    @pytest.mark.parametrize("second", ["1,2,3,4,5", "1,y,3,4", "1,2,nan,4", "1,2,3,-4"])
+    def test_first_bad_line_wins(self, tmp_path, first, second):
+        path = _write(tmp_path, "bad.txt", f"1,2,3,4\n{first}\n\n{second}\n")
+        with pytest.raises(EvaluationError, match=r"bad\.txt:2: ") as got:
+            load_boxes(path)
+        with pytest.raises(EvaluationError) as want:
+            _ref_load_boxes(path)
+        assert str(got.value) == str(want.value)
+
+    def test_whitespace_only_lines_are_blank(self, tmp_path):
+        path = _write(tmp_path, "boxes.txt", "1,2,3,4\n  \n\t\nnan nan nan nan\n")
+        boxes = load_boxes(path)
+        assert list(boxes) == _ref_load_boxes(path)
+        assert boxes.present.tolist() == [True, False]
+
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+    def test_nan_fields_of_a_box_object_score_as_before(self, field):
+        rng = np.random.default_rng(11)
+        gt = [random_box(rng) for _ in range(12)]
+        pred = [random_box(rng) for _ in range(12)]
+        pred[3] = BoundingBox(**{**vars(pred[3]), field: math.nan})
+        gt[5] = BoundingBox(**{**vars(gt[5]), field: math.nan})
+        pred[7] = None
+        assert _bits(evaluate_boxes(gt, pred)) == _bits(_ref_evaluate_boxes(gt, pred))
+        assert _bits(evaluate_boxes(Boxes.of(gt), Boxes.of(pred))) == _bits(_ref_evaluate_boxes(gt, pred))
+
+    def test_center_error_keeps_math_hypot(self):
+        # math.hypot puts these offsets at 20.000000000000004 px, np.hypot at 20.0,
+        # so np.hypot would count them within the 20 px precision threshold.
+        offsets = [(4.946824408097116, 19.378568788108545), (11.013386307265915, 16.694469804307285)]
+        gt = [BoundingBox(-5.0, -5.0, 10.0, 10.0)] * len(offsets)
+        pred = [BoundingBox(dx, dy, 0.0, 0.0) for dx, dy in offsets]
+        report = evaluate_boxes(gt, pred)
+        assert report.precision == 0.0
+        assert _bits(report) == _bits(_ref_evaluate_boxes(gt, pred))
+
+    def test_degenerate_ground_truth_message(self):
+        gt = [None, BoundingBox(0, 0, 10, 10), BoundingBox(1, 2, 0, 4)]
+        pred = [None, None, BoundingBox(0, 0, 1, 1)]
+        with pytest.raises(EvaluationError) as want:
+            _ref_evaluate_boxes(gt, pred)
+        with pytest.raises(EvaluationError) as got:
+            evaluate_boxes(gt, pred)
+        assert str(got.value) == str(want.value) == "frame 1: degenerate ground-truth box BoundingBox(x=1, y=2, w=0, h=4)"
+
+    def test_iou_matches_oracle_on_extreme_boxes(self):
+        values = [0.0, -0.0, 1.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324]
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            a = BoundingBox(*rng.choice(values, 2).tolist(), *np.abs(rng.choice(values, 2)).tolist())
+            b = BoundingBox(*rng.choice(values, 2).tolist(), *np.abs(rng.choice(values, 2)).tolist())
+            assert iou(a, b).hex() == _ref_iou(a, b).hex()
+
+
+def _oracle_evaluate(gt_dir: Path, pred_dir: Path) -> tuple[str, str]:
+    """Report and curves text of `evaluate --curves` over tracker dirs, from the oracle."""
+    rows = []
+    for tracker in sorted(d for d in pred_dir.iterdir() if d.is_dir()):
+        reports = [
+            _ref_evaluate_boxes(_ref_load_boxes(gt), _ref_load_boxes(tracker / gt.name))
+            for gt in sorted(gt_dir.glob("*.txt"))
+        ]
+        rows.append((tracker.name, metrics.aggregate_reports(reports)))
+    return metrics.format_report(rows), metrics.format_curves(rows)
+
+
+class TestEvaluateCommand:
+    def _tree(self, root: Path) -> tuple[Path, Path]:
+        rng = np.random.default_rng(21)
+        gt_dir, pred_dir = root / "gt", root / "pred"
+        gt_dir.mkdir()
+        for s in range(4):
+            gt = [None if rng.uniform() < 0.1 else random_box(rng) for _ in range(40)]
+            (gt_dir / f"seq{s}.txt").write_text(format_boxes(gt))
+            for tracker in ("a", "b", "c"):
+                pred = [None if rng.uniform() < 0.2 else random_box(rng) for _ in gt]
+                (pred_dir / tracker).mkdir(parents=True, exist_ok=True)
+                (pred_dir / tracker / f"seq{s}.txt").write_text(format_boxes(pred))
+        return gt_dir, pred_dir
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_trackers_match_oracle_and_read_ground_truth_once(self, tmp_path, monkeypatch, threads):
+        gt_dir, pred_dir = self._tree(tmp_path)
+        reads: list[str] = []
+        load = metrics.load_boxes
+
+        def counting_load(path):
+            reads.append(Path(path).parent.name + "/" + Path(path).name)
+            return load(path)
+
+        monkeypatch.setattr(metrics, "load_boxes", counting_load)
+        monkeypatch.setenv("HELM_BENCH_THREADS", threads)
+        out = tmp_path / "report.csv"
+        argv = ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out), "--curves"]
+        assert main(argv) == 0
+        assert (out.read_text(), (tmp_path / "report_curves.csv").read_text()) == _oracle_evaluate(gt_dir, pred_dir)
+        assert sorted(r for r in reads if r.startswith("gt/")) == [f"gt/seq{s}.txt" for s in range(4)]
+        assert len(reads) == 4 + 3 * 4

@@ -447,7 +447,7 @@ _KEYS = [
 _NCC_KEYS = [
     ("tracker", "ncc_search_halfwidth", ["auto", "-1", "0", "3", "20", "1000000"]),
     ("tracker", "ncc_context_margin", ["0", "0.35", "1", "5", "1e6"]),
-    ("tracker", "render_noise_sigma", ["0", "1e-9", "0.05", "0.3", "-0.0", "1e6"]),
+    ("tracker", "render_noise_sigma", ["0", "1e-9", "0.05", "0.3", "-0.0", "-0.5", "1e6"]),
 ]
 
 
