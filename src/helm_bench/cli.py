@@ -1,18 +1,15 @@
 """helm-bench command line: simulate, evaluate, gains, sweep, plot.
 
 Exit codes: 0 success, 1 usage/validation problems, 2 runtime failures.
-Output files are written atomically (temp file + rename). The
-HELM_BENCH_THREADS environment variable caps the evaluate worker threads;
-sweeps run serially.
+Output files are written atomically (temp file + rename). Evaluate and
+sweep run on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import config, control, metrics, plots, sim
@@ -29,17 +26,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _thread_count(n_items: int) -> int:
-    env = os.environ.get("HELM_BENCH_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"HELM_BENCH_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ConfigError("HELM_BENCH_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_items))
+    # Kept only for perfbench/workloads.py; it goes with the next perfbench change.
+    return 1
 
 
 def _cmd_simulate(args) -> int:
@@ -72,7 +60,7 @@ def _sequence_files(root: Path) -> list[Path]:
 
 
 def _evaluate_tracker(
-    gt_dir: Path, pred_dir: Path, workers: int, truth: dict[Path, metrics.Boxes]
+    gt_dir: Path, pred_dir: Path, truth: dict[Path, metrics.Boxes]
 ) -> list[tuple[str, metrics.MetricReport]]:
     """Score each ground-truth sequence against its prediction file.
 
@@ -88,20 +76,13 @@ def _evaluate_tracker(
             raise EvaluationError(f"missing predictions for sequence {gt_path.stem}")
         pairs.append((gt_path, pred_path))
 
-    def one(pair) -> metrics.MetricReport:
-        gt_path, pred_path = pair
+    rows = []
+    for gt_path, pred_path in pairs:
         gt = truth.get(gt_path)
         if gt is None:
-            # The paths of one call are distinct, so no two threads write one key.
             gt = truth[gt_path] = metrics.load_boxes(gt_path)
-        return metrics.evaluate_boxes(gt, metrics.load_boxes(pred_path))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, pairs))
-    else:
-        reports = [one(p) for p in pairs]
-    return [(gt.stem, rep) for (gt, _), rep in zip(pairs, reports)]
+        rows.append((gt_path.stem, metrics.evaluate_boxes(gt, metrics.load_boxes(pred_path))))
+    return rows
 
 
 def _cmd_evaluate(args) -> int:
@@ -121,12 +102,12 @@ def _cmd_evaluate(args) -> int:
     if tracker_dirs:
         # One row per tracker: aggregate over its sequences.
         for tdir in tracker_dirs:
-            per_seq = _evaluate_tracker(gt_dir, tdir, _thread_count(16), truth)
+            per_seq = _evaluate_tracker(gt_dir, tdir, truth)
             agg = metrics.aggregate_reports([r for _, r in per_seq])
             rows.append((tdir.name, agg))
             curve_rows.append((tdir.name, agg))
     else:
-        per_seq = _evaluate_tracker(gt_dir, pred_dir, _thread_count(16), truth)
+        per_seq = _evaluate_tracker(gt_dir, pred_dir, truth)
         rows.extend(per_seq)
         agg = metrics.aggregate_reports([r for _, r in per_seq])
         rows.append(("mean", agg))

@@ -308,12 +308,16 @@ def aggregate_reports(reports: list[MetricReport]) -> MetricReport:
 def load_boxes(path) -> Boxes:
     """Read one box per line (`x,y,w,h`; `nan,nan,nan,nan` marks a miss).
 
-    Fields may be separated by commas, tabs or spaces, and empty lines are
-    skipped. The whole file is parsed in one pass; a file that fails any
-    check is parsed again line by line, which names the first bad line.
+    The file is read as UTF-8. Fields may be separated by commas, tabs or
+    spaces, and empty lines are skipped. The whole file is parsed in one
+    pass; a file that fails any check is parsed again line by line, which
+    names the first bad line.
     """
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise EvaluationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     lines = text.split("\n")
     boxes = _parse_whole(text, lines)
     return boxes if boxes is not None else Boxes.of(_parse_lines(path, lines))
@@ -412,11 +416,12 @@ def format_report(rows: list[tuple[str, MetricReport]], extra: dict[str, list[fl
 def format_curves(rows: list[tuple[str, MetricReport]]) -> str:
     """Long-form CSV of the success/precision/normalized-precision curves."""
     lines = ["sequence,curve,threshold,value"]
+    # tolist() gives Python floats, which format faster than numpy scalars.
     for name, r in rows:
-        for tau, v in zip(SUCCESS_THRESHOLDS, r.success_curve):
+        for tau, v in zip(SUCCESS_THRESHOLDS.tolist(), r.success_curve.tolist()):
             lines.append(f"{name},success,{tau:.2f},{v:.4f}")
-        for tau, v in zip(PRECISION_THRESHOLDS, r.precision_curve):
+        for tau, v in zip(PRECISION_THRESHOLDS.tolist(), r.precision_curve.tolist()):
             lines.append(f"{name},precision,{tau:.0f},{v:.4f}")
-        for tau, v in zip(NORM_PRECISION_THRESHOLDS, r.norm_precision_curve):
+        for tau, v in zip(NORM_PRECISION_THRESHOLDS.tolist(), r.norm_precision_curve.tolist()):
             lines.append(f"{name},norm_precision,{tau:.2f},{v:.4f}")
     return "\n".join(lines) + "\n"

@@ -199,30 +199,35 @@ class TestEvaluate:
         assert rc == 1
         assert "b" in capsys.readouterr().err
 
-    def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
-        gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
-        for k in range(6):
-            write_boxes(gt_dir / f"s{k}.txt", BOXES)
-            shifted = [BoundingBox(b.x + k, b.y, b.w, b.h) for b in BOXES]
-            write_boxes(pred_dir / f"s{k}.txt", shifted)
-        outs = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("HELM_BENCH_THREADS", threads)
-            out = tmp_path / f"report_{threads}.csv"
-            assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir),
+    def test_thread_env_is_ignored(self, tmp_path, monkeypatch, capsys):
+        write_boxes(tmp_path / "gt.txt", BOXES)
+        write_boxes(tmp_path / "pred.txt", SHIFTED)
+        outs = []
+        for env in (None, "zero"):
+            if env is None:
+                monkeypatch.delenv("HELM_BENCH_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("HELM_BENCH_THREADS", env)
+            out = tmp_path / f"r_{env}.csv"
+            assert main(["evaluate", "--gt", str(tmp_path / "gt.txt"), "--pred", str(tmp_path / "pred.txt"),
                          "--out", str(out), "--curves"]) == 0
-            curves = out.with_name(out.stem + "_curves.csv")
-            outs[threads] = (out.read_bytes(), curves.read_bytes())
-        assert outs["1"] == outs["4"]
+            outs.append((out.read_bytes(), out.with_name(out.stem + "_curves.csv").read_bytes()))
+        assert outs[0] == outs[1]
+        assert capsys.readouterr().err == ""
 
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("which", ["gt", "pred"])
+    def test_non_utf8_box_file_is_exit_1(self, tmp_path, capsys, which):
         write_boxes(tmp_path / "gt.txt", BOXES)
         write_boxes(tmp_path / "pred.txt", BOXES)
-        monkeypatch.setenv("HELM_BENCH_THREADS", "zero")
+        bad = tmp_path / f"{which}.txt"
+        lines = bad.read_bytes().split(b"\n")
+        lines[1] = b"\xff\xfe"
+        bad.write_bytes(b"\n".join(lines))
         rc = main(["evaluate", "--gt", str(tmp_path / "gt.txt"),
                    "--pred", str(tmp_path / "pred.txt"), "--out", str(tmp_path / "r.csv")])
         assert rc == 1
-        assert "HELM_BENCH_THREADS" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"helm-bench: {bad}: not UTF-8 text")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_single_file_pair(self, tmp_path):
         write_boxes(tmp_path / "gt.txt", BOXES)
