@@ -719,7 +719,9 @@ class TestEvaluateCommand:
                 (pred_dir / tracker / f"seq{s}.txt").write_text(format_boxes(pred))
         return gt_dir, pred_dir
 
-    def test_trackers_match_oracle_and_read_ground_truth_once(self, tmp_path, monkeypatch):
+    # evaluate no longer reads HELM_BENCH_THREADS; a stale value must change nothing.
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_trackers_match_oracle_and_read_ground_truth_once(self, tmp_path, monkeypatch, threads):
         gt_dir, pred_dir = self._tree(tmp_path)
         reads: list[str] = []
         load = metrics.load_boxes
@@ -729,6 +731,7 @@ class TestEvaluateCommand:
             return load(path)
 
         monkeypatch.setattr(metrics, "load_boxes", counting_load)
+        monkeypatch.setenv("HELM_BENCH_THREADS", threads)
         out = tmp_path / "report.csv"
         argv = ["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir), "--out", str(out), "--curves"]
         assert main(argv) == 0
