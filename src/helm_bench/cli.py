@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import config, control, metrics, plots, sim
 from .core import ConfigError, EvaluationError, IntegrationError, NumericalError
-from .io_utils import atomic_write_text
+from .io_utils import atomic_write_text, read_utf8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,7 +164,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    log = sim.RunLog.from_csv(Path(args.log).read_text())
+    log = sim.RunLog.from_csv(read_utf8(args.log, ConfigError))
     t = [float(v) for v in log.t]
     if args.kind == "yaw_error":
         svg = plots.line_chart_svg(

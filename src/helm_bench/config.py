@@ -15,6 +15,7 @@ import numpy as np
 
 from . import control, dynamics, guidance, metrics, sensors, sim
 from .core import BodyState, CameraIntrinsics, ConfigError, Pose2D, UsvParams
+from .io_utils import read_utf8
 
 
 def _parse_str(s: str) -> str:
@@ -270,7 +271,10 @@ def _build_scenario(values: dict[str, dict[str, Any]], default_name: str) -> sim
 
 
 def load_scenario(path) -> sim.Scenario:
+    """Parse a UTF-8 scenario file; a missing path, a non-file or undecodable text is a ConfigError."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    return parse_scenario(path.read_text(), default_name=path.stem)
+    if not path.is_file():
+        raise ConfigError(f"scenario path is not a file: {path}")
+    return parse_scenario(read_utf8(path, ConfigError), default_name=path.stem)

@@ -5,9 +5,11 @@ the mean of that curve (percent). Precision counts center errors <= 20 px;
 normalized precision scales the center error by the ground-truth box size
 with threshold 0.2. Missing predictions score IoU 0 and center error inf.
 
-Scoring works on arrays: a sequence's boxes are one (n, 4) float64 array
-plus a presence mask (`Boxes`), each box file is parsed in one pass, and
-each curve is one broadcast comparison. Every array step keeps the float
+A sequence of boxes is one type from simulator to scorer: `Boxes`, an
+(n, 4) float64 array plus a presence mask. `sim.RunLog` exports its ground
+truth and detections as `Boxes`, `format_boxes` writes them, `load_boxes`
+parses a box file into them in one pass, and the scorers take only them.
+Each curve is one broadcast comparison. Every array step keeps the float
 operations and their order of the per-box formulas (`iou`,
 `BoundingBox.center`, `math.hypot`), so scores are bit-identical to a
 per-box loop.
@@ -22,6 +24,7 @@ from itertools import chain
 import numpy as np
 
 from .core import BoundingBox, ConfigError, EvaluationError
+from .io_utils import read_utf8
 
 SUCCESS_THRESHOLDS = np.array([k / 100.0 for k in range(101)])
 PRECISION_THRESHOLDS = np.array([float(k) for k in range(51)])  # px
@@ -41,10 +44,8 @@ class Boxes:
     present: np.ndarray  # bool, (n,)
 
     @classmethod
-    def of(cls, boxes) -> Boxes:
-        """`boxes` itself if it is a Boxes, else the array form of a list of BoundingBox | None."""
-        if isinstance(boxes, Boxes):
-            return boxes
+    def of(cls, boxes: list[BoundingBox | None]) -> Boxes:
+        """The array form of a list of BoundingBox | None (None marks a miss)."""
         present = np.array([b is not None for b in boxes], dtype=bool)
         rows = [(math.nan,) * 4 if b is None else (b.x, b.y, b.w, b.h) for b in boxes]
         return cls(np.array(rows, dtype=float).reshape(-1, 4), present)
@@ -150,23 +151,20 @@ def _check_lengths(gt: Boxes, pred: Boxes) -> None:
         raise EvaluationError(f"frame count mismatch: gt {len(gt)} vs pred {len(pred)}")
 
 
-def norm_center_errors(
-    gt: list[BoundingBox | None] | Boxes, pred: list[BoundingBox | None] | Boxes
-) -> np.ndarray:
+def norm_center_errors(gt: Boxes, pred: Boxes) -> np.ndarray:
     """Center errors scaled per-axis by the ground-truth box size.
 
     Missing predictions give inf. A missing ground-truth box, or one with
     zero width or height, cannot normalize and raises EvaluationError.
     """
-    g, p = Boxes.of(gt), Boxes.of(pred)
-    _check_lengths(g, p)
-    bad = ~g.present | _degenerate(g.xywh)
+    _check_lengths(gt, pred)
+    bad = ~gt.present | _degenerate(gt.xywh)
     if bad.any():
         k = int(bad.argmax())
-        if not g.present[k]:
+        if not gt.present[k]:
             raise EvaluationError(f"frame {k}: missing ground truth cannot be normalized")
         raise EvaluationError(f"frame {k}: degenerate ground-truth box {gt[k]}")
-    return _normalized_distances(g.xywh, *_center_offsets(g.xywh, p.xywh), p.present)
+    return _normalized_distances(gt.xywh, *_center_offsets(gt.xywh, pred.xywh), pred.present)
 
 
 def _norm_precision(errors: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
@@ -174,11 +172,7 @@ def _norm_precision(errors: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     return float(_percent(errors <= tau)), _percent(errors <= NORM_PRECISION_THRESHOLDS[:, None])
 
 
-def norm_precision_at(
-    gt: list[BoundingBox | None] | Boxes,
-    pred: list[BoundingBox | None] | Boxes,
-    tau: float = 0.2,
-) -> tuple[float, np.ndarray]:
+def norm_precision_at(gt: Boxes, pred: Boxes, tau: float = 0.2) -> tuple[float, np.ndarray]:
     """Normalized precision at tau plus its 51-point curve over [0, 0.5]."""
     return _norm_precision(norm_center_errors(gt, pred), tau)
 
@@ -245,23 +239,20 @@ class MetricReport:
     norm_precision_curve: np.ndarray
 
 
-def evaluate_boxes(
-    gt: list[BoundingBox | None] | Boxes, pred: list[BoundingBox | None] | Boxes
-) -> MetricReport:
+def evaluate_boxes(gt: Boxes, pred: Boxes) -> MetricReport:
     """Score one sequence of predictions against ground truth.
 
     Lengths must match. Frames with missing ground truth (target out of
     view) are excluded from scoring; missing predictions on scored frames
     count as IoU 0 / center error inf.
     """
-    gt_boxes, pred_boxes = Boxes.of(gt), Boxes.of(pred)
-    _check_lengths(gt_boxes, pred_boxes)
-    kept = np.flatnonzero(gt_boxes.present)
+    _check_lengths(gt, pred)
+    kept = np.flatnonzero(gt.present)
     if kept.size == 0:
         raise EvaluationError("no frames with ground truth to evaluate")
-    g = gt_boxes.xywh[kept]
-    p = pred_boxes.xywh[kept]
-    hit = pred_boxes.present[kept]
+    g = gt.xywh[kept]
+    p = pred.xywh[kept]
+    hit = pred.present[kept]
     bad = _degenerate(g)
     if bad.any():
         k = int(bad.argmax())
@@ -313,11 +304,7 @@ def load_boxes(path) -> Boxes:
     pass; a file that fails any check is parsed again line by line, which
     names the first bad line.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise EvaluationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    text = read_utf8(path, EvaluationError)
     lines = text.split("\n")
     boxes = _parse_whole(text, lines)
     return boxes if boxes is not None else Boxes.of(_parse_lines(path, lines))
@@ -371,13 +358,12 @@ def _parse_lines(path, lines: list[str]) -> list[BoundingBox | None]:
     return boxes
 
 
-def format_boxes(boxes: list[BoundingBox | None]) -> str:
-    lines = []
-    for b in boxes:
-        if b is None:
-            lines.append("nan,nan,nan,nan")
-        else:
-            lines.append(f"{b.x:.6f},{b.y:.6f},{b.w:.6f},{b.h:.6f}")
+def format_boxes(boxes: Boxes) -> str:
+    """One `x,y,w,h` line per box with six decimals; `nan,nan,nan,nan` marks a miss."""
+    lines = [
+        f"{x:.6f},{y:.6f},{w:.6f},{h:.6f}" if hit else "nan,nan,nan,nan"
+        for (x, y, w, h), hit in zip(boxes.xywh.tolist(), boxes.present.tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,6 @@ import numpy as np
 from . import control, dynamics, guidance, metrics, sensors
 from .core import (
     BodyState,
-    BoundingBox,
     CameraIntrinsics,
     ConfigError,
     IntegrationError,
@@ -240,23 +239,16 @@ class RunLog:
     def __len__(self) -> int:
         return len(self.t)
 
-    def _boxes(self, prefix: str) -> list[BoundingBox | None]:
-        xs = getattr(self, prefix + "_x")
-        ys = getattr(self, prefix + "_y")
-        ws = getattr(self, prefix + "_w")
-        hs = getattr(self, prefix + "_h")
-        out: list[BoundingBox | None] = []
-        for x, y, w, h in zip(xs, ys, ws, hs):
-            if math.isnan(x):
-                out.append(None)
-            else:
-                out.append(BoundingBox(x, y, w, h))
-        return out
+    def _boxes(self, prefix: str) -> metrics.Boxes:
+        x, y, w, h = (getattr(self, f"{prefix}_{c}") for c in "xywh")
+        return metrics.Boxes(np.column_stack([x, y, w, h]), ~np.isnan(x))
 
-    def gt_boxes(self) -> list[BoundingBox | None]:
+    def gt_boxes(self) -> metrics.Boxes:
+        """The projected target box of each record; a row whose gt_x is nan is a miss."""
         return self._boxes("gt")
 
-    def pred_boxes(self) -> list[BoundingBox | None]:
+    def pred_boxes(self) -> metrics.Boxes:
+        """The tracker's box of each record; a row whose det_x is nan is a miss."""
         return self._boxes("det")
 
     def to_csv(self) -> str:
@@ -566,6 +558,8 @@ def _coerce_like(current, value, path: str):
 
 def sweep_variant(base: Scenario, axis: str, value, index: int) -> Scenario:
     """Materialize one sweep point with its derived seed and name."""
+    if axis in ("seed", "name"):
+        raise ConfigError(f"cannot sweep {axis}: each variant gets a derived seed and a name of its own")
     sc = _set_by_path(base, axis, value)
     sc = dataclasses.replace(
         sc,

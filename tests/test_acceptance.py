@@ -37,6 +37,7 @@ from helm_bench.metrics import (
     NORM_PRECISION_THRESHOLDS,
     REPORT_COLUMNS,
     SUCCESS_THRESHOLDS,
+    Boxes,
     evaluate_boxes,
     format_boxes,
     iou,
@@ -207,7 +208,7 @@ def test_criterion_3_metric_oracles(tmp_path):
                 else:
                     pred.append(BoundingBox(gx + rng.normal(0, 10), gy + rng.normal(0, 10),
                                             gw * rng.uniform(0.8, 1.2), gh))
-            value, npc = norm_precision_at(gt, pred)
+            value, npc = norm_precision_at(Boxes.of(gt), Boxes.of(pred))
             brute = []
             for g, p in zip(gt, pred):
                 if p is None:
@@ -241,7 +242,7 @@ def test_criterion_3_metric_oracles(tmp_path):
             for d in ("gt", "pred"):
                 path = tmp_path / d / f"{name}.txt"
                 path.parent.mkdir(exist_ok=True)
-                path.write_text(format_boxes(boxes))
+                path.write_text(format_boxes(Boxes.of(boxes)))
         report = tmp_path / "report.csv"
         assert main(["evaluate", "--gt", str(tmp_path / "gt"), "--pred",
                      str(tmp_path / "pred"), "--out", str(report)]) == 0
@@ -380,8 +381,8 @@ def test_criterion_8_report_pipeline_shape(tmp_path):
         pred = [BoundingBox(b.x + 4.0, b.y - 3.0, b.w, b.h) for b in gt]
         (tmp_path / "gt").mkdir()
         (tmp_path / "pred").mkdir()
-        (tmp_path / "gt" / "seq.txt").write_text(format_boxes(gt))
-        (tmp_path / "pred" / "seq.txt").write_text(format_boxes(pred))
+        (tmp_path / "gt" / "seq.txt").write_text(format_boxes(Boxes.of(gt)))
+        (tmp_path / "pred" / "seq.txt").write_text(format_boxes(Boxes.of(pred)))
         report = tmp_path / "report.csv"
         assert main(["evaluate", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
                      "--out", str(report), "--curves"]) == 0

@@ -10,7 +10,7 @@ import pytest
 
 from helm_bench.cli import main
 from helm_bench.core import BoundingBox
-from helm_bench.metrics import REPORT_COLUMNS, format_boxes, load_boxes
+from helm_bench.metrics import REPORT_COLUMNS, Boxes, format_boxes, load_boxes
 from helm_bench.sim import LOG_COLUMNS, RunLog
 
 SEA_LINE = Path(__file__).resolve().parent.parent / "scenarios" / "sea_line.ini"
@@ -116,9 +116,36 @@ class TestSimulate:
         assert "scenario file not found" in capsys.readouterr().err
 
 
+def _scenario_command(command, scenario, tmp_path):
+    extra = {
+        "simulate": ["--out", str(tmp_path / "run")],
+        "sweep": ["--axis", "sea.visibility", "--values", "0.5", "--out", str(tmp_path / "s.csv")],
+        "gains": [],
+    }[command]
+    return [command, "--scenario", str(scenario), *extra]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "gains"])
+class TestScenarioPath:
+    def test_non_utf8_scenario_is_exit_1(self, tmp_path, capsys, command):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(b"[run]\nname = \xff\xfe\n")
+        assert main(_scenario_command(command, ini, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"helm-bench: {ini}: not UTF-8 text") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [ini]
+
+    def test_directory_scenario_is_exit_1(self, tmp_path, capsys, command):
+        scenario = tmp_path / "scenarios"
+        scenario.mkdir()
+        assert main(_scenario_command(command, scenario, tmp_path)) == 1
+        assert capsys.readouterr().err == f"helm-bench: scenario path is not a file: {scenario}\n"
+        assert list(tmp_path.iterdir()) == [scenario]
+
+
 def write_boxes(path, boxes):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(format_boxes(boxes))
+    path.write_text(format_boxes(Boxes.of(boxes)))
 
 
 BOXES = [BoundingBox(float(k), 0.0, 20.0, 20.0) for k in range(25)]
@@ -325,6 +352,17 @@ class TestSweep:
         assert axis in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis", ["seed", "name"])
+    def test_seed_or_name_axis_is_exit_1(self, quick_ini, tmp_path, capsys, axis):
+        # each variant overwrites both, so the values would be ignored
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--scenario", str(quick_ini), "--axis", axis,
+                   "--values", "1,2", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"cannot sweep {axis}" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("values", ["-1e-3", "-1e-3,2e-3", "-.5"])
     def test_negative_value_after_a_space(self, quick_ini, tmp_path, values):
         out = tmp_path / "s.csv"
@@ -388,6 +426,14 @@ class TestPlot:
         cells[LOG_COLUMNS.index(column)] = value
         lines[-1] = ",".join(cells)
         runlog.write_text("\n".join(lines) + "\n")
+
+    def test_non_utf8_log_is_exit_1(self, runlog, tmp_path, capsys):
+        runlog.write_bytes(runlog.read_bytes() + b"\xff\xfe\n")
+        out = tmp_path / "p.svg"
+        rc = main(["plot", "--log", str(runlog), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"helm-bench: {runlog}: not UTF-8 text")
+        assert not out.exists()
 
     def test_det_valid_other_than_0_or_1_is_exit_1(self, runlog, tmp_path, capsys):
         self._replace_cell(runlog, "det_valid", "2")

@@ -145,31 +145,31 @@ class TestPrecision:
 class TestNormPrecision:
     def test_perfect_centers(self):
         gt = [BoundingBox(0, 0, 10, 10)] * 4
-        value, curve = norm_precision_at(gt, list(gt))
+        value, curve = norm_precision_at(Boxes.of(gt), Boxes.of(gt))
         assert value == 100.0
         assert curve.shape == (51,)
 
     def test_hand_arithmetic_counts(self):
         gt = [BoundingBox(100, 100, 50, 40)]
         pred = [BoundingBox(105, 104, 50, 40)]  # center offset (5, 4)
-        errs = norm_center_errors(gt, pred)
+        errs = norm_center_errors(Boxes.of(gt), Boxes.of(pred))
         assert errs[0] == pytest.approx(math.hypot(5 / 50, 4 / 40), abs=1e-12)
-        value, _ = norm_precision_at(gt, pred)
+        value, _ = norm_precision_at(Boxes.of(gt), Boxes.of(pred))
         assert value == 100.0
 
     def test_hand_arithmetic_excluded(self):
         gt = [BoundingBox(100, 100, 50, 40)]
         pred = [BoundingBox(125, 100, 50, 40)]  # offset (25, 0): e = 0.5
-        value, _ = norm_precision_at(gt, pred)
+        value, _ = norm_precision_at(Boxes.of(gt), Boxes.of(pred))
         assert value == 0.0
 
     def test_degenerate_gt_rejected(self):
         gt = [BoundingBox(0, 0, 0, 10)]
         with pytest.raises(EvaluationError):
-            norm_center_errors(gt, [BoundingBox(0, 0, 10, 10)])
+            norm_center_errors(Boxes.of(gt), Boxes.of([BoundingBox(0, 0, 10, 10)]))
 
     def test_missing_prediction_is_infinite(self):
-        errs = norm_center_errors([BoundingBox(0, 0, 10, 10)], [None])
+        errs = norm_center_errors(Boxes.of([BoundingBox(0, 0, 10, 10)]), Boxes.of([None]))
         assert errs[0] == math.inf
 
 
@@ -242,8 +242,8 @@ class TestTrackingCost:
 
 class TestEvaluateBoxes:
     def test_perfect_prediction(self):
-        gt = [BoundingBox(float(k), 0.0, 20.0, 20.0) for k in range(30)]
-        rep = evaluate_boxes(gt, list(gt))
+        gt = Boxes.of([BoundingBox(float(k), 0.0, 20.0, 20.0) for k in range(30)])
+        rep = evaluate_boxes(gt, gt)
         assert rep.auc == 100.0
         assert rep.op50 == rep.op75 == rep.precision == rep.norm_precision == 100.0
         assert rep.n_frames == 30
@@ -251,33 +251,33 @@ class TestEvaluateBoxes:
     def test_shifted_prediction_scores_zero(self):
         gt = [BoundingBox(0.0, 0.0, 20.0, 20.0)] * 10
         pred = [BoundingBox(100.0, 0.0, 20.0, 20.0)] * 10
-        rep = evaluate_boxes(gt, pred)
+        rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         assert rep.op50 == 0.0 and rep.precision == 0.0
 
     def test_length_mismatch(self):
         gt = [BoundingBox(0, 0, 1, 1)]
         with pytest.raises(EvaluationError):
-            evaluate_boxes(gt, gt * 2)
+            evaluate_boxes(Boxes.of(gt), Boxes.of(gt * 2))
 
     def test_gt_gaps_excluded_from_scoring(self):
         gt = [BoundingBox(0, 0, 10, 10), None, BoundingBox(0, 0, 10, 10)]
         pred = [BoundingBox(0, 0, 10, 10), BoundingBox(5, 5, 10, 10), None]
-        rep = evaluate_boxes(gt, pred)
+        rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         assert rep.n_frames == 2  # the frame without ground truth is dropped
         assert rep.op50 == 50.0  # one hit, one missing prediction
 
     def test_all_gt_missing_rejected(self):
         with pytest.raises(EvaluationError):
-            evaluate_boxes([None, None], [None, None])
+            evaluate_boxes(Boxes.of([None, None]), Boxes.of([None, None]))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)
         gt = [random_box(rng) for _ in range(40)]
         pred = [random_box(rng) for _ in range(40)]
-        base = evaluate_boxes(gt, pred)
+        base = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         moved = evaluate_boxes(
-            [BoundingBox(b.x + 17, b.y - 23, b.w, b.h) for b in gt],
-            [BoundingBox(b.x + 17, b.y - 23, b.w, b.h) for b in pred],
+            Boxes.of([BoundingBox(b.x + 17, b.y - 23, b.w, b.h) for b in gt]),
+            Boxes.of([BoundingBox(b.x + 17, b.y - 23, b.w, b.h) for b in pred]),
         )
         assert base.auc == moved.auc
         assert base.precision == moved.precision
@@ -290,8 +290,8 @@ class TestEvaluateBoxes:
                 for b in gt]
         s = 3.0
         scale = lambda b: BoundingBox(s * b.x, s * b.y, s * b.w, s * b.h)  # noqa: E731
-        base = evaluate_boxes(gt, pred)
-        scaled = evaluate_boxes([scale(b) for b in gt], [scale(b) for b in pred])
+        base = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
+        scaled = evaluate_boxes(Boxes.of([scale(b) for b in gt]), Boxes.of([scale(b) for b in pred]))
         assert scaled.auc == pytest.approx(base.auc, abs=1e-12)  # IoU scale-free
         assert scaled.norm_precision == pytest.approx(base.norm_precision, abs=1e-12)
         assert scaled.precision != base.precision  # raw pixel errors scale
@@ -299,9 +299,9 @@ class TestEvaluateBoxes:
 
 class TestAggregate:
     def test_mean_convention(self):
-        gt_a = [BoundingBox(0, 0, 10, 10)] * 10
-        rep_a = evaluate_boxes(gt_a, list(gt_a))  # AUC 100
-        pred_b = [BoundingBox(100, 100, 10, 10)] * 10
+        gt_a = Boxes.of([BoundingBox(0, 0, 10, 10)] * 10)
+        rep_a = evaluate_boxes(gt_a, gt_a)  # AUC 100
+        pred_b = Boxes.of([BoundingBox(100, 100, 10, 10)] * 10)
         rep_b = evaluate_boxes(gt_a, pred_b)
         combined = aggregate_reports([rep_a, rep_b])
         assert combined.auc == pytest.approx((rep_a.auc + rep_b.auc) / 2)
@@ -316,7 +316,7 @@ class TestBoxFiles:
     def test_round_trip(self, tmp_path):
         boxes = [BoundingBox(1.25, -3.5, 10.0, 20.0), None, BoundingBox(0, 0, 5, 5)]
         p = tmp_path / "boxes.txt"
-        p.write_text(format_boxes(boxes))
+        p.write_text(format_boxes(Boxes.of(boxes)))
         back = load_boxes(p)
         assert back[1] is None
         assert back[0].x == 1.25 and back[0].y == -3.5
@@ -353,7 +353,7 @@ class TestBoxFiles:
             load_boxes(p)
 
     def test_evaluate_sequence_perfect(self, tmp_path):
-        boxes = [BoundingBox(float(k), 2.0, 8.0, 8.0) for k in range(20)]
+        boxes = Boxes.of([BoundingBox(float(k), 2.0, 8.0, 8.0) for k in range(20)])
         (tmp_path / "gt.txt").write_text(format_boxes(boxes))
         (tmp_path / "pred.txt").write_text(format_boxes(boxes))
         rep = evaluate_sequence(tmp_path / "gt.txt", tmp_path / "pred.txt")
@@ -362,8 +362,8 @@ class TestBoxFiles:
 
 class TestReportFormatting:
     def _report(self):
-        gt = [BoundingBox(0, 0, 10, 10)] * 5
-        return evaluate_boxes(gt, list(gt))
+        gt = Boxes.of([BoundingBox(0, 0, 10, 10)] * 5)
+        return evaluate_boxes(gt, gt)
 
     def test_header_matches_columns(self):
         text = format_report([("seq", self._report())])
@@ -662,7 +662,6 @@ class TestEvaluateOracle:
         pred[3] = BoundingBox(**{**vars(pred[3]), field: math.nan})
         gt[5] = BoundingBox(**{**vars(gt[5]), field: math.nan})
         pred[7] = None
-        assert _bits(evaluate_boxes(gt, pred)) == _bits(_ref_evaluate_boxes(gt, pred))
         assert _bits(evaluate_boxes(Boxes.of(gt), Boxes.of(pred))) == _bits(_ref_evaluate_boxes(gt, pred))
 
     def test_center_error_keeps_math_hypot(self):
@@ -671,18 +670,18 @@ class TestEvaluateOracle:
         offsets = [(4.946824408097116, 19.378568788108545), (11.013386307265915, 16.694469804307285)]
         gt = [BoundingBox(-5.0, -5.0, 10.0, 10.0)] * len(offsets)
         pred = [BoundingBox(dx, dy, 0.0, 0.0) for dx, dy in offsets]
-        report = evaluate_boxes(gt, pred)
+        report = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         assert report.precision == 0.0
         assert _bits(report) == _bits(_ref_evaluate_boxes(gt, pred))
 
     def test_degenerate_ground_truth_message(self):
-        gt = [None, BoundingBox(0, 0, 10, 10), BoundingBox(1, 2, 0, 4)]
-        pred = [None, None, BoundingBox(0, 0, 1, 1)]
+        gt = Boxes.of([None, BoundingBox(0, 0, 10, 10), BoundingBox(1, 2, 0, 4)])
+        pred = Boxes.of([None, None, BoundingBox(0, 0, 1, 1)])
         with pytest.raises(EvaluationError) as want:
-            _ref_evaluate_boxes(gt, pred)
+            _ref_evaluate_boxes(list(gt), list(pred))
         with pytest.raises(EvaluationError) as got:
             evaluate_boxes(gt, pred)
-        assert str(got.value) == str(want.value) == "frame 1: degenerate ground-truth box BoundingBox(x=1, y=2, w=0, h=4)"
+        assert str(got.value) == str(want.value) == "frame 1: degenerate ground-truth box BoundingBox(x=1.0, y=2.0, w=0.0, h=4.0)"
 
     def test_iou_matches_oracle_on_extreme_boxes(self):
         values = [0.0, -0.0, 1.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324]
@@ -712,11 +711,11 @@ class TestEvaluateCommand:
         gt_dir.mkdir()
         for s in range(4):
             gt = [None if rng.uniform() < 0.1 else random_box(rng) for _ in range(40)]
-            (gt_dir / f"seq{s}.txt").write_text(format_boxes(gt))
+            (gt_dir / f"seq{s}.txt").write_text(format_boxes(Boxes.of(gt)))
             for tracker in ("a", "b", "c"):
                 pred = [None if rng.uniform() < 0.2 else random_box(rng) for _ in gt]
                 (pred_dir / tracker).mkdir(parents=True, exist_ok=True)
-                (pred_dir / tracker / f"seq{s}.txt").write_text(format_boxes(pred))
+                (pred_dir / tracker / f"seq{s}.txt").write_text(format_boxes(Boxes.of(pred)))
         return gt_dir, pred_dir
 
     # evaluate no longer reads HELM_BENCH_THREADS; a stale value must change nothing.

@@ -15,10 +15,12 @@ from helm_bench.config import _SCHEMA, load_scenario, parse_scenario
 from helm_bench.core import BodyState, BoundingBox, ConfigError, IntegrationError, Pose2D
 from helm_bench.dynamics import SeaState
 from helm_bench.guidance import GuidanceConfig
-from helm_bench.metrics import CostWeights
+from helm_bench.metrics import Boxes, CostWeights, evaluate_boxes, format_boxes
 from helm_bench.sensors import TrackerNoiseConfig, project_target
 from helm_bench.sim import (
     LOG_COLUMNS,
+    ControllerKind,
+    ControllerSpec,
     RunLog,
     Scenario,
     TrackerSpec,
@@ -32,7 +34,10 @@ from helm_bench.sim import (
     sweep_variant,
     target_pose,
 )
+from test_metrics import _bits
 from test_sensors import einsum_cross_zncc
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestTargetPose:
@@ -323,6 +328,68 @@ class TestRunLogCsv:
         cells[LOG_COLUMNS.index("x")] = "abc"
         with pytest.raises(ConfigError, match="abc"):
             RunLog.from_csv("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+
+
+# --- oracle: the list export that RunLog.gt_boxes/pred_boxes and format_boxes replaced, kept verbatim ---
+
+
+def _ref_boxes(log, prefix):
+    xs = getattr(log, prefix + "_x")
+    ys = getattr(log, prefix + "_y")
+    ws = getattr(log, prefix + "_w")
+    hs = getattr(log, prefix + "_h")
+    out = []
+    for x, y, w, h in zip(xs, ys, ws, hs):
+        if math.isnan(x):
+            out.append(None)
+        else:
+            out.append(BoundingBox(x, y, w, h))
+    return out
+
+
+def _ref_format_boxes(boxes):
+    lines = []
+    for b in boxes:
+        if b is None:
+            lines.append("nan,nan,nan,nan")
+        else:
+            lines.append(f"{b.x:.6f},{b.y:.6f},{b.w:.6f},{b.h:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+_EXPORT_COORDS = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324, math.nan]),
+)
+_EXPORT_SIZES = st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, -0.0, math.inf, 1e308, 5e-324]))
+_EXPORT_BOXES = st.builds(BoundingBox, _EXPORT_COORDS, _EXPORT_COORDS, _EXPORT_SIZES, _EXPORT_SIZES)
+
+
+class TestBoxExportOracle:
+    @pytest.mark.parametrize(
+        "scenario, kind, visibility",
+        [(name, kind, None) for name in ("calm_line", "sea_line", "sea_triangle") for kind in ("pid", "smc", "lqr")]
+        + [("ncc_standoff", None, 1.0), ("ncc_standoff", None, 0.1)],
+    )
+    def test_shipped_runs_export_as_the_list_export(self, scenario, kind, visibility):
+        sc = load_scenario(SCENARIOS / f"{scenario}.ini")
+        if kind is not None:
+            sc = dataclasses.replace(sc, controller=ControllerSpec(kind=ControllerKind(kind)))
+        if visibility is not None:
+            sc = dataclasses.replace(sc, sea=dataclasses.replace(sc.sea, visibility=visibility))
+        log = run_scenario(sc)
+        gt, pred = _ref_boxes(log, "gt"), _ref_boxes(log, "det")
+        assert format_boxes(log.gt_boxes()) == _ref_format_boxes(gt)
+        assert format_boxes(log.pred_boxes()) == _ref_format_boxes(pred)
+        report = evaluate_boxes(log.gt_boxes(), log.pred_boxes())
+        assert _bits(report) == _bits(evaluate_boxes(Boxes.of(gt), Boxes.of(pred)))
+        if visibility == 0.1:
+            assert None in pred  # the miss rows ran
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.none(), _EXPORT_BOXES), max_size=12))
+    def test_format_matches_the_list_formatter(self, boxes):
+        assert format_boxes(Boxes.of(boxes)) == _ref_format_boxes(boxes)
 
 
 def test_logformat_doc_lists_log_columns_in_order():
