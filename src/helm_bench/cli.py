@@ -62,11 +62,11 @@ def _sequence_files(root: Path) -> list[Path]:
 def _evaluate_tracker(
     gt_dir: Path, pred_dir: Path, truth: dict[Path, metrics.Boxes]
 ) -> list[tuple[str, metrics.MetricReport]]:
-    """Score each ground-truth sequence against its prediction file.
+    """Score each ground-truth sequence against its prediction file, in one batch.
 
     `truth` holds the ground-truth boxes read so far in this evaluate call,
     by path, so each ground-truth file is read once however many trackers
-    are scored.
+    are scored. Each pair is checked before the next pair's files are read.
     """
     gt_files = _sequence_files(gt_dir)
     pairs = []
@@ -76,13 +76,15 @@ def _evaluate_tracker(
             raise EvaluationError(f"missing predictions for sequence {gt_path.stem}")
         pairs.append((gt_path, pred_path))
 
-    rows = []
-    for gt_path, pred_path in pairs:
-        gt = truth.get(gt_path)
-        if gt is None:
-            gt = truth[gt_path] = metrics.load_boxes(gt_path)
-        rows.append((gt_path.stem, metrics.evaluate_boxes(gt, metrics.load_boxes(pred_path))))
-    return rows
+    def boxes():
+        for gt_path, pred_path in pairs:
+            gt = truth.get(gt_path)
+            if gt is None:
+                gt = truth[gt_path] = metrics.load_boxes(gt_path)
+            yield gt, metrics.load_boxes(pred_path)
+
+    reports = metrics.evaluate_pairs(boxes())
+    return [(gt_path.stem, report) for (gt_path, _), report in zip(pairs, reports)]
 
 
 def _cmd_evaluate(args) -> int:
@@ -164,7 +166,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    log = sim.RunLog.from_csv(read_utf8(args.log, ConfigError))
+    log = sim.RunLog.from_csv(read_utf8(args.log, ConfigError, "run log path"))
     t = [float(v) for v in log.t]
     if args.kind == "yaw_error":
         svg = plots.line_chart_svg(

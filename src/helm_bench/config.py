@@ -275,6 +275,4 @@ def load_scenario(path) -> sim.Scenario:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    if not path.is_file():
-        raise ConfigError(f"scenario path is not a file: {path}")
-    return parse_scenario(read_utf8(path, ConfigError), default_name=path.stem)
+    return parse_scenario(read_utf8(path, ConfigError, "scenario path"), default_name=path.stem)

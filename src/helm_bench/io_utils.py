@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 from pathlib import Path
 
 
-def read_utf8(path, error: type[Exception]) -> str:
-    """The text of a UTF-8 file; a decode failure raises `error` naming the path."""
+def read_utf8(path, error: type[Exception], what: str = "path") -> str:
+    """The text of a UTF-8 file.
+
+    A path that exists but is not a regular file (a directory, say) raises
+    `error` as "<what> is not a file: <path>", and a decode failure raises
+    `error` naming the path. A missing path raises FileNotFoundError.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise error(f"{what} is not a file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()

@@ -8,8 +8,10 @@ with threshold 0.2. Missing predictions score IoU 0 and center error inf.
 A sequence of boxes is one type from simulator to scorer: `Boxes`, an
 (n, 4) float64 array plus a presence mask. `sim.RunLog` exports its ground
 truth and detections as `Boxes`, `format_boxes` writes them, `load_boxes`
-parses a box file into them in one pass, and the scorers take only them.
-Each curve is one broadcast comparison. Every array step keeps the float
+parses a box file into them with one numpy text-reader call, and the scorers
+take only them. `evaluate_pairs` scores many sequences in one array pass, and
+every curve is counted per sequence from a histogram of the threshold index
+at which each frame starts or stops passing. Every array step keeps the float
 operations and their order of the per-box formulas (`iou`,
 `BoundingBox.center`, `math.hypot`), so scores are bit-identical to a
 per-box loop.
@@ -18,8 +20,8 @@ per-box loop.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -97,7 +99,7 @@ def _distances(dx: np.ndarray, dy: np.ndarray, hit: np.ndarray) -> np.ndarray:
     np.hypot differs from math.hypot in the last ulp on some inputs, and one
     ulp can move a frame across a `<=` threshold, so the scalar stays.
     """
-    return np.where(hit, list(map(math.hypot, dx.tolist(), dy.tolist())), math.inf)
+    return np.where(hit, np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx)), math.inf)
 
 
 def _normalized_distances(gt: np.ndarray, dx: np.ndarray, dy: np.ndarray, hit: np.ndarray) -> np.ndarray:
@@ -109,25 +111,43 @@ def _degenerate(gt: np.ndarray) -> np.ndarray:
     return (gt[:, 2] <= 0.0) | (gt[:, 3] <= 0.0)
 
 
-def _percent(hits: np.ndarray) -> np.ndarray:
-    """100 * (count / n) of True along the last axis.
+def _pass_percents(values: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray, at_least: bool = False) -> np.ndarray:
+    """Percent of each sequence's values that pass each threshold, (len(sizes), len(thresholds)).
 
-    Bit-identical to 100 * np.mean(hits): the mean of a bool array sums exact
-    0/1 counts in float64 and divides once by n.
+    `values` holds the sequences back to back, `sizes[s]` values each. A value
+    passes t when value <= t, or value >= t with `at_least`; nan passes none.
+    The thresholds ascend, so under <= a value passes a suffix of them (nan
+    sorts last and passes the empty one), and under >= a prefix, counted as
+    -value <= -t. A histogram per sequence of where each suffix starts,
+    cumulated, counts every threshold at once. 100 * (count / n) is
+    bit-identical to 100 * np.mean(values <= t), which sums exact 0/1 counts
+    in float64 and divides once by n.
     """
-    return 100.0 * (hits.sum(axis=-1) / hits.shape[-1])
+    if at_least:
+        values, thresholds = -values, -thresholds[::-1]
+    width = len(thresholds) + 1
+    first = np.searchsorted(thresholds, values)  # values[i] passes thresholds[first[i]:]
+    offsets = np.repeat(np.arange(0, len(sizes) * width, width), sizes)
+    hist = np.bincount(offsets + first, minlength=len(sizes) * width).reshape(len(sizes), width)
+    counts = hist[:, :-1].cumsum(axis=1)
+    if at_least:
+        counts = counts[:, ::-1]
+    return 100.0 * (counts / sizes[:, None])  # a new C-contiguous array, whatever the strides of counts
 
 
-def _nonempty(values) -> np.ndarray:
+def _percents(values, thresholds: np.ndarray, at_least: bool = False) -> np.ndarray:
+    """One sequence's percent of values passing each threshold; an empty one raises EvaluationError."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise EvaluationError("cannot evaluate an empty sequence")
-    return values
+    percents = _pass_percents(values, np.array([values.size]), thresholds, at_least)[0]
+    percents[np.isnan(thresholds)] = 0.0  # no value compares true with nan; searchsorted would pass them all
+    return percents
 
 
 def success_curve(ious: np.ndarray) -> np.ndarray:
     """Percent of frames with IoU >= tau for the 101 standard thresholds."""
-    return _percent(_nonempty(ious) >= SUCCESS_THRESHOLDS[:, None])
+    return _percents(ious, SUCCESS_THRESHOLDS, at_least=True)
 
 
 def success_auc(ious: np.ndarray) -> tuple[np.ndarray, float]:
@@ -138,12 +158,12 @@ def success_auc(ious: np.ndarray) -> tuple[np.ndarray, float]:
 
 def op_at(ious: np.ndarray, tau: float) -> float:
     """Overlap precision: percent of frames with IoU >= tau."""
-    return float(_percent(_nonempty(ious) >= tau))
+    return float(_percents(ious, np.array([tau]), at_least=True)[0])
 
 
 def precision_at(center_errors: np.ndarray, tau_px: float = 20.0) -> float:
     """Percent of frames with center error <= tau_px (inf never counts)."""
-    return float(_percent(_nonempty(center_errors) <= tau_px))
+    return float(_percents(center_errors, np.array([tau_px]))[0])
 
 
 def _check_lengths(gt: Boxes, pred: Boxes) -> None:
@@ -167,14 +187,10 @@ def norm_center_errors(gt: Boxes, pred: Boxes) -> np.ndarray:
     return _normalized_distances(gt.xywh, *_center_offsets(gt.xywh, pred.xywh), pred.present)
 
 
-def _norm_precision(errors: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
-    errors = _nonempty(errors)
-    return float(_percent(errors <= tau)), _percent(errors <= NORM_PRECISION_THRESHOLDS[:, None])
-
-
 def norm_precision_at(gt: Boxes, pred: Boxes, tau: float = 0.2) -> tuple[float, np.ndarray]:
     """Normalized precision at tau plus its 51-point curve over [0, 0.5]."""
-    return _norm_precision(norm_center_errors(gt, pred), tau)
+    errors = norm_center_errors(gt, pred)
+    return float(_percents(errors, np.array([tau]))[0]), _percents(errors, NORM_PRECISION_THRESHOLDS)
 
 
 @dataclass(frozen=True)
@@ -239,41 +255,52 @@ class MetricReport:
     norm_precision_curve: np.ndarray
 
 
-def evaluate_boxes(gt: Boxes, pred: Boxes) -> MetricReport:
-    """Score one sequence of predictions against ground truth.
+def evaluate_pairs(pairs: Iterable[tuple[Boxes, Boxes]]) -> list[MetricReport]:
+    """Score each (ground truth, predictions) pair, all pairs in one array pass.
 
     Lengths must match. Frames with missing ground truth (target out of
     view) are excluded from scoring; missing predictions on scored frames
-    count as IoU 0 / center error inf.
+    count as IoU 0 / center error inf. Each pair is checked as it is drawn,
+    so a bad pair raises before a lazy `pairs` reads the next one.
     """
-    _check_lengths(gt, pred)
-    kept = np.flatnonzero(gt.present)
-    if kept.size == 0:
-        raise EvaluationError("no frames with ground truth to evaluate")
-    g = gt.xywh[kept]
-    p = pred.xywh[kept]
-    hit = pred.present[kept]
-    bad = _degenerate(g)
-    if bad.any():
-        k = int(bad.argmax())
-        raise EvaluationError(f"frame {k}: degenerate ground-truth box {gt[kept[k]]}")
+    gts, preds, sizes = [], [], []
+    for gt, pred in pairs:
+        _check_lengths(gt, pred)
+        n_kept = np.count_nonzero(gt.present)
+        if n_kept == 0:
+            raise EvaluationError("no frames with ground truth to evaluate")
+        bad = gt.present & _degenerate(gt.xywh)
+        if bad.any():
+            k = int(bad.argmax())
+            raise EvaluationError(f"frame {np.count_nonzero(gt.present[:k])}: degenerate ground-truth box {gt[k]}")
+        gts.append(gt)
+        preds.append(pred)
+        sizes.append(n_kept)
+    if not sizes:
+        return []
+    kept = np.concatenate([gt.present for gt in gts])
+    g = np.concatenate([gt.xywh for gt in gts])[kept]
+    p = np.concatenate([pred.xywh for pred in preds])[kept]
+    hit = np.concatenate([pred.present for pred in preds])[kept]
+    sizes = np.array(sizes)
 
     ious = np.where(hit, _ious(g, p), 0.0)
     dx, dy = _center_offsets(g, p)
-    center_err = _distances(dx, dy, hit)
-    s_curve, auc = success_auc(ious)
-    norm_prec, np_curve = _norm_precision(_normalized_distances(g, dx, dy, hit), 0.2)
-    return MetricReport(
-        auc=auc,
-        op50=op_at(ious, 0.5),
-        op75=op_at(ious, 0.75),
-        precision=precision_at(center_err),
-        norm_precision=norm_prec,
-        n_frames=int(kept.size),
-        success_curve=s_curve,
-        precision_curve=_percent(center_err <= PRECISION_THRESHOLDS[:, None]),
-        norm_precision_curve=np_curve,
-    )
+    success = _pass_percents(ious, sizes, SUCCESS_THRESHOLDS, at_least=True)
+    precision = _pass_percents(_distances(dx, dy, hit), sizes, PRECISION_THRESHOLDS)
+    norm_precision = _pass_percents(_normalized_distances(g, dx, dy, hit), sizes, NORM_PRECISION_THRESHOLDS)
+    aucs = success.mean(axis=1)  # each the mean of one C-contiguous row, as np.mean(curve) is
+    # The other scalars are curve columns: SUCCESS_THRESHOLDS[50] == 0.5 and
+    # [75] == 0.75, PRECISION_THRESHOLDS[20] == 20.0 px, NORM_PRECISION_THRESHOLDS[20] == 0.2.
+    scalars = (aucs, success[:, 50], success[:, 75], precision[:, 20], norm_precision[:, 20], sizes)
+    # One row per sequence, in MetricReport's field order.
+    rows = zip(*(c.tolist() for c in scalars), success, precision, norm_precision)
+    return [MetricReport(*row) for row in rows]
+
+
+def evaluate_boxes(gt: Boxes, pred: Boxes) -> MetricReport:
+    """Score one sequence of predictions against ground truth: `evaluate_pairs` of one pair."""
+    return evaluate_pairs([(gt, pred)])[0]
 
 
 def aggregate_reports(reports: list[MetricReport]) -> MetricReport:
@@ -300,33 +327,40 @@ def load_boxes(path) -> Boxes:
     """Read one box per line (`x,y,w,h`; `nan,nan,nan,nan` marks a miss).
 
     The file is read as UTF-8. Fields may be separated by commas, tabs or
-    spaces, and empty lines are skipped. The whole file is parsed in one
+    spaces, and blank lines are skipped. The whole file is parsed in one
     pass; a file that fails any check is parsed again line by line, which
     names the first bad line.
     """
     text = read_utf8(path, EvaluationError)
-    lines = text.split("\n")
-    boxes = _parse_whole(text, lines)
-    return boxes if boxes is not None else Boxes.of(_parse_lines(path, lines))
+    boxes = _parse_whole(text)
+    return boxes if boxes is not None else Boxes.of(_parse_lines(path, text.split("\n")))
 
 
-def _parse_whole(text: str, lines: list[str]) -> Boxes | None:
-    """One-pass parse of a well-formed box file; None when any check fails."""
-    rows = list(map(str.split, text.replace(",", " ").replace("\t", " ").split("\n")))
-    fields = [row for row in rows if row]
-    # Every field-less line must be empty, and every other line hold 4 fields.
-    if len(rows) - len(fields) != lines.count("") or set(map(len, fields)) != {4}:
-        return None
+def _parse_whole(text: str) -> Boxes | None:
+    """Parse a well-formed box file with numpy's C reader; None when any check fails.
+
+    The reader splits fields on the whitespace str.split splits on, and
+    converts each with PyOS_string_to_double, the routine behind float().
+    Where they differ it refuses: float() also takes `1_0` and non-ASCII
+    digits, and those files go to the line loop. The reader skips a line of
+    whitespace or separators only, which the line loop skips or rejects, so
+    every non-empty line must give a row, or the line loop decides.
+    """
+    fields = text.replace(",", " ")
+    if not fields.strip():
+        return None  # loadtxt warns on input without rows
+    rows = fields.split("\n")
     try:
-        values = np.fromiter(map(float, chain.from_iterable(fields)), float, count=4 * len(fields))
+        xywh = np.loadtxt(rows, comments=None, ndmin=2)
     except ValueError:
         return None
-    xywh = values.reshape(-1, 4)
-    n_nan = np.isnan(xywh).sum(axis=1)
-    present = n_nan == 0
-    if (n_nan[~present] < 4).any() or (xywh[present, 2:] < 0.0).any():
+    if xywh.shape != (len(rows) - rows.count(""), 4):
+        return None
+    nan = np.isnan(xywh)
+    miss = nan[:, 0]
+    if (nan != miss[:, None]).any() or (xywh[:, 2:] < 0.0).any():
         return None  # a partly nan box, or a negative size
-    return Boxes(xywh, present)
+    return Boxes(xywh, ~miss)
 
 
 def _parse_lines(path, lines: list[str]) -> list[BoundingBox | None]:

@@ -256,6 +256,16 @@ class TestEvaluate:
         assert capsys.readouterr().err.startswith(f"helm-bench: {bad}: not UTF-8 text")
         assert not (tmp_path / "r.csv").exists()
 
+    def test_directory_box_file_is_exit_1(self, tmp_path, capsys):
+        write_boxes(tmp_path / "gt" / "a.txt", BOXES)
+        pred = tmp_path / "pred" / "tracker" / "a.txt"
+        pred.mkdir(parents=True)
+        rc = main(["evaluate", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"helm-bench: path is not a file: {pred}\n"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_single_file_pair(self, tmp_path):
         write_boxes(tmp_path / "gt.txt", BOXES)
         write_boxes(tmp_path / "pred.txt", BOXES)
@@ -446,6 +456,14 @@ class TestPlot:
         rc = main(["plot", "--log", str(runlog), "--out", str(tmp_path / "p.svg")])
         assert rc == 1
         assert "drifting" in capsys.readouterr().err
+
+    def test_directory_log_is_exit_1(self, tmp_path, capsys):
+        log = tmp_path / "run"
+        log.mkdir()
+        out = tmp_path / "p.svg"
+        assert main(["plot", "--log", str(log), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"helm-bench: run log path is not a file: {log}\n"
+        assert not out.exists()
 
     def test_unknown_kind_is_usage_error(self, runlog, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ from helm_bench.metrics import (
     MetricReport,
     aggregate_reports,
     evaluate_boxes,
+    evaluate_pairs,
     evaluate_sequence,
     format_boxes,
     format_curves,
@@ -120,6 +122,7 @@ class TestOpAt:
         assert op_at(np.array([0.6, 0.8]), 0.5) == 100.0
         assert op_at(np.array([0.6, 0.8]), 0.75) == 50.0
         assert op_at(np.array([0.5]), 0.5) == 100.0  # boundary counts
+        assert op_at(np.array([0.6, 0.8]), math.nan) == 0.0
 
     def test_op50_dominates_op75(self):
         rng = np.random.default_rng(2)
@@ -133,6 +136,7 @@ class TestPrecision:
         assert precision_at(np.zeros(5)) == 100.0
         assert precision_at(np.array([10.0, 30.0])) == 50.0
         assert precision_at(np.array([math.inf, 5.0])) == 50.0
+        assert precision_at(np.array([math.inf, 5.0]), math.nan) == 0.0
 
     def test_boundary_counts(self):
         assert precision_at(np.array([20.0])) == 100.0
@@ -543,11 +547,15 @@ def _bits(report: MetricReport) -> list:
     return [v.hex() for v in scalars] + [report.n_frames] + [c.tobytes() for c in curves]
 
 
+def _box_bits(boxes) -> list:
+    return [None if b is None else tuple(v.hex() for v in (b.x, b.y, b.w, b.h)) for b in boxes]
+
+
 def _outcome(load, evaluate, gt_path, pred_path):
     """Report bits and bytes of scoring two box files, or the EvaluationError text."""
     try:
         gt, pred = load(gt_path), load(pred_path)
-        boxes = [list(gt), list(pred)]
+        boxes = [_box_bits(gt), _box_bits(pred)]
         report = evaluate(gt, pred)
     except EvaluationError as exc:
         return str(exc)
@@ -568,7 +576,12 @@ _SEPARATORS = st.sampled_from([",", "\t", " ", ", ", " ,\t"])
 _BLANKS = st.sampled_from(["", "", "", "  ", "\t"])
 _BAD_LINES = st.sampled_from([
     "1,2,3", "1,2,3,4,5", ",,,", "1,2,abc,4", "nan,1,2,3", "1,2,-3,4", "1,2,3,-inf",
+    ",", ", ,", "\t,\t", "1,2\r3,4", "1,2,#,4", "# 1,2,3,4",
 ])
+# Box lines that str.split and float() read: numpy's text reader refuses the first
+# three (the line loop then parses the file) and splits the last two the same way.
+_ODD_LINES = st.sampled_from(["1_0,2,3,4", "\u0663,2,3,4", "1,2,3,\u0664", "1\xa02\xa03\xa04", "1,2,3,4\u3000"])
+_BLANK_FILES = st.sampled_from(["", "\n", "  \n\t\n", " ", "\r\n\r\n"])
 
 
 def _format(value: float, style: int) -> str:
@@ -587,6 +600,8 @@ def _box_text(draw, boxes):
         lines.append(draw(_SEPARATORS).join(_format(v, style) for v in values))
     if draw(st.integers(0, 9)) == 7:
         lines.insert(draw(st.integers(0, len(lines))), draw(_BAD_LINES))
+    if draw(st.integers(0, 9)) == 7:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINES))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + draw(st.sampled_from([end, ""]))
 
@@ -600,7 +615,38 @@ def _box_file_pair(draw):
         pred = pred[:-1]  # a frame count mismatch
     if gt and draw(st.integers(0, 9)) == 7:
         gt[draw(st.integers(0, len(gt) - 1))] = (1.0, 2.0, *draw(_DEGENERATE_SIZES))
-    return draw(_box_text(gt)), draw(_box_text(pred))
+    texts = [draw(_box_text(gt)), draw(_box_text(pred))]
+    if draw(st.integers(0, 9)) == 7:
+        texts[draw(st.integers(0, 1))] = draw(_BLANK_FILES)
+    return texts
+
+
+# Frames whose scores sit exactly on a threshold: IoU k/100 (0.5 and 0.75 among
+# them), a center error of 20 px, a normalized one of 0.2, a zero-size
+# prediction, and a nan union (inf - inf).
+_EXACT_FRAMES = st.sampled_from(
+    [((0.0, 0.0, 100.0, 1.0), (0.0, 0.0, float(k), 1.0)) for k in (0, 1, 29, 50, 57, 75, 100)]
+    + [
+        ((0.0, 0.0, 10.0, 10.0), (20.0, 0.0, 10.0, 10.0)),
+        ((0.0, 0.0, 10.0, 10.0), (12.0, 16.0, 10.0, 10.0)),
+        ((0.0, 0.0, 100.0, 100.0), (20.0, 0.0, 100.0, 100.0)),
+        ((0.0, 0.0, 50.0, 50.0), (0.0, 0.0, -0.0, 0.0)),
+        ((0.0, 0.0, math.inf, math.inf), (1.0, 1.0, math.inf, math.inf)),
+    ]
+)
+
+
+@st.composite
+def _scored_sequence(draw):
+    """Ground truth and predictions, as BoundingBox | None lists, that score without error."""
+    frames = draw(st.lists(st.one_of(st.tuples(_GT_BOXES, _PRED_BOXES), _EXACT_FRAMES), min_size=1, max_size=30))
+    gt = [None if g is None else BoundingBox(*g) for g, _ in frames]
+    pred = [None if p is None else BoundingBox(*p) for _, p in frames]
+    if all(g is None for g in gt):
+        gt[0] = BoundingBox(0.0, 0.0, 10.0, 10.0)
+    if draw(st.integers(0, 9)) == 7:
+        pred = [None] * len(gt)  # an all-miss prediction file
+    return gt, pred
 
 
 def _write(directory: Path, name: str, text: str) -> Path:
@@ -617,7 +663,45 @@ class TestEvaluateOracle:
             gt = _write(Path(tmp), "gt.txt", texts[0])
             pred = _write(Path(tmp), "pred.txt", texts[1])
             want = _outcome(_ref_load_boxes, _ref_evaluate_boxes, gt, pred)
-            assert _outcome(load_boxes, evaluate_boxes, gt, pred) == want
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _outcome(load_boxes, evaluate_boxes, gt, pred) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,2,3,4\n,\n5,6,7,8\n",  # a line of separators only
+            ", ,\n1,2,3,4\n",
+            ",\n",
+            "1,2\r3,4\n",  # a bare \r ends a line
+            "1,2,3,4\r\n5,6,7,8\r",
+            "1,2,#,4\n",
+            "#\n1,2,3,4\n",
+            "1_0,2,3,4\n",  # float() reads these two, numpy's reader refuses them
+            "\u0663,2,3,4\n",
+            "1\xa02\xa03\xa04\n5\u30006\u30007\u30008\n",  # both split on these
+            "1,2,3,4\x00\n",
+            "1e500,2,3,4\n",
+            "nan,nan,nan,nan\n-nan,NaN,nan,nan\n",
+            "-0.0,0,-0.0,0\n",
+            "",
+            "\n\n",
+            " \t \n  \n",
+        ],
+    )
+    def test_fast_path_hazards_parse_as_the_line_loop(self, tmp_path, text):
+        path = _write(tmp_path, "boxes.txt", text)
+        try:
+            want = _box_bits(_ref_load_boxes(path))
+        except EvaluationError as exc:
+            want = str(exc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = _box_bits(load_boxes(path))
+            except EvaluationError as exc:
+                got = str(exc)
+        assert got == want
 
     @pytest.mark.parametrize(
         "text, message",
@@ -683,6 +767,14 @@ class TestEvaluateOracle:
             evaluate_boxes(gt, pred)
         assert str(got.value) == str(want.value) == "frame 1: degenerate ground-truth box BoundingBox(x=1.0, y=2.0, w=0.0, h=4.0)"
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_scored_sequence(), min_size=1, max_size=6))
+    def test_batch_scores_each_sequence_as_the_per_box_loop(self, sequences):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate_pairs((Boxes.of(gt), Boxes.of(pred)) for gt, pred in sequences)
+        assert [_bits(r) for r in got] == [_bits(_ref_evaluate_boxes(gt, pred)) for gt, pred in sequences]
+
     def test_iou_matches_oracle_on_extreme_boxes(self):
         values = [0.0, -0.0, 1.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324]
         rng = np.random.default_rng(12)
@@ -737,6 +829,33 @@ class TestEvaluateCommand:
         assert (out.read_text(), (tmp_path / "report_curves.csv").read_text()) == _oracle_evaluate(gt_dir, pred_dir)
         assert sorted(r for r in reads if r.startswith("gt/")) == [f"gt/seq{s}.txt" for s in range(4)]
         assert len(reads) == 4 + 3 * 4
+
+    def _evaluate_error(self, tmp_path, capsys, files: dict[str, str]) -> str:
+        for name, text in files.items():
+            _write(tmp_path, name, text)
+        argv = ["evaluate", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                "--out", str(tmp_path / "report.csv")]
+        assert main(argv) == 1
+        assert not (tmp_path / "report.csv").exists()
+        return capsys.readouterr().err
+
+    def test_early_mismatch_beats_a_later_malformed_file(self, tmp_path, capsys):
+        (tmp_path / "gt").mkdir()
+        (tmp_path / "pred" / "a").mkdir(parents=True)
+        err = self._evaluate_error(tmp_path, capsys, {
+            "gt/s0.txt": "1,2,3,4\n1,2,3,4\n", "pred/a/s0.txt": "1,2,3,4\n",
+            "gt/s1.txt": "1,2,3,4\n", "pred/a/s1.txt": "1,2,3\n",
+        })
+        assert err == "helm-bench: frame count mismatch: gt 2 vs pred 1\n"
+
+    def test_degenerate_ground_truth_beats_a_later_missing_frames_error(self, tmp_path, capsys):
+        (tmp_path / "gt").mkdir()
+        (tmp_path / "pred" / "a").mkdir(parents=True)
+        err = self._evaluate_error(tmp_path, capsys, {
+            "gt/s0.txt": "nan,nan,nan,nan\n1,2,3,4\n1,2,0,4\n", "pred/a/s0.txt": "1,2,3,4\n" * 3,
+            "gt/s1.txt": "nan,nan,nan,nan\n", "pred/a/s1.txt": "1,2,3,4\n",
+        })
+        assert err == "helm-bench: frame 1: degenerate ground-truth box BoundingBox(x=1.0, y=2.0, w=0.0, h=4.0)\n"
 
     def test_starts_no_thread(self, tmp_path, monkeypatch):
         gt_dir, pred_dir = self._tree(tmp_path)
