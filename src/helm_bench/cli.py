@@ -60,18 +60,21 @@ def _sequence_files(root: Path) -> list[Path]:
 
 
 def _evaluate_tracker(
-    gt_dir: Path, pred_dir: Path, truth: dict[Path, metrics.Boxes]
+    gt_files: list[Path], pred_dir: Path, truth: dict[Path, metrics.Boxes]
 ) -> list[tuple[str, metrics.MetricReport]]:
-    """Score each ground-truth sequence against its prediction file, in one batch.
+    """Score each ground-truth file against its prediction file, in one batch.
 
-    `truth` holds the ground-truth boxes read so far in this evaluate call,
-    by path, so each ground-truth file is read once however many trackers
-    are scored. Each pair is checked before the next pair's files are read.
+    `pred_dir` holds one prediction file per ground-truth file, under the
+    same name; for a single ground-truth file it may be the prediction file
+    itself. `truth` holds the ground-truth boxes read so far in this evaluate
+    call, by path, so each ground-truth file is read once however many
+    trackers are scored. Each pair is checked before the next pair's files
+    are read.
     """
-    gt_files = _sequence_files(gt_dir)
+    pred_is_dir = pred_dir.is_dir()
     pairs = []
     for gt_path in gt_files:
-        pred_path = pred_dir / gt_path.name if pred_dir.is_dir() else pred_dir
+        pred_path = pred_dir / gt_path.name if pred_is_dir else pred_dir
         if not pred_path.exists():
             raise EvaluationError(f"missing predictions for sequence {gt_path.stem}")
         pairs.append((gt_path, pred_path))
@@ -94,22 +97,24 @@ def _cmd_evaluate(args) -> int:
         raise EvaluationError(f"ground-truth path not found: {gt_dir}")
     if not pred_dir.exists():
         raise EvaluationError(f"prediction path not found: {pred_dir}")
+    pred_is_dir = pred_dir.is_dir()
+    if not pred_is_dir and not gt_dir.is_file():
+        raise EvaluationError(f"--gt is a directory, so --pred must be one too: {pred_dir}")
 
-    tracker_dirs = (
-        sorted(d for d in pred_dir.iterdir() if d.is_dir()) if pred_dir.is_dir() else []
-    )
+    gt_files = _sequence_files(gt_dir)
+    tracker_dirs = sorted(d for d in pred_dir.iterdir() if d.is_dir()) if pred_is_dir else []
     truth: dict[Path, metrics.Boxes] = {}
     rows: list[tuple[str, metrics.MetricReport]] = []
     curve_rows: list[tuple[str, metrics.MetricReport]] = []
     if tracker_dirs:
         # One row per tracker: aggregate over its sequences.
         for tdir in tracker_dirs:
-            per_seq = _evaluate_tracker(gt_dir, tdir, truth)
+            per_seq = _evaluate_tracker(gt_files, tdir, truth)
             agg = metrics.aggregate_reports([r for _, r in per_seq])
             rows.append((tdir.name, agg))
             curve_rows.append((tdir.name, agg))
     else:
-        per_seq = _evaluate_tracker(gt_dir, pred_dir, truth)
+        per_seq = _evaluate_tracker(gt_files, pred_dir, truth)
         rows.extend(per_seq)
         agg = metrics.aggregate_reports([r for _, r in per_seq])
         rows.append(("mean", agg))

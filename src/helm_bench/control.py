@@ -114,9 +114,6 @@ class ControllerState:
     prev_u_meas: float | None = None
     udot_est: float = 0.0
 
-    def reset(self) -> None:
-        self.__dict__.update(ControllerState().__dict__)
-
 
 def _lowpass(current: float, raw: float, dt: float, tau: float) -> float:
     if tau <= 0.0:
@@ -177,8 +174,8 @@ def smc_refs(
 
     Reference rates come from backward finite differences of the incoming
     references passed through a first-order low-pass; the surge-acceleration
-    estimate consumed by smc_step is refreshed here the same way. From reset
-    the first step sees zero rates.
+    estimate consumed by smc_step is refreshed here the same way. From a fresh
+    ControllerState the first step sees zero rates.
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")

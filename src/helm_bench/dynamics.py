@@ -101,7 +101,14 @@ def saturate(pair: ThrustPair, params: UsvParams) -> ThrustPair:
 def _forcing(
     t: float, sea: SeaState, u: float, psi: float, params: UsvParams
 ) -> tuple[float, float, float, float]:
-    """(f_surge, tau_yaw, drift_x, drift_y) at time t; see disturbance_at()."""
+    """(f_surge, tau_yaw, drift_x, drift_y) at time t for surge speed u and heading psi.
+
+    Waves force surge and yaw as phase-offset sinusoids; wind enters as a
+    kinematic drift proportional to the relative wind over the hull. A calm
+    sea (zero wave gain, zero wind) is exactly disturbance-free whatever the
+    vessel is doing — the relative-wind drag applies only once wind or waves
+    are switched on.
+    """
     if sea.wave_gain == 0.0 and sea.wind_velocity == (0.0, 0.0):
         return 0.0, 0.0, 0.0, 0.0
     arg = 2.0 * math.pi * t / sea.wave_period + sea.wave_phase
@@ -112,19 +119,6 @@ def _forcing(
     scale = sea.wind_drag_coeff / params.m
     wind_x, wind_y = sea.wind_velocity
     return f_surge, tau_yaw, scale * (wind_x - vx), scale * (wind_y - vy)
-
-
-def disturbance_at(t: float, sea: SeaState, state: BodyState, params: UsvParams) -> Disturbance:
-    """Wave forcing and wind drift at time t for the given vessel state.
-
-    Waves force surge and yaw as phase-offset sinusoids; wind enters as a
-    kinematic drift proportional to the relative wind over the hull. A calm
-    sea (zero wave gain, zero wind) is exactly disturbance-free whatever the
-    vessel is doing — the relative-wind drag applies only once wind or waves
-    are switched on.
-    """
-    f_surge, tau_yaw, wx, wy = _forcing(t, sea, state.u, state.pose.psi, params)
-    return Disturbance(f_surge=f_surge, tau_yaw=tau_yaw, drift=(wx, wy))
 
 
 def _accelerations(

@@ -101,9 +101,6 @@ class GuidanceState:
     last_command: GuidanceCommand = GuidanceCommand(GuidanceMode.HOLDING, 0.0, 0.0, 0.0)
     last_seen_sign: float = 1.0
 
-    def reset(self) -> None:
-        self.__dict__.update(GuidanceState().__dict__)
-
 
 def guidance_step(
     det: Detection,

@@ -8,13 +8,14 @@ with threshold 0.2. Missing predictions score IoU 0 and center error inf.
 A sequence of boxes is one type from simulator to scorer: `Boxes`, an
 (n, 4) float64 array plus a presence mask. `sim.RunLog` exports its ground
 truth and detections as `Boxes`, `format_boxes` writes them, `load_boxes`
-parses a box file into them with one numpy text-reader call, and the scorers
-take only them. `evaluate_pairs` scores many sequences in one array pass, and
-every curve is counted per sequence from a histogram of the threshold index
-at which each frame starts or stops passing. Every array step keeps the float
-operations and their order of the per-box formulas (`iou`,
-`BoundingBox.center`, `math.hypot`), so scores are bit-identical to a
-per-box loop.
+parses a box file into them with one numpy text-reader call, and the one
+scorer, `evaluate_pairs`, takes only them. It scores many sequences in one
+array pass, and every curve is counted per sequence from a histogram of the
+threshold index at which each frame starts or stops passing. Every array
+step keeps the float operations and their order of a per-box loop (IoU from
+min/max overlaps, `BoundingBox.center`, `math.hypot`), so scores are
+bit-identical to it; `tests/test_metrics.py` keeps that loop verbatim as the
+`_ref_*` oracle.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ def _ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(union <= 0.0, 0.0, inter / union)
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0 when the union is empty."""
-    return float(_ious(Boxes.of([a]).xywh, Boxes.of([b]).xywh)[0])
-
-
 def _center_offsets(gt: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prediction center minus ground-truth center, per row, as BoundingBox.center computes them."""
     with np.errstate(all="ignore"):
@@ -100,15 +96,6 @@ def _distances(dx: np.ndarray, dy: np.ndarray, hit: np.ndarray) -> np.ndarray:
     ulp can move a frame across a `<=` threshold, so the scalar stays.
     """
     return np.where(hit, np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx)), math.inf)
-
-
-def _normalized_distances(gt: np.ndarray, dx: np.ndarray, dy: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        return _distances(dx / gt[:, 2], dy / gt[:, 3], hit)
-
-
-def _degenerate(gt: np.ndarray) -> np.ndarray:
-    return (gt[:, 2] <= 0.0) | (gt[:, 3] <= 0.0)
 
 
 def _pass_percents(values: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray, at_least: bool = False) -> np.ndarray:
@@ -133,64 +120,6 @@ def _pass_percents(values: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray
     if at_least:
         counts = counts[:, ::-1]
     return 100.0 * (counts / sizes[:, None])  # a new C-contiguous array, whatever the strides of counts
-
-
-def _percents(values, thresholds: np.ndarray, at_least: bool = False) -> np.ndarray:
-    """One sequence's percent of values passing each threshold; an empty one raises EvaluationError."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise EvaluationError("cannot evaluate an empty sequence")
-    percents = _pass_percents(values, np.array([values.size]), thresholds, at_least)[0]
-    percents[np.isnan(thresholds)] = 0.0  # no value compares true with nan; searchsorted would pass them all
-    return percents
-
-
-def success_curve(ious: np.ndarray) -> np.ndarray:
-    """Percent of frames with IoU >= tau for the 101 standard thresholds."""
-    return _percents(ious, SUCCESS_THRESHOLDS, at_least=True)
-
-
-def success_auc(ious: np.ndarray) -> tuple[np.ndarray, float]:
-    """Success curve plus its area: the mean over the 101 thresholds, in percent."""
-    curve = success_curve(ious)
-    return curve, float(np.mean(curve))
-
-
-def op_at(ious: np.ndarray, tau: float) -> float:
-    """Overlap precision: percent of frames with IoU >= tau."""
-    return float(_percents(ious, np.array([tau]), at_least=True)[0])
-
-
-def precision_at(center_errors: np.ndarray, tau_px: float = 20.0) -> float:
-    """Percent of frames with center error <= tau_px (inf never counts)."""
-    return float(_percents(center_errors, np.array([tau_px]))[0])
-
-
-def _check_lengths(gt: Boxes, pred: Boxes) -> None:
-    if len(gt) != len(pred):
-        raise EvaluationError(f"frame count mismatch: gt {len(gt)} vs pred {len(pred)}")
-
-
-def norm_center_errors(gt: Boxes, pred: Boxes) -> np.ndarray:
-    """Center errors scaled per-axis by the ground-truth box size.
-
-    Missing predictions give inf. A missing ground-truth box, or one with
-    zero width or height, cannot normalize and raises EvaluationError.
-    """
-    _check_lengths(gt, pred)
-    bad = ~gt.present | _degenerate(gt.xywh)
-    if bad.any():
-        k = int(bad.argmax())
-        if not gt.present[k]:
-            raise EvaluationError(f"frame {k}: missing ground truth cannot be normalized")
-        raise EvaluationError(f"frame {k}: degenerate ground-truth box {gt[k]}")
-    return _normalized_distances(gt.xywh, *_center_offsets(gt.xywh, pred.xywh), pred.present)
-
-
-def norm_precision_at(gt: Boxes, pred: Boxes, tau: float = 0.2) -> tuple[float, np.ndarray]:
-    """Normalized precision at tau plus its 51-point curve over [0, 0.5]."""
-    errors = norm_center_errors(gt, pred)
-    return float(_percents(errors, np.array([tau]))[0]), _percents(errors, NORM_PRECISION_THRESHOLDS)
 
 
 @dataclass(frozen=True)
@@ -265,11 +194,12 @@ def evaluate_pairs(pairs: Iterable[tuple[Boxes, Boxes]]) -> list[MetricReport]:
     """
     gts, preds, sizes = [], [], []
     for gt, pred in pairs:
-        _check_lengths(gt, pred)
+        if len(gt) != len(pred):
+            raise EvaluationError(f"frame count mismatch: gt {len(gt)} vs pred {len(pred)}")
         n_kept = np.count_nonzero(gt.present)
         if n_kept == 0:
             raise EvaluationError("no frames with ground truth to evaluate")
-        bad = gt.present & _degenerate(gt.xywh)
+        bad = gt.present & ((gt.xywh[:, 2] <= 0.0) | (gt.xywh[:, 3] <= 0.0))
         if bad.any():
             k = int(bad.argmax())
             raise EvaluationError(f"frame {np.count_nonzero(gt.present[:k])}: degenerate ground-truth box {gt[k]}")
@@ -286,9 +216,11 @@ def evaluate_pairs(pairs: Iterable[tuple[Boxes, Boxes]]) -> list[MetricReport]:
 
     ious = np.where(hit, _ious(g, p), 0.0)
     dx, dy = _center_offsets(g, p)
+    with np.errstate(all="ignore"):
+        norm_dx, norm_dy = dx / g[:, 2], dy / g[:, 3]
     success = _pass_percents(ious, sizes, SUCCESS_THRESHOLDS, at_least=True)
     precision = _pass_percents(_distances(dx, dy, hit), sizes, PRECISION_THRESHOLDS)
-    norm_precision = _pass_percents(_normalized_distances(g, dx, dy, hit), sizes, NORM_PRECISION_THRESHOLDS)
+    norm_precision = _pass_percents(_distances(norm_dx, norm_dy, hit), sizes, NORM_PRECISION_THRESHOLDS)
     aucs = success.mean(axis=1)  # each the mean of one C-contiguous row, as np.mean(curve) is
     # The other scalars are curve columns: SUCCESS_THRESHOLDS[50] == 0.5 and
     # [75] == 0.75, PRECISION_THRESHOLDS[20] == 20.0 px, NORM_PRECISION_THRESHOLDS[20] == 0.2.

@@ -35,16 +35,13 @@ from helm_bench.core import BodyState, BoundingBox, CameraIntrinsics, Pose2D, Us
 from helm_bench.dynamics import SeaState, ThrustPair, step
 from helm_bench.metrics import (
     NORM_PRECISION_THRESHOLDS,
+    PRECISION_THRESHOLDS,
     REPORT_COLUMNS,
     SUCCESS_THRESHOLDS,
     Boxes,
+    _ious,
     evaluate_boxes,
     format_boxes,
-    iou,
-    norm_precision_at,
-    op_at,
-    precision_at,
-    success_auc,
 )
 from helm_bench.sensors import TrackerNoiseConfig, emulate_tracker
 from helm_bench.sim import (
@@ -184,22 +181,9 @@ def test_criterion_3_metric_oracles(tmp_path):
         rng = np.random.default_rng(31337)
         for _ in range(1000):
             n = int(rng.integers(1, 41))
-            ious = rng.uniform(0.0, 1.0, size=n)
-            curve, auc = success_auc(ious)
-            want = [100.0 * (sum(1 for v in ious if v >= tau) / n) for tau in SUCCESS_THRESHOLDS]
-            assert np.array_equal(curve, np.array(want))
-            assert auc == float(np.mean(np.array(want)))
-            for tau in (0.5, 0.75):
-                assert op_at(ious, tau) == 100.0 * (sum(1 for v in ious if v >= tau) / n)
-
-            errs = rng.uniform(0.0, 60.0, size=n)
-            errs[rng.uniform(size=n) < 0.1] = math.inf
-            assert precision_at(errs) == 100.0 * (sum(1 for e in errs if e <= 20.0) / n)
-
-            nb = int(rng.integers(1, 21))
-            gt: list[BoundingBox | None] = []
+            gt: list[BoundingBox] = []
             pred: list[BoundingBox | None] = []
-            for _ in range(nb):
+            for _ in range(n):
                 gx, gy = rng.uniform(0, 300, size=2)
                 gw, gh = rng.uniform(5, 80, size=2)
                 gt.append(BoundingBox(gx, gy, gw, gh))
@@ -208,21 +192,44 @@ def test_criterion_3_metric_oracles(tmp_path):
                 else:
                     pred.append(BoundingBox(gx + rng.normal(0, 10), gy + rng.normal(0, 10),
                                             gw * rng.uniform(0.8, 1.2), gh))
-            value, npc = norm_precision_at(Boxes.of(gt), Boxes.of(pred))
-            brute = []
+            report = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
+
+            # per box pair: IoU, center error and normalized center error
+            ious, errs, norm_errs = [], [], []
             for g, p in zip(gt, pred):
                 if p is None:
-                    brute.append(math.inf)
+                    ious.append(0.0)
+                    errs.append(math.inf)
+                    norm_errs.append(math.inf)
                     continue
+                ix = max(0.0, min(g.x + g.w, p.x + p.w) - max(g.x, p.x))
+                iy = max(0.0, min(g.y + g.h, p.y + p.h) - max(g.y, p.y))
+                union = g.w * g.h + p.w * p.h - ix * iy
+                ious.append(0.0 if union <= 0.0 else ix * iy / union)
                 gcx, gcy = g.center()
                 pcx, pcy = p.center()
-                brute.append(math.hypot((pcx - gcx) / g.w, (pcy - gcy) / g.h))
-            assert value == 100.0 * (sum(1 for e in brute if e <= 0.2) / nb)
+                errs.append(math.hypot(pcx - gcx, pcy - gcy))
+                norm_errs.append(math.hypot((pcx - gcx) / g.w, (pcy - gcy) / g.h))
+
+            def percent(values, passes) -> float:
+                return 100.0 * (sum(1 for v in values if passes(v)) / n)
+
+            success = [percent(ious, lambda v: v >= tau) for tau in SUCCESS_THRESHOLDS]
+            assert np.array_equal(report.success_curve, np.array(success))
+            assert report.auc == float(np.mean(np.array(success)))
+            assert report.op50 == percent(ious, lambda v: v >= 0.5)
+            assert report.op75 == percent(ious, lambda v: v >= 0.75)
+            assert report.precision == percent(errs, lambda e: e <= 20.0)
             assert np.array_equal(
-                npc,
-                np.array([100.0 * (sum(1 for e in brute if e <= tau) / nb)
-                          for tau in NORM_PRECISION_THRESHOLDS]),
+                report.precision_curve,
+                np.array([percent(errs, lambda e: e <= tau) for tau in PRECISION_THRESHOLDS]),
             )
+            assert report.norm_precision == percent(norm_errs, lambda e: e <= 0.2)
+            assert np.array_equal(
+                report.norm_precision_curve,
+                np.array([percent(norm_errs, lambda e: e <= tau) for tau in NORM_PRECISION_THRESHOLDS]),
+            )
+            assert report.n_frames == n
 
         # overlap 1x1 on a 2x2-vs-2x2 offset pair: count unit grid cells
         a, b = BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 2, 2)
@@ -234,7 +241,7 @@ def test_criterion_3_metric_oracles(tmp_path):
         inter = sum(1 for i, j in cells if covered(a, i, j) and covered(b, i, j))
         union = sum(1 for i, j in cells if covered(a, i, j) or covered(b, i, j))
         assert (inter, union) == (1, 7)
-        assert abs(iou(a, b) - inter / union) < 1e-12
+        assert abs(_ious(Boxes.of([a]).xywh, Boxes.of([b]).xywh)[0] - inter / union) < 1e-12
 
         # the full evaluate pipeline on predictions identical to ground truth
         boxes = [BoundingBox(3.0 * k, 2.0 * k, 24.0, 18.0) for k in range(30)]

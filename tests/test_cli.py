@@ -274,6 +274,26 @@ class TestEvaluate:
                      "--pred", str(tmp_path / "pred.txt"), "--out", str(out)]) == 0
         assert read(out).splitlines()[1].startswith("gt,100.0000")
 
+    def test_gt_file_with_pred_directory(self, tmp_path):
+        write_boxes(tmp_path / "gt.txt", BOXES)
+        write_boxes(tmp_path / "pred" / "gt.txt", SHIFTED)
+        out = tmp_path / "r.csv"
+        assert main(["evaluate", "--gt", str(tmp_path / "gt.txt"),
+                     "--pred", str(tmp_path / "pred"), "--out", str(out)]) == 0
+        names = [ln.split(",")[0] for ln in read(out).splitlines()[1:]]
+        assert names == ["gt", "mean"]
+
+    def test_gt_directory_with_pred_file_is_exit_1(self, tmp_path, capsys):
+        # Every sequence would be scored against the same prediction file.
+        write_boxes(tmp_path / "gt" / "a.txt", BOXES)
+        write_boxes(tmp_path / "gt" / "b.txt", SHIFTED)
+        write_boxes(tmp_path / "p.txt", BOXES)
+        rc = main(["evaluate", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "p.txt"),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"helm-bench: --gt is a directory, so --pred must be one too: {tmp_path / 'p.txt'}\n"
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestGains:
     def test_lqr_prints_gain_and_spectrum(self, tmp_path, capsys):

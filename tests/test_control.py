@@ -190,14 +190,6 @@ class TestSmcRefs:
         with pytest.raises(ValueError):
             smc_refs(ControllerState(), 0.0, 0.0, 0.0, 0.0, SmcGains())
 
-    def test_reset_clears_memory(self):
-        state = ControllerState()
-        smc_refs(state, 1.0, 1.0, 1.0, 0.02, SmcGains())
-        state.reset()
-        assert state.prev_u_des is None and state.udot_est == 0.0
-        refs = smc_refs(state, 2.0, 2.0, 2.0, 0.02, SmcGains())
-        assert refs == (2.0, 0.0, 2.0, 0.0, 0.0)
-
 
 class TestRiccati:
     def test_scalar_surge_closed_form(self):

@@ -14,8 +14,8 @@ from helm_bench.dynamics import (
     SeaState,
     StateDerivative,
     ThrustPair,
+    _forcing,
     derivatives,
-    disturbance_at,
     mix,
     saturate,
     step,
@@ -70,29 +70,26 @@ class TestDisturbance:
     def test_calm_sea_is_zero(self):
         state = BodyState(Pose2D(3.0, -2.0, 0.4), u=1.2, r=0.1)
         for t in (0.0, 1.0, 17.3):
-            d = disturbance_at(t, CALM, state, PARAMS)
-            assert d == Disturbance(0.0, 0.0, (0.0, 0.0))
+            assert _forcing(t, CALM, state.u, state.pose.psi, PARAMS) == (0.0, 0.0, 0.0, 0.0)
 
     def test_wave_peak_timing(self):
         sea = SeaState(wave_gain=0.5, wave_period=5.0, wave_force_amp=10.0)
-        still = BodyState()
         # quarter period: surge forcing at its sin peak
-        d = disturbance_at(1.25, sea, still, PARAMS)
-        assert d.f_surge == pytest.approx(5.0, abs=1e-12)
+        f_surge, _, _, _ = _forcing(1.25, sea, 0.0, 0.0, PARAMS)
+        assert f_surge == pytest.approx(5.0, abs=1e-12)
 
     def test_quadrature_at_t0(self):
         sea = SeaState(wave_gain=0.5, wave_period=5.0, wave_torque_amp=2.0)
-        d = disturbance_at(0.0, sea, BodyState(), PARAMS)
-        assert d.f_surge == pytest.approx(0.0, abs=1e-12)
-        assert d.tau_yaw == pytest.approx(0.5 * 2.0, abs=1e-12)  # cosine peak
+        f_surge, tau_yaw, _, _ = _forcing(0.0, sea, 0.0, 0.0, PARAMS)
+        assert f_surge == pytest.approx(0.0, abs=1e-12)
+        assert tau_yaw == pytest.approx(0.5 * 2.0, abs=1e-12)  # cosine peak
 
     def test_wind_drift_relative_to_hull(self):
         sea = SeaState(wind_velocity=(1.5, -5.0), wind_drag_coeff=2.0)
-        moving = BodyState(Pose2D(0.0, 0.0, 0.0), u=1.0, r=0.0)
-        d = disturbance_at(0.0, sea, moving, PARAMS)
+        _, _, drift_x, drift_y = _forcing(0.0, sea, 1.0, 0.0, PARAMS)  # surging at 1 m/s, heading 0
         scale = 2.0 / PARAMS.m
-        assert d.drift[0] == pytest.approx(scale * (1.5 - 1.0))
-        assert d.drift[1] == pytest.approx(scale * -5.0)
+        assert drift_x == pytest.approx(scale * (1.5 - 1.0))
+        assert drift_y == pytest.approx(scale * -5.0)
 
     def test_wave_period_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -188,12 +188,3 @@ class TestGuidanceStep:
         )
         assert cmd.e_psi > 0.0
 
-    def test_reset_clears_memory(self):
-        state = GuidanceState()
-        guidance_step(det_at(400.0), 10.0, self.CFG, CAM, state)
-        guidance_step(MISS, None, self.CFG, CAM, state)
-        state.reset()
-        fresh = GuidanceState()
-        assert state.lost_count == 0
-        assert state.last_command == fresh.last_command
-        assert state.last_seen_sign == fresh.last_seen_sign

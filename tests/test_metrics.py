@@ -31,14 +31,7 @@ from helm_bench.metrics import (
     format_boxes,
     format_curves,
     format_report,
-    iou,
     load_boxes,
-    norm_center_errors,
-    norm_precision_at,
-    op_at,
-    precision_at,
-    success_auc,
-    success_curve,
     tracking_cost,
 )
 
@@ -48,17 +41,43 @@ def random_box(rng) -> BoundingBox:
                        rng.uniform(0, 30), rng.uniform(0, 30))
 
 
+def _iou(a: BoundingBox, b: BoundingBox) -> float:
+    """metrics._ious on one-row arrays."""
+    return float(metrics._ious(Boxes.of([a]).xywh, Boxes.of([b]).xywh)[0])
+
+
+def _with_ious(percents) -> MetricReport:
+    """The report of frames whose IoU is k / 100 for each integer k in `percents`.
+
+    Each frame is a 100 x 1 ground-truth box and a k x 1 prediction sharing
+    its left edge: intersection k, union 100, both exact.
+    """
+    gt = [BoundingBox(0.0, 0.0, 100.0, 1.0)] * len(percents)
+    return evaluate_boxes(Boxes.of(gt), Boxes.of([BoundingBox(0.0, 0.0, float(k), 1.0) for k in percents]))
+
+
+def _with_center_errors(errors) -> MetricReport:
+    """The report of frames whose center error is each of `errors` px (inf: a miss).
+
+    Each prediction is a 10 x 10 ground-truth box at the origin shifted by the
+    error along x.
+    """
+    gt = [BoundingBox(0.0, 0.0, 10.0, 10.0)] * len(errors)
+    pred = [None if math.isinf(e) else BoundingBox(e, 0.0, 10.0, 10.0) for e in errors]
+    return evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
+
+
 class TestIou:
     def test_identical(self):
         b = BoundingBox(3.0, 4.0, 10.0, 5.0)
-        assert iou(b, b) == 1.0
+        assert _iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert iou(BoundingBox(0, 0, 2, 2), BoundingBox(10, 10, 2, 2)) == 0.0
+        assert _iou(BoundingBox(0, 0, 2, 2), BoundingBox(10, 10, 2, 2)) == 0.0
 
     def test_quarter_overlap(self):
         # intersection 1, union 4 + 4 - 1 = 7
-        val = iou(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 2, 2))
+        val = _iou(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 2, 2))
         assert val == pytest.approx(1.0 / 7.0, abs=1e-12)
 
     def test_integer_pixel_count_cross_check(self):
@@ -71,110 +90,131 @@ class TestIou:
         in_a = (X > a.x) & (X < a.x + a.w) & (Y > a.y) & (Y < a.y + a.h)
         in_b = (X > b.x) & (X < b.x + b.w) & (Y > b.y) & (Y < b.y + b.h)
         approx = in_a.__and__(in_b).sum() / (in_a | in_b).sum()
-        assert iou(a, b) == pytest.approx(approx, abs=1e-3)
+        assert _iou(a, b) == pytest.approx(approx, abs=1e-3)
 
     def test_zero_area_union(self):
         z = BoundingBox(0, 0, 0, 0)
-        assert iou(z, z) == 0.0
+        assert _iou(z, z) == 0.0
 
     def test_symmetry_and_range_fuzz(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             a, b = random_box(rng), random_box(rng)
-            v = iou(a, b)
-            assert v == iou(b, a)
+            v = _iou(a, b)
+            assert v == _iou(b, a)
             assert 0.0 <= v <= 1.0
 
 
 class TestSuccess:
     def test_perfect_tracker(self):
-        curve, auc = success_auc(np.ones(10))
-        assert auc == 100.0
-        assert np.all(curve == 100.0)
+        gt = Boxes.of([BoundingBox(float(k), 1.0, 10.0, 5.0) for k in range(10)])
+        rep = evaluate_boxes(gt, gt)
+        assert rep.auc == 100.0
+        assert np.all(rep.success_curve == 100.0)
 
     def test_all_zero_overlap(self):
-        _, auc = success_auc(np.zeros(10))
-        assert auc == pytest.approx(100.0 / 101.0, abs=1e-12)
+        gt = [BoundingBox(0.0, 0.0, 10.0, 10.0)] * 10
+        pred = [BoundingBox(50.0, 0.0, 10.0, 10.0)] * 10
+        rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
+        assert rep.auc == pytest.approx(100.0 / 101.0, abs=1e-12)
 
     def test_single_half_overlap(self):
-        _, auc = success_auc(np.array([0.5]))
-        assert auc == pytest.approx(51.0 / 101.0 * 100.0, abs=1e-12)
+        rep = _with_ious([50])
+        assert rep.auc == pytest.approx(51.0 / 101.0 * 100.0, abs=1e-12)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(5)
-        ious = rng.uniform(0, 1, size=777)
-        curve, auc = success_auc(ious)
+        gt = [random_box(rng) for _ in range(777)]
+        pred = [BoundingBox(g.x + rng.uniform(-10, 10), g.y + rng.uniform(-10, 10), g.w, g.h) for g in gt]
+        ious = [_ref_iou(g, p) for g, p in zip(gt, pred)]
+        rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         want = [100.0 * sum(1 for v in ious if v >= k / 100.0) / len(ious) for k in range(101)]
-        assert np.allclose(curve, want, atol=0)
-        assert auc == pytest.approx(float(np.mean(want)), abs=1e-12)
+        assert np.allclose(rep.success_curve, want, atol=0)
+        assert rep.auc == pytest.approx(float(np.mean(want)), abs=1e-12)
 
     def test_curve_non_increasing(self):
-        curve = success_curve(np.random.default_rng(1).uniform(0, 1, 200))
+        rng = np.random.default_rng(1)
+        gt = [random_box(rng) for _ in range(200)]
+        pred = [random_box(rng) for _ in range(200)]
+        curve = evaluate_boxes(Boxes.of(gt), Boxes.of(pred)).success_curve
         assert np.all(np.diff(curve) <= 0.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(EvaluationError):
-            success_auc(np.array([]))
+        with pytest.raises(EvaluationError, match="no frames with ground truth"):
+            evaluate_boxes(Boxes.of([]), Boxes.of([]))
 
 
 class TestOpAt:
     def test_examples(self):
-        assert op_at(np.array([0.6, 0.8]), 0.5) == 100.0
-        assert op_at(np.array([0.6, 0.8]), 0.75) == 50.0
-        assert op_at(np.array([0.5]), 0.5) == 100.0  # boundary counts
-        assert op_at(np.array([0.6, 0.8]), math.nan) == 0.0
+        rep = _with_ious([60, 80])
+        assert rep.op50 == 100.0
+        assert rep.op75 == 50.0
+        assert _with_ious([50]).op50 == 100.0  # boundary counts
+        assert _with_ious([75]).op75 == 100.0
+        assert _with_ious([49]).op50 == _with_ious([74]).op75 == 0.0
 
     def test_op50_dominates_op75(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            ious = rng.uniform(0, 1, size=rng.integers(1, 60))
-            assert op_at(ious, 0.5) >= op_at(ious, 0.75)
+            n = int(rng.integers(1, 60))
+            rep = evaluate_boxes(Boxes.of([random_box(rng) for _ in range(n)]),
+                                 Boxes.of([random_box(rng) for _ in range(n)]))
+            assert rep.op50 >= rep.op75
 
 
 class TestPrecision:
     def test_examples(self):
-        assert precision_at(np.zeros(5)) == 100.0
-        assert precision_at(np.array([10.0, 30.0])) == 50.0
-        assert precision_at(np.array([math.inf, 5.0])) == 50.0
-        assert precision_at(np.array([math.inf, 5.0]), math.nan) == 0.0
+        assert _with_center_errors([0.0] * 5).precision == 100.0
+        assert _with_center_errors([10.0, 30.0]).precision == 50.0
+        assert _with_center_errors([math.inf, 5.0]).precision == 50.0
 
     def test_boundary_counts(self):
-        assert precision_at(np.array([20.0])) == 100.0
+        assert _with_center_errors([20.0]).precision == 100.0
 
     def test_empty_rejected(self):
-        with pytest.raises(EvaluationError):
-            precision_at(np.array([]))
+        # Frames without ground truth are not scored, so no frame is left.
+        with pytest.raises(EvaluationError, match="no frames with ground truth"):
+            evaluate_boxes(Boxes.of([None]), Boxes.of([BoundingBox(0, 0, 5, 5)]))
 
 
 class TestNormPrecision:
     def test_perfect_centers(self):
-        gt = [BoundingBox(0, 0, 10, 10)] * 4
-        value, curve = norm_precision_at(Boxes.of(gt), Boxes.of(gt))
-        assert value == 100.0
-        assert curve.shape == (51,)
+        gt = Boxes.of([BoundingBox(0, 0, 10, 10)] * 4)
+        rep = evaluate_boxes(gt, gt)
+        assert rep.norm_precision == 100.0
+        assert rep.norm_precision_curve.shape == (51,)
 
     def test_hand_arithmetic_counts(self):
         gt = [BoundingBox(100, 100, 50, 40)]
         pred = [BoundingBox(105, 104, 50, 40)]  # center offset (5, 4)
-        errs = norm_center_errors(Boxes.of(gt), Boxes.of(pred))
-        assert errs[0] == pytest.approx(math.hypot(5 / 50, 4 / 40), abs=1e-12)
-        value, _ = norm_precision_at(Boxes.of(gt), Boxes.of(pred))
-        assert value == 100.0
+        rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
+        # e = hypot(5 / 50, 4 / 40) = 0.1414...: it passes the thresholds from 0.15 up
+        assert 0.14 < math.hypot(5 / 50, 4 / 40) <= 0.15
+        assert rep.norm_precision_curve.tolist() == [0.0] * 15 + [100.0] * 36
+        assert rep.norm_precision == 100.0
+        # offset (20, 0) on a 100 px box: e = 0.2, on the threshold, counts
+        edge = [BoundingBox(0, 0, 100, 100)], [BoundingBox(20, 0, 100, 100)]
+        assert evaluate_boxes(*map(Boxes.of, edge)).norm_precision == 100.0
 
     def test_hand_arithmetic_excluded(self):
         gt = [BoundingBox(100, 100, 50, 40)]
         pred = [BoundingBox(125, 100, 50, 40)]  # offset (25, 0): e = 0.5
-        value, _ = norm_precision_at(Boxes.of(gt), Boxes.of(pred))
-        assert value == 0.0
+        rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
+        assert rep.norm_precision == 0.0
+        assert rep.norm_precision_curve.tolist() == [0.0] * 50 + [100.0]  # e <= 0.5 only
+        near = [BoundingBox(0, 0, 100, 100)], [BoundingBox(20.5, 0, 100, 100)]  # e = 0.205
+        assert evaluate_boxes(*map(Boxes.of, near)).norm_precision == 0.0
 
     def test_degenerate_gt_rejected(self):
         gt = [BoundingBox(0, 0, 0, 10)]
         with pytest.raises(EvaluationError):
-            norm_center_errors(Boxes.of(gt), Boxes.of([BoundingBox(0, 0, 10, 10)]))
+            evaluate_boxes(Boxes.of(gt), Boxes.of([BoundingBox(0, 0, 10, 10)]))
 
     def test_missing_prediction_is_infinite(self):
-        errs = norm_center_errors(Boxes.of([BoundingBox(0, 0, 10, 10)]), Boxes.of([None]))
-        assert errs[0] == math.inf
+        rep = evaluate_boxes(Boxes.of([BoundingBox(0, 0, 10, 10)]), Boxes.of([None]))
+        # inf passes no threshold, not even the largest; the miss scores IoU 0
+        assert not rep.precision_curve.any() and not rep.norm_precision_curve.any()
+        assert rep.success_curve.tolist() == [100.0] + [0.0] * 100
 
 
 def constant_log(n=101, dt=0.02, e_psi=0.0, e_y=0.0, e_d=0.0, T1=0.0, T2=0.0):
@@ -781,7 +821,7 @@ class TestEvaluateOracle:
         for _ in range(500):
             a = BoundingBox(*rng.choice(values, 2).tolist(), *np.abs(rng.choice(values, 2)).tolist())
             b = BoundingBox(*rng.choice(values, 2).tolist(), *np.abs(rng.choice(values, 2)).tolist())
-            assert iou(a, b).hex() == _ref_iou(a, b).hex()
+            assert _iou(a, b).hex() == _ref_iou(a, b).hex()
 
 
 def _oracle_evaluate(gt_dir: Path, pred_dir: Path) -> tuple[str, str]:
