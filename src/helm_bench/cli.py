@@ -102,7 +102,10 @@ def _cmd_evaluate(args) -> int:
         raise EvaluationError(f"--gt is a directory, so --pred must be one too: {pred_dir}")
 
     gt_files = _sequence_files(gt_dir)
-    tracker_dirs = sorted(d for d in pred_dir.iterdir() if d.is_dir()) if pred_is_dir else []
+    listing = [(p, p.is_dir()) for p in pred_dir.iterdir()] if pred_is_dir else []
+    tracker_dirs = sorted(p for p, is_dir in listing if is_dir)
+    if tracker_dirs and any(p.name.endswith(".txt") for p, is_dir in listing if not is_dir):
+        raise EvaluationError(f"--pred holds both box files and tracker directories: {pred_dir}")
     truth: dict[Path, metrics.Boxes] = {}
     rows: list[tuple[str, metrics.MetricReport]] = []
     curve_rows: list[tuple[str, metrics.MetricReport]] = []

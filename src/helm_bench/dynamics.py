@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BodyState, IntegrationError, Pose2D, UsvParams, wrap_angle
+from .core import BodyState, IntegrationError, UsvParams, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -147,16 +147,22 @@ def derivatives(
 
 
 def step(
-    state: BodyState,
-    pair: ThrustPair,
+    x: float,
+    y: float,
+    psi: float,
+    u: float,
+    r: float,
+    left: float,
+    right: float,
     sea: SeaState,
     t: float,
     dt: float,
     params: UsvParams,
-) -> BodyState:
-    """Advance one fixed RK4 step.
+) -> tuple[float, float, float, float, float]:
+    """Advance the state (x, y, psi, u, r) one fixed RK4 step under thrusts (left, right).
 
-    The disturbance is evaluated once at the step start and held constant
+    psi must be wrapped onto (-pi, pi], and the returned heading is. The
+    disturbance is evaluated once at the step start and held constant
     across the four stages, keeping the step deterministic in t. The surge
     and yaw accelerations depend only on the thrust and the disturbance, so
     they are held over the step as well. Each stage's heading is wrapped
@@ -165,13 +171,11 @@ def step(
     """
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
-    pose = state.pose
-    x, y, psi, u, r = pose.x, pose.y, pose.psi, state.u, state.r
     f_surge, tau_yaw, wx, wy = _forcing(t, sea, u, psi, params)
-    du, dr = _accelerations(pair.left, pair.right, f_surge, tau_yaw, params)
+    du, dr = _accelerations(left, right, f_surge, tau_yaw, params)
     # The rates of x and y do not depend on x and y, so no stage position
     # is formed; stages 2 and 3 share their speed and rate. The stage-1
-    # heading is the pose's, which Pose2D holds wrapped already.
+    # heading is psi, wrapped already.
     h = 0.5 * dt
     u2 = u + h * du
     r2 = r + h * dr
@@ -195,4 +199,4 @@ def step(
         raise IntegrationError(f"non-finite state after step at t={t}: {[x, y, psi, u, r]}")
     u = min(max(u, -params.u_abs_cap), params.u_abs_cap)
     r = min(max(r, -params.r_abs_cap), params.r_abs_cap)
-    return BodyState(Pose2D(x, y, psi), u, r)  # Pose2D wraps psi
+    return x, y, wrap_angle(psi), u, r

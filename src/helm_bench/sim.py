@@ -22,7 +22,7 @@ from .core import (
     UsvParams,
     wrap_angle,
 )
-from .seeding import stream
+from .seeding import normal_rows, stream
 
 
 class TrajectoryKind(enum.Enum):
@@ -253,17 +253,18 @@ class RunLog:
 
     def to_csv(self) -> str:
         """Deterministic CSV: shortest round-trip float formatting."""
-        # Lazy per-column iterators: zip formats one row at a time, so no
-        # column of cell strings is held whole.
+        # Each column is read once as Python numbers; lazy per-column
+        # iterators then let zip format one row at a time, so no column of
+        # cell strings is held whole.
         cells = []
         for name in LOG_COLUMNS:
             column = getattr(self, name)
             if name == "mode":
                 cells.append(column)
             elif name == "det_valid":
-                cells.append(str(int(v)) for v in column)
+                cells.append(map(str, map(int, np.asarray(column).tolist())))
             else:
-                cells.append(map(repr, map(float, column)))
+                cells.append(map(repr, np.asarray(column, dtype=float).tolist()))
         lines = [",".join(LOG_COLUMNS)] + [",".join(row) for row in zip(*cells, strict=True)]
         if self.error is not None:
             lines.insert(0, f"# error: {self.error}")
@@ -331,9 +332,14 @@ def run_scenario(sc: Scenario) -> RunLog:
     params = sc.params
     cam = sc.camera
 
+    noise = sc.sensor_noise
     tracker_rng = stream(sc.seed, "tracker")
-    lidar_rng = stream(sc.seed, "lidar")
-    imu_rng = stream(sc.seed, "imu")
+    # Each stream is private to this run, so draws a truncated run never
+    # reaches are never seen.
+    lidar_noise = normal_rows(stream(sc.seed, "lidar"), noise.lidar_sigma, n_steps + 1)
+    imu_noise = normal_rows(
+        stream(sc.seed, "imu"), (noise.u_sigma, noise.psi_sigma, noise.r_sigma), n_steps + 1
+    )
     render_rng = stream(sc.seed, "render")
 
     gstate = guidance.GuidanceState()
@@ -357,7 +363,9 @@ def run_scenario(sc: Scenario) -> RunLog:
 
     rows: list[tuple] = []
     no_box = (math.nan,) * 4
-    state = sc.initial
+    # The plant state as floats; Pose2D holds psi wrapped, and step keeps it so.
+    init = sc.initial
+    x, y, psi, u, r = init.pose.x, init.pose.y, init.pose.psi, init.u, init.r
     det = sensors.Detection(valid=False)
     e_y = 0.0
     error: str | None = None
@@ -368,9 +376,10 @@ def run_scenario(sc: Scenario) -> RunLog:
         for k in range(n_steps + 1):
             t = k * sc.dt
             target = target_pose(sc.target, t)
-            gt_box = sensors.project_target(state.pose, target, sc.target.extent, cam)
+            pose = Pose2D(x, y, psi)
+            gt_box = sensors.project_target(pose, target, sc.target.extent, cam)
 
-            if k % sc.sensor_noise.frame_stride == 0:
+            if k % noise.frame_stride == 0:
                 if sc.tracker.kind is TrackerKind.EMULATOR:
                     det = sensors.emulate_tracker(
                         gt_box, sc.sea.visibility, sc.tracker.noise, tracker_rng, cam
@@ -386,7 +395,7 @@ def run_scenario(sc: Scenario) -> RunLog:
                     else:
                         roi = (0, 0, 0, 0)
                     frame = sensors.render_frame(
-                        state.pose,
+                        pose,
                         target,
                         sc.target.extent,
                         cam,
@@ -403,12 +412,8 @@ def run_scenario(sc: Scenario) -> RunLog:
                     else:
                         det = sensors.Detection(valid=False)
 
-            rng_range = sensors.lidar_range(
-                state.pose, target, sc.guidance_cfg.lidar_max_range, sc.sensor_noise.lidar_sigma, lidar_rng
-            )
-            meas = sensors.measure_state(
-                state, sc.sensor_noise.u_sigma, sc.sensor_noise.psi_sigma, sc.sensor_noise.r_sigma, imu_rng
-            )
+            rng_range = sensors.lidar_range(pose, target, sc.guidance_cfg.lidar_max_range, lidar_noise)
+            meas = sensors.measure_state(u, psi, r, next(imu_noise))
             cmd = guidance.guidance_step(det, rng_range, sc.guidance_cfg, cam, gstate)
             if det.valid and det.box is not None:
                 e_y = (cam.cy - det.box.center()[1]) / cam.fx
@@ -429,7 +434,7 @@ def run_scenario(sc: Scenario) -> RunLog:
             # One cell per LOG_COLUMNS entry, in RunLog field order.
             rows.append(
                 (
-                    t, state.pose.x, state.pose.y, state.pose.psi, state.u, state.r,
+                    t, x, y, psi, u, r,
                     target.x, target.y, target.psi,
                     1 if det.valid else 0, *det_cells,
                     math.nan if rng_range is None else rng_range,
@@ -440,9 +445,8 @@ def run_scenario(sc: Scenario) -> RunLog:
             )
 
             if k < n_steps:
-                pair = dynamics.ThrustPair(left, right)
                 try:
-                    state = dynamics.step(state, pair, sc.sea, t, sc.dt, params)
+                    x, y, psi, u, r = dynamics.step(x, y, psi, u, r, left, right, sc.sea, t, sc.dt, params)
                 except IntegrationError as exc:
                     error = str(exc)
                     break

@@ -294,6 +294,28 @@ class TestEvaluate:
         assert capsys.readouterr().err == f"helm-bench: --gt is a directory, so --pred must be one too: {tmp_path / 'p.txt'}\n"
         assert not (tmp_path / "r.csv").exists()
 
+    def test_pred_directory_with_box_files_and_subdirectories_is_exit_1(self, tmp_path, capsys):
+        # Scoring only the subdirectory would silently drop pred/a.txt.
+        write_boxes(tmp_path / "gt" / "a.txt", BOXES)
+        write_boxes(tmp_path / "pred" / "a.txt", BOXES)
+        write_boxes(tmp_path / "pred" / "x" / "a.txt", SHIFTED)
+        rc = main(["evaluate", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        want = f"--pred holds both box files and tracker directories: {tmp_path / 'pred'}"
+        assert capsys.readouterr().err == f"helm-bench: {want}\n"
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_tracker_directories_beside_other_files(self, tmp_path):
+        # Only box files (*.txt) next to tracker directories are an error.
+        write_boxes(tmp_path / "gt" / "a.txt", BOXES)
+        write_boxes(tmp_path / "pred" / "x" / "a.txt", BOXES)
+        (tmp_path / "pred" / "README.md").write_text("notes\n")
+        out = tmp_path / "r.csv"
+        assert main(["evaluate", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                     "--out", str(out)]) == 0
+        assert [ln.split(",")[0] for ln in read(out).splitlines()[1:]] == ["x"]
+
 
 class TestGains:
     def test_lqr_prints_gain_and_spectrum(self, tmp_path, capsys):

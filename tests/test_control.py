@@ -20,7 +20,7 @@ from helm_bench.control import (
     smc_step,
     solve_care,
 )
-from helm_bench.core import BodyState, ConfigError, Pose2D, UsvParams
+from helm_bench.core import ConfigError, UsvParams
 from helm_bench.sensors import StateMeasurement
 
 PARAMS = UsvParams()
@@ -288,15 +288,17 @@ class TestLqrStep:
 
     def test_desk_regulation_with_one_reversal_budget(self):
         gain = lqr_gain(PARAMS, LqrWeights())
-        state = BodyState(Pose2D(0.0, 0.0, 0.5), u=0.0, r=0.0)
+        x, y, psi, u, r = 0.0, 0.0, 0.5, 0.0, 0.0
         dt = 0.02
         errors = []
         for k in range(int(15.0 / dt)):
-            m = meas(u=state.u, psi=state.pose.psi, r=state.r)
+            m = meas(u=u, psi=psi, r=r)
             out = lqr_step(gain, m, refs=(0.0, 0.0))
             pair = dynamics.saturate(dynamics.mix(out), PARAMS)
-            state = dynamics.step(state, pair, dynamics.CALM, k * dt, dt, PARAMS)
-            errors.append(state.pose.psi)
+            x, y, psi, u, r = dynamics.step(
+                x, y, psi, u, r, pair.left, pair.right, dynamics.CALM, k * dt, dt, PARAMS
+            )
+            errors.append(psi)
         assert abs(errors[-1]) < 0.01
         signs = [e for e in errors if abs(e) > 1e-3]  # ignore the settled tail
         reversals = sum(

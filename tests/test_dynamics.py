@@ -150,37 +150,37 @@ class TestDerivatives:
 
 class TestStep:
     def test_constant_velocity_exact(self):
-        state = BodyState(Pose2D(0, 0, 0), u=1.0, r=0.0)
+        x, y, psi, u, r = 0.0, 0.0, 0.0, 1.0, 0.0
         for k in range(100):
-            state = step(state, ThrustPair(0, 0), CALM, k * 0.02, 0.02, PARAMS)
-        assert state.pose.x == pytest.approx(2.0, abs=1e-9)
-        assert state.pose.y == pytest.approx(0.0, abs=1e-12)
-        assert state.u == 1.0 and state.r == 0.0
+            x, y, psi, u, r = step(x, y, psi, u, r, 0.0, 0.0, CALM, k * 0.02, 0.02, PARAMS)
+        assert x == pytest.approx(2.0, abs=1e-9)
+        assert y == pytest.approx(0.0, abs=1e-12)
+        assert u == 1.0 and r == 0.0
 
     def test_constant_thrust_ramp(self):
-        state = BodyState()
+        state = (0.0,) * 5
         for k in range(50):
-            state = step(state, ThrustPair(10.0, 10.0), CALM, k * 0.02, 0.02, PARAMS)
-        assert state.u == pytest.approx(1.0, abs=1e-6)
+            state = step(*state, 10.0, 10.0, CALM, k * 0.02, 0.02, PARAMS)
+        assert state[3] == pytest.approx(1.0, abs=1e-6)
 
     def test_constant_couple_double_integrator(self):
         # (-1, 1): rdot = (2 * 0.4) / 3.2 = 0.25 rad/s^2, below the cap
-        state = BodyState()
+        x, y, psi, u, r = (0.0,) * 5
         for k in range(100):
-            state = step(state, ThrustPair(-1.0, 1.0), CALM, k * 0.02, 0.02, PARAMS)
-        assert state.r == pytest.approx(0.25 * 2.0, abs=1e-6)
-        assert state.pose.psi == pytest.approx(0.5 * 0.25 * 2.0**2, abs=1e-6)
+            x, y, psi, u, r = step(x, y, psi, u, r, -1.0, 1.0, CALM, k * 0.02, 0.02, PARAMS)
+        assert r == pytest.approx(0.25 * 2.0, abs=1e-6)
+        assert psi == pytest.approx(0.5 * 0.25 * 2.0**2, abs=1e-6)
 
     def test_coasting_turn_is_a_circle(self):
         u, r = 1.0, 0.5
         radius = u / abs(r)
         center = (0.0, radius)  # start at origin heading +x, turning CCW
-        state = BodyState(Pose2D(0, 0, 0), u=u, r=r)
+        x, y, psi = 0.0, 0.0, 0.0
         steps = int(round((2.0 * math.pi / abs(r)) / 0.02))
         worst = 0.0
         for k in range(steps):
-            state = step(state, ThrustPair(0, 0), CALM, k * 0.02, 0.02, PARAMS)
-            dev = abs(math.hypot(state.pose.x - center[0], state.pose.y - center[1]) - radius)
+            x, y, psi, u, r = step(x, y, psi, u, r, 0.0, 0.0, CALM, k * 0.02, 0.02, PARAMS)
+            dev = abs(math.hypot(x - center[0], y - center[1]) - radius)
             worst = max(worst, dev)
         assert worst < 1e-6 * radius
 
@@ -188,50 +188,47 @@ class TestStep:
         # global error vs. the analytic circle must drop by >= 8x when dt halves
         def final_error(dt: float) -> float:
             u, r = 1.0, 0.5
-            state = BodyState(Pose2D(0, 0, 0), u=u, r=r)
+            state = (0.0, 0.0, 0.0, u, r)
             n = int(round(2.0 / dt))
             for k in range(n):
-                state = step(state, ThrustPair(0, 0), CALM, k * dt, dt, PARAMS)
+                state = step(*state, 0.0, 0.0, CALM, k * dt, dt, PARAMS)
             t = n * dt
             x = (u / r) * math.sin(r * t)
             y = (u / r) * (1.0 - math.cos(r * t))
-            return math.hypot(state.pose.x - x, state.pose.y - y)
+            return math.hypot(state[0] - x, state[1] - y)
 
         e1 = final_error(0.08)
         e2 = final_error(0.04)
         assert e1 / e2 >= 8.0
 
     def test_heading_rewrapped(self):
-        state = BodyState(Pose2D(0, 0, math.pi - 0.001), u=0.0, r=1.0)
-        nxt = step(state, ThrustPair(0, 0), CALM, 0.0, 0.02, PARAMS)
-        assert -math.pi < nxt.pose.psi <= math.pi
-        assert nxt.pose.psi < 0.0  # crossed the branch cut
+        _, _, psi, _, _ = step(0.0, 0.0, math.pi - 0.001, 0.0, 1.0, 0.0, 0.0, CALM, 0.0, 0.02, PARAMS)
+        assert -math.pi < psi <= math.pi
+        assert psi < 0.0  # crossed the branch cut
 
     def test_velocity_caps_enforced(self):
-        state = BodyState(Pose2D(0, 0, 0), u=4.999, r=1.999)
+        x, y, psi, u, r = 0.0, 0.0, 0.0, 4.999, 1.999
         for k in range(200):
-            state = step(state, ThrustPair(0.0, 100.0), CALM, k * 0.02, 0.02, PARAMS)
-            assert abs(state.u) <= PARAMS.u_abs_cap
-            assert abs(state.r) <= PARAMS.r_abs_cap
-        assert state.u == PARAMS.u_abs_cap
-        assert state.r == PARAMS.r_abs_cap
+            x, y, psi, u, r = step(x, y, psi, u, r, 0.0, 100.0, CALM, k * 0.02, 0.02, PARAMS)
+            assert abs(u) <= PARAMS.u_abs_cap
+            assert abs(r) <= PARAMS.r_abs_cap
+        assert u == PARAMS.u_abs_cap
+        assert r == PARAMS.r_abs_cap
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, 0.11])
     def test_dt_domain(self, dt):
         with pytest.raises(ValueError):
-            step(BodyState(), ThrustPair(0, 0), CALM, 0.0, dt, PARAMS)
+            step(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, CALM, 0.0, dt, PARAMS)
 
     def test_non_finite_state_diagnosed(self):
-        bad = BodyState(Pose2D(0, 0, 0), u=math.inf, r=0.0)
         with pytest.raises(IntegrationError):
-            step(bad, ThrustPair(0, 0), CALM, 0.0, 0.02, PARAMS)
+            step(0.0, 0.0, 0.0, math.inf, 0.0, 0.0, 0.0, CALM, 0.0, 0.02, PARAMS)
 
     @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
     def test_non_finite_stage_heading_diagnosed(self, r):
         # the stage headings go non-finite before the result does
-        bad = BodyState(Pose2D(0, 0, 0), u=0.0, r=r)
         with pytest.raises(IntegrationError, match="non-finite heading"):
-            step(bad, ThrustPair(0, 0), CALM, 0.0, 0.02, PARAMS)
+            step(0.0, 0.0, 0.0, 0.0, r, 0.0, 0.0, CALM, 0.0, 0.02, PARAMS)
 
 
 # --- oracle: the dataclass RK4 that step() replaced, kept verbatim -------
@@ -354,10 +351,11 @@ class TestStepOracle:
         _PARAMS,
     )
     def test_bit_identical_to_dataclass_rk4(self, x, y, psi, u, r, left, right, sea, t, dt, params):
-        state = BodyState(Pose2D(x, y, psi), u, r)
+        state = BodyState(Pose2D(x, y, psi), u, r)  # wraps psi, as step requires
         pair = ThrustPair(left, right)
         want = _ref_step(state, pair, sea, t, dt, params)
-        assert _bits(step(state, pair, sea, t, dt, params)) == _bits(want)
+        got = step(x, y, state.pose.psi, u, r, left, right, sea, t, dt, params)
+        assert [v.hex() for v in got] == _bits(want)
 
     @given(_COMMANDS, _COMMANDS, _PARAMS)
     def test_thrust_forces_is_saturated_mix(self, t1, t2, params):

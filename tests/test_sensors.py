@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helm_bench.core import BodyState, BoundingBox, CameraIntrinsics, ConfigError, Pose2D
-from helm_bench.seeding import stream
+from helm_bench.core import BoundingBox, CameraIntrinsics, ConfigError, Pose2D
+from helm_bench.seeding import normal_rows, stream
 from helm_bench.sensors import (
     NOISE_TILE,
     Detection,
@@ -24,6 +24,7 @@ from helm_bench.sensors import (
     render_frame,
     zncc_scores,
 )
+from helm_bench.sim import SensorNoise
 
 CAM = CameraIntrinsics()
 
@@ -137,6 +138,39 @@ class TestEmulateTracker:
             TrackerNoiseConfig(sigma_center_px=-1.0)
         with pytest.raises(ConfigError):
             TrackerNoiseConfig(p_drop_base=1.0)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrackerNoiseConfig(2.0, 0.05, 0.05),
+            TrackerNoiseConfig(20.0, 0.0, 0.3),
+            TrackerNoiseConfig(0.0, 0.0, 0.0),
+        ],
+    )
+    def test_same_detections_as_uniform_and_normal_draws(self, cfg):
+        # the emulator's draws, as rng.uniform() and rng.normal(0.0, s) calls
+        def reference(truth, visibility, rng):
+            if rng.uniform() < 1.0 - (1.0 - cfg.p_drop_base) * visibility:
+                return Detection(valid=False)
+            cx, cy = truth.center()
+            sigma_c = cfg.sigma_center_px / visibility
+            cx += rng.normal(0.0, sigma_c)
+            cy += rng.normal(0.0, sigma_c)
+            scale = max(1.0 + rng.normal(0.0, cfg.sigma_scale), 0.0)
+            box = BoundingBox(cx - truth.w * scale / 2.0, cy - truth.h * scale / 2.0,
+                              truth.w * scale, truth.h * scale)
+            return Detection(valid=True, box=box, score=1.0) if CAM.sees(box) else Detection(valid=False)
+
+        edge = BoundingBox(0.0, 190.0, 4.0, 100.0)
+        rng, draws = stream(11, "t"), stream(11, "t")
+        for k in range(3000):
+            truth, visibility = (self.TRUTH, 0.6) if k % 3 else (edge, 1.0)
+            got = emulate_tracker(truth, visibility, cfg, rng, CAM)
+            want = reference(truth, visibility, draws)
+            assert got.valid == want.valid
+            if got.valid:
+                bits = [[v.hex() for v in vars(d.box).values()] for d in (got, want)]
+                assert bits[0] == bits[1]
 
     def test_center_off_image_is_a_miss(self):
         # a box at the left edge with 20 px jitter lands off the image often
@@ -591,59 +625,73 @@ class TestTrackerWindow:
 
 class TestLidar:
     def test_in_range_noiseless(self):
-        r = lidar_range(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 20.0, 0.0, stream(0, "l"))
+        r = lidar_range(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 20.0, normal_rows(stream(0, "l"), 0.0, 1))
         assert r == pytest.approx(10.0)
 
     def test_beyond_range(self):
-        assert lidar_range(Pose2D(0, 0, 0), Pose2D(25, 0, 0), 20.0, 0.0, stream(0, "l")) is None
+        # out of range takes no value: an empty noise source is never read
+        assert lidar_range(Pose2D(0, 0, 0), Pose2D(25, 0, 0), 20.0, iter(())) is None
 
     def test_monte_carlo_unbiased(self):
-        rng = stream(6, "l")
+        noise = normal_rows(stream(6, "l"), 0.1, 10_000)
         samples = [
-            lidar_range(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 20.0, 0.1, rng)
+            lidar_range(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 20.0, noise)
             for _ in range(10_000)
         ]
         assert 9.99 < float(np.mean(samples)) < 10.01
 
     def test_never_negative(self):
-        rng = stream(6, "l")
+        noise = normal_rows(stream(6, "l"), 5.0, 500)
         for _ in range(500):
-            r = lidar_range(Pose2D(0, 0, 0), Pose2D(0.01, 0, 0), 20.0, 5.0, rng)
+            r = lidar_range(Pose2D(0, 0, 0), Pose2D(0.01, 0, 0), 20.0, noise)
             assert r >= 0.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            lidar_range(Pose2D(0, 0, 0), Pose2D(1, 0, 0), 0.0, 0.1, stream(0, "l"))
+            lidar_range(Pose2D(0, 0, 0), Pose2D(1, 0, 0), 0.0, normal_rows(stream(0, "l"), 0.1, 1))
+        # a negative sigma is rejected where the scenario sets it, and where it is drawn
         with pytest.raises(ConfigError):
-            lidar_range(Pose2D(0, 0, 0), Pose2D(1, 0, 0), 10.0, -0.1, stream(0, "l"))
+            SensorNoise(lidar_sigma=-0.1)
+        with pytest.raises(ValueError):
+            next(normal_rows(stream(0, "l"), -0.1, 1))
+
+    def test_one_draw_per_in_range_call(self):
+        # each in-range value is d + rng.normal(0.0, sigma); out of range draws nothing
+        noise, draws = normal_rows(stream(8, "l"), 0.3, 40), stream(8, "l")
+        for k in range(40):
+            d = 5.0 + k
+            got = lidar_range(Pose2D(0, 0, 0), Pose2D(d, 0, 0), 30.0, noise)
+            want = None if d > 30.0 else max(d + draws.normal(0.0, 0.3), 0.0)
+            assert got == want
 
 
 class TestMeasureState:
-    TRUTH = BodyState(Pose2D(1.0, 2.0, 0.7), u=1.2, r=-0.3)
-
     def test_noiseless_equals_truth(self):
-        m = measure_state(self.TRUTH, 0.0, 0.0, 0.0, stream(0, "m"))
+        m = measure_state(1.2, 0.7, -0.3, next(normal_rows(stream(0, "m"), (0.0, 0.0, 0.0), 1)))
         assert (m.u, m.psi, m.r) == (1.2, 0.7, -0.3)
 
     def test_heading_rewrapped(self):
-        truth = BodyState(Pose2D(0, 0, math.pi), u=0.0, r=0.0)
-        rng = stream(9, "m")
-        for _ in range(200):
-            m = measure_state(truth, 0.0, 0.01, 0.0, rng)
+        for noise in normal_rows(stream(9, "m"), (0.0, 0.01, 0.0), 200):
+            m = measure_state(0.0, math.pi, 0.0, noise)
             assert -math.pi < m.psi <= math.pi
 
     def test_monte_carlo_std(self):
-        rng = stream(13, "m")
-        us = [measure_state(self.TRUTH, 0.05, 0.0, 0.0, rng).u for _ in range(10_000)]
+        rows = normal_rows(stream(13, "m"), (0.05, 0.0, 0.0), 10_000)
+        us = [measure_state(1.2, 0.7, -0.3, noise).u for noise in rows]
         assert 0.045 < float(np.std(us)) < 0.055
 
     def test_stream_alignment_across_sigma_configs(self):
-        # three normals are always consumed, so later draws stay aligned
+        # a row holds three normals whatever the sigmas, so later draws stay aligned
         rng_a, rng_b = stream(4, "m"), stream(4, "m")
-        measure_state(self.TRUTH, 0.0, 0.0, 0.0, rng_a)
-        measure_state(self.TRUTH, 0.1, 0.2, 0.3, rng_b)
+        list(normal_rows(rng_a, (0.0, 0.0, 0.0), 3))
+        list(normal_rows(rng_b, (0.1, 0.2, 0.3), 3))
         assert rng_a.normal() == rng_b.normal()
 
     def test_sigma_validation(self):
-        with pytest.raises(ConfigError):
-            measure_state(self.TRUTH, -0.1, 0.0, 0.0, stream(0, "m"))
+        # a negative sigma is rejected where the scenario sets it, and where it is drawn
+        names = ("u_sigma", "psi_sigma", "r_sigma")
+        for name in names:
+            with pytest.raises(ConfigError):
+                SensorNoise(**{name: -0.1})
+            with pytest.raises(ValueError):
+                next(normal_rows(stream(0, "m"), [-0.1 if n == name else 0.0 for n in names], 1))
