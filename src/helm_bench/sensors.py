@@ -177,7 +177,8 @@ def _add_tile_noise(frame: np.ndarray, roi: Roi, width: int, frame_key: int, sig
 
     One bit generator serves every tile: resetting its state is cheaper than
     building a new one. A tile draws its normals in row-major order and
-    stops after the last row the region needs.
+    stops after the last row the region needs. The crops of the tiles fill
+    one region-sized array, which is scaled and added once.
     """
     y0, y1, x0, x1 = roi
     tile = NOISE_TILE
@@ -186,9 +187,11 @@ def _add_tile_noise(frame: np.ndarray, roi: Roi, width: int, frame_key: int, sig
     normals = np.random.Generator(bits)
     state = bits.state
     counter = state["state"]["counter"]
+    noise = np.empty_like(frame)
     for ty in range(y0 // tile, (y1 - 1) // tile + 1):
         r0 = max(y0 - ty * tile, 0)
         r1 = min(y1 - ty * tile, tile)
+        fy = ty * tile + r0 - y0
         for tx in range(x0 // tile, (x1 - 1) // tile + 1):
             c0 = max(x0 - tx * tile, 0)
             c1 = min(x1 - tx * tile, tile)
@@ -197,21 +200,33 @@ def _add_tile_noise(frame: np.ndarray, roi: Roi, width: int, frame_key: int, sig
             counter[3] = ty * tiles_per_row + tx
             bits.state = state
             z = normals.standard_normal(r1 * tile).reshape(r1, tile)
-            fy = ty * tile + r0 - y0
             fx = tx * tile + c0 - x0
-            frame[fy : fy + r1 - r0, fx : fx + c1 - c0] += sigma * z[r0:r1, c0:c1]
+            noise[fy : fy + r1 - r0, fx : fx + c1 - c0] = z[r0:r1, c0:c1]
+    noise *= sigma
+    frame += noise
 
 
 def _box_sums(a: np.ndarray, h: int, w: int) -> np.ndarray:
     """Sum of every h x w box of a, indexed by its top-left corner.
 
     Read from a summed-area table in O(a.size) (J.P. Lewis, "Fast
-    Normalized Cross-Correlation", Vision Interface 1995).
+    Normalized Cross-Correlation", Vision Interface 1995). The corners read
+    only the table rows 0..p-1 and h..H, for p placements down a column of
+    an H-row a. When those bands are disjoint (a template taller than half
+    of a), the cumulative sums along the rows are taken over them alone.
     """
-    table = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    rows = a.shape[0]
+    p = rows - h + 1
+    table = np.zeros((rows + 1, a.shape[1] + 1))
     np.cumsum(a, axis=0, out=table[1:, 1:])
-    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
-    return table[h:, w:] - table[:-h, w:] - table[h:, :-w] + table[:-h, :-w]
+    if p <= h:
+        top, bottom = table[:p], table[h:]
+        np.cumsum(top[1:, 1:], axis=1, out=top[1:, 1:])
+        np.cumsum(bottom[:, 1:], axis=1, out=bottom[:, 1:])
+    else:
+        np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+        top, bottom = table[:-h], table[h:]
+    return bottom[:, w:] - top[:, w:] - bottom[:, :-w] + top[:, :-w]
 
 
 def _fast_len(n: int) -> int:
@@ -260,7 +275,9 @@ def zncc_scores(
     The cross term is a circular correlation by FFT (Lewis 1995), padded on
     each axis to the smallest 5-smooth size at least the window's side: no
     valid placement wraps, and pocketfft is slow on sizes with large prime
-    factors. The window sums come from summed-area tables.
+    factors. The window sums come from summed-area tables. Only the rows of
+    the inverse transform and of the tables that a placement reads are
+    finished; each value kept is bit for bit that of the whole transform.
     """
     th, tw = template.shape
     wh, ww = window.shape
@@ -275,7 +292,9 @@ def zncc_scores(
     shifted = window - window[0, 0]
     shape = (_fast_len(wh), _fast_len(ww))
     product = np.fft.rfft2(shifted, s=shape) * cache.spectrum(shape)
-    cross = np.fft.irfft2(product, s=shape)[: wh - th + 1, : ww - tw + 1]
+    # irfft2's two passes, the second only over the rows a placement reads.
+    columns = np.fft.ifft(product, axis=0)
+    cross = np.fft.irfft(columns[: wh - th + 1], n=shape[1], axis=1)[:, : ww - tw + 1]
     sums = _box_sums(shifted, th, tw)
     sq_sums = _box_sums(shifted * shifted, th, tw)
     w_energy = np.maximum(sq_sums - sums * sums / (th * tw), 0.0)

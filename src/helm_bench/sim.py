@@ -333,14 +333,16 @@ def run_scenario(sc: Scenario) -> RunLog:
     cam = sc.camera
 
     noise = sc.sensor_noise
-    tracker_rng = stream(sc.seed, "tracker")
-    # Each stream is private to this run, so draws a truncated run never
-    # reaches are never seen.
+    # Each stream is private to this run and keyed by its label, so draws a
+    # truncated run never reaches are never seen, and a stream the tracker
+    # kind never draws from need not be built.
+    emulated = sc.tracker.kind is TrackerKind.EMULATOR
+    tracker_rng = stream(sc.seed, "tracker") if emulated else None
+    render_rng = None if emulated else stream(sc.seed, "render")
     lidar_noise = normal_rows(stream(sc.seed, "lidar"), noise.lidar_sigma, n_steps + 1)
     imu_noise = normal_rows(
         stream(sc.seed, "imu"), (noise.u_sigma, noise.psi_sigma, noise.r_sigma), n_steps + 1
     )
-    render_rng = stream(sc.seed, "render")
 
     gstate = guidance.GuidanceState()
     law = sc.controller
@@ -352,13 +354,13 @@ def run_scenario(sc: Scenario) -> RunLog:
         except NumericalError as exc:
             return RunLog(**_columns([]), error=f"no LQR gain: {exc}")
     ncc = (
-        sensors.NccTracker(
+        None
+        if emulated
+        else sensors.NccTracker(
             peak_threshold=sc.tracker.ncc_peak_threshold,
             search_halfwidth=sc.tracker.ncc_search_halfwidth,
             context_margin=sc.tracker.ncc_context_margin,
         )
-        if sc.tracker.kind is TrackerKind.NCC
-        else None
     )
 
     rows: list[tuple] = []
@@ -380,7 +382,7 @@ def run_scenario(sc: Scenario) -> RunLog:
             gt_box = sensors.project_target(pose, target, sc.target.extent, cam)
 
             if k % noise.frame_stride == 0:
-                if sc.tracker.kind is TrackerKind.EMULATOR:
+                if emulated:
                     det = sensors.emulate_tracker(
                         gt_box, sc.sea.visibility, sc.tracker.noise, tracker_rng, cam
                     )

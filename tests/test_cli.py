@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helm_bench import control
 from helm_bench.cli import main
 from helm_bench.core import BoundingBox
 from helm_bench.metrics import REPORT_COLUMNS, Boxes, format_boxes, load_boxes
@@ -338,6 +339,23 @@ class TestGains:
         assert main(["gains", "--scenario", str(ini2)]) == 0
         out2 = capsys.readouterr().out
         assert "eta_u=9" in out2.replace(" ", "")
+
+    def test_lqr_print_is_pinned(self, capsys):
+        ini = Path(__file__).resolve().parent.parent / "scenarios" / "calm_line.ini"
+        want = (
+            "K =\n"
+            "  [+8.944271910, +0.000000000, +0.000000000]\n"
+            "  [+0.000000000, +22.360679775, +21.395580768]\n"
+            "P =\n"
+            "  [+8.944271910, +0.000000000, +0.000000000]\n"
+            "  [+0.000000000, +23.920986508, +8.944271910]\n"
+            "  [+0.000000000, +8.944271910, +8.558232307]\n"
+            "closed-loop eigenvalues: -1.337224+1.003453j, -1.337224-1.003453j, -0.447214+0.000000j\n"
+        )
+        control._GAINS.clear()
+        for _ in range(2):  # a fresh solve, then the kept gain
+            assert main(["gains", "--scenario", str(ini), "--lqr"]) == 0
+            assert capsys.readouterr().out == want
 
     def test_lqr_flag_forces_riccati_print(self, tmp_path, capsys):
         ini = tmp_path / "pid.ini"

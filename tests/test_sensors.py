@@ -13,7 +13,10 @@ from helm_bench.sensors import (
     NOISE_TILE,
     Detection,
     NccTracker,
+    Roi,
+    TemplateCache,
     TrackerNoiseConfig,
+    _add_tile_noise,
     _box_sums,
     _fast_len,
     emulate_tracker,
@@ -300,6 +303,91 @@ class TestRenderRoi:
             render_frame(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), roi=roi)
 
 
+# The tile noise, box sums and ZNCC scores as first written, before each
+# was cut down to the work whose results are read: every value the current
+# code returns must equal these bit for bit.
+
+
+def _ref_add_tile_noise(frame: np.ndarray, roi: Roi, width: int, frame_key: int, sigma: float) -> None:
+    """Add sigma-scaled normals to the roi region of a frame width pixels wide.
+
+    One bit generator serves every tile: resetting its state is cheaper than
+    building a new one. A tile draws its normals in row-major order and
+    stops after the last row the region needs.
+    """
+    y0, y1, x0, x1 = roi
+    tile = NOISE_TILE
+    tiles_per_row = -(-width // tile)
+    bits = np.random.Philox(key=frame_key)
+    normals = np.random.Generator(bits)
+    state = bits.state
+    counter = state["state"]["counter"]
+    for ty in range(y0 // tile, (y1 - 1) // tile + 1):
+        r0 = max(y0 - ty * tile, 0)
+        r1 = min(y1 - ty * tile, tile)
+        for tx in range(x0 // tile, (x1 - 1) // tile + 1):
+            c0 = max(x0 - tx * tile, 0)
+            c1 = min(x1 - tx * tile, tile)
+            # The tile index sits in the counter's top word, so the blocks
+            # of one tile never reach those of the next.
+            counter[3] = ty * tiles_per_row + tx
+            bits.state = state
+            z = normals.standard_normal(r1 * tile).reshape(r1, tile)
+            fy = ty * tile + r0 - y0
+            fx = tx * tile + c0 - x0
+            frame[fy : fy + r1 - r0, fx : fx + c1 - c0] += sigma * z[r0:r1, c0:c1]
+
+
+def _ref_box_sums(a: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Sum of every h x w box of a, indexed by its top-left corner.
+
+    Read from a summed-area table in O(a.size) (J.P. Lewis, "Fast
+    Normalized Cross-Correlation", Vision Interface 1995).
+    """
+    table = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    np.cumsum(a, axis=0, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+    return table[h:, w:] - table[:-h, w:] - table[h:, :-w] + table[:-h, :-w]
+
+
+def _ref_zncc_scores(
+    window: np.ndarray, template: np.ndarray, cache: TemplateCache | None = None
+) -> np.ndarray:
+    """Zero-normalized cross-correlation of template over every placement.
+
+    Returns an array of scores indexed by the template's top-left corner
+    within the window; placements with a flat patch score 0. Raises
+    ValueError on a zero-variance template or a window smaller than it.
+    cache, if given, must have been built from template.
+
+    The cross term is a circular correlation by FFT (Lewis 1995), padded on
+    each axis to the smallest 5-smooth size at least the window's side: no
+    valid placement wraps, and pocketfft is slow on sizes with large prime
+    factors. The window sums come from summed-area tables.
+    """
+    th, tw = template.shape
+    wh, ww = window.shape
+    if wh < th or ww < tw:
+        raise ValueError("window smaller than the template")
+    if cache is None:
+        cache = TemplateCache(template)
+    if cache.energy <= 0.0:
+        raise ValueError("degenerate template with zero variance")
+    # ZNCC ignores an offset of the window. Subtracting one of its pixels
+    # keeps the sums small, and makes a flat window exactly zero.
+    shifted = window - window[0, 0]
+    shape = (_fast_len(wh), _fast_len(ww))
+    product = np.fft.rfft2(shifted, s=shape) * cache.spectrum(shape)
+    cross = np.fft.irfft2(product, s=shape)[: wh - th + 1, : ww - tw + 1]
+    sums = _ref_box_sums(shifted, th, tw)
+    sq_sums = _ref_box_sums(shifted * shifted, th, tw)
+    w_energy = np.maximum(sq_sums - sums * sums / (th * tw), 0.0)
+    denom = np.sqrt(w_energy * cache.energy)
+    scores = np.zeros_like(cross)
+    np.divide(cross, denom, out=scores, where=denom > 0.0)
+    return scores
+
+
 def einsum_zncc(window, template):
     """Reference ZNCC: every patch sum by einsum over the sliding windows."""
     th, tw = template.shape
@@ -327,8 +415,8 @@ def einsum_cross_zncc(window, template, cache=None):
     shifted = window - window[0, 0]
     patches = np.lib.stride_tricks.sliding_window_view(shifted, (th, tw))
     cross = np.einsum("ijkl,kl->ij", patches, t0)
-    sums = _box_sums(shifted, th, tw)
-    sq_sums = _box_sums(shifted * shifted, th, tw)
+    sums = _ref_box_sums(shifted, th, tw)
+    sq_sums = _ref_box_sums(shifted * shifted, th, tw)
     w_energy = np.maximum(sq_sums - sums * sums / (th * tw), 0.0)
     denom = np.sqrt(w_energy * float(np.sum(t0 * t0)))
     scores = np.zeros_like(cross)
@@ -440,6 +528,110 @@ class TestZnccScores:
         template[0, 0] = 1.0
         scores = zncc_scores(np.full((4, 4), 0.7), template)
         assert scores[0, 0] == 0.0
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+def _box_side(draw, n):
+    """A side from 1 to n for a box in an n-long window, often a branch edge."""
+    edges = [1, n, n // 2, n // 2 + 1, (n + 1) // 2]
+    return draw(st.one_of(st.integers(1, n), st.sampled_from([e for e in edges if 1 <= e <= n])))
+
+
+_SIDES = st.one_of(st.integers(1, 70), st.sampled_from(_PRIMES))
+
+
+@st.composite
+def box_sum_cases(draw):
+    rows, cols = draw(_SIDES), draw(_SIDES)
+    h, w = _box_side(draw, rows), _box_side(draw, cols)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return scale * rng.standard_normal((rows, cols)) + draw(st.sampled_from([0.0, 0.3, 7.0])), h, w
+
+
+@st.composite
+def window_template_cases(draw):
+    """Templates down to one row or column, up to the window; prime window sides."""
+    wh, ww = draw(_SIDES), draw(_SIDES)
+    th, tw = _box_side(draw, wh), _box_side(draw, ww)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    template = rng.random((th, tw))
+    kind = draw(st.sampled_from(["noise", "flat", "embedded"]))
+    if kind == "flat":
+        window = np.full((wh, ww), draw(st.sampled_from([0.0, 0.3, 0.123456789])))
+    else:
+        window = np.clip(0.3 + 0.05 * rng.standard_normal((wh, ww)), 0.0, 1.0)
+    if kind == "embedded":
+        y, x = int(rng.integers(0, wh - th + 1)), int(rng.integers(0, ww - tw + 1))
+        window[y : y + th, x : x + tw] = 0.25 + 0.5 * template
+    return window, template
+
+
+def _scores_or_error(scores, window, template):
+    try:
+        return _bits(scores(window, template))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestBitIdentity:
+    """The cut-down tile noise, box sums and ZNCC equal the first versions bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(box_sum_cases())
+    def test_box_sums(self, case):
+        a, h, w = case
+        assert _bits(_box_sums(a, h, w)) == _bits(_ref_box_sums(a, h, w))
+
+    @pytest.mark.parametrize(
+        "rows, h",
+        [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (114, 57), (114, 58), (115, 58), (130, 114), (131, 114), (7, 7)],
+    )
+    def test_box_sums_either_side_of_the_band_split(self, rows, h):
+        # p = rows - h + 1 placements: the row bands split off when p <= h,
+        # so (4, 2) and (114, 57) build the whole table, (4, 3) and (114, 58) do not.
+        a = stream(rows * 1000 + h, "boxes").standard_normal((rows, 37))
+        for w in (1, 5, 37):
+            assert _bits(_box_sums(a, h, w)) == _bits(_ref_box_sums(a, h, w))
+
+    @settings(max_examples=400, deadline=None)
+    @given(window_template_cases())
+    def test_zncc_scores(self, case):
+        window, template = case
+        got = _scores_or_error(zncc_scores, window, template)
+        assert got == _scores_or_error(_ref_zncc_scores, window, template)
+        if not isinstance(got, str):
+            cache = TemplateCache(template)
+            for _ in range(2):  # a fresh spectrum, then the kept one
+                assert _bits(zncc_scores(window, template, cache)) == got
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zncc_scores_at_the_ncc_standoff_size(self, seed):
+        rng = stream(seed, "zncc-bits")
+        template = rng.random((114, 114))
+        window = np.clip(0.3 + 0.05 * rng.standard_normal((130, 130)), 0.0, 1.0)
+        window[7:121, 9:123] = 0.25 + 0.5 * template
+        assert _bits(zncc_scores(window, template)) == _bits(_ref_zncc_scores(window, template))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([1, 31, 32, 33, 97, 100, 640]),
+        st.sampled_from([1, 31, 32, 33, 70, 480]),
+        st.data(),
+        st.sampled_from([0.01, 0.05, 0.3]),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_tile_noise(self, width, height, data, sigma, key):
+        y0, y1 = data.draw(spans(height))
+        x0, x1 = data.draw(spans(width))
+        base = stream(key % 1000, "base").random((y1 - y0, x1 - x0))
+        got, want = base.copy(), base.copy()
+        _add_tile_noise(got, (y0, y1, x0, x1), width, key, sigma)
+        _ref_add_tile_noise(want, (y0, y1, x0, x1), width, key, sigma)
+        assert _bits(got) == _bits(want)
 
 
 def brute_force_ncc(frame, template, center, halfwidth, threshold=0.2):

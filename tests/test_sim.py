@@ -236,6 +236,28 @@ class TestRunScenario:
             Scenario(duration=1e7, dt=0.001)  # too many steps
 
 
+class TestStreams:
+    """run_scenario builds only the streams its tracker kind draws from."""
+
+    @pytest.mark.parametrize(
+        "ini, labels",
+        [("calm_line.ini", ["tracker", "lidar", "imu"]), ("ncc_standoff.ini", ["render", "lidar", "imu"])],
+    )
+    def test_labels_built_per_tracker_kind(self, monkeypatch, ini, labels):
+        sc = dataclasses.replace(load_scenario(SCENARIOS / ini), duration=0.2)
+        want = run_scenario(sc).to_csv()
+        built = []
+        stream = sim.stream
+
+        def recording(seed, label):
+            built.append(label)
+            return stream(seed, label)
+
+        monkeypatch.setattr(sim, "stream", recording)
+        assert run_scenario(sc).to_csv() == want
+        assert built == labels
+
+
 class TestNccRegionRender:
     """run_scenario renders only the region the NCC tracker reads."""
 
