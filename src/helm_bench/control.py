@@ -321,29 +321,12 @@ def solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
     return P
 
 
-_GAINS: dict[tuple[UsvParams, bytes, bytes], LqrGain] = {}
-_GAINS_MAX = 256  # solved gains kept; the store empties when it fills
-
-
 def lqr_gain(params: UsvParams, weights: LqrWeights) -> LqrGain:
     """Solve the regulator for the plant in params; validates the solution.
 
     The returned gain satisfies K = R^-1 B' P with CARE residual below 1e-9
     and a strictly stable closed loop (checked, NumericalError otherwise).
-    A gain is solved once per params and bytes of Q and R, and later calls
-    share it, so its arrays are read-only. A failed solve is not kept.
     """
-    key = (params, weights.Q.tobytes(), weights.R.tobytes())
-    gain = _GAINS.get(key)
-    if gain is None:  # two threads that miss together both solve and keep equal gains
-        gain = _solve_gain(params, weights)
-        if len(_GAINS) >= _GAINS_MAX:
-            _GAINS.clear()
-        _GAINS[key] = gain
-    return gain
-
-
-def _solve_gain(params: UsvParams, weights: LqrWeights) -> LqrGain:
     A, B = build_system(params)
     P = solve_care(A, B, weights)
     K = np.linalg.solve(weights.R, B.T @ P)
@@ -352,8 +335,6 @@ def _solve_gain(params: UsvParams, weights: LqrWeights) -> LqrGain:
     eigs = np.linalg.eigvals(A - B @ K)
     if np.any(eigs.real >= 0.0):
         raise NumericalError(f"closed loop is not strictly stable: eigenvalues {eigs}")
-    for array in (K, P, eigs):
-        array.setflags(write=False)
     return LqrGain(K=K, P=P, eigenvalues=eigs)
 
 

@@ -212,21 +212,15 @@ def _box_sums(a: np.ndarray, h: int, w: int) -> np.ndarray:
     Read from a summed-area table in O(a.size) (J.P. Lewis, "Fast
     Normalized Cross-Correlation", Vision Interface 1995). The corners read
     only the table rows 0..p-1 and h..H, for p placements down a column of
-    an H-row a. When those bands are disjoint (a template taller than half
-    of a), the cumulative sums along the rows are taken over them alone.
+    an H-row a, so the cumulative sums along the rows are taken over those
+    rows alone (row 0 is all zeros).
     """
-    rows = a.shape[0]
-    p = rows - h + 1
-    table = np.zeros((rows + 1, a.shape[1] + 1))
+    p = a.shape[0] - h + 1
+    table = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
     np.cumsum(a, axis=0, out=table[1:, 1:])
-    if p <= h:
-        top, bottom = table[:p], table[h:]
-        np.cumsum(top[1:, 1:], axis=1, out=top[1:, 1:])
-        np.cumsum(bottom[:, 1:], axis=1, out=bottom[:, 1:])
-    else:
-        np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
-        top, bottom = table[:-h], table[h:]
-    return bottom[:, w:] - top[:, w:] - bottom[:, :-w] + top[:, :-w]
+    for band in (table[1:p, 1:], table[max(h, p) :, 1:]):
+        np.cumsum(band, axis=1, out=band)
+    return table[h:, w:] - table[:-h, w:] - table[h:, :-w] + table[:-h, :-w]
 
 
 def _fast_len(n: int) -> int:

@@ -1,6 +1,5 @@
 """PID / sliding-mode / LQR laws and the Riccati solver."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +20,7 @@ from helm_bench.control import (
     smc_step,
     solve_care,
 )
-from helm_bench.core import ConfigError, NumericalError, UsvParams
+from helm_bench.core import ConfigError, UsvParams
 from helm_bench.sensors import StateMeasurement
 
 PARAMS = UsvParams()
@@ -263,71 +262,6 @@ class TestRiccati:
         bad_A[0, 1] = 1.0
         with pytest.raises(ConfigError):
             solve_care(bad_A, B, LqrWeights())
-
-
-def _gain_hex(gain) -> list:
-    values = [*gain.K.ravel(), *gain.P.ravel()]
-    values += [part for z in gain.eigenvalues for part in (z.real, z.imag)]
-    return [float(v).hex() for v in values]
-
-
-class TestGainCache:
-    """lqr_gain solves once per (params, Q bytes, R bytes) and shares the gain."""
-
-    W = LqrWeights(Q=np.diag([3.0, 11.0, 2.0]), R=np.diag([0.2, 0.7]))
-
-    def test_hit_equals_a_fresh_solve(self):
-        control._GAINS.clear()
-        fresh = lqr_gain(PARAMS, self.W)
-        hit = lqr_gain(UsvParams(), LqrWeights(Q=self.W.Q.copy(), R=self.W.R.copy()))
-        assert hit is fresh
-        control._GAINS.clear()
-        solved = lqr_gain(PARAMS, self.W)
-        assert solved is not fresh
-        assert _gain_hex(solved) == _gain_hex(fresh)
-
-    def test_changed_weights_or_plant_miss(self):
-        base = lqr_gain(PARAMS, self.W)
-        Q = self.W.Q.copy()
-        Q[2, 2] = 2.5
-        R = self.W.R.copy()
-        R[0, 0] = 0.3
-        others = [
-            lqr_gain(PARAMS, LqrWeights(Q=Q, R=self.W.R)),
-            lqr_gain(PARAMS, LqrWeights(Q=self.W.Q, R=R)),
-            lqr_gain(dataclasses.replace(PARAMS, m=21.0), self.W),
-            lqr_gain(dataclasses.replace(PARAMS, l=0.5), self.W),
-        ]
-        for other in others:
-            assert other is not base
-            assert _gain_hex(other) != _gain_hex(base)
-        # a field the plant model ignores still keys a gain of its own
-        same_plant = lqr_gain(dataclasses.replace(PARAMS, u_max=1.0), self.W)
-        assert same_plant is not base
-        assert _gain_hex(same_plant) == _gain_hex(base)
-
-    def test_gain_arrays_are_read_only(self):
-        gain = lqr_gain(PARAMS, self.W)
-        for array in (gain.K, gain.P, gain.eigenvalues):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-        assert _gain_hex(lqr_gain(PARAMS, self.W)) == _gain_hex(gain)
-
-    def test_failed_solve_is_not_kept(self, monkeypatch):
-        solves = []
-        solve = control.solve_care
-
-        def counted(*args):
-            solves.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(control, "solve_care", counted)
-        degenerate = UsvParams(Izz=1e-300)
-        for _ in range(2):
-            with pytest.raises(NumericalError):
-                lqr_gain(degenerate, self.W)
-        assert len(solves) == 2
-        assert not any(key[0] == degenerate for key in control._GAINS)
 
 
 class TestLqrStep:

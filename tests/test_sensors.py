@@ -535,7 +535,7 @@ def _bits(a):
 
 
 def _box_side(draw, n):
-    """A side from 1 to n for a box in an n-long window, often a branch edge."""
+    """A side from 1 to n for a box in an n-long window, often a band edge."""
     edges = [1, n, n // 2, n // 2 + 1, (n + 1) // 2]
     return draw(st.one_of(st.integers(1, n), st.sampled_from([e for e in edges if 1 <= e <= n])))
 
@@ -591,8 +591,9 @@ class TestBitIdentity:
         [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (114, 57), (114, 58), (115, 58), (130, 114), (131, 114), (7, 7)],
     )
     def test_box_sums_either_side_of_the_band_split(self, rows, h):
-        # p = rows - h + 1 placements: the row bands split off when p <= h,
-        # so (4, 2) and (114, 57) build the whole table, (4, 3) and (114, 58) do not.
+        # p = rows - h + 1 placements: the row bands 1..p-1 and max(h, p)..rows
+        # leave a gap when p < h and abut when p >= h, so (4, 2) and (114, 57)
+        # sum every table row along the rows, (4, 3) and (114, 58) do not.
         a = stream(rows * 1000 + h, "boxes").standard_normal((rows, 37))
         for w in (1, 5, 37):
             assert _bits(_box_sums(a, h, w)) == _bits(_ref_box_sums(a, h, w))
