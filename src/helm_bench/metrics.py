@@ -11,11 +11,15 @@ truth and detections as `Boxes`, `format_boxes` writes them, `load_boxes`
 parses a box file into them with one numpy text-reader call, and the one
 scorer, `evaluate_pairs`, takes only them. It scores many sequences in one
 array pass, and every curve is counted per sequence from a histogram of the
-threshold index at which each frame starts or stops passing. Every array
-step keeps the float operations and their order of a per-box loop (IoU from
-min/max overlaps, `BoundingBox.center`, `math.hypot`), so scores are
-bit-identical to it; `tests/test_metrics.py` keeps that loop verbatim as the
-`_ref_*` oracle.
+threshold index at which each frame starts or stops passing. The threshold
+grids are uniform, so that index is computed from the grid and corrected by
+one comparison on each side, not searched for. IoUs and center offsets keep
+the float operations and their order of a per-box loop (min/max overlaps,
+`BoundingBox.center`). Center errors come from `np.hypot`, and `math.hypot`
+recomputes those near a threshold, so every threshold count is the loop's,
+though a raw error may differ in the last ulp. The reports, and so the
+report and curves bytes, are bit-identical to that loop's;
+`tests/test_metrics.py` keeps it verbatim as the `_ref_*` oracle.
 """
 
 from __future__ import annotations
@@ -89,13 +93,41 @@ def _center_offsets(gt: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.nd
     return dx, dy
 
 
-def _distances(dx: np.ndarray, dy: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """math.hypot(dx, dy) where `hit`, inf elsewhere.
+def _distances(dx: np.ndarray, dy: np.ndarray, hit: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Center errors where `hit`, inf elsewhere, that pass each threshold as math.hypot(dx, dy) does.
 
-    np.hypot differs from math.hypot in the last ulp on some inputs, and one
-    ulp can move a frame across a `<=` threshold, so the scalar stays.
+    np.hypot computes every error, and math.hypot recomputes the few that lie
+    within a relative 1e-12 of a multiple of the grid step (every threshold is
+    one), or are zero or not finite. The two hypots differ by a few ulps at
+    most, so no threshold lies between them anywhere else: each `<=` count is
+    math.hypot's, though a raw error may differ in the last ulp.
     """
-    return np.where(hit, np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx)), math.inf)
+    with np.errstate(all="ignore"):
+        d = np.hypot(dx, dy)
+        q = d / (thresholds[1] - thresholds[0])
+        # nan fails every comparison, inf - inf is nan, and 0.0 > 0.0 fails: all three are redone.
+        redo = np.flatnonzero(hit & ~(np.abs(q - np.rint(q)) > 1e-12 * q))
+    d[redo] = list(map(math.hypot, dx[redo].tolist(), dy[redo].tolist()))
+    return np.where(hit, d, math.inf)
+
+
+def _first_passing(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """np.searchsorted(thresholds, values) for an ascending, uniformly spaced grid.
+
+    The index of the first threshold >= each value is guessed from the grid,
+    ceil((v - t0) / step), clipped to [0, len]: nan and inf go last, -inf
+    first. The guess is off by at most one, where rounding puts a value and a
+    threshold within an ulp or so of each other, so one comparison with the
+    threshold on each side corrects it. The nan padding never compares true.
+    """
+    n = len(thresholds)
+    with np.errstate(all="ignore"):
+        guess = np.ceil((values - thresholds[0]) / (thresholds[1] - thresholds[0]))
+    guess = np.where(guess < n, guess, n)
+    first = np.where(guess > 0, guess, 0).astype(np.intp)
+    first -= np.concatenate(([math.nan], thresholds))[first] >= values  # thresholds[first - 1] passes too
+    first += np.concatenate((thresholds, [math.nan]))[first] < values  # thresholds[first] does not pass
+    return first
 
 
 def _pass_percents(values: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray, at_least: bool = False) -> np.ndarray:
@@ -113,7 +145,7 @@ def _pass_percents(values: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray
     if at_least:
         values, thresholds = -values, -thresholds[::-1]
     width = len(thresholds) + 1
-    first = np.searchsorted(thresholds, values)  # values[i] passes thresholds[first[i]:]
+    first = _first_passing(values, thresholds)  # values[i] passes thresholds[first[i]:]
     offsets = np.repeat(np.arange(0, len(sizes) * width, width), sizes)
     hist = np.bincount(offsets + first, minlength=len(sizes) * width).reshape(len(sizes), width)
     counts = hist[:, :-1].cumsum(axis=1)
@@ -219,8 +251,9 @@ def evaluate_pairs(pairs: Iterable[tuple[Boxes, Boxes]]) -> list[MetricReport]:
     with np.errstate(all="ignore"):
         norm_dx, norm_dy = dx / g[:, 2], dy / g[:, 3]
     success = _pass_percents(ious, sizes, SUCCESS_THRESHOLDS, at_least=True)
-    precision = _pass_percents(_distances(dx, dy, hit), sizes, PRECISION_THRESHOLDS)
-    norm_precision = _pass_percents(_distances(norm_dx, norm_dy, hit), sizes, NORM_PRECISION_THRESHOLDS)
+    precision = _pass_percents(_distances(dx, dy, hit, PRECISION_THRESHOLDS), sizes, PRECISION_THRESHOLDS)
+    norm_errors = _distances(norm_dx, norm_dy, hit, NORM_PRECISION_THRESHOLDS)
+    norm_precision = _pass_percents(norm_errors, sizes, NORM_PRECISION_THRESHOLDS)
     aucs = success.mean(axis=1)  # each the mean of one C-contiguous row, as np.mean(curve) is
     # The other scalars are curve columns: SUCCESS_THRESHOLDS[50] == 0.5 and
     # [75] == 0.75, PRECISION_THRESHOLDS[20] == 20.0 px, NORM_PRECISION_THRESHOLDS[20] == 0.2.
@@ -265,7 +298,7 @@ def load_boxes(path) -> Boxes:
     """
     text = read_utf8(path, EvaluationError)
     boxes = _parse_whole(text)
-    return boxes if boxes is not None else Boxes.of(_parse_lines(path, text.split("\n")))
+    return boxes if boxes is not None else _parse_lines(path, text.split("\n"))
 
 
 def _parse_whole(text: str) -> Boxes | None:
@@ -295,9 +328,9 @@ def _parse_whole(text: str) -> Boxes | None:
     return Boxes(xywh, ~miss)
 
 
-def _parse_lines(path, lines: list[str]) -> list[BoundingBox | None]:
+def _parse_lines(path, lines: list[str]) -> Boxes:
     """Line-by-line parse that raises EvaluationError for the first bad line."""
-    boxes: list[BoundingBox | None] = []
+    rows: list[list[float]] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -310,18 +343,16 @@ def _parse_lines(path, lines: list[str]) -> list[BoundingBox | None]:
         except ValueError as exc:
             raise EvaluationError(f"{path}:{lineno}: {exc}") from None
         nans = [math.isnan(v) for v in values]
-        if all(nans):
-            boxes.append(None)
-        elif any(nans):
+        if any(nans) and not all(nans):
             raise EvaluationError(f"{path}:{lineno}: partial nan box")
-        else:
-            try:
-                boxes.append(BoundingBox(*values))
-            except ValueError as exc:
-                raise EvaluationError(f"{path}:{lineno}: {exc}") from None
-    if not boxes:
+        w, h = values[2:]
+        if w < 0.0 or h < 0.0:  # BoundingBox's check and message; nan passes it
+            raise EvaluationError(f"{path}:{lineno}: box size must be non-negative: w={w}, h={h}")
+        rows.append(values)
+    if not rows:
         raise EvaluationError(f"{path}: no boxes found")
-    return boxes
+    xywh = np.array(rows)
+    return Boxes(xywh, ~np.isnan(xywh[:, 0]))
 
 
 def format_boxes(boxes: Boxes) -> str:

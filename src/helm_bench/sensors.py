@@ -9,6 +9,7 @@ seeds give bit-identical outputs.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -172,6 +173,32 @@ def render_frame(
     return np.clip(frame, 0.0, 1.0, out=frame)
 
 
+_tile_normals = threading.local()
+
+
+def _keyed_normals(key: int) -> tuple[np.random.Generator, dict]:
+    """This thread's Philox normals in the state np.random.Philox(key=key) starts in, and that state.
+
+    Building np.random.Philox(key=...) also reads OS entropy for a seed
+    sequence that the key then discards, so each thread keeps one generator
+    and re-keys it. Each call sets the whole state, so no draw carries over
+    from the last caller. A key below 2**64 is the low word of Philox's two.
+    """
+    normals = getattr(_tile_normals, "generator", None)
+    if normals is None:
+        normals = _tile_normals.generator = np.random.Generator(np.random.Philox(0))
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key, 0], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    normals.bit_generator.state = state
+    return normals, state
+
+
 def _add_tile_noise(frame: np.ndarray, roi: Roi, width: int, frame_key: int, sigma: float) -> None:
     """Add sigma-scaled normals to the roi region of a frame width pixels wide.
 
@@ -183,9 +210,8 @@ def _add_tile_noise(frame: np.ndarray, roi: Roi, width: int, frame_key: int, sig
     y0, y1, x0, x1 = roi
     tile = NOISE_TILE
     tiles_per_row = -(-width // tile)
-    bits = np.random.Philox(key=frame_key)
-    normals = np.random.Generator(bits)
-    state = bits.state
+    normals, state = _keyed_normals(frame_key)
+    bits = normals.bit_generator
     counter = state["state"]["counter"]
     noise = np.empty_like(frame)
     for ty in range(y0 // tile, (y1 - 1) // tile + 1):

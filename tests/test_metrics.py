@@ -1,5 +1,6 @@
 """Overlap/precision metrics, the integrated tracking cost, and box-file round trips."""
 
+import functools
 import math
 import os
 import tempfile
@@ -282,6 +283,33 @@ class TestTrackingCost:
             CostWeights(Q_distance=-1.0)
         with pytest.raises(ConfigError):
             CostWeights(R_effort=np.zeros((2, 2)))
+
+
+_GRIDS = {
+    "success": SUCCESS_THRESHOLDS,
+    "precision": PRECISION_THRESHOLDS,
+    "norm_precision": NORM_PRECISION_THRESHOLDS,
+}
+
+
+class TestFirstPassing:
+    """metrics._first_passing is np.searchsorted on each grid, and on the negated grids of `at_least`."""
+
+    @pytest.mark.parametrize("negated", [False, True])
+    @pytest.mark.parametrize("name", sorted(_GRIDS))
+    def test_matches_searchsorted(self, name, negated):
+        grid = -_GRIDS[name][::-1] if negated else _GRIDS[name]
+        near = np.concatenate([grid, np.nextafter(grid, math.inf), np.nextafter(grid, -math.inf)])
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                   2.2250738585072009e-308, -2.2250738585072009e-308, 1e308, -1e308]
+        step = grid[1] - grid[0]
+        spread = np.random.default_rng(13).uniform(grid[0] - 3 * step, grid[-1] + 3 * step, 20_000)
+        values = np.concatenate([near, -near, special, spread, (grid[:-1] + grid[1:]) / 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = metrics._first_passing(values, grid)
+        assert got.dtype == np.intp
+        assert got.tolist() == np.searchsorted(grid, values).tolist()
 
 
 class TestEvaluateBoxes:
@@ -689,6 +717,104 @@ def _scored_sequence(draw):
     return gt, pred
 
 
+def _walk_ulps(f, x: float, target: float) -> float:
+    """Step x an ulp at a time toward f(x) == target, for f non-decreasing in x; stop at or just past it."""
+    for _ in range(64):
+        if f(x) < target:
+            x = math.nextafter(x, math.inf)
+        elif f(x) > target and f(math.nextafter(x, -math.inf)) >= target:
+            x = math.nextafter(x, -math.inf)
+        else:
+            break
+    return x
+
+
+def _ulps(value: float, n: int) -> float:
+    """value moved n ulps (toward +inf when n > 0)."""
+    for _ in range(abs(n)):
+        value = math.nextafter(value, math.copysign(math.inf, n))
+    return value
+
+
+def _offsets_at(target: float, theta: float, sx: float, sy: float) -> tuple[float, float]:
+    """Offsets (dx, dy) at angle theta with math.hypot(dx / sx, dy / sy) at target, or next to it.
+
+    The larger offset is walked an ulp at a time; the error grows with its magnitude.
+    """
+    dx, dy = sx * target * math.cos(theta), sy * target * math.sin(theta)
+    if abs(dx) >= abs(dy):
+        dx = math.copysign(_walk_ulps(lambda m: math.hypot(m / sx, dy / sy), abs(dx), target), dx)
+    else:
+        dy = math.copysign(_walk_ulps(lambda m: math.hypot(dx / sx, m / sy), abs(dy), target), dy)
+    return dx, dy
+
+
+_SPECIAL_FIELDS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_STRADDLE_SCALES = {"px": (1.0, 1.0), "norm": (37.0, 23.0)}
+
+
+@functools.cache
+def _hypot_straddles() -> list[tuple[str, float, float]]:
+    """(kind, dx, dy) where np.hypot and math.hypot put the error on either side of a threshold.
+
+    Found by trying 2,000 angles per threshold (about one in 400 splits);
+    these are the frames that np.hypot alone would count wrongly. The
+    offsets are in pixels, before `norm` divides them by (37, 23).
+    """
+    rng = np.random.default_rng(17)
+    found = []
+    for kind, (sx, sy) in _STRADDLE_SCALES.items():
+        for k in range(1, 51):
+            t = float(k) if kind == "px" else k / 100.0
+            theta = rng.uniform(0.0, 2.0 * math.pi, 2000)
+            dx, dy = sx * t * np.cos(theta), sy * t * np.sin(theta)
+            ex, ey = dx / sx, dy / sy
+            fast = np.hypot(ex, ey) <= t
+            exact = np.array(list(map(math.hypot, ex.tolist(), ey.tolist()))) <= t
+            found += [(kind, float(dx[i]), float(dy[i])) for i in np.flatnonzero(fast != exact)[:1]]
+    return found
+
+
+@st.composite
+def _boundary_frame(draw):
+    """A (ground truth, prediction) frame whose scores sit within a few ulps of a threshold.
+
+    A center error within 4 ulps (by math.hypot) of k px, or a normalized one
+    within 4 ulps of k/100, or one that np.hypot puts on the other side of
+    its threshold, or an IoU at k/100 or one ulp either side; now and then a
+    field set to +-0.0, +-inf or nan.
+    """
+    kind = draw(st.sampled_from(["px", "norm", "iou", "straddle"]))
+    gw, gh = draw(st.sampled_from([(10.0, 10.0), (37.0, 23.0), (0.75, 3.0), (123.456, 64.0)]))
+    if kind == "straddle":
+        kind, dx, dy = draw(st.sampled_from(_hypot_straddles()))
+        gw, gh = _STRADDLE_SCALES["norm"] if kind == "norm" else (gw, gh)
+        frame = [(-gw / 2.0, -gh / 2.0, gw, gh), (dx, dy, 0.0, 0.0)]
+    elif kind == "iou":
+        k = draw(st.integers(0, 100))
+        target = abs(_ulps(k / 100.0, draw(st.integers(-1, 1))))
+        gt = (0.0, 0.0, 100.0, 1.0)
+        w = _walk_ulps(lambda w: _ref_iou(BoundingBox(*gt), BoundingBox(0.0, 0.0, w, 1.0)), float(k), target)
+        frame = [gt, (0.0, 0.0, w, 1.0)]
+    else:
+        # The ground-truth center is (0, 0) exactly, and a zero-size prediction's
+        # center is its corner, so the offsets are the prediction's x and y.
+        k = draw(st.integers(0, 50))
+        t = float(k) if kind == "px" else k / 100.0
+        target = abs(_ulps(t, draw(st.integers(-4, 4))))  # an error is never below 0
+        scale = (1.0, 1.0) if kind == "px" else (gw, gh)
+        dx, dy = _offsets_at(target, draw(st.floats(0.0, 2.0 * math.pi)), *scale)
+        frame = [(-gw / 2.0, -gh / 2.0, gw, gh), (dx, dy, 0.0, 0.0)]
+    if draw(st.integers(0, 7)) == 7:
+        box = draw(st.integers(0, 1))
+        field = draw(st.integers(0, 3))
+        value = draw(_SPECIAL_FIELDS)
+        if field >= 2 and (value < 0.0 or (box == 0 and value == 0.0)):
+            value = math.inf  # a negative size is no box, a zero-size ground truth a degenerate one
+        frame[box] = tuple(value if i == field else v for i, v in enumerate(frame[box]))
+    return BoundingBox(*frame[0]), BoundingBox(*frame[1])
+
+
 def _write(directory: Path, name: str, text: str) -> Path:
     path = directory / name
     path.write_bytes(text.encode())
@@ -797,6 +923,34 @@ class TestEvaluateOracle:
         report = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         assert report.precision == 0.0
         assert _bits(report) == _bits(_ref_evaluate_boxes(gt, pred))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_boundary_frame(), min_size=1, max_size=40))
+    def test_scores_within_ulps_of_a_threshold_match_the_per_box_loop(self, frames):
+        gt = [g for g, _ in frames]
+        pred = [p for _, p in frames]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
+        assert _bits(got) == _bits(_ref_evaluate_boxes(gt, pred))
+
+    def test_boundary_frames_reach_their_thresholds(self):
+        # The walks of _boundary_frame land on their targets: a pixel error
+        # exactly, a normalized one (whose offsets are divided first) within an
+        # ulp; at every center threshold and 4 ulps either side, at a few
+        # angles. Each IoU threshold is hit exactly.
+        for k in range(51):
+            for t, (sx, sy) in ((float(k), (1.0, 1.0)), (k / 100.0, (37.0, 23.0)), (k / 100.0, (0.75, 3.0))):
+                for n in (-4, -1, 0, 1, 4):
+                    target = abs(_ulps(t, n))
+                    for theta in (0.0, 0.3, 1.0, 2.2, 3.9, 5.5):
+                        dx, dy = _offsets_at(target, theta, sx, sy)
+                        slack = 0.0 if sx == 1.0 else math.ulp(target)
+                        assert abs(math.hypot(dx / sx, dy / sy) - target) <= slack
+        for k in range(101):
+            gt = BoundingBox(0.0, 0.0, 100.0, 1.0)
+            w = _walk_ulps(lambda w: _ref_iou(gt, BoundingBox(0.0, 0.0, w, 1.0)), float(k), k / 100.0)
+            assert _ref_iou(gt, BoundingBox(0.0, 0.0, w, 1.0)) == k / 100.0
 
     def test_degenerate_ground_truth_message(self):
         gt = Boxes.of([None, BoundingBox(0, 0, 10, 10), BoundingBox(1, 2, 0, 4)])

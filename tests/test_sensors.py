@@ -19,6 +19,7 @@ from helm_bench.sensors import (
     _add_tile_noise,
     _box_sums,
     _fast_len,
+    _keyed_normals,
     emulate_tracker,
     lidar_range,
     measure_state,
@@ -633,6 +634,30 @@ class TestBitIdentity:
         _add_tile_noise(got, (y0, y1, x0, x1), width, key, sigma)
         _ref_add_tile_noise(want, (y0, y1, x0, x1), width, key, sigma)
         assert _bits(got) == _bits(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4), st.integers(0, 3000))
+    def test_rekeyed_philox_starts_as_a_new_one(self, keys, n_draws):
+        # The kept generator is re-keyed after draws under earlier keys; each
+        # time its state and its next draws are those of a freshly built Philox.
+        for key in keys:
+            normals, state = _keyed_normals(key)
+            fresh = np.random.Philox(key=key)
+            assert _philox_state(normals.bit_generator.state) == _philox_state(fresh.state)
+            assert _philox_state(state) == _philox_state(fresh.state)
+            got = normals.standard_normal(n_draws)
+            assert _bits(got) == _bits(np.random.Generator(fresh).standard_normal(n_draws))
+            normals.integers(0, 2**32, dtype=np.uint32)  # leaves a half-used 64-bit word behind
+
+
+def _philox_state(state: dict) -> dict:
+    """A Philox state dict with its arrays as lists, so that == compares every word."""
+    inner = state["state"]
+    return {
+        **state,
+        "state": {"counter": inner["counter"].tolist(), "key": inner["key"].tolist()},
+        "buffer": state["buffer"].tolist(),
+    }
 
 
 def brute_force_ncc(frame, template, center, halfwidth, threshold=0.2):
