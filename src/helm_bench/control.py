@@ -16,9 +16,6 @@ from .core import ConfigError, NumericalError, UsvParams, wrap_angle
 from .dynamics import GeneralizedThrust
 from .sensors import StateMeasurement
 
-_NK_MAX_ITER = 50
-
-
 @dataclass(frozen=True)
 class PidGains:
     """Per-axis PID triples plus shared anti-windup and derivative filtering."""
@@ -246,21 +243,27 @@ def care_residual(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, P:
     return float(np.linalg.norm(res))
 
 
-def _solve_lyapunov_2x2(Acl: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Solve Acl' P + P Acl = -S through the 4x4 Kronecker system."""
-    I2 = np.eye(2)
-    M = np.kron(I2, Acl.T) + np.kron(Acl.T, I2)
-    vec = np.linalg.solve(M, -S.flatten(order="F"))
-    P = vec.reshape(2, 2, order="F")
-    return (P + P.T) / 2.0
+def _root(x: float) -> float:
+    """Non-negative square root; a negative radicand means no real solution."""
+    if x < 0.0:
+        raise NumericalError("the Riccati equation has no real solution")
+    return math.sqrt(x)
 
 
 def solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
     """Stabilizing solution of the continuous algebraic Riccati equation.
 
-    Exploits the plant's exact decoupling: the surge channel reduces to a
-    scalar quadratic, the (psi, r) block is solved by Newton-Kleinman
-    iteration seeded with a pole-placement gain at {-1, -2}. Requires the
+    Exploits the plant's exact decoupling into a surge integrator and a yaw
+    double integrator, each of whose Riccati equations has a closed-form
+    root. With a = A[1,2], b = B[2,1], r = R[1,1] and the yaw block
+    P2 = [[p1, p12], [p12, p2]], the CARE reads entry by entry
+
+        q_psi            - (b p12)^2 / r         = 0
+        q_r    + 2 a p12 - (b p2)^2 / r          = 0
+        q_psir + a p1    - (b p12) (b p2) / r    = 0
+
+    and the stabilizing root takes p12, p2 >= 0. The roots are computed on
+    Python floats, so no BLAS kernel decides a bit of P. Requires the
     weights to respect the decoupling (no surge/yaw cross terms in Q,
     diagonal R); anything else is a configuration error.
     """
@@ -280,45 +283,13 @@ def solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
     if R[0, 1] != 0.0 or R[1, 0] != 0.0:
         raise ConfigError("R must be diagonal")
 
-    # Scalar surge ARE: -p^2 b^2 / r + q = 0, stabilizing root p >= 0.
-    b_u = B[0, 0]
-    p_u = math.sqrt(Q[0, 0] * R[0, 0]) / b_u
-
-    # Yaw block: A2 = [[0, a], [0, 0]] with a = A[1,2], input [0, b2]'.
-    a = A[1, 2]
-    b2 = B[2, 1]
-    A2 = np.array([[0.0, a], [0.0, 0.0]])
-    B2 = np.array([[0.0], [b2]])
-    Q2 = Q[1:, 1:]
-    r2 = R[1, 1]
-
-    if np.all(Q2 == 0.0):
-        P2 = np.zeros((2, 2))
-    else:
-        # Pole placement at {-1, -2}: char poly s^2 + 3 s + 2.
-        K = np.array([[2.0 / (a * b2), 3.0 / b2]])
-        P2 = None
-        # A degenerate plant overflows here; it then fails to converge and
-        # raises NumericalError, so numpy need not warn first.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(_NK_MAX_ITER):
-                Acl = A2 - B2 @ K
-                S = Q2 + K.T * r2 @ K
-                P_next = _solve_lyapunov_2x2(Acl, S)
-                if P2 is not None and np.linalg.norm(P_next - P2) <= 1e-13 * max(
-                    1.0, np.linalg.norm(P_next)
-                ):
-                    P2 = P_next
-                    break
-                P2 = P_next
-                K = (B2.T @ P2) / r2
-            else:
-                raise NumericalError("Newton-Kleinman iteration did not converge in 50 steps")
-
-    P = np.zeros((3, 3))
-    P[0, 0] = p_u
-    P[1:, 1:] = P2
-    return P
+    # Scalar surge ARE: q_u - (b_u p_u)^2 / r_u = 0.
+    p_u = _root(float(Q[0, 0]) * float(R[0, 0])) / float(B[0, 0])
+    a, b, r = float(A[1, 2]), float(B[2, 1]), float(R[1, 1])
+    p12 = _root(float(Q[1, 1]) * r) / b
+    p2 = _root(r * (float(Q[2, 2]) + 2.0 * a * p12)) / b
+    p1 = ((b * p12) * (b * p2) / r - float(Q[1, 2])) / a
+    return np.array([[p_u, 0.0, 0.0], [0.0, p1, p12], [0.0, p12, p2]])
 
 
 def lqr_gain(params: UsvParams, weights: LqrWeights) -> LqrGain:
@@ -326,13 +297,21 @@ def lqr_gain(params: UsvParams, weights: LqrWeights) -> LqrGain:
 
     The returned gain satisfies K = R^-1 B' P with CARE residual below 1e-9
     and a strictly stable closed loop (checked, NumericalError otherwise).
+    K is formed on Python floats from the entries of P.
     """
     A, B = build_system(params)
+    b_u, b = float(B[0, 0]), float(B[2, 1])
+    if not (0.0 < b_u < math.inf and 0.0 < b < math.inf):
+        raise NumericalError(f"input gains 1/m = {b_u!r} and l/Izz = {b!r} must be finite and > 0")
     P = solve_care(A, B, weights)
-    K = np.linalg.solve(weights.R, B.T @ P)
-    if care_residual(A, B, weights.Q, weights.R, P) >= 1e-9:
-        raise NumericalError("CARE residual exceeds tolerance")
-    eigs = np.linalg.eigvals(A - B @ K)
+    r_u, r = float(weights.R[0, 0]), float(weights.R[1, 1])
+    p_u, p12, p2 = float(P[0, 0]), float(P[1, 2]), float(P[2, 2])
+    K = np.array([[b_u * p_u / r_u, 0.0, 0.0], [0.0, b * p12 / r, b * p2 / r]])
+    # An overflowing plant leaves inf in P and a NaN residual.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not care_residual(A, B, weights.Q, weights.R, P) < 1e-9:
+            raise NumericalError("CARE residual exceeds tolerance")
+        eigs = np.linalg.eigvals(A - B @ K)
     if np.any(eigs.real >= 0.0):
         raise NumericalError(f"closed loop is not strictly stable: eigenvalues {eigs}")
     return LqrGain(K=K, P=P, eigenvalues=eigs)

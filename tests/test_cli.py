@@ -83,9 +83,26 @@ class TestSimulate:
                 "50985141adc9b6241287083e21ed53b4107f34042e03950831ed687edfd2fe90",
             ),
             (
-                "izz = 1e-300",
-                "no LQR gain: Newton-Kleinman iteration did not converge in 50 steps",
-                "d1f859d84efe6e2371cb6f9b8abd0fd54e9e27d262883847bf031bac9260620d",
+                # l/Izz = 3.1e-301 overflows the yaw block of P to inf
+                "l = 1e-300",
+                "no LQR gain: CARE residual exceeds tolerance",
+                "f2f7322167dd27f450f3a3c38c4b6ee00b0ae587ca0c838d4ad59a43c7c45f6d",
+            ),
+            (
+                # l/Izz underflows to 0, which solve_care would reject as a bad B
+                "m = 20\nizz = 1e300\nl = 1e-300",
+                "no LQR gain: input gains 1/m = 0.05 and l/Izz = 0.0 must be finite and > 0",
+                "25d0ed00a4a0022c623057bb23eeacd8c1313d05c71e809d25a68ab6a799bd4d",
+            ),
+            (
+                "m = 1e-300\nizz = 1e300\nl = 1e-300",
+                "no LQR gain: input gains 1/m = 9.999999999999999e+299 and l/Izz = 0.0 must be finite and > 0",
+                "f45bca4647a90008e428154b44c514e3f73922c862ec7e08b9818b5764665671",
+            ),
+            (
+                "m = 1e300\nizz = 1e300\nl = 1e-300",
+                "no LQR gain: input gains 1/m = 1e-300 and l/Izz = 0.0 must be finite and > 0",
+                "9aa443ad988edb00f0a61461244872bcd1c870c631989c76074b62d32410d31e",
             ),
         ],
     )

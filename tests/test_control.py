@@ -1,6 +1,8 @@
 """PID / sliding-mode / LQR laws and the Riccati solver."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from helm_bench.control import (
     smc_step,
     solve_care,
 )
-from helm_bench.core import ConfigError, UsvParams
+from helm_bench.core import ConfigError, NumericalError, UsvParams
 from helm_bench.sensors import StateMeasurement
 
 PARAMS = UsvParams()
@@ -28,6 +30,89 @@ PARAMS = UsvParams()
 
 def meas(u=0.0, psi=0.0, r=0.0) -> StateMeasurement:
     return StateMeasurement(u=u, psi=psi, r=r)
+
+
+# --- reference solver ----------------------------------------------------
+# A verbatim copy of the Newton-Kleinman solve_care that the closed form
+# replaced (pole-placement seed, Kronecker-product Lyapunov solve), kept as
+# an oracle for the closed-form roots.
+
+_REF_NK_MAX_ITER = 50
+
+
+def _ref_solve_lyapunov_2x2(Acl: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Solve Acl' P + P Acl = -S through the 4x4 Kronecker system."""
+    I2 = np.eye(2)
+    M = np.kron(I2, Acl.T) + np.kron(Acl.T, I2)
+    vec = np.linalg.solve(M, -S.flatten(order="F"))
+    P = vec.reshape(2, 2, order="F")
+    return (P + P.T) / 2.0
+
+
+def _ref_solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
+    """Stabilizing solution of the continuous algebraic Riccati equation.
+
+    Exploits the plant's exact decoupling: the surge channel reduces to a
+    scalar quadratic, the (psi, r) block is solved by Newton-Kleinman
+    iteration seeded with a pole-placement gain at {-1, -2}. Requires the
+    weights to respect the decoupling (no surge/yaw cross terms in Q,
+    diagonal R); anything else is a configuration error.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    Q, R = weights.Q, weights.R
+
+    structure = np.zeros((3, 3))
+    structure[1, 2] = 1.0
+    if A.shape != (3, 3) or not np.array_equal(A != 0.0, structure != 0.0) or A[1, 2] <= 0.0:
+        raise ConfigError("A must match the decoupled surge/yaw template")
+    if B.shape != (3, 2) or B[0, 0] <= 0.0 or B[2, 1] <= 0.0:
+        raise ConfigError("B must actuate surge via column 0 and yaw rate via column 1")
+    mask = np.array([[True, False, False], [False, True, True], [False, True, True]])
+    if np.any(Q[~mask] != 0.0):
+        raise ConfigError("Q must not couple surge with the yaw block")
+    if R[0, 1] != 0.0 or R[1, 0] != 0.0:
+        raise ConfigError("R must be diagonal")
+
+    # Scalar surge ARE: -p^2 b^2 / r + q = 0, stabilizing root p >= 0.
+    b_u = B[0, 0]
+    p_u = math.sqrt(Q[0, 0] * R[0, 0]) / b_u
+
+    # Yaw block: A2 = [[0, a], [0, 0]] with a = A[1,2], input [0, b2]'.
+    a = A[1, 2]
+    b2 = B[2, 1]
+    A2 = np.array([[0.0, a], [0.0, 0.0]])
+    B2 = np.array([[0.0], [b2]])
+    Q2 = Q[1:, 1:]
+    r2 = R[1, 1]
+
+    if np.all(Q2 == 0.0):
+        P2 = np.zeros((2, 2))
+    else:
+        # Pole placement at {-1, -2}: char poly s^2 + 3 s + 2.
+        K = np.array([[2.0 / (a * b2), 3.0 / b2]])
+        P2 = None
+        # A degenerate plant overflows here; it then fails to converge and
+        # raises NumericalError, so numpy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(_REF_NK_MAX_ITER):
+                Acl = A2 - B2 @ K
+                S = Q2 + K.T * r2 @ K
+                P_next = _ref_solve_lyapunov_2x2(Acl, S)
+                if P2 is not None and np.linalg.norm(P_next - P2) <= 1e-13 * max(
+                    1.0, np.linalg.norm(P_next)
+                ):
+                    P2 = P_next
+                    break
+                P2 = P_next
+                K = (B2.T @ P2) / r2
+            else:
+                raise NumericalError("Newton-Kleinman iteration did not converge in 50 steps")
+
+    P = np.zeros((3, 3))
+    P[0, 0] = p_u
+    P[1:, 1:] = P2
+    return P
 
 
 class TestPid:
@@ -241,6 +326,67 @@ class TestRiccati:
     def test_gain_sparsity_matches_decoupling(self):
         K = lqr_gain(PARAMS, LqrWeights()).K
         assert K[0, 1] == 0.0 and K[0, 2] == 0.0 and K[1, 0] == 0.0
+
+    def test_default_gain_is_pinned(self):
+        K = lqr_gain(PARAMS, LqrWeights()).K
+        assert K.tolist() == [
+            [8.944271909999157, 0.0, 0.0],
+            [0.0, 22.360679774997898, 21.395580767998943],
+        ]
+
+    def test_closed_form_matches_newton_kleinman(self):
+        # The iteration stops at a relative step of 1e-13, so it is itself a
+        # few ulps off the root; 1e-14 is ~45 ulps at the largest entry.
+        rng = np.random.default_rng(11)
+        A, B = build_system(PARAMS)
+        for k in range(1000):
+            if k % 2:
+                Q = np.diag(rng.uniform(0.1, 50.0, size=3))
+            else:
+                M = rng.uniform(-3.0, 3.0, size=(2, 2))
+                Q = np.zeros((3, 3))
+                Q[0, 0] = rng.uniform(0.1, 50.0)
+                Q[1:, 1:] = M.T @ M + 1e-3 * np.eye(2)
+            R = np.diag(rng.uniform(0.01, 5.0, size=2))
+            W = LqrWeights(Q=Q, R=R)
+            gain = lqr_gain(PARAMS, W)
+            P_ref = _ref_solve_care(A, B, W)
+            K_ref = np.linalg.solve(R, B.T @ P_ref)
+            np.testing.assert_allclose(gain.P, P_ref, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(gain.K, K_ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "params",
+        [UsvParams(Izz=1e300, l=1e-300), UsvParams(m=1e-320), UsvParams(Izz=1e-300, l=1e300)],
+        ids=["l/Izz underflows", "1/m overflows", "l/Izz overflows"],
+    )
+    def test_input_gain_outside_the_floats_is_numerical_error(self, params):
+        with pytest.raises(NumericalError, match="must be finite and > 0"):
+            lqr_gain(params, LqrWeights())
+
+    def test_negative_weight_within_psd_tolerance_is_numerical_error(self):
+        # LqrWeights accepts eigenvalues down to -1e-12; no real root exists
+        for q in ([-1e-13, 1.0, 1.0], [1.0, -1e-13, 1.0]):
+            with pytest.raises(NumericalError, match="no real solution"):
+                lqr_gain(PARAMS, LqrWeights(Q=np.diag(q)))
+
+    def test_extreme_plants_and_weights_never_warn(self):
+        extremes = (1e-300, 1e-150, 1.0, 1e150, 1e300)
+        qs = [(4.0, 25.0, 5.0), (1.0, 0.0, 1.0), (1e6, 1e-300, 0.0), (1e300,) * 3, (1e-300,) * 3]
+        rs = [(0.05, 0.05), (1e-300, 1e6), (1e300, 1e300), (1e-300, 1e-300)]
+        solved = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, izz, l, q, r in itertools.product(extremes, extremes, extremes, qs, rs):
+                W = LqrWeights(Q=np.diag(q), R=np.diag(r))
+                try:
+                    gain = lqr_gain(UsvParams(m=m, Izz=izz, l=l), W)
+                except NumericalError:
+                    continue
+                solved += 1
+                assert np.all(np.isfinite(gain.K)) and np.all(np.isfinite(gain.P))
+                assert np.all(gain.eigenvalues.real < 0.0)
+        assert solved > 0
 
     def test_weight_validation(self):
         with pytest.raises(ConfigError):

@@ -605,6 +605,12 @@ class TestAcceptedScenarios:
         Scenario(duration=0.02, dt=0.02)  # one step, two records
 
     def test_unsolvable_lqr_gain_gives_an_empty_log(self):
-        log = run_scenario(parse_scenario("[run]\nduration = 1\n[usv]\nizz = 1e-300\n"))
+        log = run_scenario(parse_scenario("[run]\nduration = 1\n[usv]\nl = 1e-300\n"))
         assert len(log) == 0
-        assert log.error.startswith("no LQR gain: ")
+        assert log.error == "no LQR gain: CARE residual exceeds tolerance"
+
+    def test_unweighted_heading_gives_an_empty_log(self):
+        # q_psi = 0 leaves the heading unregulated: a closed-loop pole at 0
+        log = run_scenario(parse_scenario("[run]\nduration = 1\n[controller]\nlqr_q = 1, 0, 1\n"))
+        assert len(log) == 0
+        assert log.error.startswith("no LQR gain: closed loop is not strictly stable")
