@@ -7,9 +7,12 @@ back to the library defaults.
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import enum
+import functools
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 import numpy as np
 
@@ -22,9 +25,9 @@ def _parse_str(s: str) -> str:
     return s.strip()
 
 
-def _enum(cls):
-    """Parser for an enum-valued key: case-insensitive lookup by value."""
-    return lambda s: cls(s.strip().lower())
+def _enum(cls: type[enum.Enum], s: str) -> enum.Enum:
+    """Parse an enum-valued key: case-insensitive lookup by value."""
+    return cls(s.strip().lower())
 
 
 def _parse_floats(s: str, n: int) -> tuple[float, ...]:
@@ -57,98 +60,67 @@ def _parse_halfwidth(s: str) -> int | None:
     return int(s)
 
 
-_SCHEMA: dict[str, dict[str, object]] = {
-    "run": {"name": _parse_str, "duration": float, "dt": float, "seed": int},
-    "usv": {
-        "m": float,
-        "izz": float,
-        "l": float,
-        "u_max": float,
-        "udot_max": float,
-        "rdot_max": float,
-        "thrust_min": float,
-        "thrust_max": float,
-        "u_abs_cap": float,
-        "r_abs_cap": float,
-        "x0": float,
-        "y0": float,
-        "psi0": float,
-        "u0": float,
-        "r0": float,
-    },
-    "camera": {"width": int, "height": int, "fx": float},
-    "sea": {
-        "wave_gain": float,
-        "wave_period": float,
-        "wave_phase": float,
-        "wave_force_amp": float,
-        "wave_torque_amp": float,
-        "wind_x": float,
-        "wind_y": float,
-        "wind_drag_coeff": float,
-        "visibility": float,
-    },
-    "guidance": {
-        "standoff": float,
-        "lidar_max_range": float,
-        "u_max": float,
-        "lost_frames_threshold": int,
-        "search_yaw_bias": float,
-        "speed_law": _enum(guidance.SpeedLaw),
-        "holding_decay": float,
-    },
-    "sensors": {
-        "lidar_sigma": float,
-        "u_sigma": float,
-        "psi_sigma": float,
-        "r_sigma": float,
-        "frame_stride": int,
-    },
-    "target": {
-        "kind": _enum(sim.TrajectoryKind),
-        "x0": float,
-        "y0": float,
-        "psi0": float,
-        "speed": float,
-        "extent": float,
+def _parser(hint: Any):
+    """Parser for a field annotated with hint; None if the field is not a scalar."""
+    if hint is float or hint is int:
+        return hint
+    if hint is str:
+        return _parse_str
+    if hint == int | None:
+        return _parse_halfwidth
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return functools.partial(_enum, hint)
+    return None
+
+
+# The dataclasses whose scalar init fields each section sets. A field's key is
+# its name in lower case, prefixed for the gain sets that share [controller].
+_SECTIONS: dict[str, tuple[type, ...]] = {
+    "run": (sim.Scenario,),
+    "usv": (UsvParams,),
+    "camera": (CameraIntrinsics,),
+    "sea": (dynamics.SeaState,),
+    "guidance": (guidance.GuidanceConfig,),
+    "sensors": (sim.SensorNoise,),
+    "target": (sim.TrajectorySpec,),
+    "tracker": (sim.TrackerSpec, sensors.TrackerNoiseConfig),
+    "controller": (sim.ControllerSpec, control.PidGains, control.SmcGains),
+    "cost": (metrics.CostWeights,),
+}
+_PREFIXES = {control.PidGains: "pid_", control.SmcGains: "smc_"}
+
+# The keys that are not a scalar field: initial states, the wind vector, the
+# triangle geometry and the diagonals of weight matrices.
+_FLOATS_2 = functools.partial(_parse_floats, n=2)
+_EXTRA_KEYS: dict[str, dict[str, object]] = {
+    "usv": dict.fromkeys(("x0", "y0", "psi0", "u0", "r0"), float),
+    "sea": dict.fromkeys(("wind_x", "wind_y"), float),
+    "target": dict.fromkeys(("x0", "y0", "psi0"), float) | {
         "vertices": _parse_vertices,
-        "triangle_center": lambda s: _parse_floats(s, 2),
+        "triangle_center": _FLOATS_2,
         "triangle_side": float,
     },
-    "tracker": {
-        "kind": _enum(sim.TrackerKind),
-        "sigma_center_px": float,
-        "sigma_scale": float,
-        "p_drop_base": float,
-        "ncc_peak_threshold": float,
-        "ncc_search_halfwidth": _parse_halfwidth,
-        "ncc_context_margin": float,
-        "render_noise_sigma": float,
-    },
-    "controller": {
-        "kind": _enum(sim.ControllerKind),
-        "pid_kp_u": float,
-        "pid_ki_u": float,
-        "pid_kd_u": float,
-        "pid_kp_psi": float,
-        "pid_ki_psi": float,
-        "pid_kd_psi": float,
-        "pid_integral_limit": float,
-        "pid_derivative_filter_tau": float,
-        "smc_lambda_u": float,
-        "smc_eta_u": float,
-        "smc_lambda_psi": float,
-        "smc_eta_psi": float,
-        "smc_phi": float,
-        "smc_ref_filter_tau": float,
-        "lqr_q": lambda s: _parse_floats(s, 3),
-        "lqr_r": lambda s: _parse_floats(s, 2),
-    },
-    "cost": {
-        "q_pixel": lambda s: _parse_floats(s, 2),
-        "q_distance": float,
-        "r_effort": lambda s: _parse_floats(s, 2),
-    },
+    "controller": {"lqr_q": functools.partial(_parse_floats, n=3), "lqr_r": _FLOATS_2},
+    "cost": {"q_pixel": _FLOATS_2, "r_effort": _FLOATS_2},
+}
+
+
+def _scalar_fields(cls: type) -> dict[str, tuple[str, object]]:
+    """Key -> (field name, parser) for each scalar init field of a config dataclass."""
+    hints = get_type_hints(cls)
+    prefix = _PREFIXES.get(cls, "")
+    return {
+        prefix + f.name.lower(): (f.name, parser)
+        for f in dataclasses.fields(cls)
+        if f.init and (parser := _parser(hints[f.name])) is not None
+    }
+
+
+_FIELDS = {cls: _scalar_fields(cls) for classes in _SECTIONS.values() for cls in classes}
+_SCHEMA: dict[str, dict[str, object]] = {
+    section: {key: parser for cls in classes for key, (_, parser) in _FIELDS[cls].items()}
+    | _EXTRA_KEYS.get(section, {})
+    for section, classes in _SECTIONS.items()
 }
 
 
@@ -186,87 +158,60 @@ def parse_scenario(text: str, default_name: str = "scenario") -> sim.Scenario:
         raise ConfigError(str(exc)) from None
 
 
-def _pick(section: dict[str, Any], *names: str, **renames: str) -> dict[str, Any]:
-    """Keyword arguments for the keys a section sets; ``renames`` maps key -> field.
+def _make(cls, section: dict[str, Any], **kwargs: Any):
+    """cls from the section's keys that name its scalar fields, plus kwargs.
 
     Keys the file leaves out are not passed, so the dataclass defaults apply.
     """
-    fields = {name: name for name in names} | renames
-    return {field: section[key] for key, field in fields.items() if key in section}
-
-
-def _diagonals(section: dict[str, Any], **renames: str) -> dict[str, Any]:
-    """Like _pick, for keys listing the diagonal of a weight matrix."""
-    return {field: np.diag(v) for field, v in _pick(section, **renames).items()}
+    picked = {name: section[key] for key, (name, _) in _FIELDS[cls].items() if key in section}
+    return cls(**picked, **kwargs)
 
 
 def _build_scenario(values: dict[str, dict[str, Any]], default_name: str) -> sim.Scenario:
-    def sec(name: str) -> dict[str, Any]:
-        return values.get(name, {})
+    sections = ("usv", "sea", "target", "tracker", "controller", "cost")
+    usv, sea, tgt, trk, ctl, cost = (values.get(name, {}) for name in sections)
 
-    usv = sec("usv")
-    params = UsvParams(
-        **_pick(usv, "m", "l", "u_max", "udot_max", "rdot_max", "thrust_min", "thrust_max",
-                "u_abs_cap", "r_abs_cap", izz="Izz")
-    )
-    initial = BodyState(
-        pose=Pose2D(**_pick(usv, x0="x", y0="y", psi0="psi")),
-        **_pick(usv, u0="u", r0="r"),
-    )
+    def given(section: dict[str, Any], **keys: str) -> dict[str, Any]:
+        """Field -> value for each hand-written key (field=key) that a section sets."""
+        return {name: section[key] for name, key in keys.items() if key in section}
 
-    sea_kwargs = dict(sec("sea"))
+    def diagonals(section: dict[str, Any], **keys: str) -> dict[str, np.ndarray]:
+        """Like given, for keys that list the diagonal of a weight matrix."""
+        return {name: np.diag(value) for name, value in given(section, **keys).items()}
+
     calm_x, calm_y = dynamics.SeaState.wind_velocity  # the dataclass default
-    wind = (sea_kwargs.pop("wind_x", calm_x), sea_kwargs.pop("wind_y", calm_y))
-    sea = dynamics.SeaState(wind_velocity=wind, **sea_kwargs)
-
-    tgt = sec("target")
-    target_kwargs = _pick(tgt, "kind", "speed", "vertices", "extent")
-    if tgt.get("kind") is sim.TrajectoryKind.TRIANGLE and "vertices" not in tgt:
-        target_kwargs["vertices"] = sim.default_triangle(
-            **_pick(tgt, triangle_center="center", triangle_side="side")
-        )
-    target = sim.TrajectorySpec(
-        origin=Pose2D(**_pick(tgt, x0="x", y0="y", psi0="psi")),
-        **target_kwargs,
-    )
-
-    trk = sec("tracker")
-    tracker = sim.TrackerSpec(
-        noise=sensors.TrackerNoiseConfig(
-            **_pick(trk, "sigma_center_px", "sigma_scale", "p_drop_base")
+    wind = (sea.get("wind_x", calm_x), sea.get("wind_y", calm_y))
+    vertices = tgt.get("vertices")
+    if vertices is None and tgt.get("kind") is sim.TrajectoryKind.TRIANGLE:
+        vertices = sim.default_triangle(**given(tgt, center="triangle_center", side="triangle_side"))
+    return _make(
+        sim.Scenario,
+        {"name": default_name} | values.get("run", {}),
+        params=_make(UsvParams, usv),
+        initial=BodyState(
+            pose=Pose2D(**given(usv, x="x0", y="y0", psi="psi0")), **given(usv, u="u0", r="r0")
         ),
-        **_pick(trk, "kind", "ncc_peak_threshold", "ncc_search_halfwidth", "ncc_context_margin",
-                "render_noise_sigma"),
-    )
-
-    ctl = sec("controller")
-    pid_kwargs = {k.removeprefix("pid_"): v for k, v in ctl.items() if k.startswith("pid_")}
-    smc_kwargs = {k.removeprefix("smc_"): v for k, v in ctl.items() if k.startswith("smc_")}
-    controller = sim.ControllerSpec(
-        pid=control.PidGains(**pid_kwargs),
-        smc=control.SmcGains(**smc_kwargs),
-        lqr=control.LqrWeights(**_diagonals(ctl, lqr_q="Q", lqr_r="R")),
-        **_pick(ctl, "kind"),
-    )
-
-    cost_sec = sec("cost")
-    cost = metrics.CostWeights(
-        **_diagonals(cost_sec, q_pixel="Q_pixel", r_effort="R_effort"),
-        **_pick(cost_sec, q_distance="Q_distance"),
-    )
-
-    return sim.Scenario(
-        **({"name": default_name} | sec("run")),
-        params=params,
-        initial=initial,
-        target=target,
-        sea=sea,
-        camera=CameraIntrinsics(**sec("camera")),
-        guidance_cfg=guidance.GuidanceConfig(**sec("guidance")),
-        tracker=tracker,
-        controller=controller,
-        cost=cost,
-        sensor_noise=sim.SensorNoise(**sec("sensors")),
+        sea=_make(dynamics.SeaState, sea, wind_velocity=wind),
+        target=_make(
+            sim.TrajectorySpec,
+            tgt,
+            origin=Pose2D(**given(tgt, x="x0", y="y0", psi="psi0")),
+            vertices=vertices,
+        ),
+        tracker=_make(sim.TrackerSpec, trk, noise=_make(sensors.TrackerNoiseConfig, trk)),
+        controller=_make(
+            sim.ControllerSpec,
+            ctl,
+            pid=_make(control.PidGains, ctl),
+            smc=_make(control.SmcGains, ctl),
+            lqr=control.LqrWeights(**diagonals(ctl, Q="lqr_q", R="lqr_r")),
+        ),
+        cost=_make(
+            metrics.CostWeights, cost, **diagonals(cost, Q_pixel="q_pixel", R_effort="r_effort")
+        ),
+        camera=_make(CameraIntrinsics, values.get("camera", {})),
+        guidance_cfg=_make(guidance.GuidanceConfig, values.get("guidance", {})),
+        sensor_noise=_make(sim.SensorNoise, values.get("sensors", {})),
     )
 
 

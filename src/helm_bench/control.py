@@ -322,8 +322,33 @@ def lqr_step(
     meas: StateMeasurement,
     refs: tuple[float, float],
 ) -> GeneralizedThrust:
-    """Full-state feedback on the error state [u - u_ref, wrap(psi - psi_ref), r]."""
+    """Full-state feedback on the error state [u - u_ref, wrap(psi - psi_ref), r].
+
+    K is block-diagonal, so T = -K err takes two products on floats. The yaw
+    row is the chain fma(k_r, r, k_psi * e_psi) that OpenBLAS dgemv computes on
+    FMA kernels, rounded in software so that every machine gives the bits the
+    golden logs were pinned on.
+    """
     u_ref, psi_ref = refs
-    err = np.array([meas.u - u_ref, wrap_angle(meas.psi - psi_ref), meas.r])
-    T = -gain.K @ err
-    return GeneralizedThrust(T1=float(T[0]), T2=float(T[1]))
+    (k_u, _, _), (_, k_psi, k_r) = gain.K.tolist()
+    e_psi = wrap_angle(meas.psi - psi_ref)
+    return GeneralizedThrust(T1=-(k_u * (meas.u - u_ref)), T2=-_fma(k_r, meas.r, k_psi * e_psi))
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add rounds it.
+
+    The exact sum is formed from the floats' integer ratios, and CPython rounds
+    an int true division correctly. An exact zero, an overflow or an infinite
+    input falls back to a * b + c, which keeps the IEEE sign of a zero sum.
+    """
+    try:
+        na, da = a.as_integer_ratio()
+        nb, db = b.as_integer_ratio()
+        nc, dc = c.as_integer_ratio()
+        num = na * nb * dc + nc * da * db
+        if num:
+            return num / (da * db * dc)
+    except OverflowError:
+        pass
+    return a * b + c

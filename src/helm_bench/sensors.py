@@ -439,6 +439,9 @@ class NccTracker:
             raise ConfigError("peak_threshold must lie in [0, 1]")
         if context_margin < 0.0:
             raise ConfigError("context_margin must be >= 0")
+        if search_halfwidth is not None and search_halfwidth < 0:
+            # a negative half-width leaves no placement of the template to match
+            raise ConfigError("search_halfwidth must be >= 0, or None for the template width")
         self.peak_threshold = peak_threshold
         self.search_halfwidth = search_halfwidth
         self.context_margin = context_margin

@@ -1,11 +1,13 @@
 """Scenario-file parsing: schema enforcement, defaults, and full round trips."""
 
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helm_bench import config
 from helm_bench.config import _SCHEMA, load_scenario, parse_scenario
 from helm_bench.core import ConfigError
 from helm_bench.guidance import SpeedLaw
@@ -186,6 +188,143 @@ class TestFullRoundTrip:
         assert np.array_equal(sc.cost.R_effort, np.diag([2e-4, 2e-4]))
 
 
+# The scenario-file schema, written out: section -> key -> parser kind. A
+# kind is float or int (the parser itself), an enum class (a case-insensitive
+# lookup by value), "str", "halfwidth" (an int, or auto/none), "vertices"
+# (three x,y pairs) or "N floats" (a list of N numbers).
+_SCHEMA_LITERAL = {
+    "run": {"name": "str", "duration": float, "dt": float, "seed": int},
+    "usv": {
+        "m": float,
+        "izz": float,
+        "l": float,
+        "u_max": float,
+        "udot_max": float,
+        "rdot_max": float,
+        "thrust_min": float,
+        "thrust_max": float,
+        "u_abs_cap": float,
+        "r_abs_cap": float,
+        "x0": float,
+        "y0": float,
+        "psi0": float,
+        "u0": float,
+        "r0": float,
+    },
+    "camera": {"width": int, "height": int, "fx": float},
+    "sea": {
+        "wave_gain": float,
+        "wave_period": float,
+        "wave_phase": float,
+        "wave_force_amp": float,
+        "wave_torque_amp": float,
+        "wind_x": float,
+        "wind_y": float,
+        "wind_drag_coeff": float,
+        "visibility": float,
+    },
+    "guidance": {
+        "standoff": float,
+        "lidar_max_range": float,
+        "u_max": float,
+        "lost_frames_threshold": int,
+        "search_yaw_bias": float,
+        "speed_law": SpeedLaw,
+        "holding_decay": float,
+    },
+    "sensors": {
+        "lidar_sigma": float,
+        "u_sigma": float,
+        "psi_sigma": float,
+        "r_sigma": float,
+        "frame_stride": int,
+    },
+    "target": {
+        "kind": TrajectoryKind,
+        "x0": float,
+        "y0": float,
+        "psi0": float,
+        "speed": float,
+        "extent": float,
+        "vertices": "vertices",
+        "triangle_center": "2 floats",
+        "triangle_side": float,
+    },
+    "tracker": {
+        "kind": TrackerKind,
+        "sigma_center_px": float,
+        "sigma_scale": float,
+        "p_drop_base": float,
+        "ncc_peak_threshold": float,
+        "ncc_search_halfwidth": "halfwidth",
+        "ncc_context_margin": float,
+        "render_noise_sigma": float,
+    },
+    "controller": {
+        "kind": ControllerKind,
+        "pid_kp_u": float,
+        "pid_ki_u": float,
+        "pid_kd_u": float,
+        "pid_kp_psi": float,
+        "pid_ki_psi": float,
+        "pid_kd_psi": float,
+        "pid_integral_limit": float,
+        "pid_derivative_filter_tau": float,
+        "smc_lambda_u": float,
+        "smc_eta_u": float,
+        "smc_lambda_psi": float,
+        "smc_eta_psi": float,
+        "smc_phi": float,
+        "smc_ref_filter_tau": float,
+        "lqr_q": "3 floats",
+        "lqr_r": "2 floats",
+    },
+    "cost": {
+        "q_pixel": "2 floats",
+        "q_distance": float,
+        "r_effort": "2 floats",
+    },
+}
+
+
+def _parser_kind(parser):
+    """The kind of a _SCHEMA parser, in the terms of _SCHEMA_LITERAL.
+
+    float and int match by identity: tests/test_sim.py draws every key whose
+    parser is one of them.
+    """
+    if parser is float or parser is int:
+        return parser
+    if isinstance(parser, functools.partial):
+        if parser.func is config._enum and not parser.keywords:
+            (enum_cls,) = parser.args
+            return enum_cls
+        if parser.func is config._parse_floats and not parser.args:
+            return f"{parser.keywords['n']} floats"
+    named = {config._parse_str: "str", config._parse_halfwidth: "halfwidth",
+             config._parse_vertices: "vertices"}
+    return named.get(parser, parser)
+
+
+class TestSchema:
+    def test_derived_schema_equals_the_written_one(self):
+        derived = {
+            sec: {key: _parser_kind(parser) for key, parser in keys.items()}
+            for sec, keys in _SCHEMA.items()
+        }
+        assert derived == _SCHEMA_LITERAL
+
+    def test_key_rule(self):
+        # a scalar field's key is its name in lower case; the gain sets share
+        # [controller] under a pid_ or smc_ prefix
+        sc = parse_scenario(
+            "[usv]\nizz = 4.5\n[cost]\nq_distance = 0.5\n"
+            "[controller]\npid_kp_u = 3\nsmc_phi = 0.1\n"
+        )
+        assert sc.params.Izz == 4.5 and sc.cost.Q_distance == 0.5
+        assert sc.controller.pid.kp_u == 3.0 and sc.controller.smc.phi == 0.1
+
+
 class TestSchemaEnforcement:
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match=r"unknown section \[weather\]"):
@@ -289,8 +428,15 @@ class TestHalfwidthParsing:
         assert sc.tracker.ncc_search_halfwidth is None
 
     def test_integer_halfwidth(self):
-        sc = parse_scenario("[tracker]\nncc_search_halfwidth = 9\n")
-        assert sc.tracker.ncc_search_halfwidth == 9
+        for halfwidth in (9, 0):
+            sc = parse_scenario(f"[tracker]\nncc_search_halfwidth = {halfwidth}\n")
+            assert sc.tracker.ncc_search_halfwidth == halfwidth
+
+    @pytest.mark.parametrize("raw", ["-1", "-4"])
+    def test_negative_halfwidth_rejected(self, raw):
+        # its search window is narrower than the template, so no frame could match
+        with pytest.raises(ConfigError, match="search_halfwidth must be >= 0"):
+            parse_scenario(f"[tracker]\nkind = ncc\nncc_search_halfwidth = {raw}\n")
 
 
 class TestNccTrackerLimits:

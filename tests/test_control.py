@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -410,7 +411,43 @@ class TestRiccati:
             solve_care(bad_A, B, LqrWeights())
 
 
+def _fma_oracle(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once to the nearest float, computed on exact rationals."""
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact:
+        return float(exact)
+    # IEEE 754, round to nearest: an exact zero is -0.0 only if both addends are -0.0.
+    product_is_negative_zero = (a == 0.0 or b == 0.0) and math.copysign(1.0, a * b) < 0.0
+    return -0.0 if product_is_negative_zero and math.copysign(1.0, c) < 0.0 else 0.0
+
+
 class TestLqrStep:
+    def test_matches_an_exact_fma_chain(self):
+        # T1 = -(k_u e_u) and T2 = -fma(k_r, r, k_psi e_psi): each product and the
+        # fused sum rounded once. Bits are compared, signed zeros included.
+        rng = np.random.default_rng(20)
+        weights = [LqrWeights()] + [
+            LqrWeights(Q=np.diag(q), R=np.diag(r))
+            for q, r in zip(rng.uniform(0.01, 100.0, (4, 3)), rng.uniform(0.01, 10.0, (4, 2)))
+        ]
+        signed_zeros = list(itertools.product((0.0, -0.0, 0.5, -0.5), repeat=3))
+        for w in weights:
+            gain = lqr_gain(PARAMS, w)
+            (k_u, _, _), (_, k_psi, k_r) = gain.K.tolist()
+            exponents = rng.uniform(-160.0, 160.0, (1000, 3))
+            exponents[:, 1] = rng.uniform(-160.0, 0.0, 1000)  # heading errors inside (-pi, pi]
+            random = rng.uniform(-1.0, 1.0, (1000, 3)) * 10.0**exponents * [1.0, math.pi, 1.0]
+            for e_u, e_psi, r in signed_zeros + random.tolist():
+                out = lqr_step(gain, meas(u=e_u, psi=e_psi, r=r), refs=(0.0, 0.0))
+                T1 = -_fma_oracle(k_u, e_u, -0.0)
+                T2 = -_fma_oracle(k_r, r, _fma_oracle(k_psi, e_psi, -0.0))
+                assert (out.T1.hex(), out.T2.hex()) == (T1.hex(), T2.hex()), (e_u, e_psi, r)
+
+    def test_overflowing_error_gives_infinite_thrust(self):
+        gain = lqr_gain(PARAMS, LqrWeights())
+        out = lqr_step(gain, meas(u=1e308, r=-1e308), refs=(-1e308, 0.0))
+        assert (out.T1, out.T2) == (-math.inf, math.inf)
+
     def test_zero_error_zero_thrust(self):
         gain = lqr_gain(PARAMS, LqrWeights())
         out = lqr_step(gain, meas(u=1.0, psi=0.3, r=0.0), refs=(1.0, 0.3))

@@ -756,6 +756,11 @@ class TestNccTracker:
         with pytest.raises(RuntimeError):
             NccTracker().track(np.zeros((40, 40)))
 
+    def test_negative_search_halfwidth_rejected(self):
+        with pytest.raises(ConfigError, match="search_halfwidth must be >= 0"):
+            NccTracker(search_halfwidth=-1)
+        assert NccTracker(search_halfwidth=0).search_halfwidth == 0
+
     def test_initialize_rejects_box_fully_outside_frame(self):
         tracker = NccTracker()
         with pytest.raises(ConfigError):
