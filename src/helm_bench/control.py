@@ -1,8 +1,9 @@
 """Surge/yaw thrust controllers: PID, sliding-mode, and LQR.
 
-All three emit GeneralizedThrust channel commands (T1 surge force, T2
-differential force) for the same reduced plant, so the simulation loop can
-swap laws without touching anything else.
+All three return the channel commands (T1 surge force, T2 differential
+force) as a float pair for the same reduced plant, and the sliding-mode and
+LQR laws read the measured (u, psi, r) as a tuple, so the simulation loop
+can swap laws without touching anything else.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConfigError, NumericalError, UsvParams, wrap_angle
-from .dynamics import GeneralizedThrust
-from .sensors import StateMeasurement
+
 
 @dataclass(frozen=True)
 class PidGains:
@@ -89,6 +89,9 @@ class LqrGain:
     K: np.ndarray  # 2x3
     P: np.ndarray  # 3x3
     eigenvalues: np.ndarray  # 3, of the closed loop A - B K
+    k_u: float  # K[0, 0], K[1, 1] and K[1, 2] as floats, for lqr_step
+    k_psi: float
+    k_r: float
 
 
 @dataclass
@@ -124,8 +127,8 @@ def pid_step(
     e_psi: float,
     dt: float,
     gains: PidGains,
-) -> GeneralizedThrust:
-    """One PID update on the surge-speed and heading errors.
+) -> tuple[float, float]:
+    """One PID update on the surge-speed and heading errors; returns (T1, T2).
 
     Rectangular integration with a symmetric integral clamp; backward
     difference derivative through a first-order low-pass. The heading error
@@ -146,9 +149,9 @@ def pid_step(
     state.prev_e_u = e_u
     state.prev_e_psi = e_psi
 
-    return GeneralizedThrust(
-        T1=gains.kp_u * e_u + gains.ki_u * state.i_u + gains.kd_u * state.d_u,
-        T2=gains.kp_psi * e_psi + gains.ki_psi * state.i_psi + gains.kd_psi * state.d_psi,
+    return (
+        gains.kp_u * e_u + gains.ki_u * state.i_u + gains.kd_u * state.d_u,
+        gains.kp_psi * e_psi + gains.ki_psi * state.i_psi + gains.kd_psi * state.d_psi,
     )
 
 
@@ -200,28 +203,29 @@ def smc_refs(
 def smc_step(
     state: ControllerState,
     refs: tuple[float, float, float, float, float],
-    meas: StateMeasurement,
+    meas: tuple[float, float, float],
     gains: SmcGains,
     params: UsvParams,
-) -> GeneralizedThrust:
-    """One sliding-mode update toward refs = (u_des, u̇_des, ψ_des, ψ̇_des, ṙ_des).
+) -> tuple[float, float]:
+    """One sliding-mode (T1, T2) toward refs = (u_des, u̇_des, ψ_des, ψ̇_des, ṙ_des).
 
-    Surge surface s_u uses the filtered surge-acceleration estimate held in
-    state (refreshed by smc_refs); the yaw surface uses the measured rate
-    directly. The switching term is eta * sgn(s), ramped inside the boundary
-    layer when phi > 0.
+    meas is the measured (u, psi, r). Surge surface s_u uses the filtered
+    surge-acceleration estimate held in state (refreshed by smc_refs); the
+    yaw surface uses the measured rate directly. The switching term is
+    eta * sgn(s), ramped inside the boundary layer when phi > 0.
     """
     u_des, udot_des, psi_des, psidot_des, rdot_des = refs
-    e_u = u_des - meas.u
-    e_psi = wrap_angle(psi_des - meas.psi)
+    u, psi, r = meas
+    e_u = u_des - u
+    e_psi = wrap_angle(psi_des - psi)
     s_u = gains.lambda_u * e_u + udot_des - state.udot_est
-    s_psi = gains.lambda_psi * e_psi + psidot_des - meas.r
+    s_psi = gains.lambda_psi * e_psi + psidot_des - r
 
     T1 = params.m * (udot_des + gains.lambda_u * e_u) - gains.eta_u * _switch(s_u, gains.phi)
     T2 = params.Izz * (rdot_des + gains.lambda_psi * e_psi) - gains.eta_psi * _switch(
         s_psi, gains.phi
     )
-    return GeneralizedThrust(T1=T1, T2=T2)
+    return T1, T2
 
 
 # --- LQR ---------------------------------------------------------------
@@ -306,7 +310,8 @@ def lqr_gain(params: UsvParams, weights: LqrWeights) -> LqrGain:
     P = solve_care(A, B, weights)
     r_u, r = float(weights.R[0, 0]), float(weights.R[1, 1])
     p_u, p12, p2 = float(P[0, 0]), float(P[1, 2]), float(P[2, 2])
-    K = np.array([[b_u * p_u / r_u, 0.0, 0.0], [0.0, b * p12 / r, b * p2 / r]])
+    k_u, k_psi, k_r = b_u * p_u / r_u, b * p12 / r, b * p2 / r
+    K = np.array([[k_u, 0.0, 0.0], [0.0, k_psi, k_r]])
     # An overflowing plant leaves inf in P and a NaN residual.
     with np.errstate(over="ignore", invalid="ignore"):
         if not care_residual(A, B, weights.Q, weights.R, P) < 1e-9:
@@ -314,25 +319,26 @@ def lqr_gain(params: UsvParams, weights: LqrWeights) -> LqrGain:
         eigs = np.linalg.eigvals(A - B @ K)
     if np.any(eigs.real >= 0.0):
         raise NumericalError(f"closed loop is not strictly stable: eigenvalues {eigs}")
-    return LqrGain(K=K, P=P, eigenvalues=eigs)
+    return LqrGain(K=K, P=P, eigenvalues=eigs, k_u=k_u, k_psi=k_psi, k_r=k_r)
 
 
 def lqr_step(
     gain: LqrGain,
-    meas: StateMeasurement,
+    meas: tuple[float, float, float],
     refs: tuple[float, float],
-) -> GeneralizedThrust:
-    """Full-state feedback on the error state [u - u_ref, wrap(psi - psi_ref), r].
+) -> tuple[float, float]:
+    """Full-state feedback (T1, T2) on the error state [u - u_ref, wrap(psi - psi_ref), r].
 
-    K is block-diagonal, so T = -K err takes two products on floats. The yaw
+    meas is the measured (u, psi, r) and refs is (u_ref, psi_ref). K is
+    block-diagonal, so T = -K err takes two products on floats. The yaw
     row is the chain fma(k_r, r, k_psi * e_psi) that OpenBLAS dgemv computes on
     FMA kernels, rounded in software so that every machine gives the bits the
     golden logs were pinned on.
     """
+    u, psi, r = meas
     u_ref, psi_ref = refs
-    (k_u, _, _), (_, k_psi, k_r) = gain.K.tolist()
-    e_psi = wrap_angle(meas.psi - psi_ref)
-    return GeneralizedThrust(T1=-(k_u * (meas.u - u_ref)), T2=-_fma(k_r, meas.r, k_psi * e_psi))
+    e_psi = wrap_angle(psi - psi_ref)
+    return -(gain.k_u * (u - u_ref)), -_fma(gain.k_r, r, gain.k_psi * e_psi)
 
 
 def _fma(a: float, b: float, c: float) -> float:

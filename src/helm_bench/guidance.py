@@ -25,12 +25,6 @@ class GuidanceMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PixelError:
-    ex: float  # px, +left of image center
-    ey: float  # px, +above image center
-
-
-@dataclass(frozen=True)
 class GuidanceCommand:
     mode: GuidanceMode
     u_ref: float  # m/s
@@ -59,17 +53,17 @@ class GuidanceConfig:
             raise ConfigError("holding_decay must lie in [0, 1]")
 
 
-def pixel_error(box: BoundingBox, cam: CameraIntrinsics) -> PixelError:
-    """Offset of the box center from the image center, positive left/up."""
+def pixel_error(box: BoundingBox, cam: CameraIntrinsics) -> tuple[float, float]:
+    """Offset (ex, ey) of the box center from the image center, in px, positive left/up."""
     cx, cy = box.center()
     if not cam.sees(box):
         raise ValueError(f"box center ({cx}, {cy}) lies outside the image")
-    return PixelError(ex=cam.cx - cx, ey=cam.cy - cy)
+    return cam.cx - cx, cam.cy - cy
 
 
-def pixel_to_body(err: PixelError, cam: CameraIntrinsics) -> float:
-    """Horizontal pixel error as a body-frame bearing error (rad, + to port)."""
-    return math.atan2(err.ex, cam.fx)
+def pixel_to_body(ex: float, cam: CameraIntrinsics) -> float:
+    """Horizontal pixel error ex as a body-frame bearing error (rad, + to port)."""
+    return math.atan2(ex, cam.fx)
 
 
 def distance_error(range_m: float, cfg: GuidanceConfig) -> float:
@@ -117,8 +111,8 @@ def guidance_step(
     """
     if det.valid and det.box is not None:
         state.lost_count = 0
-        err = pixel_error(det.box, cam)
-        e_psi = pixel_to_body(err, cam)
+        ex, _ = pixel_error(det.box, cam)
+        e_psi = pixel_to_body(ex, cam)
         if e_psi != 0.0:
             state.last_seen_sign = math.copysign(1.0, e_psi)
         e_d = distance_error(range_m, cfg) if range_m is not None else 0.0

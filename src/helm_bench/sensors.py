@@ -47,15 +47,6 @@ class TrackerNoiseConfig:
             raise ConfigError("p_drop_base must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class StateMeasurement:
-    """Noisy onboard estimate of the own-ship state."""
-
-    u: float  # m/s
-    psi: float  # rad, wrapped
-    r: float  # rad/s
-
-
 def project_target(
     usv: Pose2D, target: Pose2D, extent: float, cam: CameraIntrinsics
 ) -> BoundingBox | None:
@@ -527,13 +518,14 @@ def lidar_range(usv: Pose2D, target: Pose2D, max_range: float, noise: Iterator[f
     return max(d + next(noise), 0.0)
 
 
-def measure_state(u: float, psi: float, r: float, noise: Sequence[float]) -> StateMeasurement:
-    """Additive-Gaussian state measurement; heading re-wrapped after noise.
+def measure_state(u: float, psi: float, r: float, noise: Sequence[float]) -> tuple[float, float, float]:
+    """Additive-Gaussian state measurement (u, psi, r); heading re-wrapped after noise.
 
-    noise is this step's (u, psi, r) error, one row of
+    The result is the noisy onboard estimate: m/s, rad on (-pi, pi] and
+    rad/s. noise is this step's (u, psi, r) error, one row of
     seeding.normal_rows(rng, (sigma_u, sigma_psi, sigma_r), n). A row holds
     three draws whatever the sigmas, so the stream stays aligned across
     noise configurations.
     """
     du, dpsi, dr = noise
-    return StateMeasurement(u + du, wrap_angle(psi + dpsi), r + dr)
+    return u + du, wrap_angle(psi + dpsi), r + dr

@@ -8,6 +8,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -416,20 +417,21 @@ def run_scenario(sc: Scenario) -> RunLog:
 
             rng_range = sensors.lidar_range(pose, target, sc.guidance_cfg.lidar_max_range, lidar_noise)
             meas = sensors.measure_state(u, psi, r, next(imu_noise))
+            u_meas, psi_meas, _ = meas
             cmd = guidance.guidance_step(det, rng_range, sc.guidance_cfg, cam, gstate)
             if det.valid and det.box is not None:
                 e_y = (cam.cy - det.box.center()[1]) / cam.fx
 
             if law.kind is ControllerKind.PID:
-                gen = control.pid_step(cstate, cmd.u_ref - meas.u, cmd.e_psi, sc.dt, law.pid)
+                gen = control.pid_step(cstate, cmd.u_ref - u_meas, cmd.e_psi, sc.dt, law.pid)
             else:
-                psi_ref = wrap_angle(meas.psi + cmd.e_psi)
+                psi_ref = wrap_angle(psi_meas + cmd.e_psi)
                 if law.kind is ControllerKind.SMC:
-                    refs = control.smc_refs(cstate, cmd.u_ref, psi_ref, meas.u, sc.dt, law.smc)
+                    refs = control.smc_refs(cstate, cmd.u_ref, psi_ref, u_meas, sc.dt, law.smc)
                     gen = control.smc_step(cstate, refs, meas, law.smc, params)
                 else:
                     gen = control.lqr_step(lqr, meas, (cmd.u_ref, psi_ref))
-            left, right = dynamics.thrust_forces(gen.T1, gen.T2, params)
+            left, right = dynamics.thrust_forces(*gen, params)
 
             det_cells = (det.box.x, det.box.y, det.box.w, det.box.h) if det.valid and det.box else no_box
             gt_cells = (gt_box.x, gt_box.y, gt_box.w, gt_box.h) if gt_box is not None else no_box
@@ -520,7 +522,13 @@ def derived_seed(seed: int, label: str) -> int:
 
 
 def _set_by_path(sc: Scenario, path: str, value):
-    """Replace a nested scenario field addressed by a dotted path."""
+    """Replace a nested scenario field addressed by a dotted path.
+
+    The value's text is parsed as a scenario file parses the field's key, so
+    any field a key can set can be swept, and a float must be finite.
+    """
+    from . import config  # config imports this module
+
     parts = path.split(".")
     chain = [sc]
     for p in parts[:-1]:
@@ -529,8 +537,18 @@ def _set_by_path(sc: Scenario, path: str, value):
         chain.append(getattr(chain[-1], p))
     if not hasattr(chain[-1], parts[-1]):
         raise ConfigError(f"unknown sweep path: {path}")
-    current = getattr(chain[-1], parts[-1])
-    rebuilt = _coerce_like(current, value, path)
+    hint = get_type_hints(type(chain[-1])).get(parts[-1])
+    parser = config._parser(hint)
+    if parser is None:
+        kind = type(getattr(chain[-1], parts[-1])).__name__
+        raise ConfigError(f"{path}: cannot sweep a field of type {kind}")
+    try:
+        rebuilt = parser(_format_value(value))
+    except (ValueError, TypeError):
+        kind = getattr(hint, "__name__", hint)
+        raise ConfigError(f"{path}: cannot parse {value!r} as {kind}") from None
+    if not config._finite(rebuilt):
+        raise ConfigError(f"{path}: {rebuilt!r} is not finite")
     try:
         for obj, name in zip(chain[::-1], parts[::-1]):
             rebuilt = dataclasses.replace(obj, **{name: rebuilt})
@@ -539,27 +557,6 @@ def _set_by_path(sc: Scenario, path: str, value):
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return rebuilt
-
-
-def _coerce_like(current, value, path: str):
-    """Parse a sweep value (usually a string) to the type of the current field.
-
-    Only enum, int, float and str fields can be swept, and a float field
-    takes only finite values.
-    """
-    field_type = type(current)
-    if not isinstance(current, (enum.Enum, int, float, str)):
-        raise ConfigError(f"{path}: cannot sweep a field of type {field_type.__name__}")
-    try:
-        if isinstance(current, enum.Enum):
-            return field_type(value.lower() if isinstance(value, str) else value)
-        if isinstance(value, str) or isinstance(current, float):
-            value = field_type(value)
-    except (ValueError, TypeError):
-        raise ConfigError(f"{path}: cannot parse {value!r} as {field_type.__name__}") from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}: {value!r} is not finite")
-    return value
 
 
 def sweep_variant(base: Scenario, axis: str, value, index: int) -> Scenario:

@@ -415,6 +415,15 @@ class TestSweep:
             outs[threads] = read(out)
         assert outs["1"] == outs["4"]
 
+    def test_int_or_auto_field_on_an_auto_scenario(self, tmp_path):
+        # the value type follows the field's annotation, not the base value (auto)
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--scenario", str(SEA_LINE.with_name("calm_line.ini")),
+                   "--axis", "tracker.ncc_search_halfwidth", "--values", "auto,8",
+                   "--out", str(out)])
+        assert rc == 0
+        assert [ln.split(",")[1] for ln in read(out).splitlines()[1:]] == ["auto", "8"]
+
     def test_empty_values_rejected(self, quick_ini, tmp_path, capsys):
         rc = main(["sweep", "--scenario", str(quick_ini), "--axis", "sea.visibility",
                    "--values", ",", "--out", str(tmp_path / "s.csv")])

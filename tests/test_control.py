@@ -1,12 +1,17 @@
 """PID / sliding-mode / LQR laws and the Riccati solver."""
 
+import ast
 import itertools
 import math
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helm_bench import control, dynamics
 from helm_bench.control import (
@@ -23,14 +28,36 @@ from helm_bench.control import (
     smc_step,
     solve_care,
 )
-from helm_bench.core import ConfigError, NumericalError, UsvParams
-from helm_bench.sensors import StateMeasurement
+from helm_bench.core import ConfigError, NumericalError, UsvParams, wrap_angle
 
 PARAMS = UsvParams()
+CONTROL_PY = Path(__file__).resolve().parent.parent / "src" / "helm_bench" / "control.py"
 
 
-def meas(u=0.0, psi=0.0, r=0.0) -> StateMeasurement:
-    return StateMeasurement(u=u, psi=psi, r=r)
+def _package_imports(path: Path) -> set[str]:
+    """The helm_bench modules a source file imports, named relative to the package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] == "helm_bench"]
+            found.update(name.removeprefix("helm_bench.") for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "helm_bench":
+                    continue
+                module = module.removeprefix("helm_bench").lstrip(".")
+            found.update([module] if module else [a.name for a in node.names])
+    return found
+
+
+def test_control_layer_imports_only_core():
+    # the laws take and return plain floats, so they need no sensor or plant type
+    assert _package_imports(CONTROL_PY) == {"core"}
+
+
+def meas(u=0.0, psi=0.0, r=0.0) -> tuple[float, float, float]:
+    return (u, psi, r)
 
 
 # --- reference solver ----------------------------------------------------
@@ -119,29 +146,29 @@ def _ref_solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.nda
 class TestPid:
     def test_pure_proportional(self):
         gains = PidGains(kp_u=2.0, ki_u=0.0, kd_u=0.0, kp_psi=2.0, ki_psi=0.0, kd_psi=0.0)
-        out = pid_step(ControllerState(), e_u=3.0, e_psi=0.0, dt=0.02, gains=gains)
-        assert out.T1 == pytest.approx(6.0)
-        assert out.T2 == 0.0
+        T1, T2 = pid_step(ControllerState(), e_u=3.0, e_psi=0.0, dt=0.02, gains=gains)
+        assert T1 == pytest.approx(6.0)
+        assert T2 == 0.0
 
     def test_rectangular_integral_recursion(self):
         gains = PidGains(kp_u=2.0, ki_u=1.0, kd_u=0.0, kp_psi=0.0, ki_psi=0.0, kd_psi=0.0)
         state = ControllerState()
-        first = pid_step(state, e_u=3.0, e_psi=0.0, dt=1.0, gains=gains)
-        second = pid_step(state, e_u=3.0, e_psi=0.0, dt=1.0, gains=gains)
-        assert first.T1 == pytest.approx(9.0)  # 2*3 + 1*(3*1)
-        assert second.T1 == pytest.approx(12.0)  # integral now 6
+        first, _ = pid_step(state, e_u=3.0, e_psi=0.0, dt=1.0, gains=gains)
+        second, _ = pid_step(state, e_u=3.0, e_psi=0.0, dt=1.0, gains=gains)
+        assert first == pytest.approx(9.0)  # 2*3 + 1*(3*1)
+        assert second == pytest.approx(12.0)  # integral now 6
 
     def test_heading_error_wrapped_before_use(self):
         gains = PidGains(kp_u=0.0, ki_u=0.0, kd_u=0.0, kp_psi=1.0, ki_psi=0.0, kd_psi=0.0)
-        out = pid_step(ControllerState(), 0.0, 2.0 * math.pi - 0.1, 0.02, gains)
-        assert out.T2 == pytest.approx(-0.1, abs=1e-12)
+        _, T2 = pid_step(ControllerState(), 0.0, 2.0 * math.pi - 0.1, 0.02, gains)
+        assert T2 == pytest.approx(-0.1, abs=1e-12)
 
     def test_integral_clamp(self):
         gains = PidGains(kp_u=0.0, ki_u=1.0, kd_u=0.0, integral_limit=2.0)
         state = ControllerState()
         for _ in range(100):
-            out = pid_step(state, e_u=10.0, e_psi=0.0, dt=1.0, gains=gains)
-        assert out.T1 == pytest.approx(2.0)
+            T1, _ = pid_step(state, e_u=10.0, e_psi=0.0, dt=1.0, gains=gains)
+        assert T1 == pytest.approx(2.0)
         assert state.i_u == 2.0
 
     def test_derivative_backward_difference(self):
@@ -150,9 +177,9 @@ class TestPid:
             derivative_filter_tau=0.0,
         )
         state = ControllerState()
-        assert pid_step(state, 1.0, 0.0, 0.5, gains).T1 == 0.0  # no previous error yet
-        out = pid_step(state, 2.0, 0.0, 0.5, gains)
-        assert out.T1 == pytest.approx((2.0 - 1.0) / 0.5)
+        assert pid_step(state, 1.0, 0.0, 0.5, gains)[0] == 0.0  # no previous error yet
+        T1, _ = pid_step(state, 2.0, 0.0, 0.5, gains)
+        assert T1 == pytest.approx((2.0 - 1.0) / 0.5)
 
     def test_memoryless_without_integral(self):
         # with ki = 0 and an unfiltered derivative the output depends only on
@@ -181,33 +208,33 @@ class TestPid:
 class TestSmc:
     def test_yaw_equivalent_control_minus_switching(self):
         gains = SmcGains(lambda_psi=1.0, eta_psi=0.5, phi=0.0)
-        out = smc_step(
+        T1, T2 = smc_step(
             ControllerState(),
             refs=(0.0, 0.0, 0.2, 0.0, 0.0),
             meas=meas(),
             gains=gains,
             params=PARAMS,
         )
-        assert out.T2 == pytest.approx(3.2 * 0.2 - 0.5, abs=1e-12)  # 0.14
-        assert out.T1 == 0.0  # zero surge error, sgn(0) = 0
+        assert T2 == pytest.approx(3.2 * 0.2 - 0.5, abs=1e-12)  # 0.14
+        assert T1 == 0.0  # zero surge error, sgn(0) = 0
 
     def test_mirror_symmetry(self):
         gains = SmcGains(lambda_psi=1.0, eta_psi=0.5, phi=0.0)
-        pos = smc_step(ControllerState(), (0, 0, 0.2, 0, 0), meas(), gains, PARAMS)
-        neg = smc_step(ControllerState(), (0, 0, -0.2, 0, 0), meas(), gains, PARAMS)
-        assert neg.T2 == pytest.approx(-pos.T2, abs=1e-12)
+        _, pos = smc_step(ControllerState(), (0, 0, 0.2, 0, 0), meas(), gains, PARAMS)
+        _, neg = smc_step(ControllerState(), (0, 0, -0.2, 0, 0), meas(), gains, PARAMS)
+        assert neg == pytest.approx(-pos, abs=1e-12)
 
     def test_on_surface_equilibrium(self):
-        out = smc_step(ControllerState(), (0, 0, 0, 0, 0), meas(), SmcGains(), PARAMS)
-        assert out.T1 == 0.0 and out.T2 == 0.0
+        T1, T2 = smc_step(ControllerState(), (0, 0, 0, 0, 0), meas(), SmcGains(), PARAMS)
+        assert T1 == 0.0 and T2 == 0.0
 
     def test_heading_error_wrapped(self):
         gains = SmcGains(lambda_psi=1.0, eta_psi=0.5, phi=0.0)
-        wrapped = smc_step(ControllerState(), (0, 0, 0.2, 0, 0), meas(), gains, PARAMS)
-        raw = smc_step(
+        _, wrapped = smc_step(ControllerState(), (0, 0, 0.2, 0, 0), meas(), gains, PARAMS)
+        _, raw = smc_step(
             ControllerState(), (0, 0, 0.2 + 2.0 * math.pi, 0, 0), meas(), gains, PARAMS
         )
-        assert raw.T2 == pytest.approx(wrapped.T2, abs=1e-9)
+        assert raw == pytest.approx(wrapped, abs=1e-9)
 
     def test_boundary_layer_is_lipschitz(self):
         gains = SmcGains(lambda_psi=1.2, eta_psi=1.5, phi=0.05)
@@ -215,7 +242,7 @@ class TestSmc:
         L = PARAMS.Izz * gains.lambda_psi + gains.eta_psi * gains.lambda_psi / gains.phi
         errors = np.linspace(-0.2, 0.2, 2001)
         outs = [
-            smc_step(ControllerState(), (0, 0, float(e), 0, 0), meas(), gains, PARAMS).T2
+            smc_step(ControllerState(), (0, 0, float(e), 0, 0), meas(), gains, PARAMS)[1]
             for e in errors
         ]
         step = errors[1] - errors[0]
@@ -224,8 +251,8 @@ class TestSmc:
     def test_pure_switching_jumps_only_at_zero(self):
         gains = SmcGains(lambda_psi=1.2, eta_psi=1.5, phi=0.0)
         eps = 1e-9
-        plus = smc_step(ControllerState(), (0, 0, eps, 0, 0), meas(), gains, PARAMS).T2
-        minus = smc_step(ControllerState(), (0, 0, -eps, 0, 0), meas(), gains, PARAMS).T2
+        _, plus = smc_step(ControllerState(), (0, 0, eps, 0, 0), meas(), gains, PARAMS)
+        _, minus = smc_step(ControllerState(), (0, 0, -eps, 0, 0), meas(), gains, PARAMS)
         assert plus - minus == pytest.approx(-2.0 * gains.eta_psi, abs=1e-6)
 
     def test_gain_validation(self):
@@ -327,6 +354,19 @@ class TestRiccati:
     def test_gain_sparsity_matches_decoupling(self):
         K = lqr_gain(PARAMS, LqrWeights()).K
         assert K[0, 1] == 0.0 and K[0, 2] == 0.0 and K[1, 0] == 0.0
+
+    def test_float_gains_are_the_entries_of_K(self):
+        rng = np.random.default_rng(5)
+        weights = [LqrWeights(), LqrWeights(Q=np.eye(3), R=np.eye(2))] + [
+            LqrWeights(Q=np.diag(q), R=np.diag(r))
+            for q, r in zip(10.0 ** rng.uniform(-3, 3, (200, 3)), 10.0 ** rng.uniform(-3, 3, (200, 2)))
+        ]
+        plants = [PARAMS, UsvParams(m=0.5, Izz=30.0, l=0.1), UsvParams(m=200.0, Izz=0.5, l=2.0)]
+        for params, w in itertools.product(plants, weights):
+            gain = lqr_gain(params, w)
+            (k_u, _, _), (_, k_psi, k_r) = gain.K.tolist()
+            got = [gain.k_u.hex(), gain.k_psi.hex(), gain.k_r.hex()]
+            assert got == [k_u.hex(), k_psi.hex(), k_r.hex()]
 
     def test_default_gain_is_pinned(self):
         K = lqr_gain(PARAMS, LqrWeights()).K
@@ -441,33 +481,33 @@ class TestLqrStep:
                 out = lqr_step(gain, meas(u=e_u, psi=e_psi, r=r), refs=(0.0, 0.0))
                 T1 = -_fma_oracle(k_u, e_u, -0.0)
                 T2 = -_fma_oracle(k_r, r, _fma_oracle(k_psi, e_psi, -0.0))
-                assert (out.T1.hex(), out.T2.hex()) == (T1.hex(), T2.hex()), (e_u, e_psi, r)
+                assert (out[0].hex(), out[1].hex()) == (T1.hex(), T2.hex()), (e_u, e_psi, r)
 
     def test_overflowing_error_gives_infinite_thrust(self):
         gain = lqr_gain(PARAMS, LqrWeights())
         out = lqr_step(gain, meas(u=1e308, r=-1e308), refs=(-1e308, 0.0))
-        assert (out.T1, out.T2) == (-math.inf, math.inf)
+        assert out == (-math.inf, math.inf)
 
     def test_zero_error_zero_thrust(self):
         gain = lqr_gain(PARAMS, LqrWeights())
-        out = lqr_step(gain, meas(u=1.0, psi=0.3, r=0.0), refs=(1.0, 0.3))
-        assert out.T1 == pytest.approx(0.0, abs=1e-12)
-        assert out.T2 == pytest.approx(0.0, abs=1e-12)
+        T1, T2 = lqr_step(gain, meas(u=1.0, psi=0.3, r=0.0), refs=(1.0, 0.3))
+        assert T1 == pytest.approx(0.0, abs=1e-12)
+        assert T2 == pytest.approx(0.0, abs=1e-12)
 
     def test_accelerates_when_slow(self):
         gain = lqr_gain(PARAMS, LqrWeights(Q=np.eye(3), R=np.eye(2)))
-        out = lqr_step(gain, meas(u=0.5), refs=(1.0, 0.0))
-        assert out.T1 == pytest.approx(0.5, abs=1e-9)  # surge row is [1, 0, 0]
+        T1, _ = lqr_step(gain, meas(u=0.5), refs=(1.0, 0.0))
+        assert T1 == pytest.approx(0.5, abs=1e-9)  # surge row is [1, 0, 0]
 
     def test_turns_toward_reference(self):
         gain = lqr_gain(PARAMS, LqrWeights())
-        out = lqr_step(gain, meas(psi=0.1), refs=(0.0, 0.0))
-        assert out.T2 < 0.0  # pointing left of target: clockwise correction
+        _, T2 = lqr_step(gain, meas(psi=0.1), refs=(0.0, 0.0))
+        assert T2 < 0.0  # pointing left of target: clockwise correction
 
     def test_error_wrapped_at_branch_cut(self):
         gain = lqr_gain(PARAMS, LqrWeights())
-        near = lqr_step(gain, meas(psi=math.pi - 0.05), refs=(0.0, -math.pi + 0.05))
-        assert abs(near.T2) < 10.0  # 0.1 rad error, not ~2pi
+        _, near = lqr_step(gain, meas(psi=math.pi - 0.05), refs=(0.0, -math.pi + 0.05))
+        assert abs(near) < 10.0  # 0.1 rad error, not ~2pi
 
     def test_desk_regulation_with_one_reversal_budget(self):
         gain = lqr_gain(PARAMS, LqrWeights())
@@ -477,9 +517,9 @@ class TestLqrStep:
         for k in range(int(15.0 / dt)):
             m = meas(u=u, psi=psi, r=r)
             out = lqr_step(gain, m, refs=(0.0, 0.0))
-            pair = dynamics.saturate(dynamics.mix(out), PARAMS)
+            left, right = dynamics.thrust_forces(*out, PARAMS)
             x, y, psi, u, r = dynamics.step(
-                x, y, psi, u, r, pair.left, pair.right, dynamics.CALM, k * dt, dt, PARAMS
+                x, y, psi, u, r, left, right, dynamics.CALM, k * dt, dt, PARAMS
             )
             errors.append(psi)
         assert abs(errors[-1]) < 0.01
@@ -495,6 +535,216 @@ class TestZeroAtReset:
         pid = pid_step(ControllerState(), 0.0, 0.0, 0.02, PidGains())
         smc = smc_step(ControllerState(), (0, 0, 0, 0, 0), meas(), SmcGains(), PARAMS)
         lqr = lqr_step(lqr_gain(PARAMS, LqrWeights()), meas(), (0.0, 0.0))
-        for out in (pid, smc, lqr):
-            assert out.T1 == pytest.approx(0.0, abs=1e-12)
-            assert out.T2 == pytest.approx(0.0, abs=1e-12)
+        for T1, T2 in (pid, smc, lqr):
+            assert T1 == pytest.approx(0.0, abs=1e-12)
+            assert T2 == pytest.approx(0.0, abs=1e-12)
+
+
+# --- oracle: the dataclass control laws that the tuple forms replaced ------
+# Verbatim copies of the laws that took a StateMeasurement and returned a
+# GeneralizedThrust, with the two dataclasses; the unchanged helpers
+# (_lowpass, _switch, _fma) are called from the package.
+
+
+@dataclass(frozen=True)
+class StateMeasurement:
+    """Noisy onboard estimate of the own-ship state."""
+
+    u: float  # m/s
+    psi: float  # rad, wrapped
+    r: float  # rad/s
+
+
+@dataclass(frozen=True)
+class GeneralizedThrust:
+    """Surge/yaw channel commands: T1 drives surge, T2 the yaw couple."""
+
+    T1: float = 0.0  # N
+    T2: float = 0.0  # N (differential force; moment is T2 * l)
+
+
+def _ref_pid_step(state, e_u, e_psi, dt, gains):
+    if not dt > 0.0:
+        raise ValueError("dt must be > 0")
+    e_psi = wrap_angle(e_psi)
+    lim = gains.integral_limit
+
+    state.i_u = min(max(state.i_u + e_u * dt, -lim), lim)
+    state.i_psi = min(max(state.i_psi + e_psi * dt, -lim), lim)
+
+    raw_du = 0.0 if state.prev_e_u is None else (e_u - state.prev_e_u) / dt
+    raw_dpsi = 0.0 if state.prev_e_psi is None else wrap_angle(e_psi - state.prev_e_psi) / dt
+    state.d_u = control._lowpass(state.d_u, raw_du, dt, gains.derivative_filter_tau)
+    state.d_psi = control._lowpass(state.d_psi, raw_dpsi, dt, gains.derivative_filter_tau)
+    state.prev_e_u = e_u
+    state.prev_e_psi = e_psi
+
+    return GeneralizedThrust(
+        T1=gains.kp_u * e_u + gains.ki_u * state.i_u + gains.kd_u * state.d_u,
+        T2=gains.kp_psi * e_psi + gains.ki_psi * state.i_psi + gains.kd_psi * state.d_psi,
+    )
+
+
+def _ref_smc_refs(state, u_des, psi_des, u_meas, dt, gains):
+    if not dt > 0.0:
+        raise ValueError("dt must be > 0")
+    tau = gains.ref_filter_tau
+
+    raw_udot_des = 0.0 if state.prev_u_des is None else (u_des - state.prev_u_des) / dt
+    state.udot_des = control._lowpass(state.udot_des, raw_udot_des, dt, tau)
+    state.prev_u_des = u_des
+
+    raw_psidot = (
+        0.0 if state.prev_psi_des is None else wrap_angle(psi_des - state.prev_psi_des) / dt
+    )
+    prev_filtered = state.psidot_des
+    state.psidot_des = control._lowpass(state.psidot_des, raw_psidot, dt, tau)
+    state.rdot_des = control._lowpass(
+        state.rdot_des, (state.psidot_des - prev_filtered) / dt, dt, tau
+    )
+    state.prev_psi_des = psi_des
+
+    raw_udot = 0.0 if state.prev_u_meas is None else (u_meas - state.prev_u_meas) / dt
+    state.udot_est = control._lowpass(state.udot_est, raw_udot, dt, tau)
+    state.prev_u_meas = u_meas
+
+    return (u_des, state.udot_des, psi_des, state.psidot_des, state.rdot_des)
+
+
+def _ref_smc_step(state, refs, meas, gains, params):
+    u_des, udot_des, psi_des, psidot_des, rdot_des = refs
+    e_u = u_des - meas.u
+    e_psi = wrap_angle(psi_des - meas.psi)
+    s_u = gains.lambda_u * e_u + udot_des - state.udot_est
+    s_psi = gains.lambda_psi * e_psi + psidot_des - meas.r
+
+    T1 = params.m * (udot_des + gains.lambda_u * e_u) - gains.eta_u * control._switch(
+        s_u, gains.phi
+    )
+    T2 = params.Izz * (rdot_des + gains.lambda_psi * e_psi) - gains.eta_psi * control._switch(
+        s_psi, gains.phi
+    )
+    return GeneralizedThrust(T1=T1, T2=T2)
+
+
+def _ref_lqr_step(gain, meas, refs):
+    u_ref, psi_ref = refs
+    (k_u, _, _), (_, k_psi, k_r) = gain.K.tolist()
+    e_psi = wrap_angle(meas.psi - psi_ref)
+    return GeneralizedThrust(
+        T1=-(k_u * (meas.u - u_ref)), T2=-control._fma(k_r, meas.r, k_psi * e_psi)
+    )
+
+
+def _bits(call):
+    """Hex of each float a call returns, or the error it raised."""
+    try:
+        out = call()
+    except ValueError as exc:
+        return repr(exc)
+    if isinstance(out, GeneralizedThrust):
+        out = (out.T1, out.T2)
+    return [v.hex() for v in out]
+
+
+def _near(*centers, width):
+    return st.one_of(*(st.floats(c - width, c + width) for c in centers))
+
+
+_EDGES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324])
+_VALUES = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e3, 1e3), _EDGES, st.floats())
+# Headings and heading errors, with values at and next to the wrap boundary.
+_ANGLES = st.one_of(
+    st.floats(-4.0, 4.0),
+    _near(math.pi, -math.pi, 2.0 * math.pi, width=1e-9),
+    st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0)]),
+    _EDGES,
+)
+_DTS = st.one_of(st.sampled_from([0.02, 0.1, 0.0, -0.0, 5e-324]), st.floats(1e-6, 1.0))
+_PID_GAINS = st.sampled_from(
+    [PidGains(), PidGains(derivative_filter_tau=0.0, integral_limit=1.0, ki_psi=3.0)]
+)
+# A wide boundary layer keeps the switching term off its clamps.
+_SMC_GAINS = st.sampled_from(
+    [SmcGains(), SmcGains(phi=0.0, ref_filter_tau=0.0), SmcGains(phi=1e3, ref_filter_tau=0.5)]
+)
+_SMC_PARAMS = st.sampled_from([PARAMS, UsvParams(m=1e-3, Izz=1e3)])
+_LQR_GAINS = st.sampled_from(
+    [
+        lqr_gain(PARAMS, LqrWeights()),
+        lqr_gain(PARAMS, LqrWeights(Q=np.diag([1e-6, 1e6, 0.0]), R=np.diag([1e3, 1e-3]))),
+    ]
+)
+
+
+class TestLawOracles:
+    """The tuple forms return the bits of the dataclass forms, and leave the same state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_VALUES, _ANGLES), min_size=1, max_size=4), _DTS, _PID_GAINS)
+    def test_pid_step(self, errors, dt, gains):
+        got_state, want_state = ControllerState(), ControllerState()
+        for e_u, e_psi in errors:
+            got = _bits(lambda: pid_step(got_state, e_u, e_psi, dt, gains))
+            want = _bits(lambda: _ref_pid_step(want_state, e_u, e_psi, dt, gains))
+            assert got == want
+            assert repr(got_state) == repr(want_state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_VALUES, _ANGLES, _VALUES, _ANGLES, _VALUES), min_size=1, max_size=4),
+        _DTS,
+        _SMC_GAINS,
+        _SMC_PARAMS,
+    )
+    def test_smc_refs_and_step(self, steps, dt, gains, params):
+        got_state, want_state = ControllerState(), ControllerState()
+        for u_des, psi_des, u, psi, r in steps:
+            got_refs = _bits(lambda: smc_refs(got_state, u_des, psi_des, u, dt, gains))
+            want_refs = _bits(lambda: _ref_smc_refs(want_state, u_des, psi_des, u, dt, gains))
+            assert got_refs == want_refs
+            if isinstance(got_refs, list):
+                refs = tuple(map(float.fromhex, got_refs))
+                got = _bits(lambda: smc_step(got_state, refs, (u, psi, r), gains, params))
+                meas = StateMeasurement(u, psi, r)
+                want = _bits(lambda: _ref_smc_step(want_state, refs, meas, gains, params))
+                assert got == want
+            assert repr(got_state) == repr(want_state)
+
+    def test_signed_zero_sequences(self):
+        # every two-step sequence of signed zeros, where only the sign of a zero
+        # sum or difference tells the forms apart
+        zeros = (0.0, -0.0)
+        pairs = list(itertools.product(zeros, repeat=2))
+        for steps, dt, tau in itertools.product(
+            itertools.product(pairs, repeat=2), (0.02, 1.0), (0.0, 0.1)
+        ):
+            got_state, want_state = ControllerState(), ControllerState()
+            pid = PidGains(derivative_filter_tau=tau)
+            for e_u, e_psi in steps:
+                got = _bits(lambda: pid_step(got_state, e_u, e_psi, dt, pid))
+                assert got == _bits(lambda: _ref_pid_step(want_state, e_u, e_psi, dt, pid))
+        for steps, gains in itertools.product(
+            itertools.product(itertools.product(zeros, repeat=5), repeat=2),
+            (SmcGains(phi=0.0, ref_filter_tau=0.0), SmcGains()),
+        ):
+            got_state, want_state = ControllerState(), ControllerState()
+            for u_des, psi_des, u, psi, r in steps:
+                refs = smc_refs(got_state, u_des, psi_des, u, 0.02, gains)
+                got = _bits(lambda: smc_step(got_state, refs, (u, psi, r), gains, PARAMS))
+                want_refs = _ref_smc_refs(want_state, u_des, psi_des, u, 0.02, gains)
+                meas = StateMeasurement(u, psi, r)
+                want = _bits(lambda: _ref_smc_step(want_state, want_refs, meas, gains, PARAMS))
+                assert (got, _bits(lambda: refs)) == (want, _bits(lambda: want_refs))
+        gain = lqr_gain(PARAMS, LqrWeights())
+        for u, psi, r, u_ref, psi_ref in itertools.product(zeros, repeat=5):
+            got = _bits(lambda: lqr_step(gain, (u, psi, r), (u_ref, psi_ref)))
+            meas = StateMeasurement(u, psi, r)
+            assert got == _bits(lambda: _ref_lqr_step(gain, meas, (u_ref, psi_ref)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_LQR_GAINS, _VALUES, _ANGLES, _VALUES, _VALUES, _ANGLES)
+    def test_lqr_step(self, gain, u, psi, r, u_ref, psi_ref):
+        got = _bits(lambda: lqr_step(gain, (u, psi, r), (u_ref, psi_ref)))
+        want = _bits(lambda: _ref_lqr_step(gain, StateMeasurement(u, psi, r), (u_ref, psi_ref)))
+        assert got == want

@@ -1,9 +1,13 @@
 """Pixel-error extraction, body-frame mapping, speed law, and the lost-target FSM."""
 
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helm_bench.core import BoundingBox, CameraIntrinsics, ConfigError, Pose2D
 from helm_bench.guidance import (
@@ -32,17 +36,14 @@ MISS = Detection(valid=False)
 
 class TestPixelError:
     def test_centered_target(self):
-        e = pixel_error(det_at(320.0).box, CAM)
-        assert (e.ex, e.ey) == (0.0, 0.0)
+        assert pixel_error(det_at(320.0).box, CAM) == (0.0, 0.0)
 
     def test_lower_right_target(self):
-        e = pixel_error(det_at(400.0, 300.0).box, CAM)
-        assert (e.ex, e.ey) == (-80.0, -60.0)
+        assert pixel_error(det_at(400.0, 300.0).box, CAM) == (-80.0, -60.0)
 
     def test_corner_target(self):
         box = BoundingBox(-20.0, -20.0, 40.0, 40.0)  # center (0, 0)
-        e = pixel_error(box, CAM)
-        assert (e.ex, e.ey) == (320.0, 240.0)
+        assert pixel_error(box, CAM) == (320.0, 240.0)
 
     def test_center_outside_image_rejected(self):
         with pytest.raises(ValueError):
@@ -53,29 +54,80 @@ class TestPixelError:
         for _ in range(200):
             cx = rng.uniform(0.0, CAM.width)
             cy = rng.uniform(0.0, CAM.height)
-            e = pixel_error(det_at(cx, cy).box, CAM)
-            assert abs(e.ex) <= CAM.width and abs(e.ey) <= CAM.height
+            ex, ey = pixel_error(det_at(cx, cy).box, CAM)
+            assert abs(ex) <= CAM.width and abs(ey) <= CAM.height
+
+
+# --- oracle: the PixelError forms that the tuple forms replaced, kept verbatim
+
+
+@dataclass(frozen=True)
+class PixelError:
+    ex: float  # px, +left of image center
+    ey: float  # px, +above image center
+
+
+def _ref_pixel_error(box: BoundingBox, cam: CameraIntrinsics) -> PixelError:
+    """Offset of the box center from the image center, positive left/up."""
+    cx, cy = box.center()
+    if not cam.sees(box):
+        raise ValueError(f"box center ({cx}, {cy}) lies outside the image")
+    return PixelError(ex=cam.cx - cx, ey=cam.cy - cy)
+
+
+def _ref_pixel_to_body(err: PixelError, cam: CameraIntrinsics) -> float:
+    """Horizontal pixel error as a body-frame bearing error (rad, + to port)."""
+    return math.atan2(err.ex, cam.fx)
+
+
+# Box corners and sizes: in-image values, signed zeros, the image edges and
+# centers, infinities and values just off the edges.
+_COORDS = st.one_of(
+    st.floats(-50.0, 700.0),
+    st.sampled_from([0.0, -0.0, 240.0, 320.0, 480.0, 640.0, 15.5, 48.5, 97.0]),
+    st.sampled_from([math.inf, -math.inf, -5e-324, math.nextafter(640.0, 1e3)]),
+    st.floats(),
+)
+_SIZES = st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, -0.0, 5e-324, math.inf]))
+_CAMS = st.sampled_from([CAM, CameraIntrinsics(width=97, height=31, fx=0.3)])
+
+
+class TestPixelErrorOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(_COORDS, _COORDS, _SIZES, _SIZES, _CAMS)
+    def test_bit_identical_to_the_dataclass_form(self, x, y, w, h, cam):
+        box = BoundingBox(x, y, w, h)
+        try:
+            want = _ref_pixel_error(box, cam)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                pixel_error(box, cam)
+            return
+        ex, ey = pixel_error(box, cam)
+        assert (ex.hex(), ey.hex()) == (want.ex.hex(), want.ey.hex())
+        assert pixel_to_body(ex, cam).hex() == _ref_pixel_to_body(want, cam).hex()
 
 
 class TestPixelToBody:
     def test_centered_is_zero(self):
-        assert pixel_to_body(pixel_error(det_at(320.0).box, CAM), CAM) == 0.0
+        ex, _ = pixel_error(det_at(320.0).box, CAM)
+        assert pixel_to_body(ex, CAM) == 0.0
 
     def test_starboard_detection_turns_clockwise(self):
-        e = pixel_error(det_at(400.0).box, CAM)  # ex = -80
-        assert pixel_to_body(e, CAM) == pytest.approx(math.atan2(-80, 500), abs=1e-12)
-        assert pixel_to_body(e, CAM) == pytest.approx(-0.1587, abs=1e-4)
+        ex, _ = pixel_error(det_at(400.0).box, CAM)  # ex = -80
+        assert pixel_to_body(ex, CAM) == pytest.approx(math.atan2(-80, 500), abs=1e-12)
+        assert pixel_to_body(ex, CAM) == pytest.approx(-0.1587, abs=1e-4)
 
     def test_forty_five_degree_geometry(self):
         # wide camera so a pixel offset equal to fx stays inside the image
         cam = CameraIntrinsics(width=1200, height=480, fx=500.0)
         box = BoundingBox(80.0, 220.0, 40.0, 40.0)  # center (100, 240), ex = 500
-        assert pixel_to_body(pixel_error(box, cam), cam) == pytest.approx(math.pi / 4)
+        assert pixel_to_body(pixel_error(box, cam)[0], cam) == pytest.approx(math.pi / 4)
 
     def test_odd_function(self):
         for ex in (10.0, 80.0, 319.0):
-            left = pixel_to_body(pixel_error(det_at(320.0 - ex).box, CAM), CAM)
-            right = pixel_to_body(pixel_error(det_at(320.0 + ex).box, CAM), CAM)
+            left = pixel_to_body(pixel_error(det_at(320.0 - ex).box, CAM)[0], CAM)
+            right = pixel_to_body(pixel_error(det_at(320.0 + ex).box, CAM)[0], CAM)
             assert left == pytest.approx(-right, abs=1e-15)
             assert left > 0.0  # target left of center: positive (port) correction
 

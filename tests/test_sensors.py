@@ -1,13 +1,15 @@
 """Camera projection, tracker emulation, rendering, NCC tracking, lidar, IMU/DVL."""
 
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helm_bench.core import BoundingBox, CameraIntrinsics, ConfigError, Pose2D
+from helm_bench.core import BoundingBox, CameraIntrinsics, ConfigError, Pose2D, wrap_angle
 from helm_bench.seeding import normal_rows, stream
 from helm_bench.sensors import (
     NOISE_TILE,
@@ -891,16 +893,16 @@ class TestLidar:
 class TestMeasureState:
     def test_noiseless_equals_truth(self):
         m = measure_state(1.2, 0.7, -0.3, next(normal_rows(stream(0, "m"), (0.0, 0.0, 0.0), 1)))
-        assert (m.u, m.psi, m.r) == (1.2, 0.7, -0.3)
+        assert m == (1.2, 0.7, -0.3)
 
     def test_heading_rewrapped(self):
         for noise in normal_rows(stream(9, "m"), (0.0, 0.01, 0.0), 200):
-            m = measure_state(0.0, math.pi, 0.0, noise)
-            assert -math.pi < m.psi <= math.pi
+            _, psi, _ = measure_state(0.0, math.pi, 0.0, noise)
+            assert -math.pi < psi <= math.pi
 
     def test_monte_carlo_std(self):
         rows = normal_rows(stream(13, "m"), (0.05, 0.0, 0.0), 10_000)
-        us = [measure_state(1.2, 0.7, -0.3, noise).u for noise in rows]
+        us = [measure_state(1.2, 0.7, -0.3, noise)[0] for noise in rows]
         assert 0.045 < float(np.std(us)) < 0.055
 
     def test_stream_alignment_across_sigma_configs(self):
@@ -918,3 +920,48 @@ class TestMeasureState:
                 SensorNoise(**{name: -0.1})
             with pytest.raises(ValueError):
                 next(normal_rows(stream(0, "m"), [-0.1 if n == name else 0.0 for n in names], 1))
+
+
+# --- oracle: the StateMeasurement form that the tuple replaced, kept verbatim
+
+
+@dataclass(frozen=True)
+class StateMeasurement:
+    """Noisy onboard estimate of the own-ship state."""
+
+    u: float  # m/s
+    psi: float  # rad, wrapped
+    r: float  # rad/s
+
+
+def _ref_measure_state(u, psi, r, noise):
+    du, dpsi, dr = noise
+    return StateMeasurement(u + du, wrap_angle(psi + dpsi), r + dr)
+
+
+_EDGES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324])
+_VALUES = st.one_of(st.floats(-10.0, 10.0), _EDGES, st.floats())
+# Headings at and next to the wrap boundary, and noise that carries them across.
+_ANGLES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0)]),
+    st.floats(math.pi - 1e-9, math.pi + 1e-9),
+    st.floats(-math.pi - 1e-9, -math.pi + 1e-9),
+    _EDGES,
+)
+_ANGLE_NOISE = st.one_of(st.floats(-0.1, 0.1), st.floats(-1e-15, 1e-15), _EDGES)
+
+
+class TestMeasureStateOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(_VALUES, _ANGLES, _VALUES, _VALUES, _ANGLE_NOISE, _VALUES)
+    def test_bit_identical_to_the_dataclass_form(self, u, psi, r, du, dpsi, dr):
+        noise = (du, dpsi, dr)
+        try:
+            want = _ref_measure_state(u, psi, r, noise)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                measure_state(u, psi, r, noise)
+            return
+        got = measure_state(u, psi, r, noise)
+        assert [v.hex() for v in got] == [want.u.hex(), want.psi.hex(), want.r.hex()]

@@ -503,6 +503,11 @@ class TestSweep:
         assert v.sensor_noise.frame_stride == 3
         v = sweep_variant(quick_scenario(), "sea.wave_gain", "0.25", 0)
         assert v.sea.wave_gain == 0.25
+        # the field's annotation (int | None) decides, not the base value
+        v = sweep_variant(quick_scenario(), "tracker.ncc_search_halfwidth", "8", 0)
+        assert v.tracker.ncc_search_halfwidth == 8
+        v = sweep_variant(v, "tracker.ncc_search_halfwidth", "auto", 0)
+        assert v.tracker.ncc_search_halfwidth is None
 
     def test_results_in_input_order(self):
         rows = sweep(quick_scenario(), "sea.visibility", [0.9, 0.3, 0.6])
