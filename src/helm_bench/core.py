@@ -8,6 +8,16 @@ from dataclasses import dataclass, field
 TAU = 2.0 * math.pi
 
 
+Box = tuple[float, float, float, float]  # (x, y, w, h) in px, top-left origin
+Pose = tuple[float, float, float]  # (x, y, psi): m, m, rad wrapped onto (-pi, pi]
+
+
+def box_center(box: Box) -> tuple[float, float]:
+    """Center (cx, cy) of an (x, y, w, h) box, as BoundingBox.center computes it."""
+    x, y, w, h = box
+    return (x + w / 2.0, y + h / 2.0)
+
+
 class ConfigError(ValueError):
     """Invalid configuration value or malformed scenario file."""
 
@@ -29,6 +39,10 @@ def wrap_angle(theta: float) -> float:
 
     Raises ValueError for non-finite input.
     """
+    # TAU is exactly 2*pi, so the IEEE remainder of any |theta| <= pi is
+    # theta itself; NaN and infinities fail the comparison.
+    if -math.pi < theta <= math.pi:
+        return theta
     if not math.isfinite(theta):
         raise ValueError(f"cannot wrap non-finite angle: {theta!r}")
     wrapped = math.remainder(theta, TAU)
@@ -40,7 +54,11 @@ def wrap_angle(theta: float) -> float:
 
 @dataclass
 class Pose2D:
-    """Planar pose in the world frame. psi is stored wrapped onto (-pi, pi]."""
+    """Planar pose in the world frame. psi is stored wrapped onto (-pi, pi].
+
+    Scenario files set poses of this type; the closed loop passes (x, y, psi)
+    tuples (Pose).
+    """
 
     x: float = 0.0  # m
     y: float = 0.0  # m
@@ -65,7 +83,10 @@ class BodyState:
 
 @dataclass
 class BoundingBox:
-    """Axis-aligned pixel box, top-left origin."""
+    """Axis-aligned pixel box, top-left origin: the element type of metrics.Boxes.
+
+    The closed loop passes boxes as (x, y, w, h) tuples (Box).
+    """
 
     x: float
     y: float
@@ -98,9 +119,9 @@ class CameraIntrinsics:
         object.__setattr__(self, "cy", self.height / 2.0)
         object.__setattr__(self, "hfov", 2.0 * math.atan(self.width / (2.0 * self.fx)))
 
-    def sees(self, box: BoundingBox) -> bool:
-        """Whether the box center lies in the image, edges included."""
-        cx, cy = box.center()
+    def sees(self, box: Box) -> bool:
+        """Whether the (x, y, w, h) box's center lies in the image, edges included."""
+        cx, cy = box_center(box)
         return 0.0 <= cx <= self.width and 0.0 <= cy <= self.height
 
 

@@ -6,9 +6,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import BoundingBox, CameraIntrinsics, ConfigError
-from .sensors import Detection
+from .core import Box, CameraIntrinsics, ConfigError, box_center
 
 
 class SpeedLaw(enum.Enum):
@@ -24,8 +24,7 @@ class GuidanceMode(enum.Enum):
     SEARCHING = "searching"
 
 
-@dataclass(frozen=True)
-class GuidanceCommand:
+class GuidanceCommand(NamedTuple):
     mode: GuidanceMode
     u_ref: float  # m/s
     e_psi: float  # rad, + steers to port
@@ -53,9 +52,9 @@ class GuidanceConfig:
             raise ConfigError("holding_decay must lie in [0, 1]")
 
 
-def pixel_error(box: BoundingBox, cam: CameraIntrinsics) -> tuple[float, float]:
-    """Offset (ex, ey) of the box center from the image center, in px, positive left/up."""
-    cx, cy = box.center()
+def pixel_error(box: Box, cam: CameraIntrinsics) -> tuple[float, float]:
+    """Offset (ex, ey) of the (x, y, w, h) box's center from the image center, in px, positive left/up."""
+    cx, cy = box_center(box)
     if not cam.sees(box):
         raise ValueError(f"box center ({cx}, {cy}) lies outside the image")
     return cam.cx - cx, cam.cy - cy
@@ -97,7 +96,7 @@ class GuidanceState:
 
 
 def guidance_step(
-    det: Detection,
+    box: Box | None,
     range_m: float | None,
     cfg: GuidanceConfig,
     cam: CameraIntrinsics,
@@ -105,39 +104,26 @@ def guidance_step(
 ) -> GuidanceCommand:
     """One step of the tracking/holding/searching guidance FSM.
 
-    A valid detection gives TRACKING with fresh errors; short dropouts give
-    HOLDING (last command with decaying speed); past the lost threshold the
-    loop SEARCHES by yawing toward the side the target was last seen.
+    A detected (x, y, w, h) box gives TRACKING with fresh errors; while box
+    is None, short dropouts give HOLDING (last command with decaying speed)
+    and past the lost threshold the loop SEARCHES by yawing toward the side
+    the target was last seen.
     """
-    if det.valid and det.box is not None:
+    if box is not None:
         state.lost_count = 0
-        ex, _ = pixel_error(det.box, cam)
+        ex, _ = pixel_error(box, cam)
         e_psi = pixel_to_body(ex, cam)
         if e_psi != 0.0:
             state.last_seen_sign = math.copysign(1.0, e_psi)
         e_d = distance_error(range_m, cfg) if range_m is not None else 0.0
-        cmd = GuidanceCommand(
-            mode=GuidanceMode.TRACKING,
-            u_ref=reference_speed(range_m, cfg),
-            e_psi=e_psi,
-            e_d=e_d,
-        )
+        cmd = GuidanceCommand(GuidanceMode.TRACKING, reference_speed(range_m, cfg), e_psi, e_d)
     else:
         state.lost_count += 1
         if state.lost_count <= cfg.lost_frames_threshold:
             prev = state.last_command
-            cmd = GuidanceCommand(
-                mode=GuidanceMode.HOLDING,
-                u_ref=prev.u_ref * cfg.holding_decay,
-                e_psi=prev.e_psi,
-                e_d=prev.e_d,
-            )
+            cmd = GuidanceCommand(GuidanceMode.HOLDING, prev.u_ref * cfg.holding_decay, prev.e_psi, prev.e_d)
         else:
-            cmd = GuidanceCommand(
-                mode=GuidanceMode.SEARCHING,
-                u_ref=0.0,
-                e_psi=cfg.search_yaw_bias * state.last_seen_sign,
-                e_d=0.0,
-            )
+            e_psi = cfg.search_yaw_bias * state.last_seen_sign
+            cmd = GuidanceCommand(GuidanceMode.SEARCHING, 0.0, e_psi, 0.0)
     state.last_command = cmd
     return cmd

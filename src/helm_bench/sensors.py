@@ -15,17 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox, CameraIntrinsics, ConfigError, Pose2D, wrap_angle
+from .core import Box, CameraIntrinsics, ConfigError, Pose, box_center, wrap_angle
 
 _MIN_PROJECT_RANGE = 0.1  # m, closer targets are behind/inside the hull
 
 
 @dataclass(frozen=True)
 class Detection:
-    """Single tracker output; box is meaningless when valid is False."""
+    """Single NCC tracker output: an (x, y, w, h) box, None when valid is False."""
 
     valid: bool
-    box: BoundingBox | None = None
+    box: Box | None = None
     score: float = 0.0
 
 
@@ -47,20 +47,19 @@ class TrackerNoiseConfig:
             raise ConfigError("p_drop_base must lie in [0, 1)")
 
 
-def project_target(
-    usv: Pose2D, target: Pose2D, extent: float, cam: CameraIntrinsics
-) -> BoundingBox | None:
+def project_target(usv: Pose, target: Pose, extent: float, cam: CameraIntrinsics) -> Box | None:
     """Pinhole image of a target of the given world extent, or None if out of view.
 
-    The box is clipped to the image; a target to port always lands left of
-    the principal point.
+    usv and target are (x, y, psi) poses. The (x, y, w, h) box is clipped to
+    the image; a target to port always lands left of the principal point.
     """
     if not extent > 0.0:
         raise ConfigError("target extent must be > 0")
-    dx = target.x - usv.x
-    dy = target.y - usv.y
+    ux, uy, upsi = usv
+    dx = target[0] - ux
+    dy = target[1] - uy
     d = math.hypot(dx, dy)
-    beta = wrap_angle(math.atan2(dy, dx) - usv.psi)
+    beta = wrap_angle(math.atan2(dy, dx) - upsi)
     if abs(beta) >= cam.hfov / 2.0 or d <= _MIN_PROJECT_RANGE:
         return None
     center_x = cam.cx - cam.fx * math.tan(beta)
@@ -70,48 +69,47 @@ def project_target(
     right = min(center_x + size / 2.0, float(cam.width))
     top = max(center_y - size / 2.0, 0.0)
     bottom = min(center_y + size / 2.0, float(cam.height))
-    return BoundingBox(x=left, y=top, w=right - left, h=bottom - top)
+    return (left, top, right - left, bottom - top)
 
 
 def emulate_tracker(
-    truth: BoundingBox | None,
+    truth: Box | None,
     visibility: float,
     noise: TrackerNoiseConfig,
     rng: np.random.Generator,
     cam: CameraIntrinsics,
-) -> Detection:
-    """Degrade a ground-truth box the way a real tracker would.
+) -> Box | None:
+    """Degrade a ground-truth (x, y, w, h) box the way a real tracker would.
 
-    Draw order per call: one uniform for dropout, then (if kept) two normals
-    for the center and one for the size. Each is one scalar draw, since
-    whether the normals are drawn depends on the uniform. rng.random() and
-    0.0 + s * rng.standard_normal() give the values of rng.uniform() and
-    rng.normal(0.0, s) bit for bit, through cheaper numpy entry points.
-    Dropout probability is 1 - (1 - p_drop_base) * visibility; center
-    jitter scales with 1 / visibility. A detection whose jittered box the
-    camera does not see (CameraIntrinsics.sees) is invalid: a tracker cannot
-    report a target outside its frame. That is decided after the draws, so
-    the stream stays aligned.
+    Returns the reported box, or None for a miss. Draw order per call: one
+    uniform for dropout, then (if kept) two normals for the center and one
+    for the size, drawn together. rng.random(), and 0.0 + s * z for each z
+    of rng.standard_normal(3), give the values of rng.uniform() and of three
+    rng.normal(0.0, s) calls bit for bit through cheaper numpy entry points,
+    and leave the generator in the same state. Dropout probability is
+    1 - (1 - p_drop_base) * visibility; center jitter scales with
+    1 / visibility. A jittered box the camera does not see
+    (CameraIntrinsics.sees) is a miss: a tracker cannot report a target
+    outside its frame. That is decided after the draws, so the stream stays
+    aligned.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ConfigError("visibility must lie in [0, 1]")
     if truth is None:
-        return Detection(False)
+        return None
     p_drop = 1.0 - (1.0 - noise.p_drop_base) * visibility
     if rng.random() < p_drop:
-        return Detection(False)
-    gauss = rng.standard_normal
-    cx, cy = truth.center()
+        return None
+    zx, zy, zs = rng.standard_normal(3).tolist()
+    cx, cy = box_center(truth)
     sigma_c = noise.sigma_center_px / visibility
-    cx += 0.0 + sigma_c * gauss()
-    cy += 0.0 + sigma_c * gauss()
-    scale = max(1.0 + (0.0 + noise.sigma_scale * gauss()), 0.0)
-    w = truth.w * scale
-    h = truth.h * scale
-    box = BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
-    if not cam.sees(box):
-        return Detection(False)
-    return Detection(True, box, 1.0)  # positional: keywords make this per-frame call ~1/3 slower
+    cx += 0.0 + sigma_c * zx
+    cy += 0.0 + sigma_c * zy
+    scale = max(1.0 + (0.0 + noise.sigma_scale * zs), 0.0)
+    w = truth[2] * scale
+    h = truth[3] * scale
+    box = (cx - w / 2.0, cy - h / 2.0, w, h)
+    return box if cam.sees(box) else None
 
 
 Roi = tuple[int, int, int, int]  # (y0, y1, x0, x1): rows y0..y1-1, columns x0..x1-1
@@ -121,8 +119,8 @@ _TIE_TOLERANCE = 1e-12  # ZNCC scores closer than this to the peak tie with it
 
 
 def render_frame(
-    usv: Pose2D,
-    target: Pose2D,
+    usv: Pose,
+    target: Pose,
     extent: float,
     cam: CameraIntrinsics,
     visibility: float,
@@ -132,6 +130,7 @@ def render_frame(
 ) -> np.ndarray:
     """Grayscale frame: sea at 0.3, target rectangle at 0.8, haze toward 0.6.
 
+    usv and target are (x, y, psi) poses, projected by project_target.
     Haze blends the scene with weight (1 - visibility); sensor noise of the
     given sigma is added after the blend, then intensities clip to [0, 1].
     Returns the (height, width) frame, or with roi only that region of it;
@@ -152,11 +151,12 @@ def render_frame(
     haze = (1.0 - visibility) * 0.6
     frame = np.full((y1 - y0, x1 - x0), visibility * 0.3 + haze)
     box = project_target(usv, target, extent, cam)
-    if box is not None and box.w > 0.0 and box.h > 0.0:
-        bx0 = max(int(math.floor(box.x)), x0)
-        by0 = max(int(math.floor(box.y)), y0)
-        bx1 = min(int(math.ceil(box.x + box.w)), x1)
-        by1 = min(int(math.ceil(box.y + box.h)), y1)
+    if box is not None and box[2] > 0.0 and box[3] > 0.0:
+        bx, by, bw, bh = box
+        bx0 = max(int(math.floor(bx)), x0)
+        by0 = max(int(math.floor(by)), y0)
+        bx1 = min(int(math.ceil(bx + bw)), x1)
+        by1 = min(int(math.ceil(by + bh)), y1)
         if bx1 > bx0 and by1 > by0:
             frame[by0 - y0 : by1 - y0, bx0 - x0 : bx1 - x0] = visibility * 0.8 + haze
     if noise_sigma > 0.0 and frame.size:
@@ -338,18 +338,19 @@ def search_roi(
     return (y0, y1, x0, x1)
 
 
-def template_roi(truth: BoundingBox, margin: float, bounds: Roi) -> Roi:
-    """The truth box grown by margin times its size on each side, clipped to bounds.
+def template_roi(truth: Box, margin: float, bounds: Roi) -> Roi:
+    """The (x, y, w, h) truth box grown by margin times its size on each side, clipped to bounds.
 
     Empty when the box lies outside bounds.
     """
     by0, by1, bx0, bx1 = bounds
-    mx = margin * truth.w
-    my = margin * truth.h
-    x0 = int(math.floor(max(truth.x - mx, bx0)))
-    y0 = int(math.floor(max(truth.y - my, by0)))
-    x1 = int(math.ceil(min(truth.x + truth.w + mx, bx1)))
-    y1 = int(math.ceil(min(truth.y + truth.h + my, by1)))
+    x, y, w, h = truth
+    mx = margin * w
+    my = margin * h
+    x0 = int(math.floor(max(x - mx, bx0)))
+    y0 = int(math.floor(max(y - my, by0)))
+    x1 = int(math.ceil(min(x + w + mx, bx1)))
+    y1 = int(math.ceil(min(y + h + my, by1)))
     if x1 - x0 < 1 or y1 - y0 < 1:
         return (by0, by0, bx0, bx0)
     return (y0, y1, x0, x1)
@@ -380,9 +381,9 @@ def ncc_track(
     the first row-major maximum (to within 1e-12) wins. frame is the whole
     image, or with roi only that region of it; the search stays inside the
     pixels given, and the center and the box are in image coordinates. The
-    detection box has the template's size; a peak below peak_threshold (or
-    a window too small to search) comes back with valid=False. cache, if
-    given, is passed on to zncc_scores.
+    detection's (x, y, w, h) box has the template's size; a peak below
+    peak_threshold (or a window too small to search) comes back with
+    valid=False. cache, if given, is passed on to zncc_scores.
     """
     center, halfwidth = search_window
     th, tw = template.shape
@@ -401,10 +402,9 @@ def ncc_track(
     flat = int(np.argmax(scores >= scores.max() - _TIE_TOLERANCE))
     py, px = divmod(flat, scores.shape[1])
     peak = float(scores[py, px])
-    box = BoundingBox(float(x0 + px), float(y0 + py), float(tw), float(th))
     if peak < peak_threshold:
         return Detection(valid=False, score=peak)
-    return Detection(valid=True, box=box, score=peak)
+    return Detection(valid=True, box=(float(x0 + px), float(y0 + py), float(tw), float(th)), score=peak)
 
 
 class NccTracker:
@@ -453,11 +453,11 @@ class NccTracker:
         )
         return self._center, halfwidth
 
-    def window(self, frame_shape: tuple[int, int], truth: BoundingBox | None = None) -> Roi:
+    def window(self, frame_shape: tuple[int, int], truth: Box | None = None) -> Roi:
         """Region of a frame_shape image that the next call reads.
 
-        Before initialize, the template crop around truth; after it, the
-        search window around the last confident location.
+        Before initialize, the template crop around the (x, y, w, h) truth
+        box; after it, the search window around the last confident location.
         """
         bounds = (0, frame_shape[0], 0, frame_shape[1])
         if self._template is None:
@@ -466,8 +466,8 @@ class NccTracker:
             return template_roi(truth, self.context_margin, bounds)
         return search_roi(*self._search_window(), self._template.shape, bounds)
 
-    def initialize(self, frame: np.ndarray, truth: BoundingBox, roi: Roi | None = None) -> None:
-        """Crop the template around the frame-0 ground-truth box.
+    def initialize(self, frame: np.ndarray, truth: Box, roi: Roi | None = None) -> None:
+        """Crop the template around the frame-0 ground-truth (x, y, w, h) box.
 
         frame is the whole image, or with roi only that region of it.
         """
@@ -477,8 +477,8 @@ class NccTracker:
             raise ConfigError("ground-truth box lies outside the frame")
         self._template = frame[y0 - fy0 : y1 - fy0, x0 - fx0 : x1 - fx0].copy()
         self._cache = TemplateCache(self._template)
-        self._box_size = (truth.w, truth.h)
-        self._center = truth.center()
+        self._box_size = truth[2:]
+        self._center = box_center(truth)
 
     @property
     def initialized(self) -> bool:
@@ -496,23 +496,23 @@ class NccTracker:
         )
         if not det.valid or det.box is None:
             return Detection(valid=False, score=det.score)
-        match_cx, match_cy = det.box.center()
-        self._center = (match_cx, match_cy)
+        self._center = box_center(det.box)
+        match_cx, match_cy = self._center
         bw, bh = self._box_size
-        box = BoundingBox(match_cx - bw / 2.0, match_cy - bh / 2.0, bw, bh)
+        box = (match_cx - bw / 2.0, match_cy - bh / 2.0, bw, bh)
         return Detection(valid=True, box=box, score=det.score)
 
 
-def lidar_range(usv: Pose2D, target: Pose2D, max_range: float, noise: Iterator[float]) -> float | None:
+def lidar_range(usv: Pose, target: Pose, max_range: float, noise: Iterator[float]) -> float | None:
     """Range to the target plus the next value of noise, clipped at 0; None beyond max_range.
 
-    noise yields the Gaussian range errors, for instance
-    seeding.normal_rows(rng, sigma, n); a value is taken only when the
-    target is in range.
+    usv and target are (x, y, psi) poses. noise yields the Gaussian range
+    errors, for instance seeding.normal_rows(rng, sigma, n); a value is
+    taken only when the target is in range.
     """
     if not max_range > 0.0:
         raise ConfigError("max_range must be > 0")
-    d = math.hypot(target.x - usv.x, target.y - usv.y)
+    d = math.hypot(target[0] - usv[0], target[1] - usv[1])
     if d > max_range:
         return None
     return max(d + next(noise), 0.0)

@@ -19,8 +19,10 @@ from .core import (
     ConfigError,
     IntegrationError,
     NumericalError,
+    Pose,
     Pose2D,
     UsvParams,
+    box_center,
     wrap_angle,
 )
 from .seeding import normal_rows, stream
@@ -50,18 +52,23 @@ class TrajectorySpec:
         if self.kind is TrajectoryKind.TRIANGLE:
             if self.vertices is None or len(self.vertices) != 3:
                 raise ConfigError("TRIANGLE needs exactly 3 vertices")
-            if any(length <= 0.0 for *_, length in self.edges):
+            if any(edge[4] <= 0.0 for edge in self.edges):
                 raise ConfigError("triangle edges must have positive length")
 
     @functools.cached_property
-    def edges(self) -> tuple[tuple[float, float, float, float, float], ...]:
-        """(ax, ay, ex, ey, length) of each edge of the closed TRIANGLE path."""
+    def edges(self) -> tuple[tuple[float, float, float, float, float, float], ...]:
+        """(ax, ay, ex, ey, length, psi) of each edge of the closed TRIANGLE path.
+
+        psi is the edge heading, wrapped onto (-pi, pi] as Pose2D stores it:
+        atan2 gives -pi for an edge pointing along -x.
+        """
         assert self.vertices is not None
         edges = []
         for i in range(3):
             ax, ay = self.vertices[i]
             bx, by = self.vertices[(i + 1) % 3]
-            edges.append((ax, ay, bx - ax, by - ay, math.hypot(bx - ax, by - ay)))
+            ex, ey = bx - ax, by - ay
+            edges.append((ax, ay, ex, ey, math.hypot(ex, ey), wrap_angle(math.atan2(ey, ex))))
         return tuple(edges)
 
     @functools.cached_property
@@ -81,30 +88,31 @@ def default_triangle(center: tuple[float, float] = (40.0, 0.0), side: float = 20
     )
 
 
-def target_pose(spec: TrajectorySpec, t: float) -> Pose2D:
-    """Pose of the target at time t (>= 0); triangles loop at constant speed.
+def target_pose(spec: TrajectorySpec, t: float) -> Pose:
+    """Pose (x, y, psi) of the target at time t (>= 0); triangles loop at constant speed.
 
     Exactly at a vertex the heading already points along the next edge.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
+    origin = spec.origin
     if spec.kind is TrajectoryKind.STATIONARY:
-        return spec.origin
+        return (origin.x, origin.y, origin.psi)
     if spec.kind is TrajectoryKind.LINE:
-        return Pose2D(
-            x=spec.origin.x + spec.speed * t * math.cos(spec.origin.psi),
-            y=spec.origin.y + spec.speed * t * math.sin(spec.origin.psi),
-            psi=spec.origin.psi,
+        return (
+            origin.x + spec.speed * t * math.cos(origin.psi),
+            origin.y + spec.speed * t * math.sin(origin.psi),
+            origin.psi,
         )
     s = math.fmod(spec.speed * t, spec.perimeter)
-    for ax, ay, ex, ey, length in spec.edges:
+    for ax, ay, ex, ey, length, psi in spec.edges:
         if s < length:
             f = s / length
-            return Pose2D(x=ax + f * ex, y=ay + f * ey, psi=math.atan2(ey, ex))
+            return (ax + f * ex, ay + f * ey, psi)
         s -= length
     # fmod rounding can land exactly on the perimeter: wrap to the first vertex.
-    ax, ay, ex, ey, _ = spec.edges[0]
-    return Pose2D(x=ax, y=ay, psi=math.atan2(ey, ex))
+    ax, ay, _, _, _, psi = spec.edges[0]
+    return (ax, ay, psi)
 
 
 class ControllerKind(enum.Enum):
@@ -369,7 +377,11 @@ def run_scenario(sc: Scenario) -> RunLog:
     # The plant state as floats; Pose2D holds psi wrapped, and step keeps it so.
     init = sc.initial
     x, y, psi, u, r = init.pose.x, init.pose.y, init.pose.psi, init.u, init.r
-    det = sensors.Detection(valid=False)
+    # Per-run constants, read once.
+    dt, sea, gcfg, kind = sc.dt, sc.sea, sc.guidance_cfg, law.kind
+    visibility, extent, stride = sea.visibility, sc.target.extent, noise.frame_stride
+    tracker_noise, lidar_max = sc.tracker.noise, gcfg.lidar_max_range
+    box = None  # the tracker's (x, y, w, h) box, None while it reports none
     e_y = 0.0
     error: str | None = None
 
@@ -377,19 +389,17 @@ def run_scenario(sc: Scenario) -> RunLog:
     # numpy need not warn about it first.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
-            t = k * sc.dt
+            t = k * dt
             target = target_pose(sc.target, t)
-            pose = Pose2D(x, y, psi)
-            gt_box = sensors.project_target(pose, target, sc.target.extent, cam)
+            pose = (x, y, psi)
+            gt_box = sensors.project_target(pose, target, extent, cam)
 
-            if k % noise.frame_stride == 0:
+            if k % stride == 0:
                 if emulated:
-                    det = sensors.emulate_tracker(
-                        gt_box, sc.sea.visibility, sc.tracker.noise, tracker_rng, cam
-                    )
+                    box = sensors.emulate_tracker(gt_box, visibility, tracker_noise, tracker_rng, cam)
                 else:
                     assert ncc is not None
-                    can_start = gt_box is not None and gt_box.w >= 1.0 and gt_box.h >= 1.0
+                    can_start = gt_box is not None and gt_box[2] >= 1.0 and gt_box[3] >= 1.0
                     # Render only the region the tracker reads. A frame with
                     # nothing to read still draws its key, so later frames keep
                     # their noise.
@@ -400,57 +410,58 @@ def run_scenario(sc: Scenario) -> RunLog:
                     frame = sensors.render_frame(
                         pose,
                         target,
-                        sc.target.extent,
+                        extent,
                         cam,
-                        sc.sea.visibility,
+                        visibility,
                         render_rng,
                         noise_sigma=sc.tracker.render_noise_sigma,
                         roi=roi,
                     )
                     if ncc.initialized:
-                        det = ncc.track(frame, roi)
+                        box = ncc.track(frame, roi).box  # None when the track is lost
                     elif can_start:
                         ncc.initialize(frame, gt_box, roi)
-                        det = sensors.Detection(valid=True, box=gt_box, score=1.0)
+                        box = gt_box
                     else:
-                        det = sensors.Detection(valid=False)
+                        box = None
 
-            rng_range = sensors.lidar_range(pose, target, sc.guidance_cfg.lidar_max_range, lidar_noise)
+            rng_range = sensors.lidar_range(pose, target, lidar_max, lidar_noise)
             meas = sensors.measure_state(u, psi, r, next(imu_noise))
             u_meas, psi_meas, _ = meas
-            cmd = guidance.guidance_step(det, rng_range, sc.guidance_cfg, cam, gstate)
-            if det.valid and det.box is not None:
-                e_y = (cam.cy - det.box.center()[1]) / cam.fx
+            cmd = guidance.guidance_step(box, rng_range, gcfg, cam, gstate)
+            if box is None:
+                det_valid, det_cells = 0, no_box
+            else:
+                det_valid, det_cells = 1, box
+                e_y = (cam.cy - box_center(box)[1]) / cam.fx
 
-            if law.kind is ControllerKind.PID:
-                gen = control.pid_step(cstate, cmd.u_ref - u_meas, cmd.e_psi, sc.dt, law.pid)
+            if kind is ControllerKind.PID:
+                gen = control.pid_step(cstate, cmd.u_ref - u_meas, cmd.e_psi, dt, law.pid)
             else:
                 psi_ref = wrap_angle(psi_meas + cmd.e_psi)
-                if law.kind is ControllerKind.SMC:
-                    refs = control.smc_refs(cstate, cmd.u_ref, psi_ref, u_meas, sc.dt, law.smc)
+                if kind is ControllerKind.SMC:
+                    refs = control.smc_refs(cstate, cmd.u_ref, psi_ref, u_meas, dt, law.smc)
                     gen = control.smc_step(cstate, refs, meas, law.smc, params)
                 else:
                     gen = control.lqr_step(lqr, meas, (cmd.u_ref, psi_ref))
             left, right = dynamics.thrust_forces(*gen, params)
 
-            det_cells = (det.box.x, det.box.y, det.box.w, det.box.h) if det.valid and det.box else no_box
-            gt_cells = (gt_box.x, gt_box.y, gt_box.w, gt_box.h) if gt_box is not None else no_box
             # One cell per LOG_COLUMNS entry, in RunLog field order.
             rows.append(
                 (
                     t, x, y, psi, u, r,
-                    target.x, target.y, target.psi,
-                    1 if det.valid else 0, *det_cells,
+                    *target,
+                    det_valid, *det_cells,
                     math.nan if rng_range is None else rng_range,
                     cmd.mode.value, cmd.u_ref, cmd.e_psi, cmd.e_d, e_y,
                     left + right, right - left, left, right,
-                    *gt_cells,
+                    *(no_box if gt_box is None else gt_box),
                 )
             )
 
             if k < n_steps:
                 try:
-                    x, y, psi, u, r = dynamics.step(x, y, psi, u, r, left, right, sc.sea, t, sc.dt, params)
+                    x, y, psi, u, r = dynamics.step(x, y, psi, u, r, left, right, sea, t, dt, params)
                 except IntegrationError as exc:
                     error = str(exc)
                     break

@@ -11,7 +11,9 @@ The sliding-mode settling check is expected to fail and is marked strict
 xfail: with the shipped gains the yaw switching term balances the equivalent
 control at |e_psi| = eta_psi / (Izz * lambda_psi) ~ 0.39 rad, an attracting
 stall the controller cannot leave (see README, "Acceptance suite"). The test
-asserts the unmodified requirement so any behavior change is flagged.
+asserts the unmodified requirement so any behavior change is flagged. So is
+the width check on ncc_approach: the NCC tracker reports the frame-0 box size,
+so its width falls short as the target nears (README, "NCC tracker").
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ NOISY_GOLDEN_SHA256 = {
     "PID": "dd798d48624d8cc2a1703df1647155be4eeb6d9109ebc79cb2ae2a0d7cdb0c79",
     "SMC": "8478e1a66fe280c3802fa0d7cb0186c7bb653c1a0eef901c685d92cf706c7637",
     "LQR": "83059b0023503b10ce0e518a2c5c1d428f9d1ecbdb63ac1a70584cda27c07e60",
+}
+
+
+# sha256 of RunLog.to_csv() for scenarios that pin a behavior of the trackers
+# rather than a controller comparison. ncc_approach closes on the target, so
+# its apparent size grows while the NCC tracker reports the frame-0 size.
+# Kept apart from GOLDEN_SHA256, which the benchmark harness reads.
+TRACKER_GOLDEN_SHA256 = {
+    "ncc_approach": "bca5b18a07011ed87f2824dbbc7b56408b23d803850f353a695ecdc44710d808",
 }
 
 
@@ -346,12 +357,10 @@ def test_criterion_6_tracker_degradation():
 
         # dropout probability 1 - (1 - p_drop_base) * visibility = 0.52 here
         noise = TrackerNoiseConfig(p_drop_base=0.2)
-        box = BoundingBox(100.0, 100.0, 40.0, 40.0)
+        box = (100.0, 100.0, 40.0, 40.0)
         rng = np.random.default_rng(2026)
         cam = CameraIntrinsics()
-        drops = sum(
-            1 for _ in range(10_000) if not emulate_tracker(box, 0.6, noise, rng, cam).valid
-        )
+        drops = sum(1 for _ in range(10_000) if emulate_tracker(box, 0.6, noise, rng, cam) is None)
         assert abs(drops / 10_000 - 0.52) <= 0.01
 
         elapsed = time.perf_counter() - t0
@@ -365,6 +374,41 @@ def test_ncc_standoff_golden(visibility):
     sc = dataclasses.replace(base, sea=dataclasses.replace(base.sea, visibility=visibility))
     digest = hashlib.sha256(run_scenario(sc).to_csv().encode()).hexdigest()
     assert digest == NCC_GOLDEN_SHA256[visibility]
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_run(scenario: str):
+    """The run log of a shipped scenario as it stands; cached per scenario."""
+    return run_scenario(load_scenario(str(SCENARIOS / f"{scenario}.ini")))
+
+
+@pytest.mark.parametrize("scenario", sorted(TRACKER_GOLDEN_SHA256))
+def test_tracker_scenario_golden(scenario):
+    """Tracker scenarios' run logs at their shipped seeds."""
+    log = _shipped_run(scenario)
+    assert log.error is None
+    digest = hashlib.sha256(log.to_csv().encode()).hexdigest()
+    assert digest == TRACKER_GOLDEN_SHA256[scenario]
+
+
+def test_ncc_approach_shows_scale_change():
+    """The approach makes the true box grow by a fifth while the NCC tracker keeps it in view."""
+    log = _shipped_run("ncc_approach")
+    assert len(log) == 751 and bool(log.det_valid.all())
+    assert np.nanmax(log.gt_w) / np.nanmin(log.gt_w) > 1.2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the NCC tracker matches its template at one scale and reports the frame-0 "
+    "box size on every frame, so on ncc_approach its width falls up to 21% short",
+)
+def test_ncc_approach_width_within_five_percent():
+    """The reported box width stays within 5% of the projected one as the target nears."""
+    log = _shipped_run("ncc_approach")
+    both = ~np.isnan(log.det_w) & ~np.isnan(log.gt_w)
+    rel = np.abs(log.det_w[both] - log.gt_w[both]) / log.gt_w[both]
+    assert float(rel.max()) <= 0.05
 
 
 def _noisy_calm_line(kind: str):

@@ -32,6 +32,7 @@ from helm_bench.core import ConfigError, NumericalError, UsvParams, wrap_angle
 
 PARAMS = UsvParams()
 CONTROL_PY = Path(__file__).resolve().parent.parent / "src" / "helm_bench" / "control.py"
+GUIDANCE_PY = CONTROL_PY.with_name("guidance.py")
 
 
 def _package_imports(path: Path) -> set[str]:
@@ -54,6 +55,11 @@ def _package_imports(path: Path) -> set[str]:
 def test_control_layer_imports_only_core():
     # the laws take and return plain floats, so they need no sensor or plant type
     assert _package_imports(CONTROL_PY) == {"core"}
+
+
+def test_guidance_layer_imports_only_core():
+    # guidance takes (x, y, w, h) boxes, not the sensor layer's Detection
+    assert _package_imports(GUIDANCE_PY) == {"core"}
 
 
 def meas(u=0.0, psi=0.0, r=0.0) -> tuple[float, float, float]:

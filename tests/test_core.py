@@ -1,9 +1,10 @@
 """Angle wrapping, shared value types and their validation."""
 
 import math
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helm_bench.core import (
@@ -55,6 +56,54 @@ class TestWrapAngle:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
             wrap_angle(bad)
+
+
+# --- oracle: wrap_angle before its fast path for (-pi, pi], kept verbatim
+
+TAU = 2.0 * math.pi
+
+
+def _ref_wrap_angle(theta: float) -> float:
+    """Wrap an angle in radians onto (-pi, pi].
+
+    Raises ValueError for non-finite input.
+    """
+    if not math.isfinite(theta):
+        raise ValueError(f"cannot wrap non-finite angle: {theta!r}")
+    wrapped = math.remainder(theta, TAU)
+    # IEEE remainder lands on [-pi, pi]; fold the open edge onto +pi.
+    if wrapped <= -math.pi:
+        wrapped = math.pi
+    return wrapped
+
+
+_PI_EDGES = [
+    v
+    for c in (math.pi, -math.pi, TAU, -TAU)
+    for v in (c, math.nextafter(c, -math.inf), math.nextafter(c, math.inf))
+]
+_WRAP_INPUTS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(-1e6, 1e6),
+    st.sampled_from(_PI_EDGES + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.floats(),
+)
+
+
+class TestWrapAngleOracle:
+    @settings(max_examples=1000, deadline=None)
+    @given(_WRAP_INPUTS)
+    @example(math.pi)
+    @example(-math.pi)
+    @example(-0.0)
+    def test_bit_identical_to_the_remainder_form(self, theta):
+        try:
+            want = _ref_wrap_angle(theta)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                wrap_angle(theta)
+            return
+        assert wrap_angle(theta).hex() == want.hex()
 
 
 class TestPose2D:
@@ -113,11 +162,11 @@ class TestCameraIntrinsics:
     @pytest.mark.parametrize(
         "box, seen",
         [
-            (BoundingBox(310.0, 230.0, 20.0, 20.0), True),
-            (BoundingBox(-5.0, -5.0, 10.0, 10.0), True),  # center on the corner
-            (BoundingBox(635.0, 475.0, 10.0, 10.0), True),
-            (BoundingBox(-6.0, 230.0, 10.0, 10.0), False),
-            (BoundingBox(310.0, 476.0, 10.0, 10.0), False),
+            ((310.0, 230.0, 20.0, 20.0), True),
+            ((-5.0, -5.0, 10.0, 10.0), True),  # center on the corner
+            ((635.0, 475.0, 10.0, 10.0), True),
+            ((-6.0, 230.0, 10.0, 10.0), False),
+            ((310.0, 476.0, 10.0, 10.0), False),
         ],
     )
     def test_sees_box_center(self, box, seen):

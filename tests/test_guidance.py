@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helm_bench.core import BoundingBox, CameraIntrinsics, ConfigError, Pose2D
+from helm_bench.core import CameraIntrinsics, ConfigError
 from helm_bench.guidance import (
+    GuidanceCommand,
     GuidanceConfig,
     GuidanceMode,
     GuidanceState,
@@ -21,44 +22,45 @@ from helm_bench.guidance import (
     pixel_to_body,
     reference_speed,
 )
-from helm_bench.sensors import Detection, project_target
+from helm_bench.sensors import project_target
+from test_sensors import _ref_sees, _RefBoundingBox, _RefDetection
 
 CAM = CameraIntrinsics()
 
 
-def det_at(center_x: float, center_y: float = 240.0, size: float = 40.0) -> Detection:
-    box = BoundingBox(center_x - size / 2, center_y - size / 2, size, size)
-    return Detection(valid=True, box=box, score=1.0)
+def box_at(center_x: float, center_y: float = 240.0, size: float = 40.0) -> tuple:
+    """A square (x, y, w, h) detection box centered on (center_x, center_y)."""
+    return (center_x - size / 2, center_y - size / 2, size, size)
 
 
-MISS = Detection(valid=False)
+MISS = None  # no detection this frame
 
 
 class TestPixelError:
     def test_centered_target(self):
-        assert pixel_error(det_at(320.0).box, CAM) == (0.0, 0.0)
+        assert pixel_error(box_at(320.0), CAM) == (0.0, 0.0)
 
     def test_lower_right_target(self):
-        assert pixel_error(det_at(400.0, 300.0).box, CAM) == (-80.0, -60.0)
+        assert pixel_error(box_at(400.0, 300.0), CAM) == (-80.0, -60.0)
 
     def test_corner_target(self):
-        box = BoundingBox(-20.0, -20.0, 40.0, 40.0)  # center (0, 0)
+        box = (-20.0, -20.0, 40.0, 40.0)  # center (0, 0)
         assert pixel_error(box, CAM) == (320.0, 240.0)
 
     def test_center_outside_image_rejected(self):
         with pytest.raises(ValueError):
-            pixel_error(BoundingBox(700.0, 200.0, 10.0, 10.0), CAM)
+            pixel_error((700.0, 200.0, 10.0, 10.0), CAM)
 
     def test_in_image_errors_bounded(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             cx = rng.uniform(0.0, CAM.width)
             cy = rng.uniform(0.0, CAM.height)
-            ex, ey = pixel_error(det_at(cx, cy).box, CAM)
+            ex, ey = pixel_error(box_at(cx, cy), CAM)
             assert abs(ex) <= CAM.width and abs(ey) <= CAM.height
 
 
-# --- oracle: the PixelError forms that the tuple forms replaced, kept verbatim
+# --- oracle: the PixelError and BoundingBox forms that the tuple forms replaced, kept verbatim
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,10 @@ class PixelError:
     ey: float  # px, +above image center
 
 
-def _ref_pixel_error(box: BoundingBox, cam: CameraIntrinsics) -> PixelError:
+def _ref_pixel_error(box: _RefBoundingBox, cam: CameraIntrinsics) -> PixelError:
     """Offset of the box center from the image center, positive left/up."""
     cx, cy = box.center()
-    if not cam.sees(box):
+    if not _ref_sees(cam, box):
         raise ValueError(f"box center ({cx}, {cy}) lies outside the image")
     return PixelError(ex=cam.cx - cx, ey=cam.cy - cy)
 
@@ -96,38 +98,38 @@ class TestPixelErrorOracle:
     @settings(max_examples=500, deadline=None)
     @given(_COORDS, _COORDS, _SIZES, _SIZES, _CAMS)
     def test_bit_identical_to_the_dataclass_form(self, x, y, w, h, cam):
-        box = BoundingBox(x, y, w, h)
+        box = _RefBoundingBox(x, y, w, h)
         try:
             want = _ref_pixel_error(box, cam)
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                pixel_error(box, cam)
+                pixel_error((x, y, w, h), cam)
             return
-        ex, ey = pixel_error(box, cam)
+        ex, ey = pixel_error((x, y, w, h), cam)
         assert (ex.hex(), ey.hex()) == (want.ex.hex(), want.ey.hex())
         assert pixel_to_body(ex, cam).hex() == _ref_pixel_to_body(want, cam).hex()
 
 
 class TestPixelToBody:
     def test_centered_is_zero(self):
-        ex, _ = pixel_error(det_at(320.0).box, CAM)
+        ex, _ = pixel_error(box_at(320.0), CAM)
         assert pixel_to_body(ex, CAM) == 0.0
 
     def test_starboard_detection_turns_clockwise(self):
-        ex, _ = pixel_error(det_at(400.0).box, CAM)  # ex = -80
+        ex, _ = pixel_error(box_at(400.0), CAM)  # ex = -80
         assert pixel_to_body(ex, CAM) == pytest.approx(math.atan2(-80, 500), abs=1e-12)
         assert pixel_to_body(ex, CAM) == pytest.approx(-0.1587, abs=1e-4)
 
     def test_forty_five_degree_geometry(self):
         # wide camera so a pixel offset equal to fx stays inside the image
         cam = CameraIntrinsics(width=1200, height=480, fx=500.0)
-        box = BoundingBox(80.0, 220.0, 40.0, 40.0)  # center (100, 240), ex = 500
+        box = (80.0, 220.0, 40.0, 40.0)  # center (100, 240), ex = 500
         assert pixel_to_body(pixel_error(box, cam)[0], cam) == pytest.approx(math.pi / 4)
 
     def test_odd_function(self):
         for ex in (10.0, 80.0, 319.0):
-            left = pixel_to_body(pixel_error(det_at(320.0 - ex).box, CAM)[0], CAM)
-            right = pixel_to_body(pixel_error(det_at(320.0 + ex).box, CAM)[0], CAM)
+            left = pixel_to_body(pixel_error(box_at(320.0 - ex), CAM)[0], CAM)
+            right = pixel_to_body(pixel_error(box_at(320.0 + ex), CAM)[0], CAM)
             assert left == pytest.approx(-right, abs=1e-15)
             assert left > 0.0  # target left of center: positive (port) correction
 
@@ -182,20 +184,20 @@ class TestGuidanceStep:
 
     def test_tracking_equilibrium(self):
         state = GuidanceState()
-        cmd = guidance_step(det_at(320.0), 5.0, self.CFG, CAM, state)
+        cmd = guidance_step(box_at(320.0), 5.0, self.CFG, CAM, state)
         assert cmd.mode is GuidanceMode.TRACKING
         assert cmd.e_psi == 0.0
         assert cmd.e_d == 0.0
         assert cmd.u_ref == pytest.approx(1.5)  # PAPER_CLAMPED at d = D
 
     def test_no_range_means_zero_distance_error(self):
-        cmd = guidance_step(det_at(320.0), None, self.CFG, CAM, GuidanceState())
+        cmd = guidance_step(box_at(320.0), None, self.CFG, CAM, GuidanceState())
         assert cmd.mode is GuidanceMode.TRACKING
         assert cmd.e_d == 0.0 and cmd.u_ref == 1.5
 
     def test_holding_repeats_with_decay(self):
         state = GuidanceState()
-        tracked = guidance_step(det_at(280.0), 10.0, self.CFG, CAM, state)
+        tracked = guidance_step(box_at(280.0), 10.0, self.CFG, CAM, state)
         for k in range(1, 4):
             cmd = guidance_step(MISS, None, self.CFG, CAM, state)
             assert cmd.mode is GuidanceMode.HOLDING
@@ -204,7 +206,7 @@ class TestGuidanceStep:
 
     def test_search_after_threshold_keeps_last_sign(self):
         state = GuidanceState()
-        guidance_step(det_at(400.0), 10.0, self.CFG, CAM, state)  # starboard: e_psi < 0
+        guidance_step(box_at(400.0), 10.0, self.CFG, CAM, state)  # starboard: e_psi < 0
         for _ in range(self.CFG.lost_frames_threshold):
             cmd = guidance_step(MISS, None, self.CFG, CAM, state)
             assert cmd.mode is GuidanceMode.HOLDING
@@ -224,7 +226,7 @@ class TestGuidanceStep:
         state = GuidanceState()
         for _ in range(25):
             guidance_step(MISS, None, self.CFG, CAM, state)
-        cmd = guidance_step(det_at(330.0), 7.0, self.CFG, CAM, state)
+        cmd = guidance_step(box_at(330.0), 7.0, self.CFG, CAM, state)
         assert cmd.mode is GuidanceMode.TRACKING
         assert state.lost_count == 0
         # and the lost clock restarts from zero afterwards
@@ -233,10 +235,119 @@ class TestGuidanceStep:
 
     def test_port_target_sign_chain(self):
         # world-space target to port -> projected left of center -> e_psi > 0
-        box = project_target(Pose2D(0, 0, 0), Pose2D(10, 2, 0), 2.0, CAM)
-        assert box.center()[0] < CAM.cx
-        cmd = guidance_step(
-            Detection(valid=True, box=box, score=1.0), 10.0, self.CFG, CAM, GuidanceState()
-        )
+        box = project_target((0.0, 0.0, 0.0), (10.0, 2.0, 0.0), 2.0, CAM)
+        assert box[0] + box[2] / 2.0 < CAM.cx
+        cmd = guidance_step(box, 10.0, self.CFG, CAM, GuidanceState())
         assert cmd.e_psi > 0.0
 
+
+
+# --- oracle: guidance_step on Detection and a dataclass GuidanceCommand, kept verbatim
+
+
+@dataclass(frozen=True)
+class _RefGuidanceCommand:
+    mode: GuidanceMode
+    u_ref: float  # m/s
+    e_psi: float  # rad, + steers to port
+    e_d: float  # m, standoff minus measured range (0 when out of range)
+
+
+@dataclass
+class _RefGuidanceState:
+    lost_count: int = 0
+    last_command: _RefGuidanceCommand = _RefGuidanceCommand(GuidanceMode.HOLDING, 0.0, 0.0, 0.0)
+    last_seen_sign: float = 1.0
+
+
+def _ref_guidance_step(
+    det: _RefDetection,
+    range_m: float | None,
+    cfg: GuidanceConfig,
+    cam: CameraIntrinsics,
+    state: _RefGuidanceState,
+) -> _RefGuidanceCommand:
+    if det.valid and det.box is not None:
+        state.lost_count = 0
+        ex = _ref_pixel_error(det.box, cam).ex
+        e_psi = pixel_to_body(ex, cam)
+        if e_psi != 0.0:
+            state.last_seen_sign = math.copysign(1.0, e_psi)
+        e_d = distance_error(range_m, cfg) if range_m is not None else 0.0
+        cmd = _RefGuidanceCommand(
+            mode=GuidanceMode.TRACKING,
+            u_ref=reference_speed(range_m, cfg),
+            e_psi=e_psi,
+            e_d=e_d,
+        )
+    else:
+        state.lost_count += 1
+        if state.lost_count <= cfg.lost_frames_threshold:
+            prev = state.last_command
+            cmd = _RefGuidanceCommand(
+                mode=GuidanceMode.HOLDING,
+                u_ref=prev.u_ref * cfg.holding_decay,
+                e_psi=prev.e_psi,
+                e_d=prev.e_d,
+            )
+        else:
+            cmd = _RefGuidanceCommand(
+                mode=GuidanceMode.SEARCHING,
+                u_ref=0.0,
+                e_psi=cfg.search_yaw_bias * state.last_seen_sign,
+                e_d=0.0,
+            )
+    state.last_command = cmd
+    return cmd
+
+
+def _command_bits(cmd) -> tuple:
+    return (cmd.mode, cmd.u_ref.hex(), cmd.e_psi.hex(), cmd.e_d.hex())
+
+
+def _state_bits(state) -> tuple:
+    return (state.lost_count, _command_bits(state.last_command), state.last_seen_sign.hex())
+
+
+_GUIDANCE_CFGS = st.builds(
+    GuidanceConfig,
+    standoff=st.floats(0.5, 20.0),
+    lidar_max_range=st.just(50.0),
+    u_max=st.floats(0.1, 3.0),
+    lost_frames_threshold=st.integers(0, 4),
+    search_yaw_bias=st.floats(-1.0, 1.0),
+    speed_law=st.sampled_from(SpeedLaw),
+    holding_decay=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+)
+_STEP_BOXES = st.tuples(
+    st.one_of(st.floats(-30.0, 660.0), st.sampled_from([300.0, 320.0, -0.0])),
+    st.one_of(st.floats(-30.0, 500.0), st.sampled_from([220.0, 240.0])),
+    st.one_of(st.floats(0.0, 80.0), st.sampled_from([0.0, 40.0])),
+    st.one_of(st.floats(0.0, 80.0), st.sampled_from([0.0, 40.0])),
+)
+# A detection, or (one frame in three) a miss; a range, or None beyond the lidar.
+_STEPS = st.tuples(
+    st.tuples(_STEP_BOXES, st.integers(0, 2)).map(lambda pair: None if pair[1] == 2 else pair[0]),
+    st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, 5.0]), st.none()),
+)
+
+
+class TestGuidanceStepOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_STEPS, min_size=1, max_size=20), _GUIDANCE_CFGS, st.just(CAM))
+    def test_bit_identical_commands_and_state(self, steps, cfg, cam):
+        state, ref_state = GuidanceState(), _RefGuidanceState()
+        assert _state_bits(state) == _state_bits(ref_state)
+        for box, range_m in steps:
+            det = _RefDetection(False) if box is None else _RefDetection(True, _RefBoundingBox(*box), 1.0)
+            try:
+                want = _ref_guidance_step(det, range_m, cfg, cam, ref_state)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    guidance_step(box, range_m, cfg, cam, state)
+                assert _state_bits(state) == _state_bits(ref_state)
+                return
+            got = guidance_step(box, range_m, cfg, cam, state)
+            assert isinstance(got, GuidanceCommand)
+            assert _command_bits(got) == _command_bits(want)
+            assert _state_bits(state) == _state_bits(ref_state)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helm_bench.core import BoundingBox, CameraIntrinsics, ConfigError, Pose2D, wrap_angle
+from helm_bench.core import CameraIntrinsics, ConfigError, wrap_angle
 from helm_bench.seeding import normal_rows, stream
 from helm_bench.sensors import (
     NOISE_TILE,
@@ -21,6 +21,7 @@ from helm_bench.sensors import (
     _add_tile_noise,
     _box_sums,
     _fast_len,
+    _bounds,
     _keyed_normals,
     emulate_tracker,
     lidar_range,
@@ -28,93 +29,100 @@ from helm_bench.sensors import (
     ncc_track,
     project_target,
     render_frame,
+    search_roi,
     zncc_scores,
 )
 from helm_bench.sim import SensorNoise
+from test_core import _ref_wrap_angle
 
 CAM = CameraIntrinsics()
 
 
+def center(box: tuple) -> tuple[float, float]:
+    """Center of an (x, y, w, h) box, as the sensing chain computes it."""
+    x, y, w, h = box
+    return (x + w / 2.0, y + h / 2.0)
+
+
 class TestProjectTarget:
     def test_on_axis_target_centered(self):
-        box = project_target(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 2.0, CAM)
-        cx, cy = box.center()
+        box = project_target((0, 0, 0), (10, 0, 0), 2.0, CAM)
+        cx, cy = center(box)
         assert cx == pytest.approx(320.0)
         assert cy == pytest.approx(240.0)
-        assert box.w == pytest.approx(100.0)  # fx * extent / d = 500*2/10
-        assert box.h == pytest.approx(100.0)
+        assert box[2] == pytest.approx(100.0)  # fx * extent / d = 500*2/10
+        assert box[3] == pytest.approx(100.0)
 
     def test_offset_target_pixel_position(self):
-        box = project_target(Pose2D(0, 0, 0), Pose2D(10, 1, 0), 2.0, CAM)
-        cx, _ = box.center()
+        box = project_target((0, 0, 0), (10, 1, 0), 2.0, CAM)
+        cx, _ = center(box)
         assert cx == pytest.approx(320.0 - 500.0 * math.tan(math.atan2(1, 10)), abs=1e-9)
         assert cx == pytest.approx(320.0 - 500.0 * math.tan(0.0997), abs=0.1)
 
     def test_target_behind_camera(self):
-        assert project_target(Pose2D(0, 0, 0), Pose2D(-10, 0, 0), 2.0, CAM) is None
+        assert project_target((0, 0, 0), (-10, 0, 0), 2.0, CAM) is None
 
     def test_target_too_close(self):
-        assert project_target(Pose2D(0, 0, 0), Pose2D(0.05, 0, 0), 2.0, CAM) is None
+        assert project_target((0, 0, 0), (0.05, 0, 0), 2.0, CAM) is None
 
     def test_target_outside_fov(self):
         # hfov/2 = atan(320/500) ~ 0.57 rad; put target at 1.0 rad bearing
         x, y = 10 * math.cos(1.0), 10 * math.sin(1.0)
-        assert project_target(Pose2D(0, 0, 0), Pose2D(x, y, 0), 2.0, CAM) is None
+        assert project_target((0, 0, 0), (x, y, 0), 2.0, CAM) is None
 
     def test_port_starboard_sign(self):
-        port = project_target(Pose2D(0, 0, 0), Pose2D(10, 2, 0), 2.0, CAM)
-        stbd = project_target(Pose2D(0, 0, 0), Pose2D(10, -2, 0), 2.0, CAM)
-        assert port.center()[0] < CAM.cx < stbd.center()[0]
+        port = project_target((0, 0, 0), (10, 2, 0), 2.0, CAM)
+        stbd = project_target((0, 0, 0), (10, -2, 0), 2.0, CAM)
+        assert center(port)[0] < CAM.cx < center(stbd)[0]
 
     def test_bearing_uses_boat_heading(self):
         # boat turned toward the target puts it back on the optical axis
-        box = project_target(Pose2D(0, 0, math.atan2(5, 5)), Pose2D(5, 5, 0), 2.0, CAM)
-        assert box.center()[0] == pytest.approx(320.0, abs=1e-9)
+        box = project_target((0, 0, math.atan2(5, 5)), (5, 5, 0), 2.0, CAM)
+        assert center(box)[0] == pytest.approx(320.0, abs=1e-9)
 
     def test_size_monotone_in_range(self):
         widths = []
         for d in (5.0, 10.0, 20.0, 40.0):
-            widths.append(project_target(Pose2D(0, 0, 0), Pose2D(d, 0, 0), 2.0, CAM).w)
+            widths.append(project_target((0, 0, 0), (d, 0, 0), 2.0, CAM)[2])
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
     def test_box_clipped_to_image(self):
         # huge nearby target: box must stay inside the 640x480 frame
-        box = project_target(Pose2D(0, 0, 0), Pose2D(0.5, 0, 0), 5.0, CAM)
-        assert box.x >= 0.0 and box.y >= 0.0
-        assert box.x + box.w <= CAM.width
-        assert box.y + box.h <= CAM.height
+        box = project_target((0, 0, 0), (0.5, 0, 0), 5.0, CAM)
+        x, y, w, h = box
+        assert x >= 0.0 and y >= 0.0
+        assert x + w <= CAM.width
+        assert y + h <= CAM.height
 
     def test_extent_validation(self):
         with pytest.raises(ConfigError):
-            project_target(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 0.0, CAM)
+            project_target((0, 0, 0), (10, 0, 0), 0.0, CAM)
 
 
 class TestEmulateTracker:
-    TRUTH = BoundingBox(270.0, 190.0, 100.0, 100.0)
+    TRUTH = (270.0, 190.0, 100.0, 100.0)
 
     def test_noiseless_passthrough(self):
         cfg = TrackerNoiseConfig(sigma_center_px=0.0, sigma_scale=0.0, p_drop_base=0.0)
-        det = emulate_tracker(self.TRUTH, 1.0, cfg, stream(0, "t"), CAM)
-        assert det.valid and det.box == self.TRUTH
+        assert emulate_tracker(self.TRUTH, 1.0, cfg, stream(0, "t"), CAM) == self.TRUTH
 
     def test_no_truth_is_a_miss(self):
         cfg = TrackerNoiseConfig()
-        det = emulate_tracker(None, 1.0, cfg, stream(0, "t"), CAM)
-        assert not det.valid and det.box is None
+        assert emulate_tracker(None, 1.0, cfg, stream(0, "t"), CAM) is None
 
     def test_zero_visibility_always_drops(self):
         cfg = TrackerNoiseConfig(p_drop_base=0.0)
         rng = stream(3, "t")
-        assert all(not emulate_tracker(self.TRUTH, 0.0, cfg, rng, CAM).valid for _ in range(200))
+        assert all(emulate_tracker(self.TRUTH, 0.0, cfg, rng, CAM) is None for _ in range(200))
 
     def test_center_error_std_scales_with_visibility(self):
         cfg = TrackerNoiseConfig(sigma_center_px=2.0, sigma_scale=0.0, p_drop_base=0.0)
         rng = stream(42, "t")
         errs = []
         for _ in range(10_000):
-            det = emulate_tracker(self.TRUTH, 0.5, cfg, rng, CAM)
-            if det.valid:
-                errs.append(det.box.center()[0] - self.TRUTH.center()[0])
+            box = emulate_tracker(self.TRUTH, 0.5, cfg, rng, CAM)
+            if box is not None:
+                errs.append(center(box)[0] - center(self.TRUTH)[0])
         assert 3.8 < float(np.std(errs)) < 4.2  # sigma / visibility = 4
 
     def test_dropout_rate_closed_form(self):
@@ -122,7 +130,7 @@ class TestEmulateTracker:
         rng = stream(7, "t")
         vis = 0.6
         n = 10_000
-        drops = sum(not emulate_tracker(self.TRUTH, vis, cfg, rng, CAM).valid for _ in range(n))
+        drops = sum(emulate_tracker(self.TRUTH, vis, cfg, rng, CAM) is None for _ in range(n))
         expected = 1.0 - (1.0 - 0.2) * vis
         assert drops / n == pytest.approx(expected, abs=0.015)
 
@@ -136,8 +144,8 @@ class TestEmulateTracker:
         cfg = TrackerNoiseConfig(sigma_center_px=0.0, sigma_scale=10.0, p_drop_base=0.0)
         rng = stream(1, "t")
         for _ in range(500):
-            det = emulate_tracker(self.TRUTH, 1.0, cfg, rng, CAM)
-            assert det.box.w >= 0.0 and det.box.h >= 0.0
+            box = emulate_tracker(self.TRUTH, 1.0, cfg, rng, CAM)
+            assert box[2] >= 0.0 and box[3] >= 0.0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -157,44 +165,43 @@ class TestEmulateTracker:
         # the emulator's draws, as rng.uniform() and rng.normal(0.0, s) calls
         def reference(truth, visibility, rng):
             if rng.uniform() < 1.0 - (1.0 - cfg.p_drop_base) * visibility:
-                return Detection(valid=False)
-            cx, cy = truth.center()
+                return None
+            x, y, w, h = truth
+            cx, cy = center(truth)
             sigma_c = cfg.sigma_center_px / visibility
             cx += rng.normal(0.0, sigma_c)
             cy += rng.normal(0.0, sigma_c)
             scale = max(1.0 + rng.normal(0.0, cfg.sigma_scale), 0.0)
-            box = BoundingBox(cx - truth.w * scale / 2.0, cy - truth.h * scale / 2.0,
-                              truth.w * scale, truth.h * scale)
-            return Detection(valid=True, box=box, score=1.0) if CAM.sees(box) else Detection(valid=False)
+            box = (cx - w * scale / 2.0, cy - h * scale / 2.0, w * scale, h * scale)
+            return box if CAM.sees(box) else None
 
-        edge = BoundingBox(0.0, 190.0, 4.0, 100.0)
+        edge = (0.0, 190.0, 4.0, 100.0)
         rng, draws = stream(11, "t"), stream(11, "t")
         for k in range(3000):
             truth, visibility = (self.TRUTH, 0.6) if k % 3 else (edge, 1.0)
             got = emulate_tracker(truth, visibility, cfg, rng, CAM)
             want = reference(truth, visibility, draws)
-            assert got.valid == want.valid
-            if got.valid:
-                bits = [[v.hex() for v in vars(d.box).values()] for d in (got, want)]
-                assert bits[0] == bits[1]
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_center_off_image_is_a_miss(self):
         # a box at the left edge with 20 px jitter lands off the image often
-        edge = BoundingBox(0.0, 190.0, 4.0, 100.0)
+        edge = (0.0, 190.0, 4.0, 100.0)
         cfg = TrackerNoiseConfig(sigma_center_px=20.0, sigma_scale=0.0, p_drop_base=0.0)
         rng, draws = stream(9, "t"), stream(9, "t")
         misses = 0
         for _ in range(200):
-            det = emulate_tracker(edge, 1.0, cfg, rng, CAM)
+            box = emulate_tracker(edge, 1.0, cfg, rng, CAM)
             # replay the emulator's four draws: dropout, center x, center y, size
             draws.uniform()
             cx = 2.0 + draws.normal(0.0, 20.0)
             cy = 240.0 + draws.normal(0.0, 20.0)
             draws.normal(0.0, 0.0)
             inside = 0.0 <= cx <= CAM.width and 0.0 <= cy <= CAM.height
-            assert det.valid == inside
+            assert (box is not None) == inside
             if inside:
-                assert det.box.center() == pytest.approx((cx, cy), abs=1e-12)
+                assert center(box) == pytest.approx((cx, cy), abs=1e-12)
             misses += not inside
         assert 50 < misses < 150  # the emulator drew exactly four values per call
 
@@ -202,7 +209,7 @@ class TestEmulateTracker:
 class TestRenderFrame:
     def test_clear_render_intensities(self):
         frame = render_frame(
-            Pose2D(0, 0, 0), Pose2D(10, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), noise_sigma=0.0
+            (0, 0, 0), (10, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), noise_sigma=0.0
         )
         assert frame.shape == (CAM.height, CAM.width)
         assert frame[240, 320] == pytest.approx(0.8)
@@ -210,26 +217,26 @@ class TestRenderFrame:
 
     def test_full_haze_uniform(self):
         frame = render_frame(
-            Pose2D(0, 0, 0), Pose2D(10, 0, 0), 2.0, CAM, 0.0, stream(0, "r"), noise_sigma=0.0
+            (0, 0, 0), (10, 0, 0), 2.0, CAM, 0.0, stream(0, "r"), noise_sigma=0.0
         )
         assert np.all(frame == 0.6)
 
     def test_half_visibility_halves_contrast(self):
         frame = render_frame(
-            Pose2D(0, 0, 0), Pose2D(10, 0, 0), 2.0, CAM, 0.5, stream(0, "r"), noise_sigma=0.0
+            (0, 0, 0), (10, 0, 0), 2.0, CAM, 0.5, stream(0, "r"), noise_sigma=0.0
         )
         assert frame[240, 320] == pytest.approx(0.7)  # 0.5*0.8 + 0.5*0.6
         assert frame[10, 10] == pytest.approx(0.45)  # 0.5*0.3 + 0.5*0.6
 
     def test_values_stay_in_unit_range(self):
         frame = render_frame(
-            Pose2D(0, 0, 0), Pose2D(5, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), noise_sigma=0.3
+            (0, 0, 0), (5, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), noise_sigma=0.3
         )
         assert frame.min() >= 0.0 and frame.max() <= 1.0
 
     def test_offscreen_target_renders_background_only(self):
         frame = render_frame(
-            Pose2D(0, 0, 0), Pose2D(-10, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), noise_sigma=0.0
+            (0, 0, 0), (-10, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), noise_sigma=0.0
         )
         assert np.all(frame == pytest.approx(0.3))
 
@@ -259,8 +266,8 @@ def render_cases(draw):
     )
     y0, y1 = draw(spans(cam.height))
     x0, x1 = draw(spans(cam.width))
-    usv = Pose2D(0.0, 0.0, draw(st.floats(-0.5, 0.5)))
-    target = Pose2D(draw(st.floats(1.0, 30.0)), draw(st.floats(-10.0, 10.0)), 0.0)
+    usv = (0.0, 0.0, draw(st.floats(-0.5, 0.5)))
+    target = (draw(st.floats(1.0, 30.0)), draw(st.floats(-10.0, 10.0)), 0.0)
     return dict(
         cam=cam,
         roi=(y0, y1, x0, x1),
@@ -289,7 +296,7 @@ class TestRenderRoi:
 
     def test_noise_differs_between_frames_and_tiles(self):
         rng = stream(4, "render")
-        args = (Pose2D(0, 0, 0), Pose2D(-10, 0, 0), 2.0, CAM, 1.0)
+        args = ((0, 0, 0), (-10, 0, 0), 2.0, CAM, 1.0)
         a = render_frame(*args, rng, noise_sigma=0.05)
         b = render_frame(*args, rng, noise_sigma=0.05)
         t = NOISE_TILE
@@ -303,7 +310,7 @@ class TestRenderRoi:
     @pytest.mark.parametrize("roi", [(0, 481, 0, 10), (5, 4, 0, 10), (-1, 3, 0, 10), (0, 3, 0, 641)])
     def test_roi_outside_frame_rejected(self, roi):
         with pytest.raises(ValueError):
-            render_frame(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), roi=roi)
+            render_frame((0, 0, 0), (10, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), roi=roi)
 
 
 # The tile noise, box sums and ZNCC scores as first written, before each
@@ -692,7 +699,7 @@ def brute_force_ncc(frame, template, center, halfwidth, threshold=0.2):
     if best < threshold:
         return Detection(valid=False, score=best)
     x, y = best_xy
-    return Detection(valid=True, box=BoundingBox(float(x), float(y), float(tw), float(th)), score=best)
+    return Detection(valid=True, box=(float(x), float(y), float(tw), float(th)), score=best)
 
 
 class TestNccTrack:
@@ -709,7 +716,7 @@ class TestNccTrack:
         frame[20:30, 30:42] = template
         det = ncc_track(frame, template, ((36.0, 25.0), 10.0))
         assert det.valid
-        assert (det.box.x, det.box.y) == (30.0, 20.0)
+        assert det.box[:2] == (30.0, 20.0)
         assert det.score == pytest.approx(1.0, abs=1e-9)
 
     def test_noisy_recovery_within_one_pixel(self):
@@ -718,7 +725,7 @@ class TestNccTrack:
         noisy = np.clip(frame + 0.02 * rng.standard_normal(frame.shape), 0.0, 1.0)
         det = ncc_track(noisy, template, ((36.0, 25.0), 8.0))
         assert det.valid
-        assert abs(det.box.x - 30.0) <= 1.0 and abs(det.box.y - 20.0) <= 1.0
+        assert abs(det.box[0] - 30.0) <= 1.0 and abs(det.box[1] - 20.0) <= 1.0
 
     def test_flat_frame_reports_lost(self):
         template = np.random.default_rng(4).random((10, 10))
@@ -728,20 +735,20 @@ class TestNccTrack:
     def test_matches_brute_force_on_moving_sequence(self):
         rng = stream(99, "seq")
         template = rng.random((9, 11))
-        center = (40.0, 30.0)
+        target_center = (40.0, 30.0)
         x, y = 34, 25
         for k in range(50):
             frame = np.clip(0.3 + 0.05 * rng.standard_normal((60, 80)), 0.0, 1.0)
             x = min(max(x + int(rng.integers(-2, 3)), 0), 80 - 11)
             y = min(max(y + int(rng.integers(-2, 3)), 0), 60 - 9)
             frame[y : y + 9, x : x + 11] = template
-            got = ncc_track(frame, template, (center, 6.0))
-            want = brute_force_ncc(frame, template, center, 6.0)
+            got = ncc_track(frame, template, (target_center, 6.0))
+            want = brute_force_ncc(frame, template, target_center, 6.0)
             assert got.valid == want.valid, f"frame {k}"
             assert got.box == want.box, f"frame {k}"  # exact argmax location
             assert got.score == pytest.approx(want.score, abs=1e-12), f"frame {k}"
             if got.valid:
-                center = got.box.center()
+                target_center = center(got.box)
 
     def test_row_major_tie_break(self):
         # two identical copies of the template: the smaller row-major index wins
@@ -750,7 +757,7 @@ class TestNccTrack:
         frame[10:16, 10:16] = template
         frame[10:16, 30:36] = template
         det = ncc_track(frame, template, ((23.0, 13.0), 20.0))
-        assert det.valid and (det.box.x, det.box.y) == (10.0, 10.0)
+        assert det.valid and det.box[:2] == (10.0, 10.0)
 
 
 class TestNccTracker:
@@ -766,12 +773,12 @@ class TestNccTracker:
     def test_initialize_rejects_box_fully_outside_frame(self):
         tracker = NccTracker()
         with pytest.raises(ConfigError):
-            tracker.initialize(np.zeros((40, 40)), BoundingBox(45.0, 45.0, 10.0, 10.0))
+            tracker.initialize(np.zeros((40, 40)), (45.0, 45.0, 10.0, 10.0))
 
     def test_initialize_clips_partially_visible_box(self):
         tracker = NccTracker()
         tracker.initialize(np.random.default_rng(0).random((40, 40)),
-                           BoundingBox(30.0, 30.0, 20.0, 20.0))
+                           (30.0, 30.0, 20.0, 20.0))
         assert tracker.initialized
 
     def test_reports_frame_zero_box_size(self):
@@ -779,11 +786,11 @@ class TestNccTracker:
         frame0 = np.clip(0.3 + 0.02 * rng.standard_normal((60, 80)), 0, 1)
         frame0[20:30, 30:42] = rng.random((10, 12))
         tracker = NccTracker()
-        tracker.initialize(frame0, BoundingBox(30.0, 20.0, 12.0, 10.0))
+        tracker.initialize(frame0, (30.0, 20.0, 12.0, 10.0))
         det = tracker.track(frame0)
         assert det.valid
-        assert det.box.w == 12.0 and det.box.h == 10.0
-        assert abs(det.box.x - 30.0) <= 1.0 and abs(det.box.y - 20.0) <= 1.0
+        assert det.box[2:] == (12.0, 10.0)
+        assert abs(det.box[0] - 30.0) <= 1.0 and abs(det.box[1] - 20.0) <= 1.0
 
 
 class TestTrackerWindow:
@@ -795,7 +802,7 @@ class TestTrackerWindow:
 
     def test_window_is_template_crop_then_search_region(self):
         tracker = NccTracker(search_halfwidth=5)
-        truth = BoundingBox(50.0, 30.0, 18.0, 15.0)
+        truth = (50.0, 30.0, 18.0, 15.0)
         crop = tracker.window((90, 120), truth)
         assert crop == (24, 51, 43, 75)  # the box grown by 0.35 of its size
         tracker.initialize(self._scene(), truth)
@@ -804,11 +811,11 @@ class TestTrackerWindow:
 
     def test_window_clips_to_frame(self):
         tracker = NccTracker()
-        assert tracker.window((40, 40), BoundingBox(30.0, 30.0, 20.0, 20.0)) == (23, 40, 23, 40)
+        assert tracker.window((40, 40), (30.0, 30.0, 20.0, 20.0)) == (23, 40, 23, 40)
 
     def test_region_calls_match_whole_frame_calls(self):
         frame = self._scene()
-        truth = BoundingBox(50.0, 30.0, 18.0, 15.0)
+        truth = (50.0, 30.0, 18.0, 15.0)
         whole, part = NccTracker(search_halfwidth=6), NccTracker(search_halfwidth=6)
         whole.initialize(frame, truth)
         roi = part.window(frame.shape, truth)
@@ -829,11 +836,11 @@ class TestTrackerWindow:
         other = np.clip(0.6 + 0.02 * stream(22, "win").standard_normal(frame.shape), 0, 1)
         other[40:55, 20:38] = stream(23, "win").random((15, 18))
         used, fresh = NccTracker(search_halfwidth=6), NccTracker(search_halfwidth=6)
-        used.initialize(frame, BoundingBox(50.0, 30.0, 18.0, 15.0))
+        used.initialize(frame, (50.0, 30.0, 18.0, 15.0))
         assert used.track(frame).valid
         if reset:
             used.reset()
-        truth = BoundingBox(20.0, 40.0, 18.0, 15.0)
+        truth = (20.0, 40.0, 18.0, 15.0)
         used.initialize(other, truth)
         fresh.initialize(other, truth)
         rng = stream(6, "moves")
@@ -845,22 +852,22 @@ class TestTrackerWindow:
     def test_region_must_match_frame_shape(self):
         tracker = NccTracker()
         with pytest.raises(ValueError):
-            tracker.initialize(np.zeros((10, 10)), BoundingBox(2.0, 2.0, 4.0, 4.0), (0, 12, 0, 10))
+            tracker.initialize(np.zeros((10, 10)), (2.0, 2.0, 4.0, 4.0), (0, 12, 0, 10))
 
 
 class TestLidar:
     def test_in_range_noiseless(self):
-        r = lidar_range(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 20.0, normal_rows(stream(0, "l"), 0.0, 1))
+        r = lidar_range((0, 0, 0), (10, 0, 0), 20.0, normal_rows(stream(0, "l"), 0.0, 1))
         assert r == pytest.approx(10.0)
 
     def test_beyond_range(self):
         # out of range takes no value: an empty noise source is never read
-        assert lidar_range(Pose2D(0, 0, 0), Pose2D(25, 0, 0), 20.0, iter(())) is None
+        assert lidar_range((0, 0, 0), (25, 0, 0), 20.0, iter(())) is None
 
     def test_monte_carlo_unbiased(self):
         noise = normal_rows(stream(6, "l"), 0.1, 10_000)
         samples = [
-            lidar_range(Pose2D(0, 0, 0), Pose2D(10, 0, 0), 20.0, noise)
+            lidar_range((0, 0, 0), (10, 0, 0), 20.0, noise)
             for _ in range(10_000)
         ]
         assert 9.99 < float(np.mean(samples)) < 10.01
@@ -868,12 +875,12 @@ class TestLidar:
     def test_never_negative(self):
         noise = normal_rows(stream(6, "l"), 5.0, 500)
         for _ in range(500):
-            r = lidar_range(Pose2D(0, 0, 0), Pose2D(0.01, 0, 0), 20.0, noise)
+            r = lidar_range((0, 0, 0), (0.01, 0, 0), 20.0, noise)
             assert r >= 0.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            lidar_range(Pose2D(0, 0, 0), Pose2D(1, 0, 0), 0.0, normal_rows(stream(0, "l"), 0.1, 1))
+            lidar_range((0, 0, 0), (1, 0, 0), 0.0, normal_rows(stream(0, "l"), 0.1, 1))
         # a negative sigma is rejected where the scenario sets it, and where it is drawn
         with pytest.raises(ConfigError):
             SensorNoise(lidar_sigma=-0.1)
@@ -885,7 +892,7 @@ class TestLidar:
         noise, draws = normal_rows(stream(8, "l"), 0.3, 40), stream(8, "l")
         for k in range(40):
             d = 5.0 + k
-            got = lidar_range(Pose2D(0, 0, 0), Pose2D(d, 0, 0), 30.0, noise)
+            got = lidar_range((0, 0, 0), (d, 0, 0), 30.0, noise)
             want = None if d > 30.0 else max(d + draws.normal(0.0, 0.3), 0.0)
             assert got == want
 
@@ -965,3 +972,464 @@ class TestMeasureStateOracle:
             return
         got = measure_state(u, psi, r, noise)
         assert [v.hex() for v in got] == [want.u.hex(), want.psi.hex(), want.r.hex()]
+
+
+# --- oracle: the sensor step on Pose2D, BoundingBox and Detection, before it
+# took (x, y, psi) poses and (x, y, w, h) boxes; kept verbatim, with copies of
+# the dataclasses it built. Helpers the change left alone (search_roi,
+# _bounds, TemplateCache, zncc_scores, _add_tile_noise) are shared.
+
+
+@dataclass
+class _RefPose2D:
+    """Planar pose in the world frame. psi is stored wrapped onto (-pi, pi]."""
+
+    x: float = 0.0  # m
+    y: float = 0.0  # m
+    psi: float = 0.0  # rad, CCW from +x
+
+    def __post_init__(self) -> None:
+        self.psi = _ref_wrap_angle(self.psi)
+
+
+@dataclass
+class _RefBoundingBox:
+    """Axis-aligned pixel box, top-left origin."""
+
+    x: float
+    y: float
+    w: float
+    h: float
+
+    def __post_init__(self) -> None:
+        if self.w < 0.0 or self.h < 0.0:
+            raise ValueError(f"box size must be non-negative: w={self.w}, h={self.h}")
+
+    def center(self) -> tuple[float, float]:
+        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
+
+
+@dataclass(frozen=True)
+class _RefDetection:
+    """Single tracker output; box is meaningless when valid is False."""
+
+    valid: bool
+    box: _RefBoundingBox | None = None
+    score: float = 0.0
+
+
+def _ref_sees(cam: CameraIntrinsics, box: _RefBoundingBox) -> bool:
+    """CameraIntrinsics.sees: whether the box center lies in the image, edges included."""
+    cx, cy = box.center()
+    return 0.0 <= cx <= cam.width and 0.0 <= cy <= cam.height
+
+
+_REF_MIN_PROJECT_RANGE = 0.1  # m, closer targets are behind/inside the hull
+
+
+def _ref_project_target(
+    usv: _RefPose2D, target: _RefPose2D, extent: float, cam: CameraIntrinsics
+) -> _RefBoundingBox | None:
+    if not extent > 0.0:
+        raise ConfigError("target extent must be > 0")
+    dx = target.x - usv.x
+    dy = target.y - usv.y
+    d = math.hypot(dx, dy)
+    beta = _ref_wrap_angle(math.atan2(dy, dx) - usv.psi)
+    if abs(beta) >= cam.hfov / 2.0 or d <= _REF_MIN_PROJECT_RANGE:
+        return None
+    center_x = cam.cx - cam.fx * math.tan(beta)
+    center_y = cam.cy
+    size = cam.fx * extent / d
+    left = max(center_x - size / 2.0, 0.0)
+    right = min(center_x + size / 2.0, float(cam.width))
+    top = max(center_y - size / 2.0, 0.0)
+    bottom = min(center_y + size / 2.0, float(cam.height))
+    return _RefBoundingBox(x=left, y=top, w=right - left, h=bottom - top)
+
+
+def _ref_emulate_tracker(
+    truth: _RefBoundingBox | None,
+    visibility: float,
+    noise: TrackerNoiseConfig,
+    rng: np.random.Generator,
+    cam: CameraIntrinsics,
+) -> _RefDetection:
+    if not 0.0 <= visibility <= 1.0:
+        raise ConfigError("visibility must lie in [0, 1]")
+    if truth is None:
+        return _RefDetection(False)
+    p_drop = 1.0 - (1.0 - noise.p_drop_base) * visibility
+    if rng.random() < p_drop:
+        return _RefDetection(False)
+    gauss = rng.standard_normal
+    cx, cy = truth.center()
+    sigma_c = noise.sigma_center_px / visibility
+    cx += 0.0 + sigma_c * gauss()
+    cy += 0.0 + sigma_c * gauss()
+    scale = max(1.0 + (0.0 + noise.sigma_scale * gauss()), 0.0)
+    w = truth.w * scale
+    h = truth.h * scale
+    box = _RefBoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
+    if not _ref_sees(cam, box):
+        return _RefDetection(False)
+    return _RefDetection(True, box, 1.0)
+
+
+def _ref_render_frame(
+    usv: _RefPose2D,
+    target: _RefPose2D,
+    extent: float,
+    cam: CameraIntrinsics,
+    visibility: float,
+    rng: np.random.Generator,
+    noise_sigma: float = 0.02,
+    roi: Roi | None = None,
+) -> np.ndarray:
+    if not 0.0 <= visibility <= 1.0:
+        raise ConfigError("visibility must lie in [0, 1]")
+    y0, y1, x0, x1 = (0, cam.height, 0, cam.width) if roi is None else roi
+    if not (0 <= y0 <= y1 <= cam.height and 0 <= x0 <= x1 <= cam.width):
+        raise ValueError(f"roi {roi} does not lie inside the {cam.height}x{cam.width} frame")
+    frame_key = int(rng.integers(0, 2**64, dtype=np.uint64))
+    haze = (1.0 - visibility) * 0.6
+    frame = np.full((y1 - y0, x1 - x0), visibility * 0.3 + haze)
+    box = _ref_project_target(usv, target, extent, cam)
+    if box is not None and box.w > 0.0 and box.h > 0.0:
+        bx0 = max(int(math.floor(box.x)), x0)
+        by0 = max(int(math.floor(box.y)), y0)
+        bx1 = min(int(math.ceil(box.x + box.w)), x1)
+        by1 = min(int(math.ceil(box.y + box.h)), y1)
+        if bx1 > bx0 and by1 > by0:
+            frame[by0 - y0 : by1 - y0, bx0 - x0 : bx1 - x0] = visibility * 0.8 + haze
+    if noise_sigma > 0.0 and frame.size:
+        _add_tile_noise(frame, (y0, y1, x0, x1), cam.width, frame_key, noise_sigma)
+    return np.clip(frame, 0.0, 1.0, out=frame)
+
+
+def _ref_template_roi(truth: _RefBoundingBox, margin: float, bounds: Roi) -> Roi:
+    by0, by1, bx0, bx1 = bounds
+    mx = margin * truth.w
+    my = margin * truth.h
+    x0 = int(math.floor(max(truth.x - mx, bx0)))
+    y0 = int(math.floor(max(truth.y - my, by0)))
+    x1 = int(math.ceil(min(truth.x + truth.w + mx, bx1)))
+    y1 = int(math.ceil(min(truth.y + truth.h + my, by1)))
+    if x1 - x0 < 1 or y1 - y0 < 1:
+        return (by0, by0, bx0, bx0)
+    return (y0, y1, x0, x1)
+
+
+def _ref_ncc_track(
+    frame: np.ndarray,
+    template: np.ndarray,
+    search_window: tuple[tuple[float, float], float],
+    peak_threshold: float = 0.2,
+    roi: Roi | None = None,
+    cache: TemplateCache | None = None,
+) -> _RefDetection:
+    center, halfwidth = search_window
+    th, tw = template.shape
+    fy0, _, fx0, _ = bounds = _bounds(frame, roi)
+    y0, y1, x0, x1 = search_roi(center, halfwidth, template.shape, bounds)
+    if y1 == y0:
+        return _RefDetection(valid=False)
+    window = frame[y0 - fy0 : y1 - fy0, x0 - fx0 : x1 - fx0]
+    try:
+        scores = zncc_scores(window, template, cache)
+    except ValueError:
+        return _RefDetection(valid=False)
+    flat = int(np.argmax(scores >= scores.max() - 1e-12))
+    py, px = divmod(flat, scores.shape[1])
+    peak = float(scores[py, px])
+    box = _RefBoundingBox(float(x0 + px), float(y0 + py), float(tw), float(th))
+    if peak < peak_threshold:
+        return _RefDetection(valid=False, score=peak)
+    return _RefDetection(valid=True, box=box, score=peak)
+
+
+class _RefNccTracker:
+    def __init__(
+        self,
+        peak_threshold: float = 0.2,
+        search_halfwidth: int | None = None,
+        context_margin: float = 0.35,
+    ) -> None:
+        self.peak_threshold = peak_threshold
+        self.search_halfwidth = search_halfwidth
+        self.context_margin = context_margin
+        self.reset()
+
+    def reset(self) -> None:
+        self._template: np.ndarray | None = None
+        self._cache: TemplateCache | None = None
+        self._box_size: tuple[float, float] | None = None
+        self._center: tuple[float, float] | None = None
+
+    def _search_window(self) -> tuple[tuple[float, float], float]:
+        halfwidth = (
+            self.search_halfwidth
+            if self.search_halfwidth is not None
+            else self._template.shape[1]
+        )
+        return self._center, halfwidth
+
+    def window(self, frame_shape: tuple[int, int], truth: _RefBoundingBox | None = None) -> Roi:
+        bounds = (0, frame_shape[0], 0, frame_shape[1])
+        if self._template is None:
+            if truth is None:
+                raise RuntimeError("an uninitialized tracker needs the ground-truth box")
+            return _ref_template_roi(truth, self.context_margin, bounds)
+        return search_roi(*self._search_window(), self._template.shape, bounds)
+
+    def initialize(self, frame: np.ndarray, truth: _RefBoundingBox, roi: Roi | None = None) -> None:
+        fy0, _, fx0, _ = bounds = _bounds(frame, roi)
+        y0, y1, x0, x1 = _ref_template_roi(truth, self.context_margin, bounds)
+        if y1 == y0:
+            raise ConfigError("ground-truth box lies outside the frame")
+        self._template = frame[y0 - fy0 : y1 - fy0, x0 - fx0 : x1 - fx0].copy()
+        self._cache = TemplateCache(self._template)
+        self._box_size = (truth.w, truth.h)
+        self._center = truth.center()
+
+    def track(self, frame: np.ndarray, roi: Roi | None = None) -> _RefDetection:
+        if self._template is None or self._center is None or self._box_size is None:
+            raise RuntimeError("tracker used before initialize()")
+        det = _ref_ncc_track(
+            frame, self._template, self._search_window(), self.peak_threshold, roi, self._cache
+        )
+        if not det.valid or det.box is None:
+            return _RefDetection(valid=False, score=det.score)
+        match_cx, match_cy = det.box.center()
+        self._center = (match_cx, match_cy)
+        bw, bh = self._box_size
+        box = _RefBoundingBox(match_cx - bw / 2.0, match_cy - bh / 2.0, bw, bh)
+        return _RefDetection(valid=True, box=box, score=det.score)
+
+
+def _ref_lidar_range(usv: _RefPose2D, target: _RefPose2D, max_range: float, noise) -> float | None:
+    if not max_range > 0.0:
+        raise ConfigError("max_range must be > 0")
+    d = math.hypot(target.x - usv.x, target.y - usv.y)
+    if d > max_range:
+        return None
+    return max(d + next(noise), 0.0)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _box_hex(box) -> list[str] | None:
+    """Bits of an (x, y, w, h) box or a _RefBoundingBox; None stays None."""
+    if isinstance(box, _RefBoundingBox):
+        box = (box.x, box.y, box.w, box.h)
+    return None if box is None else _hex(box)
+
+
+def _det_hex(det) -> tuple:
+    """(valid, score bits, box bits) of a Detection or a _RefDetection."""
+    return (det.valid, det.score.hex(), _box_hex(det.box))
+
+
+# World coordinates: ordinary values, signed zeros, subnormals, huge values.
+_WORLD = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.sampled_from([0.0, -0.0, 0.05, 0.1, 5e-324, -5e-324, 1e-300, 1e6, -1e6, 1e300]),
+)
+# Headings as the loop passes them: already wrapped, the wrap edge included.
+_HEADINGS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([math.pi, -math.pi, math.nextafter(-math.pi, 0.0), 0.0, -0.0, 0.57, -0.57]),
+).map(_ref_wrap_angle)
+_POSES = st.tuples(_WORLD, _WORLD, _HEADINGS)
+
+
+@st.composite
+def _usv_and_target(draw):
+    """Two independent poses, or a target placed near the optical axis of the usv."""
+    usv = draw(_POSES)
+    if draw(st.booleans()):
+        return usv, draw(_POSES)
+    x, y, psi = usv
+    d, bearing = draw(st.floats(0.05, 80.0)), draw(st.floats(-0.8, 0.8))
+    return usv, (x + d * math.cos(psi + bearing), y + d * math.sin(psi + bearing), draw(_HEADINGS))
+
+
+_EXTENTS = st.one_of(
+    st.floats(1e-6, 50.0), st.sampled_from([5e-324, 1e-300, 2.0]), st.floats(1e-6, 5.0), st.sampled_from([0.0, -1.0])
+)
+_ORACLE_CAMS = st.sampled_from(
+    [CAM, CameraIntrinsics(width=97, height=31, fx=0.3), CameraIntrinsics(width=640, height=480, fx=150.0)]
+)
+
+
+class TestProjectTargetOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_usv_and_target(), _EXTENTS, _ORACLE_CAMS)
+    def test_bit_identical_to_the_dataclass_form(self, poses, extent, cam):
+        usv, target = poses
+        try:
+            want = _ref_project_target(_RefPose2D(*usv), _RefPose2D(*target), extent, cam)
+        except ValueError as exc:
+            if str(exc).startswith("box size must be non-negative"):
+                # BoundingBox rejected a clipped box that rounding left
+                # narrower than zero; the tuple form returns those floats.
+                box = project_target(usv, target, extent, cam)
+                assert box[2] < 0.0 or box[3] < 0.0
+                return
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                project_target(usv, target, extent, cam)
+            return
+        assert _box_hex(project_target(usv, target, extent, cam)) == _box_hex(want)
+
+
+_PIXELS = st.one_of(
+    st.floats(0.0, 480.0), st.floats(-50.0, 700.0), st.sampled_from([0.0, -0.0, 320.0, 640.0, 480.0, 5e-324])
+)
+_PIXEL_SIZES = st.one_of(st.floats(0.0, 200.0), st.sampled_from([0.0, -0.0, 5e-324, 1.0]))
+_BOXES = st.tuples(_PIXELS, _PIXELS, _PIXEL_SIZES, _PIXEL_SIZES)
+# A truth box, or (one time in eight) None for a target out of view.
+_TRUTHS = st.tuples(_BOXES, st.integers(0, 7)).map(lambda pair: None if pair[1] == 7 else pair[0])
+_VISIBILITIES = st.one_of(
+    st.floats(0.5, 1.0), st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 0.6])
+)
+_NOISES = st.builds(
+    TrackerNoiseConfig,
+    st.one_of(st.floats(0.0, 50.0), st.just(0.0)),
+    st.one_of(st.floats(0.0, 2.0), st.just(0.0)),
+    st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 0.99), st.just(0.0)),
+)
+
+
+class TestEmulateTrackerOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(_TRUTHS, _VISIBILITIES), min_size=1, max_size=12),
+        _NOISES,
+        _ORACLE_CAMS,
+        st.integers(0, 2**32),
+    )
+    def test_bit_identical_outputs_and_draws(self, calls, noise, cam, seed):
+        rng, ref_rng = stream(seed, "tracker"), stream(seed, "tracker")
+        for truth, visibility in calls:
+            ref_truth = None if truth is None else _RefBoundingBox(*truth)
+            want = _ref_emulate_tracker(ref_truth, visibility, noise, ref_rng, cam)
+            got = emulate_tracker(truth, visibility, noise, rng, cam)
+            assert _box_hex(got) == (_box_hex(want.box) if want.valid else None)
+        # the three normals drawn at once leave the stream where three calls did
+        assert _philox_state(rng.bit_generator.state) == _philox_state(ref_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("visibility", [-0.1, 1.5, math.nan])
+    def test_bad_visibility_raises_before_drawing(self, visibility):
+        rng, ref_rng = stream(1, "tracker"), stream(1, "tracker")
+        for tracker, truth, generator in (
+            (emulate_tracker, (1.0, 1.0, 2.0, 2.0), rng),
+            (_ref_emulate_tracker, _RefBoundingBox(1.0, 1.0, 2.0, 2.0), ref_rng),
+        ):
+            with pytest.raises(ConfigError, match=r"visibility must lie in \[0, 1\]"):
+                tracker(truth, visibility, TrackerNoiseConfig(), generator, CAM)
+        assert rng.random() == ref_rng.random()
+
+
+class TestLidarRangeOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _POSES,
+        _POSES,
+        st.one_of(st.floats(1e-3, 100.0), st.sampled_from([10.0, 0.0, -1.0, 1e300])),
+        st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
+    )
+    def test_bit_identical_and_draws_alike(self, usv, target, max_range, draws):
+        noise, ref_noise = iter(draws), iter(draws)
+        try:
+            want = _ref_lidar_range(_RefPose2D(*usv), _RefPose2D(*target), max_range, ref_noise)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                lidar_range(usv, target, max_range, noise)
+            return
+        got = lidar_range(usv, target, max_range, noise)
+        assert (got is None and want is None) or got.hex() == want.hex()
+        assert list(noise) == list(ref_noise)
+
+
+class TestRenderFrameOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(render_cases())
+    def test_bit_identical_frames_and_draws(self, case):
+        rng, ref_rng = stream(case["seed"], "render"), stream(case["seed"], "render")
+        usv, target = case["usv"], case["target"]
+        args = (case["extent"], case["cam"], case["visibility"])
+        kwargs = dict(noise_sigma=case["sigma"], roi=case["roi"])
+        got = render_frame(usv, target, *args, rng, **kwargs)
+        want = _ref_render_frame(_RefPose2D(*usv), _RefPose2D(*target), *args, ref_rng, **kwargs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert _philox_state(rng.bit_generator.state) == _philox_state(ref_rng.bit_generator.state)
+
+
+@st.composite
+def ncc_scenes(draw):
+    """A noisy frame with a textured target, a truth box around it, and its later shifts."""
+    seed = draw(st.integers(0, 2**32))
+    rng = np.random.default_rng(seed)
+    h, w = draw(st.integers(24, 48)), draw(st.integers(24, 64))
+    th, tw = draw(st.integers(3, 10)), draw(st.integers(3, 10))
+    y, x = draw(st.integers(0, h - th)), draw(st.integers(0, w - tw))
+    frame = np.clip(0.3 + draw(st.sampled_from([0.0, 0.02, 0.2])) * rng.standard_normal((h, w)), 0, 1)
+    frame[y : y + th, x : x + tw] = rng.random((th, tw))
+    # a truth box near the target, at a fractional offset and size
+    truth = (
+        x + draw(st.floats(-2.0, 2.0)),
+        y + draw(st.floats(-2.0, 2.0)),
+        tw + draw(st.floats(-1.0, 1.0)),
+        th + draw(st.floats(-1.0, 1.0)),
+    )
+    shifts = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=5))
+    return dict(
+        frame=frame,
+        truth=truth,
+        shifts=shifts,
+        threshold=draw(st.sampled_from([0.0, 0.2, 0.9, 1.0])),
+        halfwidth=draw(st.sampled_from([None, 0, 2, 6])),
+        margin=draw(st.sampled_from([0.0, 0.35, 1.0])),
+        region=draw(st.booleans()),
+    )
+
+
+class TestNccOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(ncc_scenes(), st.floats(-5.0, 70.0), st.floats(-5.0, 50.0), st.sampled_from([0.0, 1.0, 4.5, 9.0]))
+    def test_ncc_track_bit_identical(self, scene, cx, cy, halfwidth):
+        frame = scene["frame"]
+        x, y, w, h = scene["truth"]
+        template = frame[int(max(y, 0)) : int(max(y, 0)) + 4, int(max(x, 0)) : int(max(x, 0)) + 5]
+        args = (frame, template, ((cx, cy), halfwidth), scene["threshold"])
+        assert _det_hex(ncc_track(*args)) == _det_hex(_ref_ncc_track(*args))
+
+    @settings(max_examples=150, deadline=None)
+    @given(ncc_scenes())
+    def test_tracker_bit_identical(self, scene):
+        frame, truth = scene["frame"], scene["truth"]
+        opts = (scene["threshold"], scene["halfwidth"], scene["margin"])
+        tracker, ref = NccTracker(*opts), _RefNccTracker(*opts)
+        ref_truth = _RefBoundingBox(*truth)
+        roi = tracker.window(frame.shape, truth) if scene["region"] else None
+        assert roi == (ref.window(frame.shape, ref_truth) if scene["region"] else None)
+
+        def crop(image, region):
+            return image if region is None else image[region[0] : region[1], region[2] : region[3]]
+
+        try:
+            ref.initialize(crop(frame, roi), ref_truth, roi)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                tracker.initialize(crop(frame, roi), truth, roi)
+            return
+        tracker.initialize(crop(frame, roi), truth, roi)
+        for shift in scene["shifts"]:
+            moved = np.roll(frame, shift, axis=(0, 1))
+            roi = tracker.window(moved.shape) if scene["region"] else None
+            assert roi == (ref.window(moved.shape) if scene["region"] else None)
+            assert _det_hex(tracker.track(crop(moved, roi), roi)) == _det_hex(ref.track(crop(moved, roi), roi))
+            assert _hex(tracker._center) == _hex(ref._center)
+            assert _hex(tracker._box_size) == _hex(ref._box_size)

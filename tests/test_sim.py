@@ -3,14 +3,15 @@
 import dataclasses
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helm_bench import sensors, sim
+from helm_bench import core, sensors, sim
 from helm_bench.config import _SCHEMA, load_scenario, parse_scenario
 from helm_bench.core import BodyState, BoundingBox, ConfigError, IntegrationError, Pose2D
 from helm_bench.dynamics import SeaState
@@ -23,6 +24,7 @@ from helm_bench.sim import (
     ControllerSpec,
     RunLog,
     Scenario,
+    TrackerKind,
     TrackerSpec,
     TrajectoryKind,
     TrajectorySpec,
@@ -35,7 +37,7 @@ from helm_bench.sim import (
     target_pose,
 )
 from test_metrics import _bits
-from test_sensors import einsum_cross_zncc
+from test_sensors import _RefPose2D, einsum_cross_zncc
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -43,21 +45,19 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 class TestTargetPose:
     def test_line_uniform_motion(self):
         spec = TrajectorySpec(kind=TrajectoryKind.LINE, origin=Pose2D(0, 0, 0), speed=1.0)
-        pose = target_pose(spec, 5.0)
-        assert (pose.x, pose.y, pose.psi) == (5.0, 0.0, 0.0)
+        assert target_pose(spec, 5.0) == (5.0, 0.0, 0.0)
 
     def test_line_follows_origin_heading(self):
         spec = TrajectorySpec(origin=Pose2D(1.0, 2.0, math.pi / 2), speed=2.0)
-        pose = target_pose(spec, 3.0)
-        assert pose.x == pytest.approx(1.0)
-        assert pose.y == pytest.approx(8.0)
-        assert pose.psi == pytest.approx(math.pi / 2)
+        x, y, psi = target_pose(spec, 3.0)
+        assert x == pytest.approx(1.0)
+        assert y == pytest.approx(8.0)
+        assert psi == pytest.approx(math.pi / 2)
 
     def test_stationary(self):
         spec = TrajectorySpec(kind=TrajectoryKind.STATIONARY, origin=Pose2D(3, 4, 0.5))
         for t in (0.0, 10.0, 1e4):
-            pose = target_pose(spec, t)
-            assert (pose.x, pose.y, pose.psi) == (3.0, 4.0, 0.5)
+            assert target_pose(spec, t) == (3.0, 4.0, 0.5)
 
     def triangle(self):
         # right triangle with perimeter 3 + 4 + 5 = 12
@@ -74,36 +74,35 @@ class TestTargetPose:
         assert repr(spec) == before and spec == self.triangle()
         moved = dataclasses.replace(spec, vertices=((0.0, 0.0), (6.0, 0.0), (6.0, 8.0)))
         assert moved.perimeter == 24.0
-        assert (target_pose(moved, 9.0).x, target_pose(moved, 9.0).y) == (6.0, 3.0)
+        assert target_pose(moved, 9.0)[:2] == (6.0, 3.0)
 
     def test_triangle_periodic_at_perimeter(self):
         spec = self.triangle()
         start = target_pose(spec, 0.0)
         lap = target_pose(spec, 12.0)
-        assert (lap.x, lap.y) == pytest.approx((start.x, start.y), abs=1e-9)
+        assert lap[:2] == pytest.approx(start[:2], abs=1e-9)
 
     def test_triangle_heading_along_current_edge(self):
         spec = self.triangle()
         mid = target_pose(spec, 1.5)  # halfway along the first edge
-        assert (mid.x, mid.y) == pytest.approx((1.5, 0.0))
-        assert mid.psi == 0.0
+        assert mid[:2] == pytest.approx((1.5, 0.0))
+        assert mid[2] == 0.0
         up = target_pose(spec, 4.0)  # 1 m up the second edge
-        assert (up.x, up.y) == pytest.approx((3.0, 1.0))
-        assert up.psi == pytest.approx(math.pi / 2)
+        assert up[:2] == pytest.approx((3.0, 1.0))
+        assert up[2] == pytest.approx(math.pi / 2)
 
     def test_triangle_vertex_ties_to_next_edge(self):
         spec = self.triangle()
         at_vertex = target_pose(spec, 3.0)
-        assert (at_vertex.x, at_vertex.y) == pytest.approx((3.0, 0.0))
-        assert at_vertex.psi == pytest.approx(math.pi / 2)  # next edge points +y
+        assert at_vertex[:2] == pytest.approx((3.0, 0.0))
+        assert at_vertex[2] == pytest.approx(math.pi / 2)  # next edge points +y
 
     def test_zero_speed_triangle_parks_at_first_vertex(self):
         spec = TrajectorySpec(
             kind=TrajectoryKind.TRIANGLE, speed=0.0,
             vertices=((1.0, 1.0), (2.0, 1.0), (1.0, 2.0)),
         )
-        pose = target_pose(spec, 7.0)
-        assert (pose.x, pose.y) == (1.0, 1.0)
+        assert target_pose(spec, 7.0)[:2] == (1.0, 1.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -134,6 +133,75 @@ class TestTargetPose:
         # and TrajectorySpec accepts it
         spec = TrajectorySpec(kind=TrajectoryKind.TRIANGLE, vertices=vertices)
         assert spec.vertices == vertices
+
+
+# --- oracle: target_pose on Pose2D, before the edges kept their headings, kept verbatim
+
+
+def _ref_edges(spec: TrajectorySpec) -> tuple:
+    """(ax, ay, ex, ey, length) of each edge of the closed TRIANGLE path."""
+    assert spec.vertices is not None
+    edges = []
+    for i in range(3):
+        ax, ay = spec.vertices[i]
+        bx, by = spec.vertices[(i + 1) % 3]
+        edges.append((ax, ay, bx - ax, by - ay, math.hypot(bx - ax, by - ay)))
+    return tuple(edges)
+
+
+def _ref_target_pose(spec: TrajectorySpec, t: float):
+    if t < 0.0:
+        raise ValueError("t must be >= 0")
+    if spec.kind is TrajectoryKind.STATIONARY:
+        return spec.origin
+    if spec.kind is TrajectoryKind.LINE:
+        return _RefPose2D(
+            x=spec.origin.x + spec.speed * t * math.cos(spec.origin.psi),
+            y=spec.origin.y + spec.speed * t * math.sin(spec.origin.psi),
+            psi=spec.origin.psi,
+        )
+    edges = _ref_edges(spec)
+    s = math.fmod(spec.speed * t, sum(e[4] for e in edges))
+    for ax, ay, ex, ey, length in edges:
+        if s < length:
+            f = s / length
+            return _RefPose2D(x=ax + f * ex, y=ay + f * ey, psi=math.atan2(ey, ex))
+        s -= length
+    # fmod rounding can land exactly on the perimeter: wrap to the first vertex.
+    ax, ay, ex, ey, _ = edges[0]
+    return _RefPose2D(x=ax, y=ay, psi=math.atan2(ey, ex))
+
+
+_TRAJ_COORDS = st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300]))
+_VERTICES = st.tuples(*[st.tuples(_TRAJ_COORDS, _TRAJ_COORDS)] * 3)
+_TIMES = st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, 3.0, 12.0, 60.0]), st.floats(0.0, 1e12))
+
+
+@st.composite
+def trajectories(draw):
+    kind = draw(st.sampled_from(TrajectoryKind))
+    origin = Pose2D(draw(_TRAJ_COORDS), draw(_TRAJ_COORDS), draw(st.floats(-10.0, 10.0)))
+    speed = draw(st.one_of(st.floats(0.0, 10.0), st.just(0.0)))
+    vertices = None
+    if kind is TrajectoryKind.TRIANGLE:
+        vertices = draw(_VERTICES)
+        edges = zip(vertices, vertices[1:] + vertices[:1])
+        assume(all(math.hypot(b[0] - a[0], b[1] - a[1]) > 0.0 for a, b in edges))
+    return TrajectorySpec(kind=kind, origin=origin, speed=speed, vertices=vertices)
+
+
+class TestTargetPoseOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(trajectories(), _TIMES)
+    # an edge along -x whose ey is -0.0: atan2 gives -pi, which Pose2D stored as pi
+    @example(TrajectorySpec(kind=TrajectoryKind.TRIANGLE, vertices=((1.0, 0.0), (0.0, -0.0), (0.5, 1.0))), 0.5)
+    @example(TrajectorySpec(kind=TrajectoryKind.TRIANGLE, vertices=((1.0, 0.0), (0.0, -0.0), (0.5, 1.0))), 0.0)
+    @example(TrajectorySpec(origin=Pose2D(0.0, 0.0, -math.pi), speed=1.0), 2.0)
+    def test_bit_identical_to_the_pose2d_form(self, spec, t):
+        want = _ref_target_pose(spec, t)
+        got = target_pose(spec, t)
+        assert type(got) is tuple
+        assert [v.hex() for v in got] == [want.x.hex(), want.y.hex(), want.psi.hex()]
 
 
 def quick_scenario(**overrides) -> Scenario:
@@ -174,14 +242,14 @@ class TestRunScenario:
         log = run_scenario(sc)
         boxes = log.gt_boxes()
         for i in range(len(log)):
-            usv = Pose2D(log.x[i], log.y[i], log.psi[i])
-            tgt = Pose2D(log.target_x[i], log.target_y[i], log.target_psi[i])
+            usv = (log.x[i], log.y[i], log.psi[i])
+            tgt = (log.target_x[i], log.target_y[i], log.target_psi[i])
             want = project_target(usv, tgt, sc.target.extent, sc.camera)
             if want is None:
                 assert boxes[i] is None
             else:
                 got = boxes[i]
-                assert (got.x, got.y, got.w, got.h) == (want.x, want.y, want.w, want.h)
+                assert (got.x, got.y, got.w, got.h) == want
 
     def test_blind_tracker_ends_searching(self):
         sc = quick_scenario(
@@ -256,6 +324,32 @@ class TestStreams:
         monkeypatch.setattr(sim, "stream", recording)
         assert run_scenario(sc).to_csv() == want
         assert built == labels
+
+
+class TestNoPerStepObjects:
+    """An emulator step builds no Pose2D, BoundingBox or Detection: poses and boxes are tuples."""
+
+    @pytest.mark.parametrize("ini", ["calm_line.ini", "sea_triangle.ini"])
+    def test_emulator_steps_build_none(self, monkeypatch, ini):
+        sc = dataclasses.replace(load_scenario(SCENARIOS / ini), duration=2.0)
+        assert sc.tracker.kind is TrackerKind.EMULATOR
+        built = Counter()
+        classes = (core.Pose2D, core.BoundingBox, sensors.Detection)
+        for cls in classes:
+
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        # the wrappers count
+        core.Pose2D(), core.BoundingBox(0.0, 0.0, 1.0, 1.0), sensors.Detection(False)
+        assert built == Counter({cls.__name__: 1 for cls in classes})
+        built.clear()
+
+        log = run_scenario(sc)
+        assert len(log) == 101 and log.det_valid.any() and log.error is None
+        assert built == Counter()
 
 
 class TestNccRegionRender:
