@@ -149,10 +149,9 @@ def _cmd_gains(args) -> int:
     kind = sim.ControllerKind.LQR if args.lqr else sc.controller.kind
     if kind is sim.ControllerKind.LQR:
         gain = control.lqr_gain(sc.params, sc.controller.lqr)
-        eigs = sorted(gain.eigenvalues, key=lambda z: z.real)
         print(_format_matrix("K", gain.K))
         print(_format_matrix("P", gain.P))
-        print("closed-loop eigenvalues: " + ", ".join(f"{e.real:+.6f}{e.imag:+.6f}j" for e in eigs))
+        print("closed-loop eigenvalues: " + control.format_poles(gain.poles))
     elif kind is sim.ControllerKind.PID:
         print(sc.controller.pid)
     else:

@@ -8,6 +8,7 @@ can swap laws without touching anything else.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -80,18 +81,36 @@ class LqrWeights:
             raise ConfigError("Q must be positive semidefinite")
         if np.linalg.eigvalsh(R).min() <= 0.0:
             raise ConfigError("R must be positive definite")
+        if Q[0, 1] != 0.0 or Q[0, 2] != 0.0 or Q[1, 0] != 0.0 or Q[2, 0] != 0.0:
+            raise ConfigError("Q must not couple surge with the yaw block")
+        if R[0, 1] != 0.0 or R[1, 0] != 0.0:
+            raise ConfigError("R must be diagonal")
 
 
 @dataclass(frozen=True)
 class LqrGain:
-    """Solved regulator: K maps [u_err, psi_err, r] to -(T1, T2); P solves the ARE."""
+    """Solved regulator, as floats.
 
-    K: np.ndarray  # 2x3
-    P: np.ndarray  # 3x3
-    eigenvalues: np.ndarray  # 3, of the closed loop A - B K
-    k_u: float  # K[0, 0], K[1, 1] and K[1, 2] as floats, for lqr_step
+    K = [[k_u, 0, 0], [0, k_psi, k_r]] maps [u_err, psi_err, r] to -(T1, T2),
+    and P = [[p_u, 0, 0], [0, p1, p12], [0, p12, p2]] solves the CARE.
+    """
+
+    k_u: float
     k_psi: float
     k_r: float
+    p_u: float
+    p1: float
+    p12: float
+    p2: float
+    poles: tuple[complex, complex, complex]  # of A - B K: surge, then yaw
+
+    @property
+    def K(self) -> np.ndarray:
+        return np.array([[self.k_u, 0.0, 0.0], [0.0, self.k_psi, self.k_r]])
+
+    @property
+    def P(self) -> np.ndarray:
+        return np.array([[self.p_u, 0.0, 0.0], [0.0, self.p1, self.p12], [0.0, self.p12, self.p2]])
 
 
 @dataclass
@@ -231,22 +250,6 @@ def smc_step(
 # --- LQR ---------------------------------------------------------------
 
 
-def build_system(params: UsvParams) -> tuple[np.ndarray, np.ndarray]:
-    """Linearized surge/yaw plant about zero rates, state (u, psi, r)."""
-    A = np.zeros((3, 3))
-    A[1, 2] = 1.0
-    B = np.zeros((3, 2))
-    B[0, 0] = 1.0 / params.m
-    B[2, 1] = params.l / params.Izz
-    return A, B
-
-
-def care_residual(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, P: np.ndarray) -> float:
-    """Frobenius norm of A'P + PA - P B R^-1 B' P + Q."""
-    res = A.T @ P + P @ A - P @ B @ np.linalg.solve(R, B.T @ P) + Q
-    return float(np.linalg.norm(res))
-
-
 def _root(x: float) -> float:
     """Non-negative square root; a negative radicand means no real solution."""
     if x < 0.0:
@@ -254,72 +257,68 @@ def _root(x: float) -> float:
     return math.sqrt(x)
 
 
-def solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
-    """Stabilizing solution of the continuous algebraic Riccati equation.
-
-    Exploits the plant's exact decoupling into a surge integrator and a yaw
-    double integrator, each of whose Riccati equations has a closed-form
-    root. With a = A[1,2], b = B[2,1], r = R[1,1] and the yaw block
-    P2 = [[p1, p12], [p12, p2]], the CARE reads entry by entry
-
-        q_psi            - (b p12)^2 / r         = 0
-        q_r    + 2 a p12 - (b p2)^2 / r          = 0
-        q_psir + a p1    - (b p12) (b p2) / r    = 0
-
-    and the stabilizing root takes p12, p2 >= 0. The roots are computed on
-    Python floats, so no BLAS kernel decides a bit of P. Requires the
-    weights to respect the decoupling (no surge/yaw cross terms in Q,
-    diagonal R); anything else is a configuration error.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Q, R = weights.Q, weights.R
-
-    structure = np.zeros((3, 3))
-    structure[1, 2] = 1.0
-    if A.shape != (3, 3) or not np.array_equal(A != 0.0, structure != 0.0) or A[1, 2] <= 0.0:
-        raise ConfigError("A must match the decoupled surge/yaw template")
-    if B.shape != (3, 2) or B[0, 0] <= 0.0 or B[2, 1] <= 0.0:
-        raise ConfigError("B must actuate surge via column 0 and yaw rate via column 1")
-    mask = np.array([[True, False, False], [False, True, True], [False, True, True]])
-    if np.any(Q[~mask] != 0.0):
-        raise ConfigError("Q must not couple surge with the yaw block")
-    if R[0, 1] != 0.0 or R[1, 0] != 0.0:
-        raise ConfigError("R must be diagonal")
-
-    # Scalar surge ARE: q_u - (b_u p_u)^2 / r_u = 0.
-    p_u = _root(float(Q[0, 0]) * float(R[0, 0])) / float(B[0, 0])
-    a, b, r = float(A[1, 2]), float(B[2, 1]), float(R[1, 1])
-    p12 = _root(float(Q[1, 1]) * r) / b
-    p2 = _root(r * (float(Q[2, 2]) + 2.0 * a * p12)) / b
-    p1 = ((b * p12) * (b * p2) / r - float(Q[1, 2])) / a
-    return np.array([[p_u, 0.0, 0.0], [0.0, p1, p12], [0.0, p12, p2]])
+def format_poles(poles: tuple[complex, ...]) -> str:
+    """The poles as `re+imj` at 6 decimals, in ascending real part."""
+    return ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in sorted(poles, key=lambda z: z.real))
 
 
 def lqr_gain(params: UsvParams, weights: LqrWeights) -> LqrGain:
-    """Solve the regulator for the plant in params; validates the solution.
+    """Solve the regulator for the plant in params, on Python floats.
 
-    The returned gain satisfies K = R^-1 B' P with CARE residual below 1e-9
-    and a strictly stable closed loop (checked, NumericalError otherwise).
-    K is formed on Python floats from the entries of P.
+    The plant linearized about zero rates, state (u, psi, r), is a surge
+    integrator with input gain b_u = 1/m and a yaw double integrator with
+    b = l/Izz. Each continuous algebraic Riccati equation (CARE) has a
+    closed-form root. The surge one is q_u - (b_u p_u)^2 / r_u = 0; with
+    r = R[1,1] and the yaw block [[p1, p12], [p12, p2]] of P, the yaw one
+    reads entry by entry
+
+        q_psi            - (b p12)^2 / r        = 0
+        q_r    + 2 p12   - (b p2)^2 / r         = 0
+        q_psir + p1      - (b p12) (b p2) / r   = 0
+
+    and the stabilizing root takes p12, p2 >= 0. K = R^-1 B' P. The poles of
+    A - B K are -b_u k_u and the roots of s^2 + 2 h s + w^2, with
+    h = b k_r / 2 and w^2 = b k_psi: -h +- j sqrt(w - h) sqrt(w + h) when
+    complex, else s1 = -(h + sqrt(h - w) sqrt(h + w)) and s2 = w^2 / s1,
+    forms that neither cancel nor overflow. No BLAS or LAPACK kernel decides
+    a bit. A CARE residual (Frobenius norm) of 1e-9 or more, or a pole that
+    is not finite and in the open left half-plane, is a NumericalError.
     """
-    A, B = build_system(params)
-    b_u, b = float(B[0, 0]), float(B[2, 1])
+    b_u, b = 1.0 / params.m, params.l / params.Izz
     if not (0.0 < b_u < math.inf and 0.0 < b < math.inf):
         raise NumericalError(f"input gains 1/m = {b_u!r} and l/Izz = {b!r} must be finite and > 0")
-    P = solve_care(A, B, weights)
-    r_u, r = float(weights.R[0, 0]), float(weights.R[1, 1])
-    p_u, p12, p2 = float(P[0, 0]), float(P[1, 2]), float(P[2, 2])
+    Q, R = weights.Q, weights.R
+    q_u, q_psi, q_r, q_psir = float(Q[0, 0]), float(Q[1, 1]), float(Q[2, 2]), float(Q[1, 2])
+    r_u, r = float(R[0, 0]), float(R[1, 1])
+
+    p_u = _root(q_u * r_u) / b_u
+    p12 = _root(q_psi * r) / b
+    p2 = _root(r * (q_r + 2.0 * p12)) / b
+    p1 = (b * p12) * (b * p2) / r - q_psir
     k_u, k_psi, k_r = b_u * p_u / r_u, b * p12 / r, b * p2 / r
-    K = np.array([[k_u, 0.0, 0.0], [0.0, k_psi, k_r]])
-    # An overflowing plant leaves inf in P and a NaN residual.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not care_residual(A, B, weights.Q, weights.R, P) < 1e-9:
-            raise NumericalError("CARE residual exceeds tolerance")
-        eigs = np.linalg.eigvals(A - B @ K)
-    if np.any(eigs.real >= 0.0):
-        raise NumericalError(f"closed loop is not strictly stable: eigenvalues {eigs}")
-    return LqrGain(K=K, P=P, eigenvalues=eigs, k_u=k_u, k_psi=k_psi, k_r=k_r)
+    # The CARE residual A'P + PA - (P B) K + Q, entry by entry. An
+    # overflowing plant leaves inf in P and a NaN residual.
+    if not math.hypot(
+        q_u - (b_u * p_u) * k_u,
+        q_psi - (b * p12) * k_psi,
+        (p1 - (b * p12) * k_r) + q_psir,
+        (p1 - (b * p2) * k_psi) + float(Q[2, 1]),
+        (2.0 * p12 - (b * p2) * k_r) + q_r,
+    ) < 1e-9:
+        raise NumericalError("CARE residual exceeds tolerance")
+
+    h, c = 0.5 * (b * k_r), b * k_psi
+    w = math.sqrt(c)
+    if h < w:
+        im = math.sqrt(w - h) * math.sqrt(w + h)
+        yaw = (complex(-h, im), complex(-h, -im))
+    else:
+        s1 = -(h + math.sqrt(h - w) * math.sqrt(h + w))
+        yaw = (complex(s1, 0.0), complex(c / s1 if c else 0.0, 0.0))
+    poles = (complex(-(b_u * k_u), 0.0), *yaw)
+    if not all(z.real < 0.0 and cmath.isfinite(z) for z in poles):
+        raise NumericalError(f"closed loop is not strictly stable: eigenvalues {format_poles(poles)}")
+    return LqrGain(k_u=k_u, k_psi=k_psi, k_r=k_r, p_u=p_u, p1=p1, p12=p12, p2=p2, poles=poles)
 
 
 def lqr_step(

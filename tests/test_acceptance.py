@@ -32,7 +32,7 @@ import pytest
 
 from helm_bench.cli import main
 from helm_bench.config import load_scenario
-from helm_bench.control import LqrWeights, SmcGains, build_system, care_residual, lqr_gain
+from helm_bench.control import LqrWeights, SmcGains, lqr_gain
 from helm_bench.core import BoundingBox, CameraIntrinsics, UsvParams
 from helm_bench.dynamics import SeaState, step
 from helm_bench.metrics import (
@@ -144,7 +144,12 @@ def test_criterion_1_riccati_solver_properties():
     """Residual, symmetry, definiteness, stability, and the exact scalar gain."""
     with _criterion("criterion 1 — Riccati solver properties (100 random weight pairs)"):
         t0 = time.perf_counter()
-        A, B = build_system(PARAMS)
+        # the plant and the residual in matrix form, as the reference
+        A = np.zeros((3, 3))
+        A[1, 2] = 1.0
+        B = np.zeros((3, 2))
+        B[0, 0] = 1.0 / PARAMS.m
+        B[2, 1] = PARAMS.l / PARAMS.Izz
         rng = np.random.default_rng(20260816)
         for _ in range(100):
             q_u = rng.uniform(0.1, 50.0)
@@ -154,7 +159,8 @@ def test_criterion_1_riccati_solver_properties():
             Q[1:, 1:] = m2.T @ m2 + 1e-3 * np.eye(2)
             R = np.diag(rng.uniform(0.01, 5.0, size=2))
             gain = lqr_gain(PARAMS, LqrWeights(Q=Q, R=R))
-            assert care_residual(A, B, Q, R, gain.P) < 1e-9
+            P = gain.P
+            assert np.linalg.norm(A.T @ P + P @ A - P @ B @ np.linalg.solve(R, B.T @ P) + Q) < 1e-9
             assert np.array_equal(gain.P, gain.P.T)
             assert np.linalg.eigvalsh(gain.P).min() >= -1e-9
             assert np.linalg.eigvals(A - B @ gain.K).real.max() < -1e-6

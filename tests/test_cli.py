@@ -89,7 +89,7 @@ class TestSimulate:
                 "f2f7322167dd27f450f3a3c38c4b6ee00b0ae587ca0c838d4ad59a43c7c45f6d",
             ),
             (
-                # l/Izz underflows to 0, which solve_care would reject as a bad B
+                # l/Izz underflows to 0
                 "m = 20\nizz = 1e300\nl = 1e-300",
                 "no LQR gain: input gains 1/m = 0.05 and l/Izz = 0.0 must be finite and > 0",
                 "25d0ed00a4a0022c623057bb23eeacd8c1313d05c71e809d25a68ab6a799bd4d",
@@ -357,7 +357,7 @@ class TestGains:
         assert "eta_u=9" in out2.replace(" ", "")
 
     def test_lqr_print_is_pinned(self, capsys):
-        ini = Path(__file__).resolve().parent.parent / "scenarios" / "calm_line.ini"
+        # every shipped scenario keeps the default plant and weights
         want = (
             "K =\n"
             "  [+8.944271910, +0.000000000, +0.000000000]\n"
@@ -368,8 +368,10 @@ class TestGains:
             "  [+0.000000000, +8.944271910, +8.558232307]\n"
             "closed-loop eigenvalues: -1.337224+1.003453j, -1.337224-1.003453j, -0.447214+0.000000j\n"
         )
-        assert main(["gains", "--scenario", str(ini), "--lqr"]) == 0
-        assert capsys.readouterr().out == want
+        scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+        for name in ("calm_line", "sea_line", "sea_triangle", "ncc_standoff", "ncc_approach"):
+            assert main(["gains", "--scenario", str(scenarios / f"{name}.ini"), "--lqr"]) == 0
+            assert capsys.readouterr().out == want, name
 
     def test_lqr_flag_forces_riccati_print(self, tmp_path, capsys):
         ini = tmp_path / "pid.ini"

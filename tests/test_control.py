@@ -1,6 +1,7 @@
 """PID / sliding-mode / LQR laws and the Riccati solver."""
 
 import ast
+import cmath
 import itertools
 import math
 import warnings
@@ -19,14 +20,13 @@ from helm_bench.control import (
     LqrWeights,
     PidGains,
     SmcGains,
-    build_system,
-    care_residual,
+    _root,
+    format_poles,
     lqr_gain,
     lqr_step,
     pid_step,
     smc_refs,
     smc_step,
-    solve_care,
 )
 from helm_bench.core import ConfigError, NumericalError, UsvParams, wrap_angle
 
@@ -66,7 +66,7 @@ def meas(u=0.0, psi=0.0, r=0.0) -> tuple[float, float, float]:
     return (u, psi, r)
 
 
-# --- reference solver ----------------------------------------------------
+# --- reference solvers ---------------------------------------------------
 # A verbatim copy of the Newton-Kleinman solve_care that the closed form
 # replaced (pole-placement seed, Kronecker-product Lyapunov solve), kept as
 # an oracle for the closed-form roots.
@@ -83,7 +83,7 @@ def _ref_solve_lyapunov_2x2(Acl: np.ndarray, S: np.ndarray) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def _ref_solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
+def _ref_nk_solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
     """Stabilizing solution of the continuous algebraic Riccati equation.
 
     Exploits the plant's exact decoupling: the surge channel reduces to a
@@ -147,6 +147,172 @@ def _ref_solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.nda
     P[0, 0] = p_u
     P[1:, 1:] = P2
     return P
+
+
+# Verbatim copies of the matrix form of the closed-form solve that lqr_gain
+# replaced: the plant as A and B, the solve on template-checked matrices, and
+# the LAPACK residual and eigenvalue checks. The unchanged _root helper is
+# imported from the package.
+
+
+@dataclass(frozen=True)
+class _RefLqrGain:
+    """Solved regulator: K maps [u_err, psi_err, r] to -(T1, T2); P solves the ARE."""
+
+    K: np.ndarray  # 2x3
+    P: np.ndarray  # 3x3
+    eigenvalues: np.ndarray  # 3, of the closed loop A - B K
+    k_u: float  # K[0, 0], K[1, 1] and K[1, 2] as floats, for lqr_step
+    k_psi: float
+    k_r: float
+
+
+def _ref_build_system(params: UsvParams) -> tuple[np.ndarray, np.ndarray]:
+    """Linearized surge/yaw plant about zero rates, state (u, psi, r)."""
+    A = np.zeros((3, 3))
+    A[1, 2] = 1.0
+    B = np.zeros((3, 2))
+    B[0, 0] = 1.0 / params.m
+    B[2, 1] = params.l / params.Izz
+    return A, B
+
+
+def _ref_care_residual(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, P: np.ndarray) -> float:
+    """Frobenius norm of A'P + PA - P B R^-1 B' P + Q."""
+    res = A.T @ P + P @ A - P @ B @ np.linalg.solve(R, B.T @ P) + Q
+    return float(np.linalg.norm(res))
+
+
+def _ref_solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
+    """Stabilizing solution of the continuous algebraic Riccati equation.
+
+    Exploits the plant's exact decoupling into a surge integrator and a yaw
+    double integrator, each of whose Riccati equations has a closed-form
+    root. With a = A[1,2], b = B[2,1], r = R[1,1] and the yaw block
+    P2 = [[p1, p12], [p12, p2]], the CARE reads entry by entry
+
+        q_psi            - (b p12)^2 / r         = 0
+        q_r    + 2 a p12 - (b p2)^2 / r          = 0
+        q_psir + a p1    - (b p12) (b p2) / r    = 0
+
+    and the stabilizing root takes p12, p2 >= 0. The roots are computed on
+    Python floats, so no BLAS kernel decides a bit of P. Requires the
+    weights to respect the decoupling (no surge/yaw cross terms in Q,
+    diagonal R); anything else is a configuration error.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    Q, R = weights.Q, weights.R
+
+    structure = np.zeros((3, 3))
+    structure[1, 2] = 1.0
+    if A.shape != (3, 3) or not np.array_equal(A != 0.0, structure != 0.0) or A[1, 2] <= 0.0:
+        raise ConfigError("A must match the decoupled surge/yaw template")
+    if B.shape != (3, 2) or B[0, 0] <= 0.0 or B[2, 1] <= 0.0:
+        raise ConfigError("B must actuate surge via column 0 and yaw rate via column 1")
+    mask = np.array([[True, False, False], [False, True, True], [False, True, True]])
+    if np.any(Q[~mask] != 0.0):
+        raise ConfigError("Q must not couple surge with the yaw block")
+    if R[0, 1] != 0.0 or R[1, 0] != 0.0:
+        raise ConfigError("R must be diagonal")
+
+    # Scalar surge ARE: q_u - (b_u p_u)^2 / r_u = 0.
+    p_u = _root(float(Q[0, 0]) * float(R[0, 0])) / float(B[0, 0])
+    a, b, r = float(A[1, 2]), float(B[2, 1]), float(R[1, 1])
+    p12 = _root(float(Q[1, 1]) * r) / b
+    p2 = _root(r * (float(Q[2, 2]) + 2.0 * a * p12)) / b
+    p1 = ((b * p12) * (b * p2) / r - float(Q[1, 2])) / a
+    return np.array([[p_u, 0.0, 0.0], [0.0, p1, p12], [0.0, p12, p2]])
+
+
+def _ref_lqr_gain(params: UsvParams, weights: LqrWeights) -> _RefLqrGain:
+    """Solve the regulator for the plant in params; validates the solution.
+
+    The returned gain satisfies K = R^-1 B' P with CARE residual below 1e-9
+    and a strictly stable closed loop (checked, NumericalError otherwise).
+    K is formed on Python floats from the entries of P.
+    """
+    A, B = _ref_build_system(params)
+    b_u, b = float(B[0, 0]), float(B[2, 1])
+    if not (0.0 < b_u < math.inf and 0.0 < b < math.inf):
+        raise NumericalError(f"input gains 1/m = {b_u!r} and l/Izz = {b!r} must be finite and > 0")
+    P = _ref_solve_care(A, B, weights)
+    r_u, r = float(weights.R[0, 0]), float(weights.R[1, 1])
+    p_u, p12, p2 = float(P[0, 0]), float(P[1, 2]), float(P[2, 2])
+    k_u, k_psi, k_r = b_u * p_u / r_u, b * p12 / r, b * p2 / r
+    K = np.array([[k_u, 0.0, 0.0], [0.0, k_psi, k_r]])
+    # An overflowing plant leaves inf in P and a NaN residual.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not _ref_care_residual(A, B, weights.Q, weights.R, P) < 1e-9:
+            raise NumericalError("CARE residual exceeds tolerance")
+        eigs = np.linalg.eigvals(A - B @ K)
+    if np.any(eigs.real >= 0.0):
+        raise NumericalError(f"closed loop is not strictly stable: eigenvalues {eigs}")
+    return _RefLqrGain(K=K, P=P, eigenvalues=eigs, k_u=k_u, k_psi=k_psi, k_r=k_r)
+
+
+_PLANTS = [PARAMS, UsvParams(m=0.5, Izz=30.0, l=0.1), UsvParams(m=200.0, Izz=0.5, l=2.0)]
+
+
+def _random_weights() -> list[LqrWeights]:
+    """The weight draws of the Riccati tests below, cross terms q_psir included."""
+    rng = np.random.default_rng(7)  # test_random_draws_solve_exactly
+    weights = []
+    for _ in range(20):
+        Q = np.zeros((3, 3))
+        Q[0, 0] = rng.uniform(0.1, 50.0)
+        M = rng.uniform(-3.0, 3.0, size=(2, 2))
+        Q[1:, 1:] = M.T @ M + 1e-3 * np.eye(2)
+        weights.append(LqrWeights(Q=Q, R=np.diag(rng.uniform(0.01, 5.0, size=2))))
+    rng = np.random.default_rng(11)  # test_closed_form_matches_newton_kleinman
+    for k in range(1000):
+        if k % 2:
+            Q = np.diag(rng.uniform(0.1, 50.0, size=3))
+        else:
+            M = rng.uniform(-3.0, 3.0, size=(2, 2))
+            Q = np.zeros((3, 3))
+            Q[0, 0] = rng.uniform(0.1, 50.0)
+            Q[1:, 1:] = M.T @ M + 1e-3 * np.eye(2)
+        weights.append(LqrWeights(Q=Q, R=np.diag(rng.uniform(0.01, 5.0, size=2))))
+    rng = np.random.default_rng(5)  # test_float_gains_are_the_entries_of_K
+    draws = zip(10.0 ** rng.uniform(-3, 3, (200, 3)), 10.0 ** rng.uniform(-3, 3, (200, 2)))
+    weights += [LqrWeights(), LqrWeights(Q=np.eye(3), R=np.eye(2))]
+    return weights + [LqrWeights(Q=np.diag(q), R=np.diag(r)) for q, r in draws]
+
+
+_RANDOM_CASES = list(itertools.product(_PLANTS, _random_weights()))
+# (m, Izz, l, diag Q, diag R) over every plant and weight extreme
+_EXTREME_GRID = list(
+    itertools.product(
+        *[(1e-300, 1e-150, 1.0, 1e150, 1e300)] * 3,
+        [(4.0, 25.0, 5.0), (1.0, 0.0, 1.0), (1e6, 1e-300, 0.0), (1e300,) * 3, (1e-300,) * 3],
+        [(0.05, 0.05), (1e-300, 1e6), (1e300, 1e300), (1e-300, 1e-300)],
+    )
+)
+_EXTREME_CASES = [
+    (UsvParams(m=m, Izz=izz, l=l), LqrWeights(Q=np.diag(q), R=np.diag(r)))
+    for m, izz, l, q, r in _EXTREME_GRID
+]
+# Grid points whose closed loop has poles more than 1/eps apart: LAPACK returns
+# the small one as 0, so the matrix form rejected them. Four plants per row
+# share b_u = 1/m and b = l/Izz.
+_LAPACK_LOSES_A_POLE = {
+    (1e-300, 1e-150, 1e-300, (1e6, 1e-300, 0.0), (0.05, 0.05)),
+    (1e-300, 1.0, 1e-150, (1e6, 1e-300, 0.0), (0.05, 0.05)),
+    (1e-300, 1e150, 1.0, (1e6, 1e-300, 0.0), (0.05, 0.05)),
+    (1e-300, 1e300, 1e150, (1e6, 1e-300, 0.0), (0.05, 0.05)),
+    (1e-150, 1e-300, 1e-150, (4.0, 25.0, 5.0), (1e-300, 1e6)),
+    (1e-150, 1e-150, 1.0, (4.0, 25.0, 5.0), (1e-300, 1e6)),
+    (1e-150, 1.0, 1e150, (4.0, 25.0, 5.0), (1e-300, 1e6)),
+    (1e-150, 1e150, 1e300, (4.0, 25.0, 5.0), (1e-300, 1e6)),
+    (1e-150, 1e-150, 1e-300, (1e6, 1e-300, 0.0), (1e-300, 1e6)),
+    (1e-150, 1.0, 1e-150, (1e6, 1e-300, 0.0), (1e-300, 1e6)),
+    (1e-150, 1e150, 1.0, (1e6, 1e-300, 0.0), (1e-300, 1e6)),
+    (1e-150, 1e300, 1e150, (1e6, 1e-300, 0.0), (1e-300, 1e6)),
+    (1e300, 1e-300, 1.0, (4.0, 25.0, 5.0), (0.05, 0.05)),
+    (1e300, 1e-150, 1e150, (4.0, 25.0, 5.0), (0.05, 0.05)),
+    (1e300, 1.0, 1e300, (4.0, 25.0, 5.0), (0.05, 0.05)),
+}
 
 
 class TestPid:
@@ -313,29 +479,29 @@ class TestSmcRefs:
 class TestRiccati:
     def test_scalar_surge_closed_form(self):
         W = LqrWeights(Q=np.diag([1.0, 1.0, 1.0]), R=np.diag([1.0, 1.0]))
-        A, B = build_system(PARAMS)
-        P = solve_care(A, B, W)
-        assert P[0, 0] == pytest.approx(20.0, abs=1e-9)  # m * sqrt(Q_u * R_1)
         gain = lqr_gain(PARAMS, W)
+        assert gain.P[0, 0] == pytest.approx(20.0, abs=1e-9)  # m * sqrt(Q_u * R_1)
         assert gain.K[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_cost_gives_zero_solution(self):
+        # P = 0 gives K = 0, which leaves the open-loop poles at 0
         W = LqrWeights(Q=np.zeros((3, 3)), R=np.eye(2))
-        A, B = build_system(PARAMS)
-        assert np.all(solve_care(A, B, W) == 0.0)
+        with pytest.raises(NumericalError, match="not strictly stable"):
+            lqr_gain(PARAMS, W)
+        A, B = _ref_build_system(PARAMS)
+        assert np.all(_ref_solve_care(A, B, W) == 0.0)
 
     def test_yaw_block_residual(self):
         W = LqrWeights(Q=np.eye(3), R=np.eye(2))
-        A, B = build_system(PARAMS)
-        P = solve_care(A, B, W)
-        assert care_residual(A, B, W.Q, W.R, P) < 1e-9
+        A, B = _ref_build_system(PARAMS)
         gain = lqr_gain(PARAMS, W)
+        assert _ref_care_residual(A, B, W.Q, W.R, gain.P) < 1e-9
         eigs = np.linalg.eigvals(A - B @ gain.K)
         assert np.all(eigs.real < 0.0)
 
     def test_random_draws_solve_exactly(self):
         rng = np.random.default_rng(7)
-        A, B = build_system(PARAMS)
+        A, B = _ref_build_system(PARAMS)
         for _ in range(20):
             q_u = rng.uniform(0.1, 50.0)
             M = rng.uniform(-3.0, 3.0, size=(2, 2))
@@ -345,8 +511,8 @@ class TestRiccati:
             Q[1:, 1:] = Q2
             R = np.diag(rng.uniform(0.01, 5.0, size=2))
             W = LqrWeights(Q=Q, R=R)
-            P = solve_care(A, B, W)
-            assert care_residual(A, B, W.Q, W.R, P) < 1e-9
+            P = lqr_gain(PARAMS, W).P
+            assert _ref_care_residual(A, B, W.Q, W.R, P) < 1e-9
             assert np.allclose(P, P.T, atol=1e-12)
             assert np.linalg.eigvalsh(P).min() >= -1e-10
 
@@ -385,7 +551,7 @@ class TestRiccati:
         # The iteration stops at a relative step of 1e-13, so it is itself a
         # few ulps off the root; 1e-14 is ~45 ulps at the largest entry.
         rng = np.random.default_rng(11)
-        A, B = build_system(PARAMS)
+        A, B = _ref_build_system(PARAMS)
         for k in range(1000):
             if k % 2:
                 Q = np.diag(rng.uniform(0.1, 50.0, size=3))
@@ -397,7 +563,7 @@ class TestRiccati:
             R = np.diag(rng.uniform(0.01, 5.0, size=2))
             W = LqrWeights(Q=Q, R=R)
             gain = lqr_gain(PARAMS, W)
-            P_ref = _ref_solve_care(A, B, W)
+            P_ref = _ref_nk_solve_care(A, B, W)
             K_ref = np.linalg.solve(R, B.T @ P_ref)
             np.testing.assert_allclose(gain.P, P_ref, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(gain.K, K_ref, rtol=1e-14, atol=0.0)
@@ -411,6 +577,12 @@ class TestRiccati:
         with pytest.raises(NumericalError, match="must be finite and > 0"):
             lqr_gain(params, LqrWeights())
 
+    @pytest.mark.parametrize("izz", [1e-8, 1e-7])
+    def test_closed_loop_outside_the_floats_is_numerical_error(self, izz):
+        # b k_r or b k_psi overflows although b = l/Izz and K are finite
+        with pytest.raises(NumericalError, match="not strictly stable"):
+            lqr_gain(UsvParams(Izz=izz, l=1e300), LqrWeights())
+
     def test_negative_weight_within_psd_tolerance_is_numerical_error(self):
         # LqrWeights accepts eigenvalues down to -1e-12; no real root exists
         for q in ([-1e-13, 1.0, 1.0], [1.0, -1e-13, 1.0]):
@@ -418,13 +590,10 @@ class TestRiccati:
                 lqr_gain(PARAMS, LqrWeights(Q=np.diag(q)))
 
     def test_extreme_plants_and_weights_never_warn(self):
-        extremes = (1e-300, 1e-150, 1.0, 1e150, 1e300)
-        qs = [(4.0, 25.0, 5.0), (1.0, 0.0, 1.0), (1e6, 1e-300, 0.0), (1e300,) * 3, (1e-300,) * 3]
-        rs = [(0.05, 0.05), (1e-300, 1e6), (1e300, 1e300), (1e-300, 1e-300)]
         solved = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for m, izz, l, q, r in itertools.product(extremes, extremes, extremes, qs, rs):
+            for m, izz, l, q, r in _EXTREME_GRID:
                 W = LqrWeights(Q=np.diag(q), R=np.diag(r))
                 try:
                     gain = lqr_gain(UsvParams(m=m, Izz=izz, l=l), W)
@@ -432,8 +601,73 @@ class TestRiccati:
                     continue
                 solved += 1
                 assert np.all(np.isfinite(gain.K)) and np.all(np.isfinite(gain.P))
-                assert np.all(gain.eigenvalues.real < 0.0)
+                assert all(z.real < 0.0 for z in gain.poles)
         assert solved > 0
+
+    def test_matches_the_matrix_solver(self):
+        # The gain and P are bit-identical to the matrix form's, and the
+        # accept/reject decision and error text are the same, except where
+        # LAPACK's eigenvalues lose a pole (below).
+        Q_skew = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5 + 1e-6, 1.0]])
+        skew = (PARAMS, LqrWeights(Q=Q_skew))  # symmetric within LqrWeights' tolerance
+        grid = [None] * (len(_RANDOM_CASES) + 1) + _EXTREME_GRID
+        for point, (params, W) in zip(grid, _RANDOM_CASES + [skew] + _EXTREME_CASES):
+            try:
+                want = _ref_lqr_gain(params, W)
+            except NumericalError as exc:
+                if point in _LAPACK_LOSES_A_POLE:
+                    continue
+                with pytest.raises(NumericalError) as got:
+                    lqr_gain(params, W)
+                # only the format of the eigenvalues changed
+                stable = "closed loop is not strictly stable: eigenvalues "
+                assert str(got.value) == str(exc) or (
+                    str(got.value).startswith(stable) and str(exc).startswith(stable + "[")
+                ), (point, str(got.value), str(exc))
+                continue
+            gain = lqr_gain(params, W)
+            got_bits = [gain.k_u, gain.k_psi, gain.k_r, gain.p_u, gain.p1, gain.p12, gain.p2]
+            P = want.P.tolist()
+            want_bits = [want.k_u, want.k_psi, want.k_r, P[0][0], P[1][1], P[1][2], P[2][2]]
+            assert [v.hex() for v in got_bits] == [v.hex() for v in want_bits], point
+
+    def test_poles_match_lapack_to_the_printed_digits(self):
+        for params, W in _RANDOM_CASES:
+            A, B = _ref_build_system(params)
+            gain = lqr_gain(params, W)
+            eigs = np.linalg.eigvals(A - B @ gain.K)
+            assert format_poles(gain.poles) == format_poles(tuple(complex(z) for z in eigs))
+
+    def test_cases_where_lapack_loses_a_pole_are_solved(self):
+        # The closed form finds the pole LAPACK returned as 0: each yaw pair
+        # solves s^2 + b k_r s + b k_psi = 0.
+        assert len(_LAPACK_LOSES_A_POLE) == 15
+        for m, izz, l, q, r in _LAPACK_LOSES_A_POLE:
+            params, W = UsvParams(m=m, Izz=izz, l=l), LqrWeights(Q=np.diag(q), R=np.diag(r))
+            with pytest.raises(NumericalError, match="not strictly stable"):
+                _ref_lqr_gain(params, W)
+            gain = lqr_gain(params, W)
+            assert np.all(np.isfinite(gain.K)) and np.all(np.isfinite(gain.P))
+            assert all(z.real < 0.0 and cmath.isfinite(z) for z in gain.poles)
+            b = l / izz
+            _, s1, s2 = gain.poles
+            assert (s1 + s2).real == pytest.approx(-b * gain.k_r, rel=1e-12)
+            assert (s1 * s2).real == pytest.approx(b * gain.k_psi, rel=1e-12)
+
+    def test_solve_makes_no_numpy_linalg_call(self, monkeypatch):
+        cross = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+        stable = [LqrWeights(), LqrWeights(Q=cross)]
+        unweighted_heading = LqrWeights(Q=np.diag([1.0, 0.0, 1.0]))
+
+        def linalg_call(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("eigvals", "solve", "norm", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, linalg_call)
+        for W in stable:
+            assert all(z.real < 0.0 for z in lqr_gain(PARAMS, W).poles)
+        with pytest.raises(NumericalError, match="not strictly stable"):
+            lqr_gain(PARAMS, unweighted_heading)
 
     def test_weight_validation(self):
         with pytest.raises(ConfigError):
@@ -444,17 +678,14 @@ class TestRiccati:
             LqrWeights(Q=np.eye(2), R=np.eye(2))  # wrong shape
 
     def test_structure_validation(self):
-        A, B = build_system(PARAMS)
+        # the solver assumes the plant's surge/yaw decoupling, so the weights
+        # reject what breaks it when they are built, before any run
         Q_cross = np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ConfigError):
-            solve_care(A, B, LqrWeights(Q=Q_cross, R=np.eye(2)))
+        with pytest.raises(ConfigError, match="^Q must not couple surge with the yaw block$"):
+            LqrWeights(Q=Q_cross, R=np.eye(2))
         R_full = np.array([[1.0, 0.5], [0.5, 1.0]])
-        with pytest.raises(ConfigError):
-            solve_care(A, B, LqrWeights(Q=np.eye(3), R=R_full))
-        bad_A = A.copy()
-        bad_A[0, 1] = 1.0
-        with pytest.raises(ConfigError):
-            solve_care(bad_A, B, LqrWeights())
+        with pytest.raises(ConfigError, match="^R must be diagonal$"):
+            LqrWeights(Q=np.eye(3), R=R_full)
 
 
 def _fma_oracle(a: float, b: float, c: float) -> float:

@@ -712,4 +712,7 @@ class TestAcceptedScenarios:
         # q_psi = 0 leaves the heading unregulated: a closed-loop pole at 0
         log = run_scenario(parse_scenario("[run]\nduration = 1\n[controller]\nlqr_q = 1, 0, 1\n"))
         assert len(log) == 0
-        assert log.error.startswith("no LQR gain: closed loop is not strictly stable")
+        assert log.error == (
+            "no LQR gain: closed loop is not strictly stable: eigenvalues "
+            "-0.559017+0.000000j, -0.223607+0.000000j, +0.000000+0.000000j"
+        )
