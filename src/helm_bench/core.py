@@ -13,7 +13,7 @@ Pose = tuple[float, float, float]  # (x, y, psi): m, m, rad wrapped onto (-pi, p
 
 
 def box_center(box: Box) -> tuple[float, float]:
-    """Center (cx, cy) of an (x, y, w, h) box, as BoundingBox.center computes it."""
+    """Center (cx, cy) of an (x, y, w, h) box: (x + w / 2, y + h / 2)."""
     x, y, w, h = box
     return (x + w / 2.0, y + h / 2.0)
 
@@ -81,26 +81,6 @@ class BodyState:
     r: float = 0.0  # rad/s, yaw rate
 
 
-@dataclass
-class BoundingBox:
-    """Axis-aligned pixel box, top-left origin: the element type of metrics.Boxes.
-
-    The closed loop passes boxes as (x, y, w, h) tuples (Box).
-    """
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if self.w < 0.0 or self.h < 0.0:
-            raise ValueError(f"box size must be non-negative: w={self.w}, h={self.h}")
-
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics; principal point and FOV derive from width/height/fx."""
@@ -132,7 +112,6 @@ class UsvParams:
     m: float = 20.0  # kg
     Izz: float = 3.2  # kg m^2
     l: float = 0.4  # m, thruster moment arm
-    u_max: float = 1.5  # m/s, commanded speed ceiling
     udot_max: float = 10.0  # m/s^2, surge acceleration cap
     rdot_max: float = math.radians(50.0)  # rad/s^2, yaw acceleration cap
     thrust_min: float = -100.0  # N, per thruster
@@ -145,7 +124,6 @@ class UsvParams:
             "m": self.m,
             "Izz": self.Izz,
             "l": self.l,
-            "u_max": self.u_max,
             "udot_max": self.udot_max,
             "rdot_max": self.rdot_max,
             "thrust_max": self.thrust_max,

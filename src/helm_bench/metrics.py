@@ -15,7 +15,7 @@ threshold index at which each frame starts or stops passing. The threshold
 grids are uniform, so that index is computed from the grid and corrected by
 one comparison on each side, not searched for. IoUs and center offsets keep
 the float operations and their order of a per-box loop (min/max overlaps,
-`BoundingBox.center`). Center errors come from `np.hypot`, and `math.hypot`
+`core.box_center`). Center errors come from `np.hypot`, and `math.hypot`
 recomputes those near a threshold, so every threshold count is the loop's,
 though a raw error may differ in the last ulp. The reports, and so the
 report and curves bytes, are bit-identical to that loop's;
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoundingBox, ConfigError, EvaluationError
+from .core import Box, ConfigError, EvaluationError
 from .io_utils import read_utf8
 
 SUCCESS_THRESHOLDS = np.array([k / 100.0 for k in range(101)])
@@ -42,26 +42,20 @@ REPORT_COLUMNS = ("sequence", "auc", "op50", "op75", "precision", "norm_precisio
 
 @dataclass(frozen=True, eq=False)
 class Boxes:
-    """A sequence of boxes: (n, 4) float64 rows of x, y, w, h, and which rows hold a box.
-
-    Indexing gives the k-th box as a BoundingBox, or None for a miss.
-    """
+    """A sequence of boxes: (n, 4) float64 rows of x, y, w, h, and which rows hold a box."""
 
     xywh: np.ndarray
     present: np.ndarray  # bool, (n,)
 
     @classmethod
-    def of(cls, boxes: list[BoundingBox | None]) -> Boxes:
-        """The array form of a list of BoundingBox | None (None marks a miss)."""
+    def of(cls, boxes: list[Box | None]) -> Boxes:
+        """The array form of a list of (x, y, w, h) boxes, None marking a miss."""
         present = np.array([b is not None for b in boxes], dtype=bool)
-        rows = [(math.nan,) * 4 if b is None else (b.x, b.y, b.w, b.h) for b in boxes]
+        rows = [(math.nan,) * 4 if b is None else b for b in boxes]
         return cls(np.array(rows, dtype=float).reshape(-1, 4), present)
 
     def __len__(self) -> int:
         return len(self.present)
-
-    def __getitem__(self, k: int) -> BoundingBox | None:
-        return BoundingBox(*self.xywh[k].tolist()) if self.present[k] else None
 
 
 def _overlaps(a0: np.ndarray, a_len: np.ndarray, b0: np.ndarray, b_len: np.ndarray) -> np.ndarray:
@@ -86,7 +80,7 @@ def _ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _center_offsets(gt: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prediction center minus ground-truth center, per row, as BoundingBox.center computes them."""
+    """Prediction center minus ground-truth center, per row, as core.box_center computes them."""
     with np.errstate(all="ignore"):
         dx = (pred[:, 0] + pred[:, 2] / 2.0) - (gt[:, 0] + gt[:, 2] / 2.0)
         dy = (pred[:, 1] + pred[:, 3] / 2.0) - (gt[:, 1] + gt[:, 3] / 2.0)
@@ -234,7 +228,8 @@ def evaluate_pairs(pairs: Iterable[tuple[Boxes, Boxes]]) -> list[MetricReport]:
         bad = gt.present & ((gt.xywh[:, 2] <= 0.0) | (gt.xywh[:, 3] <= 0.0))
         if bad.any():
             k = int(bad.argmax())
-            raise EvaluationError(f"frame {np.count_nonzero(gt.present[:k])}: degenerate ground-truth box {gt[k]}")
+            box = tuple(gt.xywh[k].tolist())
+            raise EvaluationError(f"frame {np.count_nonzero(gt.present[:k])}: degenerate ground-truth box (x, y, w, h) = {box}")
         gts.append(gt)
         preds.append(pred)
         sizes.append(n_kept)
@@ -346,7 +341,7 @@ def _parse_lines(path, lines: list[str]) -> Boxes:
         if any(nans) and not all(nans):
             raise EvaluationError(f"{path}:{lineno}: partial nan box")
         w, h = values[2:]
-        if w < 0.0 or h < 0.0:  # BoundingBox's check and message; nan passes it
+        if w < 0.0 or h < 0.0:  # a negative size is no box; nan passes this check
             raise EvaluationError(f"{path}:{lineno}: box size must be non-negative: w={w}, h={h}")
         rows.append(values)
     if not rows:

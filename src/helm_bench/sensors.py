@@ -22,11 +22,14 @@ _MIN_PROJECT_RANGE = 0.1  # m, closer targets are behind/inside the hull
 
 @dataclass(frozen=True)
 class Detection:
-    """Single NCC tracker output: an (x, y, w, h) box, None when valid is False."""
+    """Single NCC tracker output: an (x, y, w, h) box, None for a miss, and the peak score."""
 
-    valid: bool
     box: Box | None = None
     score: float = 0.0
+
+    @property
+    def valid(self) -> bool:
+        return self.box is not None
 
 
 @dataclass(frozen=True)
@@ -383,19 +386,19 @@ def ncc_track(
     pixels given, and the center and the box are in image coordinates. The
     detection's (x, y, w, h) box has the template's size; a peak below
     peak_threshold (or a window too small to search) comes back with
-    valid=False. cache, if given, is passed on to zncc_scores.
+    box None. cache, if given, is passed on to zncc_scores.
     """
     center, halfwidth = search_window
     th, tw = template.shape
     fy0, _, fx0, _ = bounds = _bounds(frame, roi)
     y0, y1, x0, x1 = search_roi(center, halfwidth, template.shape, bounds)
     if y1 == y0:
-        return Detection(valid=False)
+        return Detection()
     window = frame[y0 - fy0 : y1 - fy0, x0 - fx0 : x1 - fx0]
     try:
         scores = zncc_scores(window, template, cache)
     except ValueError:
-        return Detection(valid=False)
+        return Detection()
     # The summed-area sums round differently at different placements, so
     # identical patches can score a few ulps apart: scores this close to the
     # peak count as ties, and the first in row-major order wins.
@@ -403,8 +406,8 @@ def ncc_track(
     py, px = divmod(flat, scores.shape[1])
     peak = float(scores[py, px])
     if peak < peak_threshold:
-        return Detection(valid=False, score=peak)
-    return Detection(valid=True, box=(float(x0 + px), float(y0 + py), float(tw), float(th)), score=peak)
+        return Detection(score=peak)
+    return Detection((float(x0 + px), float(y0 + py), float(tw), float(th)), peak)
 
 
 class NccTracker:
@@ -494,13 +497,13 @@ class NccTracker:
         det = ncc_track(
             frame, self._template, self._search_window(), self.peak_threshold, roi, self._cache
         )
-        if not det.valid or det.box is None:
-            return Detection(valid=False, score=det.score)
+        if det.box is None:
+            return det
         self._center = box_center(det.box)
         match_cx, match_cy = self._center
         bw, bh = self._box_size
         box = (match_cx - bw / 2.0, match_cy - bh / 2.0, bw, bh)
-        return Detection(valid=True, box=box, score=det.score)
+        return Detection(box, det.score)
 
 
 def lidar_range(usv: Pose, target: Pose, max_range: float, noise: Iterator[float]) -> float | None:

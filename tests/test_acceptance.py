@@ -33,7 +33,7 @@ import pytest
 from helm_bench.cli import main
 from helm_bench.config import load_scenario
 from helm_bench.control import LqrWeights, SmcGains, lqr_gain
-from helm_bench.core import BoundingBox, CameraIntrinsics, UsvParams
+from helm_bench.core import Box, CameraIntrinsics, UsvParams, box_center
 from helm_bench.dynamics import SeaState, step
 from helm_bench.metrics import (
     NORM_PRECISION_THRESHOLDS,
@@ -209,17 +209,16 @@ def test_criterion_3_metric_oracles(tmp_path):
         rng = np.random.default_rng(31337)
         for _ in range(1000):
             n = int(rng.integers(1, 41))
-            gt: list[BoundingBox] = []
-            pred: list[BoundingBox | None] = []
+            gt: list[Box] = []
+            pred: list[Box | None] = []
             for _ in range(n):
                 gx, gy = rng.uniform(0, 300, size=2)
                 gw, gh = rng.uniform(5, 80, size=2)
-                gt.append(BoundingBox(gx, gy, gw, gh))
+                gt.append((gx, gy, gw, gh))
                 if rng.uniform() < 0.15:
                     pred.append(None)
                 else:
-                    pred.append(BoundingBox(gx + rng.normal(0, 10), gy + rng.normal(0, 10),
-                                            gw * rng.uniform(0.8, 1.2), gh))
+                    pred.append((gx + rng.normal(0, 10), gy + rng.normal(0, 10), gw * rng.uniform(0.8, 1.2), gh))
             report = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
 
             # per box pair: IoU, center error and normalized center error
@@ -230,14 +229,15 @@ def test_criterion_3_metric_oracles(tmp_path):
                     errs.append(math.inf)
                     norm_errs.append(math.inf)
                     continue
-                ix = max(0.0, min(g.x + g.w, p.x + p.w) - max(g.x, p.x))
-                iy = max(0.0, min(g.y + g.h, p.y + p.h) - max(g.y, p.y))
-                union = g.w * g.h + p.w * p.h - ix * iy
+                (gx, gy, gw, gh), (px, py, pw, ph) = g, p
+                ix = max(0.0, min(gx + gw, px + pw) - max(gx, px))
+                iy = max(0.0, min(gy + gh, py + ph) - max(gy, py))
+                union = gw * gh + pw * ph - ix * iy
                 ious.append(0.0 if union <= 0.0 else ix * iy / union)
-                gcx, gcy = g.center()
-                pcx, pcy = p.center()
+                gcx, gcy = box_center(g)
+                pcx, pcy = box_center(p)
                 errs.append(math.hypot(pcx - gcx, pcy - gcy))
-                norm_errs.append(math.hypot((pcx - gcx) / g.w, (pcy - gcy) / g.h))
+                norm_errs.append(math.hypot((pcx - gcx) / gw, (pcy - gcy) / gh))
 
             def percent(values, passes) -> float:
                 return 100.0 * (sum(1 for v in values if passes(v)) / n)
@@ -260,10 +260,11 @@ def test_criterion_3_metric_oracles(tmp_path):
             assert report.n_frames == n
 
         # overlap 1x1 on a 2x2-vs-2x2 offset pair: count unit grid cells
-        a, b = BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 2, 2)
+        a, b = (0, 0, 2, 2), (1, 1, 2, 2)
 
-        def covered(box: BoundingBox, i: int, j: int) -> bool:
-            return box.x <= i and i + 1 <= box.x + box.w and box.y <= j and j + 1 <= box.y + box.h
+        def covered(box: Box, i: int, j: int) -> bool:
+            x, y, w, h = box
+            return x <= i and i + 1 <= x + w and y <= j and j + 1 <= y + h
 
         cells = [(i, j) for i in range(-2, 5) for j in range(-2, 5)]
         inter = sum(1 for i, j in cells if covered(a, i, j) and covered(b, i, j))
@@ -272,7 +273,7 @@ def test_criterion_3_metric_oracles(tmp_path):
         assert abs(_ious(Boxes.of([a]).xywh, Boxes.of([b]).xywh)[0] - inter / union) < 1e-12
 
         # the full evaluate pipeline on predictions identical to ground truth
-        boxes = [BoundingBox(3.0 * k, 2.0 * k, 24.0, 18.0) for k in range(30)]
+        boxes = [(3.0 * k, 2.0 * k, 24.0, 18.0) for k in range(30)]
         for name in ("alpha", "beta"):
             for d in ("gt", "pred"):
                 path = tmp_path / d / f"{name}.txt"
@@ -476,8 +477,8 @@ def test_criterion_8_report_pipeline_shape(tmp_path):
         )
 
         # an imperfect tracker still fills every documented column and curve
-        gt = [BoundingBox(10.0 * k, 5.0 * k, 30.0, 30.0) for k in range(20)]
-        pred = [BoundingBox(b.x + 4.0, b.y - 3.0, b.w, b.h) for b in gt]
+        gt = [(10.0 * k, 5.0 * k, 30.0, 30.0) for k in range(20)]
+        pred = [(x + 4.0, y - 3.0, w, h) for x, y, w, h in gt]
         (tmp_path / "gt").mkdir()
         (tmp_path / "pred").mkdir()
         (tmp_path / "gt" / "seq.txt").write_text(format_boxes(Boxes.of(gt)))

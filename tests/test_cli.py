@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from helm_bench.cli import main
-from helm_bench.core import BoundingBox
 from helm_bench.metrics import REPORT_COLUMNS, Boxes, format_boxes, load_boxes
 from helm_bench.sim import LOG_COLUMNS, RunLog
 
@@ -165,8 +164,8 @@ def write_boxes(path, boxes):
     path.write_text(format_boxes(Boxes.of(boxes)))
 
 
-BOXES = [BoundingBox(float(k), 0.0, 20.0, 20.0) for k in range(25)]
-SHIFTED = [BoundingBox(b.x + 100.0, b.y, b.w, b.h) for b in BOXES]
+BOXES = [(float(k), 0.0, 20.0, 20.0) for k in range(25)]
+SHIFTED = [(x + 100.0, y, w, h) for x, y, w, h in BOXES]
 
 
 class TestEvaluate:
@@ -208,7 +207,7 @@ class TestEvaluate:
         write_boxes(gt_dir / "s.txt", BOXES)
         pred_dir = tmp_path / "trackers"
         write_boxes(pred_dir / "good" / "s.txt", BOXES)
-        near = [BoundingBox(b.x + 25.0, b.y, b.w, b.h) for b in BOXES]  # err 25 px > 20
+        near = [(x + 25.0, y, w, h) for x, y, w, h in BOXES]  # err 25 px > 20
         write_boxes(pred_dir / "meh" / "s.txt", near)
         out = tmp_path / "report.csv"
         assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred_dir),

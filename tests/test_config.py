@@ -32,7 +32,6 @@ seed = 77
 m = 25.0
 izz = 4.0
 l = 0.5
-u_max = 2.0
 udot_max = 8.0
 rdot_max = 1.0
 thrust_min = -80
@@ -198,7 +197,6 @@ _SCHEMA_LITERAL = {
         "m": float,
         "izz": float,
         "l": float,
-        "u_max": float,
         "udot_max": float,
         "rdot_max": float,
         "thrust_min": float,
@@ -333,6 +331,11 @@ class TestSchemaEnforcement:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match=r"unknown key 'mass' in \[usv\]"):
             parse_scenario("[usv]\nmass = 20\n")
+
+    def test_usv_speed_ceiling_is_a_guidance_key(self):
+        # The commanded speed ceiling is [guidance] u_max; [usv] has none.
+        with pytest.raises(ConfigError, match=r"unknown key 'u_max' in \[usv\]"):
+            parse_scenario("[usv]\nu_max = 2.0\n")
 
     def test_parse_error_names_section_and_key(self):
         with pytest.raises(ConfigError, match=r"\[run\] duration"):

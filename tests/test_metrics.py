@@ -6,6 +6,7 @@ import os
 import tempfile
 import threading
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from helm_bench import metrics
 from helm_bench.cli import main
-from helm_bench.core import BoundingBox, EvaluationError
+from helm_bench.core import Box, EvaluationError
 from helm_bench.metrics import (
     NORM_PRECISION_THRESHOLDS,
     PRECISION_THRESHOLDS,
@@ -37,12 +38,11 @@ from helm_bench.metrics import (
 )
 
 
-def random_box(rng) -> BoundingBox:
-    return BoundingBox(rng.uniform(-50, 50), rng.uniform(-50, 50),
-                       rng.uniform(0, 30), rng.uniform(0, 30))
+def random_box(rng) -> Box:
+    return (rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(0, 30), rng.uniform(0, 30))
 
 
-def _iou(a: BoundingBox, b: BoundingBox) -> float:
+def _iou(a: Box, b: Box) -> float:
     """metrics._ious on one-row arrays."""
     return float(metrics._ious(Boxes.of([a]).xywh, Boxes.of([b]).xywh)[0])
 
@@ -53,8 +53,8 @@ def _with_ious(percents) -> MetricReport:
     Each frame is a 100 x 1 ground-truth box and a k x 1 prediction sharing
     its left edge: intersection k, union 100, both exact.
     """
-    gt = [BoundingBox(0.0, 0.0, 100.0, 1.0)] * len(percents)
-    return evaluate_boxes(Boxes.of(gt), Boxes.of([BoundingBox(0.0, 0.0, float(k), 1.0) for k in percents]))
+    gt = [(0.0, 0.0, 100.0, 1.0)] * len(percents)
+    return evaluate_boxes(Boxes.of(gt), Boxes.of([(0.0, 0.0, float(k), 1.0) for k in percents]))
 
 
 def _with_center_errors(errors) -> MetricReport:
@@ -63,38 +63,39 @@ def _with_center_errors(errors) -> MetricReport:
     Each prediction is a 10 x 10 ground-truth box at the origin shifted by the
     error along x.
     """
-    gt = [BoundingBox(0.0, 0.0, 10.0, 10.0)] * len(errors)
-    pred = [None if math.isinf(e) else BoundingBox(e, 0.0, 10.0, 10.0) for e in errors]
+    gt = [(0.0, 0.0, 10.0, 10.0)] * len(errors)
+    pred = [None if math.isinf(e) else (e, 0.0, 10.0, 10.0) for e in errors]
     return evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
 
 
 class TestIou:
     def test_identical(self):
-        b = BoundingBox(3.0, 4.0, 10.0, 5.0)
+        b = (3.0, 4.0, 10.0, 5.0)
         assert _iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert _iou(BoundingBox(0, 0, 2, 2), BoundingBox(10, 10, 2, 2)) == 0.0
+        assert _iou((0, 0, 2, 2), (10, 10, 2, 2)) == 0.0
 
     def test_quarter_overlap(self):
         # intersection 1, union 4 + 4 - 1 = 7
-        val = _iou(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 2, 2))
+        val = _iou((0, 0, 2, 2), (1, 1, 2, 2))
         assert val == pytest.approx(1.0 / 7.0, abs=1e-12)
 
     def test_integer_pixel_count_cross_check(self):
-        a, b = BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 2, 2)
+        a, b = (0, 0, 2, 2), (1, 1, 2, 2)
         # count unit cells on a fine grid covering both boxes
         n = 400  # cells per unit
         xs = (np.arange(3 * n) + 0.5) / n
         ys = (np.arange(3 * n) + 0.5) / n
         X, Y = np.meshgrid(xs, ys)
-        in_a = (X > a.x) & (X < a.x + a.w) & (Y > a.y) & (Y < a.y + a.h)
-        in_b = (X > b.x) & (X < b.x + b.w) & (Y > b.y) & (Y < b.y + b.h)
+        (ax, ay, aw, ah), (bx, by, bw, bh) = a, b
+        in_a = (X > ax) & (X < ax + aw) & (Y > ay) & (Y < ay + ah)
+        in_b = (X > bx) & (X < bx + bw) & (Y > by) & (Y < by + bh)
         approx = in_a.__and__(in_b).sum() / (in_a | in_b).sum()
         assert _iou(a, b) == pytest.approx(approx, abs=1e-3)
 
     def test_zero_area_union(self):
-        z = BoundingBox(0, 0, 0, 0)
+        z = (0, 0, 0, 0)
         assert _iou(z, z) == 0.0
 
     def test_symmetry_and_range_fuzz(self):
@@ -108,14 +109,14 @@ class TestIou:
 
 class TestSuccess:
     def test_perfect_tracker(self):
-        gt = Boxes.of([BoundingBox(float(k), 1.0, 10.0, 5.0) for k in range(10)])
+        gt = Boxes.of([(float(k), 1.0, 10.0, 5.0) for k in range(10)])
         rep = evaluate_boxes(gt, gt)
         assert rep.auc == 100.0
         assert np.all(rep.success_curve == 100.0)
 
     def test_all_zero_overlap(self):
-        gt = [BoundingBox(0.0, 0.0, 10.0, 10.0)] * 10
-        pred = [BoundingBox(50.0, 0.0, 10.0, 10.0)] * 10
+        gt = [(0.0, 0.0, 10.0, 10.0)] * 10
+        pred = [(50.0, 0.0, 10.0, 10.0)] * 10
         rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         assert rep.auc == pytest.approx(100.0 / 101.0, abs=1e-12)
 
@@ -126,8 +127,8 @@ class TestSuccess:
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(5)
         gt = [random_box(rng) for _ in range(777)]
-        pred = [BoundingBox(g.x + rng.uniform(-10, 10), g.y + rng.uniform(-10, 10), g.w, g.h) for g in gt]
-        ious = [_ref_iou(g, p) for g, p in zip(gt, pred)]
+        pred = [(x + rng.uniform(-10, 10), y + rng.uniform(-10, 10), w, h) for x, y, w, h in gt]
+        ious = [_ref_iou(g, p) for g, p in zip(_ref(gt), _ref(pred))]
         rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         want = [100.0 * sum(1 for v in ious if v >= k / 100.0) / len(ious) for k in range(101)]
         assert np.allclose(rep.success_curve, want, atol=0)
@@ -175,44 +176,44 @@ class TestPrecision:
     def test_empty_rejected(self):
         # Frames without ground truth are not scored, so no frame is left.
         with pytest.raises(EvaluationError, match="no frames with ground truth"):
-            evaluate_boxes(Boxes.of([None]), Boxes.of([BoundingBox(0, 0, 5, 5)]))
+            evaluate_boxes(Boxes.of([None]), Boxes.of([(0, 0, 5, 5)]))
 
 
 class TestNormPrecision:
     def test_perfect_centers(self):
-        gt = Boxes.of([BoundingBox(0, 0, 10, 10)] * 4)
+        gt = Boxes.of([(0, 0, 10, 10)] * 4)
         rep = evaluate_boxes(gt, gt)
         assert rep.norm_precision == 100.0
         assert rep.norm_precision_curve.shape == (51,)
 
     def test_hand_arithmetic_counts(self):
-        gt = [BoundingBox(100, 100, 50, 40)]
-        pred = [BoundingBox(105, 104, 50, 40)]  # center offset (5, 4)
+        gt = [(100, 100, 50, 40)]
+        pred = [(105, 104, 50, 40)]  # center offset (5, 4)
         rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         # e = hypot(5 / 50, 4 / 40) = 0.1414...: it passes the thresholds from 0.15 up
         assert 0.14 < math.hypot(5 / 50, 4 / 40) <= 0.15
         assert rep.norm_precision_curve.tolist() == [0.0] * 15 + [100.0] * 36
         assert rep.norm_precision == 100.0
         # offset (20, 0) on a 100 px box: e = 0.2, on the threshold, counts
-        edge = [BoundingBox(0, 0, 100, 100)], [BoundingBox(20, 0, 100, 100)]
+        edge = [(0, 0, 100, 100)], [(20, 0, 100, 100)]
         assert evaluate_boxes(*map(Boxes.of, edge)).norm_precision == 100.0
 
     def test_hand_arithmetic_excluded(self):
-        gt = [BoundingBox(100, 100, 50, 40)]
-        pred = [BoundingBox(125, 100, 50, 40)]  # offset (25, 0): e = 0.5
+        gt = [(100, 100, 50, 40)]
+        pred = [(125, 100, 50, 40)]  # offset (25, 0): e = 0.5
         rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         assert rep.norm_precision == 0.0
         assert rep.norm_precision_curve.tolist() == [0.0] * 50 + [100.0]  # e <= 0.5 only
-        near = [BoundingBox(0, 0, 100, 100)], [BoundingBox(20.5, 0, 100, 100)]  # e = 0.205
+        near = [(0, 0, 100, 100)], [(20.5, 0, 100, 100)]  # e = 0.205
         assert evaluate_boxes(*map(Boxes.of, near)).norm_precision == 0.0
 
     def test_degenerate_gt_rejected(self):
-        gt = [BoundingBox(0, 0, 0, 10)]
+        gt = [(0, 0, 0, 10)]
         with pytest.raises(EvaluationError):
-            evaluate_boxes(Boxes.of(gt), Boxes.of([BoundingBox(0, 0, 10, 10)]))
+            evaluate_boxes(Boxes.of(gt), Boxes.of([(0, 0, 10, 10)]))
 
     def test_missing_prediction_is_infinite(self):
-        rep = evaluate_boxes(Boxes.of([BoundingBox(0, 0, 10, 10)]), Boxes.of([None]))
+        rep = evaluate_boxes(Boxes.of([(0, 0, 10, 10)]), Boxes.of([None]))
         # inf passes no threshold, not even the largest; the miss scores IoU 0
         assert not rep.precision_curve.any() and not rep.norm_precision_curve.any()
         assert rep.success_curve.tolist() == [100.0] + [0.0] * 100
@@ -314,26 +315,26 @@ class TestFirstPassing:
 
 class TestEvaluateBoxes:
     def test_perfect_prediction(self):
-        gt = Boxes.of([BoundingBox(float(k), 0.0, 20.0, 20.0) for k in range(30)])
+        gt = Boxes.of([(float(k), 0.0, 20.0, 20.0) for k in range(30)])
         rep = evaluate_boxes(gt, gt)
         assert rep.auc == 100.0
         assert rep.op50 == rep.op75 == rep.precision == rep.norm_precision == 100.0
         assert rep.n_frames == 30
 
     def test_shifted_prediction_scores_zero(self):
-        gt = [BoundingBox(0.0, 0.0, 20.0, 20.0)] * 10
-        pred = [BoundingBox(100.0, 0.0, 20.0, 20.0)] * 10
+        gt = [(0.0, 0.0, 20.0, 20.0)] * 10
+        pred = [(100.0, 0.0, 20.0, 20.0)] * 10
         rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         assert rep.op50 == 0.0 and rep.precision == 0.0
 
     def test_length_mismatch(self):
-        gt = [BoundingBox(0, 0, 1, 1)]
+        gt = [(0, 0, 1, 1)]
         with pytest.raises(EvaluationError):
             evaluate_boxes(Boxes.of(gt), Boxes.of(gt * 2))
 
     def test_gt_gaps_excluded_from_scoring(self):
-        gt = [BoundingBox(0, 0, 10, 10), None, BoundingBox(0, 0, 10, 10)]
-        pred = [BoundingBox(0, 0, 10, 10), BoundingBox(5, 5, 10, 10), None]
+        gt = [(0, 0, 10, 10), None, (0, 0, 10, 10)]
+        pred = [(0, 0, 10, 10), (5, 5, 10, 10), None]
         rep = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         assert rep.n_frames == 2  # the frame without ground truth is dropped
         assert rep.op50 == 50.0  # one hit, one missing prediction
@@ -348,8 +349,8 @@ class TestEvaluateBoxes:
         pred = [random_box(rng) for _ in range(40)]
         base = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         moved = evaluate_boxes(
-            Boxes.of([BoundingBox(b.x + 17, b.y - 23, b.w, b.h) for b in gt]),
-            Boxes.of([BoundingBox(b.x + 17, b.y - 23, b.w, b.h) for b in pred]),
+            Boxes.of([(x + 17, y - 23, w, h) for x, y, w, h in gt]),
+            Boxes.of([(x + 17, y - 23, w, h) for x, y, w, h in pred]),
         )
         assert base.auc == moved.auc
         assert base.precision == moved.precision
@@ -357,11 +358,10 @@ class TestEvaluateBoxes:
 
     def test_uniform_scaling_invariance_split(self):
         rng = np.random.default_rng(4)
-        gt = [BoundingBox(rng.uniform(0, 50), rng.uniform(0, 50), 20, 20) for _ in range(40)]
-        pred = [BoundingBox(b.x + rng.uniform(-15, 15), b.y + rng.uniform(-15, 15), 20, 20)
-                for b in gt]
+        gt = [(rng.uniform(0, 50), rng.uniform(0, 50), 20, 20) for _ in range(40)]
+        pred = [(x + rng.uniform(-15, 15), y + rng.uniform(-15, 15), 20, 20) for x, y, _, _ in gt]
         s = 3.0
-        scale = lambda b: BoundingBox(s * b.x, s * b.y, s * b.w, s * b.h)  # noqa: E731
+        scale = lambda b: tuple(s * v for v in b)  # noqa: E731
         base = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         scaled = evaluate_boxes(Boxes.of([scale(b) for b in gt]), Boxes.of([scale(b) for b in pred]))
         assert scaled.auc == pytest.approx(base.auc, abs=1e-12)  # IoU scale-free
@@ -371,9 +371,9 @@ class TestEvaluateBoxes:
 
 class TestAggregate:
     def test_mean_convention(self):
-        gt_a = Boxes.of([BoundingBox(0, 0, 10, 10)] * 10)
+        gt_a = Boxes.of([(0, 0, 10, 10)] * 10)
         rep_a = evaluate_boxes(gt_a, gt_a)  # AUC 100
-        pred_b = Boxes.of([BoundingBox(100, 100, 10, 10)] * 10)
+        pred_b = Boxes.of([(100, 100, 10, 10)] * 10)
         rep_b = evaluate_boxes(gt_a, pred_b)
         combined = aggregate_reports([rep_a, rep_b])
         assert combined.auc == pytest.approx((rep_a.auc + rep_b.auc) / 2)
@@ -384,21 +384,27 @@ class TestAggregate:
             aggregate_reports([])
 
 
+class TestBoxes:
+    def test_of_takes_tuples_and_none(self):
+        boxes = Boxes.of([(1.25, -3.5, 10.0, 20.0), None, (0, 0, 5, 5)])
+        assert len(boxes) == 3 and boxes.xywh.dtype == np.float64
+        assert boxes.present.tolist() == [True, False, True]
+        assert boxes.xywh[[0, 2]].tolist() == [[1.25, -3.5, 10.0, 20.0], [0.0, 0.0, 5.0, 5.0]]
+        assert np.isnan(boxes.xywh[1]).all()
+        assert Boxes.of([]).xywh.shape == (0, 4)
+
+
 class TestBoxFiles:
     def test_round_trip(self, tmp_path):
-        boxes = [BoundingBox(1.25, -3.5, 10.0, 20.0), None, BoundingBox(0, 0, 5, 5)]
+        boxes = [(1.25, -3.5, 10.0, 20.0), None, (0, 0, 5, 5)]
         p = tmp_path / "boxes.txt"
         p.write_text(format_boxes(Boxes.of(boxes)))
-        back = load_boxes(p)
-        assert back[1] is None
-        assert back[0].x == 1.25 and back[0].y == -3.5
-        assert back[2].w == 5.0
+        assert _rows(load_boxes(p)) == [(1.25, -3.5, 10.0, 20.0), None, (0.0, 0.0, 5.0, 5.0)]
 
     def test_separator_tolerance(self, tmp_path):
         p = tmp_path / "boxes.txt"
         p.write_text("1,2,3,4\n5\t6\t7\t8\n9 10 11 12\n")
-        boxes = load_boxes(p)
-        assert len(boxes) == 3 and boxes[1].x == 5.0 and boxes[2].h == 12.0
+        assert _rows(load_boxes(p)) == [(1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0), (9.0, 10.0, 11.0, 12.0)]
 
     def test_partial_nan_rejected_with_line_number(self, tmp_path):
         p = tmp_path / "boxes.txt"
@@ -425,7 +431,7 @@ class TestBoxFiles:
             load_boxes(p)
 
     def test_evaluate_sequence_perfect(self, tmp_path):
-        boxes = Boxes.of([BoundingBox(float(k), 2.0, 8.0, 8.0) for k in range(20)])
+        boxes = Boxes.of([(float(k), 2.0, 8.0, 8.0) for k in range(20)])
         (tmp_path / "gt.txt").write_text(format_boxes(boxes))
         (tmp_path / "pred.txt").write_text(format_boxes(boxes))
         rep = evaluate_sequence(tmp_path / "gt.txt", tmp_path / "pred.txt")
@@ -434,7 +440,7 @@ class TestBoxFiles:
 
 class TestReportFormatting:
     def _report(self):
-        gt = Boxes.of([BoundingBox(0, 0, 10, 10)] * 5)
+        gt = Boxes.of([(0, 0, 10, 10)] * 5)
         return evaluate_boxes(gt, gt)
 
     def test_header_matches_columns(self):
@@ -467,10 +473,37 @@ class TestReportFormatting:
         assert format_curves(rows) == _ref_format_curves(rows)
 
 
-# --- oracle: the per-box scorer and parser that the array code replaced, kept verbatim ---
+# --- oracle: the per-box scorer and parser that the array code replaced, kept verbatim,
+# with a copy of the box dataclass it used ---
 
 
-def _ref_iou(a: BoundingBox, b: BoundingBox) -> float:
+@dataclass
+class _RefBoundingBox:
+    """Axis-aligned pixel box, top-left origin."""
+
+    x: float
+    y: float
+    w: float
+    h: float
+
+    def __post_init__(self) -> None:
+        if self.w < 0.0 or self.h < 0.0:
+            raise ValueError(f"box size must be non-negative: w={self.w}, h={self.h}")
+
+    def center(self) -> tuple[float, float]:
+        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
+
+    def __str__(self) -> str:
+        # The scorer's degenerate-box error writes a box this way; the oracle's matches it.
+        return f"(x, y, w, h) = {(self.x, self.y, self.w, self.h)}"
+
+
+def _ref(boxes: list[Box | None]) -> list[_RefBoundingBox | None]:
+    """The oracle's form of a list of (x, y, w, h) boxes."""
+    return [None if b is None else _RefBoundingBox(*b) for b in boxes]
+
+
+def _ref_iou(a: _RefBoundingBox, b: _RefBoundingBox) -> float:
     ix = max(0.0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
     iy = max(0.0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
     inter = ix * iy
@@ -586,7 +619,7 @@ def _ref_load_boxes(path):
                 raise EvaluationError(f"{path}:{lineno}: partial nan box")
             else:
                 try:
-                    boxes.append(BoundingBox(*values))
+                    boxes.append(_RefBoundingBox(*values))
                 except ValueError as exc:
                     raise EvaluationError(f"{path}:{lineno}: {exc}") from None
     if not boxes:
@@ -615,8 +648,15 @@ def _bits(report: MetricReport) -> list:
     return [v.hex() for v in scalars] + [report.n_frames] + [c.tobytes() for c in curves]
 
 
+def _rows(boxes) -> list[Box | None]:
+    """Each frame's (x, y, w, h) box or None, from a Boxes or an oracle list."""
+    if isinstance(boxes, Boxes):
+        return [tuple(row) if p else None for row, p in zip(boxes.xywh.tolist(), boxes.present.tolist())]
+    return [None if b is None else (b.x, b.y, b.w, b.h) for b in boxes]
+
+
 def _box_bits(boxes) -> list:
-    return [None if b is None else tuple(v.hex() for v in (b.x, b.y, b.w, b.h)) for b in boxes]
+    return [None if b is None else tuple(v.hex() for v in b) for b in _rows(boxes)]
 
 
 def _outcome(load, evaluate, gt_path, pred_path):
@@ -706,12 +746,12 @@ _EXACT_FRAMES = st.sampled_from(
 
 @st.composite
 def _scored_sequence(draw):
-    """Ground truth and predictions, as BoundingBox | None lists, that score without error."""
+    """Ground truth and predictions, as (x, y, w, h) | None lists, that score without error."""
     frames = draw(st.lists(st.one_of(st.tuples(_GT_BOXES, _PRED_BOXES), _EXACT_FRAMES), min_size=1, max_size=30))
-    gt = [None if g is None else BoundingBox(*g) for g, _ in frames]
-    pred = [None if p is None else BoundingBox(*p) for _, p in frames]
+    gt = [g for g, _ in frames]
+    pred = [p for _, p in frames]
     if all(g is None for g in gt):
-        gt[0] = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        gt[0] = (0.0, 0.0, 10.0, 10.0)
     if draw(st.integers(0, 9)) == 7:
         pred = [None] * len(gt)  # an all-miss prediction file
     return gt, pred
@@ -794,7 +834,7 @@ def _boundary_frame(draw):
         k = draw(st.integers(0, 100))
         target = abs(_ulps(k / 100.0, draw(st.integers(-1, 1))))
         gt = (0.0, 0.0, 100.0, 1.0)
-        w = _walk_ulps(lambda w: _ref_iou(BoundingBox(*gt), BoundingBox(0.0, 0.0, w, 1.0)), float(k), target)
+        w = _walk_ulps(lambda w: _ref_iou(_RefBoundingBox(*gt), _RefBoundingBox(0.0, 0.0, w, 1.0)), float(k), target)
         frame = [gt, (0.0, 0.0, w, 1.0)]
     else:
         # The ground-truth center is (0, 0) exactly, and a zero-size prediction's
@@ -812,7 +852,7 @@ def _boundary_frame(draw):
         if field >= 2 and (value < 0.0 or (box == 0 and value == 0.0)):
             value = math.inf  # a negative size is no box, a zero-size ground truth a degenerate one
         frame[box] = tuple(value if i == field else v for i, v in enumerate(frame[box]))
-    return BoundingBox(*frame[0]), BoundingBox(*frame[1])
+    return frame[0], frame[1]
 
 
 def _write(directory: Path, name: str, text: str) -> Path:
@@ -901,7 +941,7 @@ class TestEvaluateOracle:
     def test_whitespace_only_lines_are_blank(self, tmp_path):
         path = _write(tmp_path, "boxes.txt", "1,2,3,4\n  \n\t\nnan nan nan nan\n")
         boxes = load_boxes(path)
-        assert list(boxes) == _ref_load_boxes(path)
+        assert _rows(boxes) == _rows(_ref_load_boxes(path))
         assert boxes.present.tolist() == [True, False]
 
     @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
@@ -909,20 +949,21 @@ class TestEvaluateOracle:
         rng = np.random.default_rng(11)
         gt = [random_box(rng) for _ in range(12)]
         pred = [random_box(rng) for _ in range(12)]
-        pred[3] = BoundingBox(**{**vars(pred[3]), field: math.nan})
-        gt[5] = BoundingBox(**{**vars(gt[5]), field: math.nan})
+        i = "xywh".index(field)
+        pred[3] = tuple(math.nan if j == i else v for j, v in enumerate(pred[3]))
+        gt[5] = tuple(math.nan if j == i else v for j, v in enumerate(gt[5]))
         pred[7] = None
-        assert _bits(evaluate_boxes(Boxes.of(gt), Boxes.of(pred))) == _bits(_ref_evaluate_boxes(gt, pred))
+        assert _bits(evaluate_boxes(Boxes.of(gt), Boxes.of(pred))) == _bits(_ref_evaluate_boxes(_ref(gt), _ref(pred)))
 
     def test_center_error_keeps_math_hypot(self):
         # math.hypot puts these offsets at 20.000000000000004 px, np.hypot at 20.0,
         # so np.hypot would count them within the 20 px precision threshold.
         offsets = [(4.946824408097116, 19.378568788108545), (11.013386307265915, 16.694469804307285)]
-        gt = [BoundingBox(-5.0, -5.0, 10.0, 10.0)] * len(offsets)
-        pred = [BoundingBox(dx, dy, 0.0, 0.0) for dx, dy in offsets]
+        gt = [(-5.0, -5.0, 10.0, 10.0)] * len(offsets)
+        pred = [(dx, dy, 0.0, 0.0) for dx, dy in offsets]
         report = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
         assert report.precision == 0.0
-        assert _bits(report) == _bits(_ref_evaluate_boxes(gt, pred))
+        assert _bits(report) == _bits(_ref_evaluate_boxes(_ref(gt), _ref(pred)))
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_boundary_frame(), min_size=1, max_size=40))
@@ -932,7 +973,7 @@ class TestEvaluateOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
-        assert _bits(got) == _bits(_ref_evaluate_boxes(gt, pred))
+        assert _bits(got) == _bits(_ref_evaluate_boxes(_ref(gt), _ref(pred)))
 
     def test_boundary_frames_reach_their_thresholds(self):
         # The walks of _boundary_frame land on their targets: a pixel error
@@ -948,18 +989,18 @@ class TestEvaluateOracle:
                         slack = 0.0 if sx == 1.0 else math.ulp(target)
                         assert abs(math.hypot(dx / sx, dy / sy) - target) <= slack
         for k in range(101):
-            gt = BoundingBox(0.0, 0.0, 100.0, 1.0)
-            w = _walk_ulps(lambda w: _ref_iou(gt, BoundingBox(0.0, 0.0, w, 1.0)), float(k), k / 100.0)
-            assert _ref_iou(gt, BoundingBox(0.0, 0.0, w, 1.0)) == k / 100.0
+            gt = _RefBoundingBox(0.0, 0.0, 100.0, 1.0)
+            w = _walk_ulps(lambda w: _ref_iou(gt, _RefBoundingBox(0.0, 0.0, w, 1.0)), float(k), k / 100.0)
+            assert _ref_iou(gt, _RefBoundingBox(0.0, 0.0, w, 1.0)) == k / 100.0
 
     def test_degenerate_ground_truth_message(self):
-        gt = Boxes.of([None, BoundingBox(0, 0, 10, 10), BoundingBox(1, 2, 0, 4)])
-        pred = Boxes.of([None, None, BoundingBox(0, 0, 1, 1)])
+        gt = [None, (0.0, 0.0, 10.0, 10.0), (1.0, 2.0, 0.0, 4.0)]
+        pred = [None, None, (0.0, 0.0, 1.0, 1.0)]
         with pytest.raises(EvaluationError) as want:
-            _ref_evaluate_boxes(list(gt), list(pred))
+            _ref_evaluate_boxes(_ref(gt), _ref(pred))
         with pytest.raises(EvaluationError) as got:
-            evaluate_boxes(gt, pred)
-        assert str(got.value) == str(want.value) == "frame 1: degenerate ground-truth box BoundingBox(x=1.0, y=2.0, w=0.0, h=4.0)"
+            evaluate_boxes(Boxes.of(gt), Boxes.of(pred))
+        assert str(got.value) == str(want.value) == "frame 1: degenerate ground-truth box (x, y, w, h) = (1.0, 2.0, 0.0, 4.0)"
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_scored_sequence(), min_size=1, max_size=6))
@@ -967,15 +1008,15 @@ class TestEvaluateOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = evaluate_pairs((Boxes.of(gt), Boxes.of(pred)) for gt, pred in sequences)
-        assert [_bits(r) for r in got] == [_bits(_ref_evaluate_boxes(gt, pred)) for gt, pred in sequences]
+        assert [_bits(r) for r in got] == [_bits(_ref_evaluate_boxes(_ref(gt), _ref(pred))) for gt, pred in sequences]
 
     def test_iou_matches_oracle_on_extreme_boxes(self):
         values = [0.0, -0.0, 1.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324]
         rng = np.random.default_rng(12)
         for _ in range(500):
-            a = BoundingBox(*rng.choice(values, 2).tolist(), *np.abs(rng.choice(values, 2)).tolist())
-            b = BoundingBox(*rng.choice(values, 2).tolist(), *np.abs(rng.choice(values, 2)).tolist())
-            assert _iou(a, b).hex() == _ref_iou(a, b).hex()
+            a = (*rng.choice(values, 2).tolist(), *np.abs(rng.choice(values, 2)).tolist())
+            b = (*rng.choice(values, 2).tolist(), *np.abs(rng.choice(values, 2)).tolist())
+            assert _iou(a, b).hex() == _ref_iou(_RefBoundingBox(*a), _RefBoundingBox(*b)).hex()
 
 
 def _oracle_evaluate(gt_dir: Path, pred_dir: Path) -> tuple[str, str]:
@@ -1049,7 +1090,7 @@ class TestEvaluateCommand:
             "gt/s0.txt": "nan,nan,nan,nan\n1,2,3,4\n1,2,0,4\n", "pred/a/s0.txt": "1,2,3,4\n" * 3,
             "gt/s1.txt": "nan,nan,nan,nan\n", "pred/a/s1.txt": "1,2,3,4\n",
         })
-        assert err == "helm-bench: frame 1: degenerate ground-truth box BoundingBox(x=1.0, y=2.0, w=0.0, h=4.0)\n"
+        assert err == "helm-bench: frame 1: degenerate ground-truth box (x, y, w, h) = (1.0, 2.0, 0.0, 4.0)\n"
 
     def test_starts_no_thread(self, tmp_path, monkeypatch):
         gt_dir, pred_dir = self._tree(tmp_path)

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -684,7 +684,7 @@ def brute_force_ncc(frame, template, center, halfwidth, threshold=0.2):
     x1 = min(int(math.ceil(base_x + halfwidth)) + tw, W)
     y1 = min(int(math.ceil(base_y + halfwidth)) + th, H)
     if x1 - x0 < tw or y1 - y0 < th:
-        return Detection(valid=False)
+        return Detection()
     tz = template - template.mean()
     tn = math.sqrt(float((tz * tz).sum()))
     best, best_xy = -np.inf, None
@@ -697,9 +697,9 @@ def brute_force_ncc(frame, template, center, halfwidth, threshold=0.2):
             if score > best:
                 best, best_xy = score, (x, y)
     if best < threshold:
-        return Detection(valid=False, score=best)
+        return Detection(score=best)
     x, y = best_xy
-    return Detection(valid=True, box=(float(x), float(y), float(tw), float(th)), score=best)
+    return Detection((float(x), float(y), float(tw), float(th)), best)
 
 
 class TestNccTrack:
@@ -791,6 +791,16 @@ class TestNccTracker:
         assert det.valid
         assert det.box[2:] == (12.0, 10.0)
         assert abs(det.box[0] - 30.0) <= 1.0 and abs(det.box[1] - 20.0) <= 1.0
+
+
+class TestDetection:
+    def test_fields_are_box_and_score(self):
+        assert [f.name for f in fields(Detection)] == ["box", "score"]
+
+    def test_valid_is_holding_a_box(self):
+        assert not Detection().valid and Detection().score == 0.0
+        assert not Detection(score=0.1).valid
+        assert Detection((1.0, 2.0, 3.0, 4.0), 0.5).valid
 
 
 class TestTrackerWindow:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helm_bench import core, sensors, sim
 from helm_bench.config import _SCHEMA, load_scenario, parse_scenario
-from helm_bench.core import BodyState, BoundingBox, ConfigError, IntegrationError, Pose2D
+from helm_bench.core import BodyState, ConfigError, IntegrationError, Pose2D
 from helm_bench.dynamics import SeaState
 from helm_bench.guidance import GuidanceConfig
 from helm_bench.metrics import Boxes, CostWeights, evaluate_boxes, format_boxes
@@ -246,10 +246,9 @@ class TestRunScenario:
             tgt = (log.target_x[i], log.target_y[i], log.target_psi[i])
             want = project_target(usv, tgt, sc.target.extent, sc.camera)
             if want is None:
-                assert boxes[i] is None
+                assert not boxes.present[i]
             else:
-                got = boxes[i]
-                assert (got.x, got.y, got.w, got.h) == want
+                assert boxes.present[i] and tuple(boxes.xywh[i].tolist()) == want
 
     def test_blind_tracker_ends_searching(self):
         sc = quick_scenario(
@@ -327,14 +326,14 @@ class TestStreams:
 
 
 class TestNoPerStepObjects:
-    """An emulator step builds no Pose2D, BoundingBox or Detection: poses and boxes are tuples."""
+    """An emulator step builds no Pose2D or Detection: poses and boxes are tuples."""
 
     @pytest.mark.parametrize("ini", ["calm_line.ini", "sea_triangle.ini"])
     def test_emulator_steps_build_none(self, monkeypatch, ini):
         sc = dataclasses.replace(load_scenario(SCENARIOS / ini), duration=2.0)
         assert sc.tracker.kind is TrackerKind.EMULATOR
         built = Counter()
-        classes = (core.Pose2D, core.BoundingBox, sensors.Detection)
+        classes = (core.Pose2D, sensors.Detection)
         for cls in classes:
 
             def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
@@ -343,7 +342,7 @@ class TestNoPerStepObjects:
 
             monkeypatch.setattr(cls, "__init__", counting)
         # the wrappers count
-        core.Pose2D(), core.BoundingBox(0.0, 0.0, 1.0, 1.0), sensors.Detection(False)
+        core.Pose2D(), sensors.Detection()
         assert built == Counter({cls.__name__: 1 for cls in classes})
         built.clear()
 
@@ -446,7 +445,8 @@ class TestRunLogCsv:
             RunLog.from_csv("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
 
 
-# --- oracle: the list export that RunLog.gt_boxes/pred_boxes and format_boxes replaced, kept verbatim ---
+# --- oracle: the list export that RunLog.gt_boxes/pred_boxes and format_boxes replaced, kept verbatim
+# but for its box type, now an (x, y, w, h) tuple ---
 
 
 def _ref_boxes(log, prefix):
@@ -459,7 +459,7 @@ def _ref_boxes(log, prefix):
         if math.isnan(x):
             out.append(None)
         else:
-            out.append(BoundingBox(x, y, w, h))
+            out.append((x, y, w, h))
     return out
 
 
@@ -469,7 +469,8 @@ def _ref_format_boxes(boxes):
         if b is None:
             lines.append("nan,nan,nan,nan")
         else:
-            lines.append(f"{b.x:.6f},{b.y:.6f},{b.w:.6f},{b.h:.6f}")
+            x, y, w, h = b
+            lines.append(f"{x:.6f},{y:.6f},{w:.6f},{h:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -478,7 +479,7 @@ _EXPORT_COORDS = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324, math.nan]),
 )
 _EXPORT_SIZES = st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, -0.0, math.inf, 1e308, 5e-324]))
-_EXPORT_BOXES = st.builds(BoundingBox, _EXPORT_COORDS, _EXPORT_COORDS, _EXPORT_SIZES, _EXPORT_SIZES)
+_EXPORT_BOXES = st.tuples(_EXPORT_COORDS, _EXPORT_COORDS, _EXPORT_SIZES, _EXPORT_SIZES)
 
 
 class TestBoxExportOracle:
