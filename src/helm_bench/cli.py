@@ -172,36 +172,23 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# plot --kind: (title, x label, y label, series), each series (label, x column, y column).
+_PLOTS = {
+    "yaw_error": ("heading error", "t [s]", "e_psi [rad]", [("e_psi", "t", "e_psi")]),
+    "thrust": ("thruster commands", "t [s]", "thrust [N]", [("T_left", "t", "TL"), ("T_right", "t", "TR")]),
+    "trajectory": ("plan view", "x [m]", "y [m]", [("usv", "x", "y"), ("target", "target_x", "target_y")]),
+}
+
+
 def _cmd_plot(args) -> int:
     log = sim.RunLog.from_csv(read_utf8(args.log, ConfigError, "run log path"))
-    t = [float(v) for v in log.t]
-    if args.kind == "yaw_error":
-        svg = plots.line_chart_svg(
-            [("e_psi", t, [float(v) for v in log.e_psi])],
-            title="heading error",
-            xlabel="t [s]",
-            ylabel="e_psi [rad]",
-        )
-    elif args.kind == "thrust":
-        svg = plots.line_chart_svg(
-            [
-                ("T_left", t, [float(v) for v in log.TL]),
-                ("T_right", t, [float(v) for v in log.TR]),
-            ],
-            title="thruster commands",
-            xlabel="t [s]",
-            ylabel="thrust [N]",
-        )
-    else:  # trajectory
-        svg = plots.line_chart_svg(
-            [
-                ("usv", [float(v) for v in log.x], [float(v) for v in log.y]),
-                ("target", [float(v) for v in log.target_x], [float(v) for v in log.target_y]),
-            ],
-            title="plan view",
-            xlabel="x [m]",
-            ylabel="y [m]",
-        )
+    title, xlabel, ylabel, series = _PLOTS[args.kind]
+    svg = plots.line_chart_svg(
+        [(label, getattr(log, x).tolist(), getattr(log, y).tolist()) for label, x, y in series],
+        title=title,
+        xlabel=xlabel,
+        ylabel=ylabel,
+    )
     atomic_write_text(args.out, svg)
     print(f"wrote {args.out}")
     return 0
@@ -244,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot", help="render a run log as an SVG chart")
     p_plot.add_argument("--log", required=True, help="runlog.csv from simulate")
-    p_plot.add_argument("--kind", choices=("yaw_error", "thrust", "trajectory"), default="yaw_error")
+    p_plot.add_argument("--kind", choices=tuple(_PLOTS), default="yaw_error")
     p_plot.add_argument("--out", required=True, help="output .svg path")
     p_plot.set_defaults(func=_cmd_plot)
     return parser

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BodyState, IntegrationError, UsvParams, wrap_angle
+from .core import BodyState, ConfigError, IntegrationError, UsvParams, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ class SeaState:
 
     def __post_init__(self) -> None:
         if not self.wave_period > 0.0:
-            raise ValueError("wave_period must be > 0")
+            raise ConfigError("wave_period must be > 0")
         if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must lie in [0, 1]")
+            raise ConfigError("visibility must lie in [0, 1]")
 
 
 CALM = SeaState()

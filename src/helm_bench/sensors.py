@@ -122,9 +122,7 @@ _TIE_TOLERANCE = 1e-12  # ZNCC scores closer than this to the peak tie with it
 
 
 def render_frame(
-    usv: Pose,
-    target: Pose,
-    extent: float,
+    box: Box | None,
     cam: CameraIntrinsics,
     visibility: float,
     rng: np.random.Generator,
@@ -133,7 +131,7 @@ def render_frame(
 ) -> np.ndarray:
     """Grayscale frame: sea at 0.3, target rectangle at 0.8, haze toward 0.6.
 
-    usv and target are (x, y, psi) poses, projected by project_target.
+    box is the target's (x, y, w, h) box as project_target gives it, or None.
     Haze blends the scene with weight (1 - visibility); sensor noise of the
     given sigma is added after the blend, then intensities clip to [0, 1].
     Returns the (height, width) frame, or with roi only that region of it;
@@ -153,7 +151,6 @@ def render_frame(
     frame_key = int(rng.integers(0, 2**64, dtype=np.uint64))
     haze = (1.0 - visibility) * 0.6
     frame = np.full((y1 - y0, x1 - x0), visibility * 0.3 + haze)
-    box = project_target(usv, target, extent, cam)
     if box is not None and box[2] > 0.0 and box[3] > 0.0:
         bx, by, bw, bh = box
         bx0 = max(int(math.floor(bx)), x0)
@@ -419,8 +416,8 @@ class NccTracker:
     as lost and the search stays around the last confident location.
 
     window() names the region of the image that the next initialize or
-    track call reads, so a caller can render just that region and pass it
-    with its roi.
+    track call reads; observe() renders just that region of each frame and
+    tracks on it.
     """
 
     def __init__(
@@ -504,6 +501,25 @@ class NccTracker:
         bw, bh = self._box_size
         box = (match_cx - bw / 2.0, match_cy - bh / 2.0, bw, bh)
         return Detection(box, det.score)
+
+    def observe(
+        self, truth: Box | None, cam: CameraIntrinsics, visibility: float, rng: np.random.Generator, noise_sigma: float
+    ) -> Box | None:
+        """One camera frame: render the region this tracker reads, then start on truth or track.
+
+        truth is the frame's projected box, or None. The tracker starts on, and reports, the first
+        truth box at least a pixel each way; before that it reports None.
+        """
+        can_start = truth is not None and truth[2] >= 1.0 and truth[3] >= 1.0
+        # A frame with nothing to read still draws its key, so later frames keep their noise.
+        roi = self.window((cam.height, cam.width), truth) if self.initialized or can_start else (0, 0, 0, 0)
+        frame = render_frame(truth, cam, visibility, rng, noise_sigma=noise_sigma, roi=roi)
+        if self.initialized:
+            return self.track(frame, roi).box  # None while the track is lost
+        if can_start:
+            self.initialize(frame, truth, roi)
+            return truth
+        return None
 
 
 def lidar_range(usv: Pose, target: Pose, max_range: float, noise: Iterator[float]) -> float | None:

@@ -7,6 +7,7 @@ import dataclasses
 import enum
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -15,6 +16,7 @@ import numpy as np
 from . import control, dynamics, guidance, metrics, sensors
 from .core import (
     BodyState,
+    Box,
     CameraIntrinsics,
     ConfigError,
     IntegrationError,
@@ -147,13 +149,24 @@ class TrackerSpec:
     render_noise_sigma: float = 0.02
 
     def __post_init__(self) -> None:
-        # Reject here what NccTracker would reject once the run has started.
-        sensors.NccTracker(
-            self.ncc_peak_threshold, self.ncc_search_halfwidth, self.ncc_context_margin
-        )
+        self._ncc()  # reject here what NccTracker would reject once the run has started
         if self.render_noise_sigma < 0.0:
             raise ConfigError("render_noise_sigma must be >= 0")
         object.__setattr__(self, "render_noise_sigma", abs(self.render_noise_sigma))  # -0.0 as 0.0
+
+    def _ncc(self) -> sensors.NccTracker:
+        return sensors.NccTracker(self.ncc_peak_threshold, self.ncc_search_halfwidth, self.ncc_context_margin)
+
+    def build(self, seed: int, cam: CameraIntrinsics, visibility: float) -> Callable[[Box | None], Box | None]:
+        """The run's tracker: a function from a frame's projected box to the reported box, or None.
+
+        The emulator draws from stream(seed, "tracker"); the NCC tracker renders from "render".
+        """
+        if self.kind is TrackerKind.EMULATOR:
+            rng, noise = stream(seed, "tracker"), self.noise
+            return lambda truth: sensors.emulate_tracker(truth, visibility, noise, rng, cam)
+        ncc, rng, sigma = self._ncc(), stream(seed, "render"), self.render_noise_sigma
+        return lambda truth: ncc.observe(truth, cam, visibility, rng, sigma)
 
 
 @dataclass(frozen=True)
@@ -198,7 +211,7 @@ class Scenario:
             raise ConfigError("duration must be > 0")
         if not 0.0 < self.dt <= 0.1:
             raise ConfigError("dt must lie in (0, 0.1]")
-        if math.floor(self.duration / self.dt + 1e-9) < 1:
+        if self.n_steps < 1:
             raise ConfigError("duration must span at least one step of dt")
         if self.duration / self.dt > 1e7:
             raise ConfigError("scenario too long: duration/dt exceeds 1e7 steps")
@@ -209,6 +222,11 @@ class Scenario:
                 f"an ncc tracker needs a camera of at most {MAX_NCC_CAMERA_PIXELS} pixels, "
                 f"got {self.camera.width}x{self.camera.height}"
             )
+
+    @property
+    def n_steps(self) -> int:
+        """Control steps after t = 0: the run logs n_steps + 1 records."""
+        return int(math.floor(self.duration / self.dt + 1e-9))
 
 
 @dataclass
@@ -337,7 +355,7 @@ def run_scenario(sc: Scenario) -> RunLog:
     the finite domain the log is truncated and carries an error note; if
     no LQR gain can be solved for the plant, the log has no rows.
     """
-    n_steps = int(math.floor(sc.duration / sc.dt + 1e-9))
+    n_steps = sc.n_steps
     params = sc.params
     cam = sc.camera
 
@@ -345,9 +363,7 @@ def run_scenario(sc: Scenario) -> RunLog:
     # Each stream is private to this run and keyed by its label, so draws a
     # truncated run never reaches are never seen, and a stream the tracker
     # kind never draws from need not be built.
-    emulated = sc.tracker.kind is TrackerKind.EMULATOR
-    tracker_rng = stream(sc.seed, "tracker") if emulated else None
-    render_rng = None if emulated else stream(sc.seed, "render")
+    observe = sc.tracker.build(sc.seed, cam, sc.sea.visibility)
     lidar_noise = normal_rows(stream(sc.seed, "lidar"), noise.lidar_sigma, n_steps + 1)
     imu_noise = normal_rows(
         stream(sc.seed, "imu"), (noise.u_sigma, noise.psi_sigma, noise.r_sigma), n_steps + 1
@@ -362,15 +378,6 @@ def run_scenario(sc: Scenario) -> RunLog:
             lqr = control.lqr_gain(params, law.lqr)
         except NumericalError as exc:
             return RunLog(**_columns([]), error=f"no LQR gain: {exc}")
-    ncc = (
-        None
-        if emulated
-        else sensors.NccTracker(
-            peak_threshold=sc.tracker.ncc_peak_threshold,
-            search_halfwidth=sc.tracker.ncc_search_halfwidth,
-            context_margin=sc.tracker.ncc_context_margin,
-        )
-    )
 
     rows: list[tuple] = []
     no_box = (math.nan,) * 4
@@ -379,8 +386,7 @@ def run_scenario(sc: Scenario) -> RunLog:
     x, y, psi, u, r = init.pose.x, init.pose.y, init.pose.psi, init.u, init.r
     # Per-run constants, read once.
     dt, sea, gcfg, kind = sc.dt, sc.sea, sc.guidance_cfg, law.kind
-    visibility, extent, stride = sea.visibility, sc.target.extent, noise.frame_stride
-    tracker_noise, lidar_max = sc.tracker.noise, gcfg.lidar_max_range
+    extent, stride, lidar_max = sc.target.extent, noise.frame_stride, gcfg.lidar_max_range
     box = None  # the tracker's (x, y, w, h) box, None while it reports none
     e_y = 0.0
     error: str | None = None
@@ -395,35 +401,7 @@ def run_scenario(sc: Scenario) -> RunLog:
             gt_box = sensors.project_target(pose, target, extent, cam)
 
             if k % stride == 0:
-                if emulated:
-                    box = sensors.emulate_tracker(gt_box, visibility, tracker_noise, tracker_rng, cam)
-                else:
-                    assert ncc is not None
-                    can_start = gt_box is not None and gt_box[2] >= 1.0 and gt_box[3] >= 1.0
-                    # Render only the region the tracker reads. A frame with
-                    # nothing to read still draws its key, so later frames keep
-                    # their noise.
-                    if ncc.initialized or can_start:
-                        roi = ncc.window((cam.height, cam.width), gt_box)
-                    else:
-                        roi = (0, 0, 0, 0)
-                    frame = sensors.render_frame(
-                        pose,
-                        target,
-                        extent,
-                        cam,
-                        visibility,
-                        render_rng,
-                        noise_sigma=sc.tracker.render_noise_sigma,
-                        roi=roi,
-                    )
-                    if ncc.initialized:
-                        box = ncc.track(frame, roi).box  # None when the track is lost
-                    elif can_start:
-                        ncc.initialize(frame, gt_box, roi)
-                        box = gt_box
-                    else:
-                        box = None
+                box = observe(gt_box)
 
             rng_range = sensors.lidar_range(pose, target, lidar_max, lidar_noise)
             meas = sensors.measure_state(u, psi, r, next(imu_noise))
@@ -563,9 +541,7 @@ def _set_by_path(sc: Scenario, path: str, value):
     try:
         for obj, name in zip(chain[::-1], parts[::-1]):
             rebuilt = dataclasses.replace(obj, **{name: rebuilt})
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
         raise ConfigError(f"{path}: {exc}") from None
     return rebuilt
 

@@ -434,6 +434,8 @@ class TestSweep:
         "axis, value",
         [
             ("sea.visibility", "1.5"),  # rejected by SeaState validation
+            ("target.extent", "0"),  # rejected by TrajectorySpec validation
+            ("camera.width", "0"),  # rejected by CameraIntrinsics validation
             ("sea.wind_velocity", "1"),  # a tuple field cannot take one sweep value
         ],
     )

@@ -208,38 +208,40 @@ class TestEmulateTracker:
 
 class TestRenderFrame:
     def test_clear_render_intensities(self):
-        frame = render_frame(
-            (0, 0, 0), (10, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), noise_sigma=0.0
-        )
+        box = project_target((0, 0, 0), (10, 0, 0), 2.0, CAM)
+        frame = render_frame(box, CAM, 1.0, stream(0, "r"), noise_sigma=0.0)
         assert frame.shape == (CAM.height, CAM.width)
         assert frame[240, 320] == pytest.approx(0.8)
         assert frame[10, 10] == pytest.approx(0.3)
 
     def test_full_haze_uniform(self):
-        frame = render_frame(
-            (0, 0, 0), (10, 0, 0), 2.0, CAM, 0.0, stream(0, "r"), noise_sigma=0.0
-        )
+        box = project_target((0, 0, 0), (10, 0, 0), 2.0, CAM)
+        frame = render_frame(box, CAM, 0.0, stream(0, "r"), noise_sigma=0.0)
         assert np.all(frame == 0.6)
 
     def test_half_visibility_halves_contrast(self):
-        frame = render_frame(
-            (0, 0, 0), (10, 0, 0), 2.0, CAM, 0.5, stream(0, "r"), noise_sigma=0.0
-        )
+        box = project_target((0, 0, 0), (10, 0, 0), 2.0, CAM)
+        frame = render_frame(box, CAM, 0.5, stream(0, "r"), noise_sigma=0.0)
         assert frame[240, 320] == pytest.approx(0.7)  # 0.5*0.8 + 0.5*0.6
         assert frame[10, 10] == pytest.approx(0.45)  # 0.5*0.3 + 0.5*0.6
 
     def test_values_stay_in_unit_range(self):
-        frame = render_frame(
-            (0, 0, 0), (5, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), noise_sigma=0.3
-        )
+        box = project_target((0, 0, 0), (5, 0, 0), 2.0, CAM)
+        frame = render_frame(box, CAM, 1.0, stream(0, "r"), noise_sigma=0.3)
         assert frame.min() >= 0.0 and frame.max() <= 1.0
 
     def test_offscreen_target_renders_background_only(self):
-        frame = render_frame(
-            (0, 0, 0), (-10, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), noise_sigma=0.0
-        )
+        box = project_target((0, 0, 0), (-10, 0, 0), 2.0, CAM)
+        assert box is None
+        frame = render_frame(box, CAM, 1.0, stream(0, "r"), noise_sigma=0.0)
         assert np.all(frame == pytest.approx(0.3))
 
+    def test_draws_the_box_it_is_given(self):
+        # every pixel the box touches, rounded outwards
+        frame = render_frame((100.2, 50.5, 10.0, 3.0), CAM, 1.0, stream(0, "r"), noise_sigma=0.0)
+        want = np.full((CAM.height, CAM.width), 0.3)
+        want[50:54, 100:111] = 0.8
+        assert np.array_equal(frame, want)
 
 @st.composite
 def spans(draw, n):
@@ -285,7 +287,8 @@ class TestRenderRoi:
     @given(render_cases())
     def test_roi_equals_crop_of_full_frame(self, case):
         full_rng, roi_rng = stream(case["seed"], "render"), stream(case["seed"], "render")
-        args = (case["usv"], case["target"], case["extent"], case["cam"], case["visibility"])
+        box = project_target(case["usv"], case["target"], case["extent"], case["cam"])
+        args = (box, case["cam"], case["visibility"])
         full = render_frame(*args, full_rng, noise_sigma=case["sigma"])
         part = render_frame(*args, roi_rng, noise_sigma=case["sigma"], roi=case["roi"])
         y0, y1, x0, x1 = case["roi"]
@@ -296,7 +299,7 @@ class TestRenderRoi:
 
     def test_noise_differs_between_frames_and_tiles(self):
         rng = stream(4, "render")
-        args = ((0, 0, 0), (-10, 0, 0), 2.0, CAM, 1.0)
+        args = (None, CAM, 1.0)
         a = render_frame(*args, rng, noise_sigma=0.05)
         b = render_frame(*args, rng, noise_sigma=0.05)
         t = NOISE_TILE
@@ -310,7 +313,7 @@ class TestRenderRoi:
     @pytest.mark.parametrize("roi", [(0, 481, 0, 10), (5, 4, 0, 10), (-1, 3, 0, 10), (0, 3, 0, 641)])
     def test_roi_outside_frame_rejected(self, roi):
         with pytest.raises(ValueError):
-            render_frame((0, 0, 0), (10, 0, 0), 2.0, CAM, 1.0, stream(0, "r"), roi=roi)
+            render_frame((310.0, 230.0, 20.0, 20.0), CAM, 1.0, stream(0, "r"), roi=roi)
 
 
 # The tile noise, box sums and ZNCC scores as first written, before each
@@ -791,6 +794,42 @@ class TestNccTracker:
         assert det.valid
         assert det.box[2:] == (12.0, 10.0)
         assert abs(det.box[0] - 30.0) <= 1.0 and abs(det.box[1] - 20.0) <= 1.0
+
+
+class TestNccObserve:
+    """observe renders the region the tracker reads, then starts on the truth box or tracks."""
+
+    BOX = (300.0, 200.0, 20.0, 20.0)
+
+    def test_starts_on_a_whole_pixel_box_then_tracks(self):
+        tracker, rng = NccTracker(), stream(3, "render")
+        assert tracker.observe(None, CAM, 1.0, rng, 0.02) is None
+        assert tracker.observe((300.0, 200.0, 0.5, 4.0), CAM, 1.0, rng, 0.02) is None
+        assert not tracker.initialized
+        assert tracker.observe(self.BOX, CAM, 1.0, rng, 0.02) == self.BOX
+        assert tracker.initialized
+        assert tracker.observe(self.BOX, CAM, 1.0, rng, 0.02) == self.BOX  # the target stayed put
+        assert tracker.observe(None, CAM, 1.0, rng, 0.02) is None  # gone: the track is lost
+        assert tracker.initialized
+
+    def test_same_as_rendering_the_window_and_tracking(self):
+        tracker, ref = NccTracker(), NccTracker()
+        rng, ref_rng = stream(5, "render"), stream(5, "render")
+        shape = (CAM.height, CAM.width)
+        for truth in (None, self.BOX, (303.0, 198.0, 20.0, 20.0), None):
+            got = tracker.observe(truth, CAM, 0.7, rng, 0.05)
+            roi = ref.window(shape, truth) if ref.initialized or truth else (0, 0, 0, 0)
+            frame = render_frame(truth, CAM, 0.7, ref_rng, noise_sigma=0.05, roi=roi)
+            if ref.initialized:
+                want = ref.track(frame, roi).box
+            elif truth:
+                ref.initialize(frame, truth, roi)
+                want = truth
+            else:
+                want = None
+            assert got == want
+        # one frame key per call, rendered or not
+        assert rng.integers(2**63) == ref_rng.integers(2**63)
 
 
 class TestDetection:
@@ -1368,11 +1407,13 @@ class TestRenderFrameOracle:
     @given(render_cases())
     def test_bit_identical_frames_and_draws(self, case):
         rng, ref_rng = stream(case["seed"], "render"), stream(case["seed"], "render")
-        usv, target = case["usv"], case["target"]
-        args = (case["extent"], case["cam"], case["visibility"])
+        usv, target, extent, cam = case["usv"], case["target"], case["extent"], case["cam"]
         kwargs = dict(noise_sigma=case["sigma"], roi=case["roi"])
-        got = render_frame(usv, target, *args, rng, **kwargs)
-        want = _ref_render_frame(_RefPose2D(*usv), _RefPose2D(*target), *args, ref_rng, **kwargs)
+        box = project_target(usv, target, extent, cam)
+        got = render_frame(box, cam, case["visibility"], rng, **kwargs)
+        want = _ref_render_frame(
+            _RefPose2D(*usv), _RefPose2D(*target), extent, cam, case["visibility"], ref_rng, **kwargs
+        )
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert _philox_state(rng.bit_generator.state) == _philox_state(ref_rng.bit_generator.state)
 

@@ -380,6 +380,25 @@ class TestNccRegionRender:
             assert not fast.det_valid.all()  # the lost-track path ran
 
 
+class TestOneProjectionPerStep:
+    """An NCC run projects the target once per step: render_frame draws the box it is given."""
+
+    def test_ncc_run_calls_project_target_once_per_record(self, monkeypatch):
+        sc = dataclasses.replace(load_scenario(SCENARIOS / "ncc_standoff.ini"), duration=1.0)
+        assert sc.tracker.kind is TrackerKind.NCC
+        project = sensors.project_target
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return project(*args)
+
+        monkeypatch.setattr(sensors, "project_target", counting)
+        log = run_scenario(sc)
+        assert len(log) == 51 and log.det_valid.any()
+        assert len(calls) == len(log)
+
+
 class TestNccFftCrossTerm:
     """The FFT cross term leaves NCC run logs byte-identical to an einsum one."""
 
