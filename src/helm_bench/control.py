@@ -2,7 +2,7 @@
 
 All three return the channel commands (T1 surge force, T2 differential
 force) as a float pair for the same reduced plant, and the sliding-mode and
-LQR laws read the measured (u, psi, r) as a tuple, so the simulation loop
+LQR laws read the measured (u, psi, r) as a tuple, so sim.ControllerSpec.build
 can swap laws without touching anything else.
 """
 

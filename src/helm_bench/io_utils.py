@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import stat
-import tempfile
 from pathlib import Path
 
 
@@ -27,9 +26,11 @@ def read_utf8(path, error: type[Exception], what: str = "path") -> str:
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # "x" creates the file as a plain open does, mode 0o666 & ~umask, where mkstemp gives 0o600.
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -130,6 +130,28 @@ class ControllerSpec:
     smc: control.SmcGains = field(default_factory=control.SmcGains)
     lqr: control.LqrWeights = field(default_factory=control.LqrWeights)
 
+    def build(self, params: UsvParams, dt: float) -> Callable[[guidance.GuidanceCommand, tuple], tuple[float, float]]:
+        """The run's control law: a function from a guidance command and the measured (u, psi, r) to (T1, T2).
+
+        Each law keeps a fresh ControllerState of its own. An LQR gain is solved
+        here, once; a plant with none raises NumericalError. The laws look their
+        step functions up in control on every call, so a wrapper set there sees each one.
+        """
+        state = control.ControllerState()
+        if self.kind is ControllerKind.PID:
+            pid = self.pid
+            return lambda cmd, meas: control.pid_step(state, cmd.u_ref - meas[0], cmd.e_psi, dt, pid)
+        if self.kind is ControllerKind.SMC:
+            smc = self.smc
+
+            def smc_law(cmd, meas):
+                refs = control.smc_refs(state, cmd.u_ref, wrap_angle(meas[1] + cmd.e_psi), meas[0], dt, smc)
+                return control.smc_step(state, refs, meas, smc, params)
+
+            return smc_law
+        gain = control.lqr_gain(params, self.lqr)
+        return lambda cmd, meas: control.lqr_step(gain, meas, (cmd.u_ref, wrap_angle(meas[1] + cmd.e_psi)))
+
 
 MAX_NCC_CAMERA_PIXELS = 4096 * 4096
 
@@ -370,14 +392,10 @@ def run_scenario(sc: Scenario) -> RunLog:
     )
 
     gstate = guidance.GuidanceState()
-    law = sc.controller
-    cstate = control.ControllerState()
-    lqr = None
-    if law.kind is ControllerKind.LQR:
-        try:
-            lqr = control.lqr_gain(params, law.lqr)
-        except NumericalError as exc:
-            return RunLog(**_columns([]), error=f"no LQR gain: {exc}")
+    try:
+        law = sc.controller.build(params, sc.dt)
+    except NumericalError as exc:
+        return RunLog(**_columns([]), error=f"no LQR gain: {exc}")
 
     rows: list[tuple] = []
     no_box = (math.nan,) * 4
@@ -385,7 +403,7 @@ def run_scenario(sc: Scenario) -> RunLog:
     init = sc.initial
     x, y, psi, u, r = init.pose.x, init.pose.y, init.pose.psi, init.u, init.r
     # Per-run constants, read once.
-    dt, sea, gcfg, kind = sc.dt, sc.sea, sc.guidance_cfg, law.kind
+    dt, sea, gcfg = sc.dt, sc.sea, sc.guidance_cfg
     extent, stride, lidar_max = sc.target.extent, noise.frame_stride, gcfg.lidar_max_range
     box = None  # the tracker's (x, y, w, h) box, None while it reports none
     e_y = 0.0
@@ -405,24 +423,13 @@ def run_scenario(sc: Scenario) -> RunLog:
 
             rng_range = sensors.lidar_range(pose, target, lidar_max, lidar_noise)
             meas = sensors.measure_state(u, psi, r, next(imu_noise))
-            u_meas, psi_meas, _ = meas
             cmd = guidance.guidance_step(box, rng_range, gcfg, cam, gstate)
             if box is None:
                 det_valid, det_cells = 0, no_box
             else:
                 det_valid, det_cells = 1, box
                 e_y = (cam.cy - box_center(box)[1]) / cam.fx
-
-            if kind is ControllerKind.PID:
-                gen = control.pid_step(cstate, cmd.u_ref - u_meas, cmd.e_psi, dt, law.pid)
-            else:
-                psi_ref = wrap_angle(psi_meas + cmd.e_psi)
-                if kind is ControllerKind.SMC:
-                    refs = control.smc_refs(cstate, cmd.u_ref, psi_ref, u_meas, dt, law.smc)
-                    gen = control.smc_step(cstate, refs, meas, law.smc, params)
-                else:
-                    gen = control.lqr_step(lqr, meas, (cmd.u_ref, psi_ref))
-            left, right = dynamics.thrust_forces(*gen, params)
+            left, right = dynamics.thrust_forces(*law(cmd, meas), params)
 
             # One cell per LOG_COLUMNS entry, in RunLog field order.
             rows.append(
@@ -470,17 +477,10 @@ def summarize(log: RunLog, w: metrics.CostWeights) -> RunSummary:
     e = np.asarray(log.e_psi, dtype=float)
     t = np.asarray(log.t, dtype=float)
 
-    inside = np.abs(e) <= SETTLE_BAND
-    settling = math.inf
-    # last index from which the band holds through the end
-    holds_from = len(e)
-    for i in range(len(e) - 1, -1, -1):
-        if inside[i]:
-            holds_from = i
-        else:
-            break
-    if holds_from < len(e):
-        settling = float(t[holds_from])
+    # The band holds through the end from the index after the last sample outside it (NaN is outside).
+    outside = np.flatnonzero(~(np.abs(e) <= SETTLE_BAND))
+    holds_from = outside[-1] + 1 if len(outside) else 0
+    settling = float(t[holds_from]) if holds_from < len(e) else math.inf
 
     e0 = e[0]
     if e0 == 0.0:
@@ -519,18 +519,16 @@ def _set_by_path(sc: Scenario, path: str, value):
     from . import config  # config imports this module
 
     parts = path.split(".")
-    chain = [sc]
-    for p in parts[:-1]:
-        if not dataclasses.is_dataclass(chain[-1]) or not hasattr(chain[-1], p):
+    chain = [sc]  # the scenario, then the value each segment names
+    for p in parts:
+        obj = chain[-1]
+        if not (dataclasses.is_dataclass(obj) and any(f.init and f.name == p for f in dataclasses.fields(obj))):
             raise ConfigError(f"unknown sweep path: {path}")
-        chain.append(getattr(chain[-1], p))
-    if not hasattr(chain[-1], parts[-1]):
-        raise ConfigError(f"unknown sweep path: {path}")
-    hint = get_type_hints(type(chain[-1])).get(parts[-1])
+        chain.append(getattr(obj, p))
+    hint = get_type_hints(type(chain[-2]))[parts[-1]]
     parser = config._parser(hint)
     if parser is None:
-        kind = type(getattr(chain[-1], parts[-1])).__name__
-        raise ConfigError(f"{path}: cannot sweep a field of type {kind}")
+        raise ConfigError(f"{path}: cannot sweep a field of type {type(chain[-1]).__name__}")
     try:
         rebuilt = parser(_format_value(value))
     except (ValueError, TypeError):
@@ -539,7 +537,7 @@ def _set_by_path(sc: Scenario, path: str, value):
     if not config._finite(rebuilt):
         raise ConfigError(f"{path}: {rebuilt!r} is not finite")
     try:
-        for obj, name in zip(chain[::-1], parts[::-1]):
+        for obj, name in zip(chain[-2::-1], parts[::-1]):
             rebuilt = dataclasses.replace(obj, **{name: rebuilt})
     except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
         raise ConfigError(f"{path}: {exc}") from None

@@ -57,6 +57,23 @@ class TestSimulate:
         for name in ("runlog.csv", "groundtruth.txt", "predictions.txt"):
             assert read(out_a / name) == read(out_b / name)
 
+    def test_outputs_get_the_mode_of_a_plain_write(self, quick_ini, tmp_path):
+        out = tmp_path / "run"
+        old = os.umask(0o022)
+        try:
+            assert main(["simulate", "--scenario", str(quick_ini), "--out", str(out)]) == 0
+            with open(out / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        plain = (out / "plain.txt").stat().st_mode
+        assert plain & 0o777 == 0o644
+        for name in ("runlog.csv", "groundtruth.txt", "predictions.txt"):
+            assert (out / name).stat().st_mode == plain
+        assert sorted(p.name for p in out.iterdir()) == [
+            "groundtruth.txt", "plain.txt", "predictions.txt", "runlog.csv"
+        ]  # no temp file left behind
+
     def test_seed_override_changes_noisy_outputs(self, tmp_path):
         ini = tmp_path / "noisy.ini"
         ini.write_text(QUICK + "\n[tracker]\nsigma_center_px = 3\n")
@@ -437,6 +454,7 @@ class TestSweep:
             ("target.extent", "0"),  # rejected by TrajectorySpec validation
             ("camera.width", "0"),  # rejected by CameraIntrinsics validation
             ("sea.wind_velocity", "1"),  # a tuple field cannot take one sweep value
+            ("target.edges", "1"),  # a property, not a field: unknown sweep path
         ],
     )
     def test_bad_value_is_exit_1(self, tmp_path, capsys, axis, value):

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helm_bench import core, sensors, sim
+from helm_bench import control, core, sensors, sim
 from helm_bench.config import _SCHEMA, load_scenario, parse_scenario
 from helm_bench.core import BodyState, ConfigError, IntegrationError, Pose2D
 from helm_bench.dynamics import SeaState
-from helm_bench.guidance import GuidanceConfig
+from helm_bench.guidance import GuidanceCommand, GuidanceConfig, GuidanceMode
 from helm_bench.metrics import Boxes, CostWeights, evaluate_boxes, format_boxes
 from helm_bench.sensors import TrackerNoiseConfig, project_target
 from helm_bench.sim import (
@@ -351,6 +351,68 @@ class TestNoPerStepObjects:
         assert built == Counter()
 
 
+def _commands_and_measurements(n: int) -> list:
+    """n varied (GuidanceCommand, measured (u, psi, r)) pairs, so every law's state moves."""
+    return [
+        (
+            GuidanceCommand(GuidanceMode.TRACKING, 1.0 + 0.5 * math.sin(0.3 * k), 0.4 * math.cos(0.2 * k), 0.0),
+            (0.8 + 0.1 * math.sin(0.5 * k), math.pi - 0.05 * k, 0.1 * math.cos(0.7 * k)),
+        )
+        for k in range(n)
+    ]
+
+
+class TestControllerStage:
+    """ControllerSpec.build: each law has state of its own, and an LQR build solves its gain."""
+
+    KINDS = list(ControllerKind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_laws_from_one_spec_step_alike(self, kind):
+        spec, params = ControllerSpec(kind=kind), core.UsvParams()
+        steps = _commands_and_measurements(50)
+        a, b = spec.build(params, 0.02), spec.build(params, 0.02)
+        outs_a = [a(cmd, meas) for cmd, meas in steps]
+        assert [b(cmd, meas) for cmd, meas in steps] == outs_a
+        assert len(set(outs_a)) > 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_stepped_law_leaves_a_fresh_build_alone(self, kind):
+        spec, params = ControllerSpec(kind=kind), core.UsvParams()
+        steps = _commands_and_measurements(50)
+        first = spec.build(params, 0.02)(*steps[0])
+        stepped = spec.build(params, 0.02)
+        for cmd, meas in steps:
+            stepped(cmd, meas)
+        assert spec.build(params, 0.02)(*steps[0]) == first
+
+    @pytest.mark.parametrize(
+        "kind, names",
+        [
+            (ControllerKind.PID, ["pid_step"]),
+            (ControllerKind.SMC, ["smc_refs", "smc_step"]),
+            (ControllerKind.LQR, ["lqr_step"]),
+        ],
+    )
+    def test_a_law_calls_its_steps_through_control(self, monkeypatch, kind, names):
+        # A wrapper set on control after the build still sees every call.
+        law = ControllerSpec(kind=kind).build(core.UsvParams(), 0.02)
+        calls = Counter()
+        for name in names:
+            step = getattr(control, name)
+            monkeypatch.setattr(control, name, lambda *a, _s=step, _n=name: calls.update([_n]) or _s(*a))
+        for cmd, meas in _commands_and_measurements(3):
+            law(cmd, meas)
+        assert calls == Counter({name: 3 for name in names})
+
+    def test_lqr_build_without_a_gain_raises(self):
+        params = core.UsvParams(l=1e-300)  # the plant whose CARE fails
+        with pytest.raises(core.NumericalError, match="^CARE residual exceeds tolerance$"):
+            ControllerSpec(kind=ControllerKind.LQR).build(params, 0.02)
+        for kind in (ControllerKind.PID, ControllerKind.SMC):
+            assert callable(ControllerSpec(kind=kind).build(params, 0.02))
+
+
 class TestNccRegionRender:
     """run_scenario renders only the region the NCC tracker reads."""
 
@@ -611,6 +673,22 @@ class TestSweep:
     def test_unknown_path_rejected(self):
         with pytest.raises(ConfigError):
             sweep_variant(quick_scenario(), "sea.depth", 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "path",
+        # properties and methods, a non-init field, a segment past a float
+        ["target.edges", "target.perimeter", "n_steps", "tracker._ncc", "tracker.build",
+         "camera.cx", "camera.hfov", "sea.visibility.real", "target.origin.x.real"],
+    )
+    def test_a_name_that_is_no_init_field_is_an_unknown_path(self, path):
+        with pytest.raises(ConfigError, match=f"^unknown sweep path: {re.escape(path)}$"):
+            sweep_variant(quick_scenario(), path, "1", 0)
+
+    def test_nested_init_fields_still_sweep(self):
+        v = sweep_variant(quick_scenario(), "target.origin.x", "12", 0)
+        assert v.target.origin.x == 12.0 and v.target.speed == 0.5
+        v = sweep_variant(quick_scenario(), "tracker.noise.sigma_scale", "0.1", 0)
+        assert v.tracker.noise.sigma_scale == 0.1
 
     def test_numeric_coercion_follows_field_type(self):
         v = sweep_variant(quick_scenario(), "sensor_noise.frame_stride", "3", 0)
