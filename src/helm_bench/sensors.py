@@ -8,6 +8,7 @@ seeds give bit-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections.abc import Iterator, Sequence
@@ -117,7 +118,8 @@ def emulate_tracker(
 
 Roi = tuple[int, int, int, int]  # (y0, y1, x0, x1): rows y0..y1-1, columns x0..x1-1
 
-NOISE_TILE = 32  # px, side of the square frame tiles that key the sensor noise
+NOISE_STRIP = 64  # px, width of the frame's column strips that key the sensor noise
+NOISE_LANES = 2**16  # values a pixel's 16-bit noise lane takes
 _TIE_TOLERANCE = 1e-12  # ZNCC scores closer than this to the peak tie with it
 
 
@@ -138,10 +140,13 @@ def render_frame(
     an empty region is allowed.
 
     Each call draws one 64-bit frame key from rng, whatever the roi and the
-    sigma. The noise of each NOISE_TILE-square tile of the frame comes from
-    a Philox stream whose key is the frame key and whose counter is the
-    tile's row-major index, so a region equals the same crop of the full
-    frame bit for bit.
+    sigma. Each NOISE_STRIP-wide column strip of the frame has its own raw
+    Philox stream, keyed by the frame key, with the strip index in the
+    counter's top word. A pixel's noise is sigma times the normal quantile
+    that one 16-bit lane of its strip's stream picks, and the lane is fixed
+    by the pixel's row and column alone (_add_strip_noise). So a region
+    equals the same crop of the full frame bit for bit, and a render draws
+    only the rows of the strips that its region touches.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ConfigError("visibility must lie in [0, 1]")
@@ -160,24 +165,26 @@ def render_frame(
         if bx1 > bx0 and by1 > by0:
             frame[by0 - y0 : by1 - y0, bx0 - x0 : bx1 - x0] = visibility * 0.8 + haze
     if noise_sigma > 0.0 and frame.size:
-        _add_tile_noise(frame, (y0, y1, x0, x1), cam.width, frame_key, noise_sigma)
+        _add_strip_noise(frame, (y0, y1, x0, x1), frame_key, noise_sigma)
     return np.clip(frame, 0.0, 1.0, out=frame)
 
 
-_tile_normals = threading.local()
+_philox = threading.local()
 
 
-def _keyed_normals(key: int) -> tuple[np.random.Generator, dict]:
-    """This thread's Philox normals in the state np.random.Philox(key=key) starts in, and that state.
+def _keyed_philox(key: int) -> tuple[np.random.Philox, dict]:
+    """This thread's raw Philox in the state np.random.Philox(key=key) starts in, and that state.
 
     Building np.random.Philox(key=...) also reads OS entropy for a seed
-    sequence that the key then discards, so each thread keeps one generator
-    and re-keys it. Each call sets the whole state, so no draw carries over
-    from the last caller. A key below 2**64 is the low word of Philox's two.
+    sequence that the key then discards, so each thread keeps one bit
+    generator and re-keys it. Each call sets the whole state, so no word
+    carries over from the last caller. A key below 2**64 is the low word of
+    Philox's two. A caller that moves the counter of the returned state
+    assigns it back to .state.
     """
-    normals = getattr(_tile_normals, "generator", None)
-    if normals is None:
-        normals = _tile_normals.generator = np.random.Generator(np.random.Philox(0))
+    bits = getattr(_philox, "bits", None)
+    if bits is None:
+        bits = _philox.bits = np.random.Philox(0)
     state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key, 0], np.uint64)},
@@ -186,39 +193,59 @@ def _keyed_normals(key: int) -> tuple[np.random.Generator, dict]:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    normals.bit_generator.state = state
-    return normals, state
+    bits.state = state
+    return bits, state
 
 
-def _add_tile_noise(frame: np.ndarray, roi: Roi, width: int, frame_key: int, sigma: float) -> None:
-    """Add sigma-scaled normals to the roi region of a frame width pixels wide.
+@functools.cache
+def _gaussian_quantiles() -> np.ndarray:
+    """The N(0, 1) quantiles at the midpoints (k + 0.5) / 65536 of 65,536 equal-probability bins.
 
-    One bit generator serves every tile: resetting its state is cheaper than
-    building a new one. A tile draws its normals in row-major order and
-    stops after the last row the region needs. The crops of the tiles fill
-    one region-sized array, which is scaled and added once.
+    A 16-bit lane k stands for the normal draw Q[k]; the tails are cut at
+    Q[0] = -Q[65535] ~ -4.32. The lower half comes from
+    statistics.NormalDist().inv_cdf and the upper half is its negation, so
+    Q[k] == -Q[65535 - k] exactly. Built on first use; read-only.
+    """
+    import statistics  # only the renderer needs it, and only once
+
+    inv_cdf = statistics.NormalDist().inv_cdf
+    half = NOISE_LANES // 2
+    lower = np.fromiter((inv_cdf((k + 0.5) / NOISE_LANES) for k in range(half)), np.float64, half)
+    table = np.concatenate([lower, -lower[::-1]])
+    table.flags.writeable = False
+    return table
+
+
+def _add_strip_noise(frame: np.ndarray, roi: Roi, frame_key: int, sigma: float) -> None:
+    """Add sigma-scaled quantized normals to the roi region of a frame.
+
+    The noise of pixel (y, x) is sigma * Q[lane], with Q the
+    _gaussian_quantiles table. The lane is the little-endian 16-bit lane
+    x % 4 of word (64*y + x % 64) // 4 of the raw Philox stream keyed
+    (frame_key, 0) whose counter's top word is the strip index x // 64. A
+    strip's row y starts at block 4*y of its stream, so each strip the
+    region touches draws just the region's rows, in one call. The strips'
+    words fill one array whose lanes are mapped, scaled and added once.
     """
     y0, y1, x0, x1 = roi
-    tile = NOISE_TILE
-    tiles_per_row = -(-width // tile)
-    normals, state = _keyed_normals(frame_key)
-    bits = normals.bit_generator
+    strip = NOISE_STRIP
+    row_words = strip // 4  # 16-bit lanes, four to a 64-bit word
+    s0, s1 = x0 // strip, (x1 - 1) // strip + 1
+    bits, state = _keyed_philox(frame_key)
     counter = state["state"]["counter"]
-    noise = np.empty_like(frame)
-    for ty in range(y0 // tile, (y1 - 1) // tile + 1):
-        r0 = max(y0 - ty * tile, 0)
-        r1 = min(y1 - ty * tile, tile)
-        fy = ty * tile + r0 - y0
-        for tx in range(x0 // tile, (x1 - 1) // tile + 1):
-            c0 = max(x0 - tx * tile, 0)
-            c1 = min(x1 - tx * tile, tile)
-            # The tile index sits in the counter's top word, so the blocks
-            # of one tile never reach those of the next.
-            counter[3] = ty * tiles_per_row + tx
-            bits.state = state
-            z = normals.standard_normal(r1 * tile).reshape(r1, tile)
-            fx = tx * tile + c0 - x0
-            noise[fy : fy + r1 - r0, fx : fx + c1 - c0] = z[r0:r1, c0:c1]
+    # A row is row_words // 4 blocks of four words. numpy's Philox steps the
+    # counter before it makes a block, so counter b starts at block b.
+    counter[0] = row_words // 4 * y0
+    words = np.empty((y1 - y0, s1 - s0, row_words), np.uint64)
+    for sx in range(s0, s1):
+        # The strip index sits in the counter's top word, so the blocks of one
+        # strip never reach those of the next.
+        counter[3] = sx
+        bits.state = state
+        words[:, sx - s0] = bits.random_raw(row_words * (y1 - y0)).reshape(y1 - y0, row_words)
+    # Lanes by explicit byte order, so the host's cannot move them.
+    lanes = words.astype("<u8", copy=False).view("<u2").reshape(y1 - y0, (s1 - s0) * strip)
+    noise = _gaussian_quantiles().take(lanes[:, x0 - s0 * strip : x1 - s0 * strip])
     noise *= sigma
     frame += noise
 

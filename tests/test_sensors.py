@@ -1,8 +1,15 @@
 """Camera projection, tracker emulation, rendering, NCC tracking, lidar, IMU/DVL."""
 
+import hashlib
+import importlib
 import math
+import os
 import re
+import statistics
+import subprocess
+import sys
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,17 +19,19 @@ from hypothesis import strategies as st
 from helm_bench.core import CameraIntrinsics, ConfigError, wrap_angle
 from helm_bench.seeding import normal_rows, stream
 from helm_bench.sensors import (
-    NOISE_TILE,
+    NOISE_LANES,
+    NOISE_STRIP,
     Detection,
     NccTracker,
     Roi,
     TemplateCache,
     TrackerNoiseConfig,
-    _add_tile_noise,
+    _add_strip_noise,
     _box_sums,
     _fast_len,
     _bounds,
-    _keyed_normals,
+    _gaussian_quantiles,
+    _keyed_philox,
     emulate_tracker,
     lidar_range,
     measure_state,
@@ -245,8 +254,8 @@ class TestRenderFrame:
 
 @st.composite
 def spans(draw, n):
-    """(a, b) with 0 <= a <= b <= n: empty, one pixel, or any, often on a tile edge."""
-    edges = [e for k in range(0, n + 1, NOISE_TILE) for e in (k - 1, k, k + 1) if 0 <= e <= n]
+    """(a, b) with 0 <= a <= b <= n: empty, one pixel, or any, often on a strip edge."""
+    edges = [e for k in range(0, n + 1, NOISE_STRIP) for e in (k - 1, k, k + 1) if 0 <= e <= n]
     coord = st.one_of(st.integers(0, n), st.sampled_from(edges))
     a = draw(coord)
     kind = draw(st.sampled_from(["empty", "pixel", "any"]))
@@ -262,7 +271,7 @@ def spans(draw, n):
 @st.composite
 def render_cases(draw):
     cam = CameraIntrinsics(
-        width=draw(st.sampled_from([1, 31, 32, 33, 100, 640])),
+        width=draw(st.sampled_from([1, 63, 64, 65, 100, 640])),
         height=draw(st.sampled_from([1, 31, 32, 33, 70, 480])),
         fx=draw(st.floats(50.0, 600.0)),
     )
@@ -298,17 +307,43 @@ class TestRenderRoi:
         assert full_rng.integers(2**63) == roi_rng.integers(2**63)
 
     def test_noise_differs_between_frames_and_tiles(self):
+        sigma = 0.05
         rng = stream(4, "render")
-        args = (None, CAM, 1.0)
-        a = render_frame(*args, rng, noise_sigma=0.05)
-        b = render_frame(*args, rng, noise_sigma=0.05)
-        t = NOISE_TILE
-        # Independent streams share no pixel value; overlapping ones (one
-        # tile's draws a shifted copy of another's) would share most of them.
-        first = set(a[:t, :t].ravel())
-        for other in (a[:t, t : 2 * t], a[t : 2 * t, :t], a[t : 2 * t, t : 2 * t], b[:t, :t]):
-            assert not first & set(other.ravel())
-        assert abs(float(np.std(a - 0.3)) - 0.05) < 0.001
+        frames = [render_frame(None, CAM, 1.0, rng, noise_sigma=sigma) for _ in range(40)]
+        a, b = frames[:2]
+        # Quantized values repeat, so compare lanes: a noise-only pixel is
+        # 0.3 + sigma * Q[lane], and none of those levels clips.
+        levels = 0.3 + sigma * _gaussian_quantiles()
+
+        def windows(frame, strip):
+            """Every run of four lanes in the strip's stream order, packed into one int."""
+            cols = frame[:, strip * NOISE_STRIP : (strip + 1) * NOISE_STRIP].ravel()
+            lanes = np.searchsorted(levels, cols)
+            assert np.array_equal(levels[lanes], cols)
+            runs = np.lib.stride_tricks.sliding_window_view(lanes.astype(np.uint64), 4)
+            return set((runs << np.array([0, 16, 32, 48], np.uint64)).sum(axis=1).tolist())
+
+        # Independent streams share no run of four 16-bit lanes; overlapping
+        # ones (one strip's words a shifted copy of another's) would share most.
+        a0, a1, b0, b1 = windows(a, 0), windows(a, 1), windows(b, 0), windows(b, 1)
+        assert not a0 & a1 and not a0 & b0 and not a1 & b1
+
+        noise = a - 0.3
+        assert abs(float(noise.mean())) < 3.0 * sigma / math.sqrt(noise.size)
+        assert abs(float(noise.std()) - sigma) < 0.001
+
+        def lag1(left, right):
+            return float(np.corrcoef(left.ravel(), right.ravel())[0, 1])
+
+        # neighbours in one 64-bit word: lanes 0-1, 1-2 and 2-3
+        in_word = np.arange(CAM.width - 1) % 4 != 3
+        assert abs(lag1(noise[:, :-1][:, in_word], noise[:, 1:][:, in_word])) < 0.01
+        # One frame has only 9 x 480 pixel pairs across strip edges, whose
+        # correlation spreads by 1/sqrt(4320) ~ 0.015; the 40 frames' 172,800
+        # pairs bring that to 0.0024.
+        stack = np.stack(frames) - 0.3
+        edge = np.arange(NOISE_STRIP, CAM.width, NOISE_STRIP)
+        assert abs(lag1(stack[:, :, edge - 1], stack[:, :, edge])) < 0.01
 
     @pytest.mark.parametrize("roi", [(0, 481, 0, 10), (5, 4, 0, 10), (-1, 3, 0, 10), (0, 3, 0, 641)])
     def test_roi_outside_frame_rejected(self, roi):
@@ -316,39 +351,31 @@ class TestRenderRoi:
             render_frame((310.0, 230.0, 20.0, 20.0), CAM, 1.0, stream(0, "r"), roi=roi)
 
 
-# The tile noise, box sums and ZNCC scores as first written, before each
-# was cut down to the work whose results are read: every value the current
-# code returns must equal these bit for bit.
+# The box sums and ZNCC scores as first written, before each was cut down
+# to the work whose results are read, and the frame noise one pixel at a
+# time: every value the current code returns must equal these bit for bit.
 
 
-def _ref_add_tile_noise(frame: np.ndarray, roi: Roi, width: int, frame_key: int, sigma: float) -> None:
-    """Add sigma-scaled normals to the roi region of a frame width pixels wide.
+def _ref_add_strip_noise(frame: np.ndarray, roi: Roi, frame_key: int, sigma: float) -> None:
+    """Add sigma * Q[lane] to each pixel (y, x) of the roi region of a frame, one pixel at a time.
 
-    One bit generator serves every tile: resetting its state is cheaper than
-    building a new one. A tile draws its normals in row-major order and
-    stops after the last row the region needs.
+    The pixel's strip is x // 64, and its stream is a fresh Philox keyed
+    frame_key whose counter holds the strip in its top word, read from its
+    first word. The lane is bits 16*(x % 4) to 16*(x % 4) + 15 of word
+    (64*y + x % 64) // 4 of that stream.
     """
     y0, y1, x0, x1 = roi
-    tile = NOISE_TILE
-    tiles_per_row = -(-width // tile)
-    bits = np.random.Philox(key=frame_key)
-    normals = np.random.Generator(bits)
-    state = bits.state
-    counter = state["state"]["counter"]
-    for ty in range(y0 // tile, (y1 - 1) // tile + 1):
-        r0 = max(y0 - ty * tile, 0)
-        r1 = min(y1 - ty * tile, tile)
-        for tx in range(x0 // tile, (x1 - 1) // tile + 1):
-            c0 = max(x0 - tx * tile, 0)
-            c1 = min(x1 - tx * tile, tile)
-            # The tile index sits in the counter's top word, so the blocks
-            # of one tile never reach those of the next.
-            counter[3] = ty * tiles_per_row + tx
-            bits.state = state
-            z = normals.standard_normal(r1 * tile).reshape(r1, tile)
-            fy = ty * tile + r0 - y0
-            fx = tx * tile + c0 - x0
-            frame[fy : fy + r1 - r0, fx : fx + c1 - c0] += sigma * z[r0:r1, c0:c1]
+    quantiles = _gaussian_quantiles()
+    streams: dict[int, list[int]] = {}
+    for y in range(y0, y1):
+        for x in range(x0, x1):
+            strip = x // 64
+            if strip not in streams:
+                bits = np.random.Philox(key=frame_key, counter=strip << 192)
+                streams[strip] = bits.random_raw(16 * y1).tolist()
+            word = streams[strip][(64 * y + x % 64) // 4]
+            lane = (word >> (16 * (x % 4))) & 0xFFFF
+            frame[y - y0, x - x0] += sigma * quantiles[lane]
 
 
 def _ref_box_sums(a: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -591,7 +618,7 @@ def _scores_or_error(scores, window, template):
 
 
 class TestBitIdentity:
-    """The cut-down tile noise, box sums and ZNCC equal the first versions bit for bit."""
+    """The frame noise, and the cut-down box sums and ZNCC, equal their references bit for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(box_sum_cases())
@@ -632,7 +659,7 @@ class TestBitIdentity:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.sampled_from([1, 31, 32, 33, 97, 100, 640]),
+        st.sampled_from([1, 63, 64, 65, 97, 100, 640]),
         st.sampled_from([1, 31, 32, 33, 70, 480]),
         st.data(),
         st.sampled_from([0.01, 0.05, 0.3]),
@@ -643,23 +670,84 @@ class TestBitIdentity:
         x0, x1 = data.draw(spans(width))
         base = stream(key % 1000, "base").random((y1 - y0, x1 - x0))
         got, want = base.copy(), base.copy()
-        _add_tile_noise(got, (y0, y1, x0, x1), width, key, sigma)
-        _ref_add_tile_noise(want, (y0, y1, x0, x1), width, key, sigma)
+        _add_strip_noise(got, (y0, y1, x0, x1), key, sigma)
+        _ref_add_strip_noise(want, (y0, y1, x0, x1), key, sigma)
         assert _bits(got) == _bits(want)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4), st.integers(0, 3000))
-    def test_rekeyed_philox_starts_as_a_new_one(self, keys, n_draws):
-        # The kept generator is re-keyed after draws under earlier keys; each
-        # time its state and its next draws are those of a freshly built Philox.
-        for key in keys:
-            normals, state = _keyed_normals(key)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 4 * 480), st.integers(0, 9)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 1500),
+    )
+    def test_rekeyed_philox_starts_as_a_new_one(self, rekeys, n_words):
+        # The kept bit generator is re-keyed after draws under earlier keys
+        # that leave a block part-read and a 32-bit half word behind; each
+        # time its state and its next raw words are those of a freshly built
+        # Philox, and so they are after its counter is moved to a strip's row.
+        for key, block, strip in rekeys:
+            bits, state = _keyed_philox(key)
             fresh = np.random.Philox(key=key)
-            assert _philox_state(normals.bit_generator.state) == _philox_state(fresh.state)
+            assert _philox_state(bits.state) == _philox_state(fresh.state)
             assert _philox_state(state) == _philox_state(fresh.state)
-            got = normals.standard_normal(n_draws)
-            assert _bits(got) == _bits(np.random.Generator(fresh).standard_normal(n_draws))
-            normals.integers(0, 2**32, dtype=np.uint32)  # leaves a half-used 64-bit word behind
+            counter = state["state"]["counter"]
+            counter[0], counter[3] = block, strip
+            bits.state = state
+            fresh = np.random.Philox(key=key, counter=block + (strip << 192))
+            assert _philox_state(bits.state) == _philox_state(fresh.state)
+            assert bits.random_raw(n_words).tolist() == fresh.random_raw(n_words).tolist()
+            bits.random_raw(2 * n_words + 1)
+            np.random.Generator(bits).integers(0, 2**32, dtype=np.uint32)
+            assert bits.state["has_uint32"] == 1
+
+
+class TestGaussianQuantiles:
+    """The table that maps a pixel's 16-bit lane to its normal draw."""
+
+    # sha256 of the table's little-endian float64 bytes. Pins the noise of
+    # every rendered frame; inv_cdf gives these bits on CPython 3.10-3.13,
+    # with or without its C accelerator.
+    DIGEST = "4c2f5f42f122b6bd035838527b999a2a71644434978501f302767ff79fd4dada"
+
+    def test_shape_order_and_symmetry(self):
+        q = _gaussian_quantiles()
+        assert q.shape == (NOISE_LANES,) and q.dtype == np.float64
+        assert np.all(np.diff(q) > 0.0)
+        assert np.array_equal(q, -q[::-1])  # Q[k] == -Q[65535 - k]
+        assert not q.flags.writeable
+        assert q[-1] == pytest.approx(4.3249, abs=1e-4)  # where the tails are cut
+
+    def test_digest(self):
+        q = _gaussian_quantiles()
+        assert hashlib.sha256(q.astype("<f8").tobytes()).hexdigest() == self.DIGEST
+
+    def test_entries_are_bin_midpoint_quantiles(self):
+        q = _gaussian_quantiles()
+        inv_cdf = statistics.NormalDist().inv_cdf
+        for k in (0, 1, 2, 1000, 12345, 32766, 32767, 32768, 40000, 65534, 65535):
+            assert q[k] == pytest.approx(inv_cdf((k + 0.5) / NOISE_LANES), rel=0.0, abs=1e-15)
+        assert q[:32768].tolist() == [inv_cdf((k + 0.5) / NOISE_LANES) for k in range(32768)]
+
+    def test_importing_the_package_loads_no_statistics(self):
+        # The table is built on the first render, so set-up does not pay for it.
+        code = "import sys, helm_bench.cli; print('statistics' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_pure_python_inv_cdf_gives_the_same_table(self, monkeypatch):
+        # statistics uses its C _normal_dist_inv_cdf when it can import it;
+        # with the accelerator blocked it keeps the Python one.
+        monkeypatch.setitem(sys.modules, "_statistics", None)
+        monkeypatch.delitem(sys.modules, "statistics")
+        pure = importlib.import_module("statistics")
+        assert pure._normal_dist_inv_cdf.__module__ == "statistics"
+        inv_cdf = pure.NormalDist().inv_cdf
+        lower = [inv_cdf((k + 0.5) / NOISE_LANES) for k in range(NOISE_LANES // 2)]
+        assert lower == _gaussian_quantiles()[: NOISE_LANES // 2].tolist()
 
 
 def _philox_state(state: dict) -> dict:
@@ -1026,7 +1114,7 @@ class TestMeasureStateOracle:
 # --- oracle: the sensor step on Pose2D, BoundingBox and Detection, before it
 # took (x, y, psi) poses and (x, y, w, h) boxes; kept verbatim, with copies of
 # the dataclasses it built. Helpers the change left alone (search_roi,
-# _bounds, TemplateCache, zncc_scores, _add_tile_noise) are shared.
+# _bounds, TemplateCache, zncc_scores, _add_strip_noise) are shared.
 
 
 @dataclass
@@ -1152,7 +1240,7 @@ def _ref_render_frame(
         if bx1 > bx0 and by1 > by0:
             frame[by0 - y0 : by1 - y0, bx0 - x0 : bx1 - x0] = visibility * 0.8 + haze
     if noise_sigma > 0.0 and frame.size:
-        _add_tile_noise(frame, (y0, y1, x0, x1), cam.width, frame_key, noise_sigma)
+        _add_strip_noise(frame, (y0, y1, x0, x1), frame_key, noise_sigma)
     return np.clip(frame, 0.0, 1.0, out=frame)
 
 
