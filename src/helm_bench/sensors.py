@@ -3,7 +3,9 @@ a template NCC tracker, ranging and state measurement.
 
 Every stochastic operation draws from a caller-supplied numpy Generator, or,
 for ranging and state measurement, takes caller-drawn noise, so identical
-seeds give bit-identical outputs.
+seeds give bit-identical outputs. The NCC tracker's frame step,
+NccTracker.observe, picks one region of each frame, renders just that region
+and matches over exactly the pixels it rendered.
 """
 
 from __future__ import annotations
@@ -383,42 +385,23 @@ def template_roi(truth: Box, margin: float, bounds: Roi) -> Roi:
     return (y0, y1, x0, x1)
 
 
-def _bounds(frame: np.ndarray, roi: Roi | None) -> Roi:
-    """Where frame sits in the image: all of it, or the given region."""
-    if roi is None:
-        return (0, frame.shape[0], 0, frame.shape[1])
-    y0, y1, x0, x1 = roi
-    if frame.shape != (y1 - y0, x1 - x0):
-        raise ValueError(f"frame of shape {frame.shape} does not match roi {roi}")
-    return roi
-
-
 def ncc_track(
-    frame: np.ndarray,
+    window: np.ndarray,
     template: np.ndarray,
-    search_window: tuple[tuple[float, float], float],
+    origin: tuple[int, int],
     peak_threshold: float = 0.2,
-    roi: Roi | None = None,
     cache: TemplateCache | None = None,
 ) -> Detection:
-    """Best ZNCC placement of template inside frame near a previous center.
+    """Best ZNCC placement of template inside window.
 
-    search_window is ((cx, cy), halfwidth): the template slides over every
-    placement whose center stays within ±halfwidth pixels of (cx, cy), and
-    the first row-major maximum (to within 1e-12) wins. frame is the whole
-    image, or with roi only that region of it; the search stays inside the
-    pixels given, and the center and the box are in image coordinates. The
-    detection's (x, y, w, h) box has the template's size; a peak below
-    peak_threshold (or a window too small to search) comes back with
-    box None. cache, if given, is passed on to zncc_scores.
+    origin is the image (y, x) of the window's top-left pixel. Every
+    placement of the template inside the window is scored, and the first
+    row-major maximum (to within 1e-12) wins. The detection's (x, y, w, h)
+    box is in image coordinates and has the template's size; a peak below
+    peak_threshold, a window smaller than the template or a flat template
+    comes back with box None. cache, if given, is passed on to zncc_scores.
     """
-    center, halfwidth = search_window
     th, tw = template.shape
-    fy0, _, fx0, _ = bounds = _bounds(frame, roi)
-    y0, y1, x0, x1 = search_roi(center, halfwidth, template.shape, bounds)
-    if y1 == y0:
-        return Detection()
-    window = frame[y0 - fy0 : y1 - fy0, x0 - fx0 : x1 - fx0]
     try:
         scores = zncc_scores(window, template, cache)
     except ValueError:
@@ -431,6 +414,7 @@ def ncc_track(
     peak = float(scores[py, px])
     if peak < peak_threshold:
         return Detection(score=peak)
+    y0, x0 = origin
     return Detection((float(x0 + px), float(y0 + py), float(tw), float(th)), peak)
 
 
@@ -442,9 +426,9 @@ class NccTracker:
     size centered on the match. A peak below the threshold flags the frame
     as lost and the search stays around the last confident location.
 
-    window() names the region of the image that the next initialize or
-    track call reads; observe() renders just that region of each frame and
-    tracks on it.
+    observe() is the frame step: it picks the frame's one region (the
+    template crop before the start, the search window after it), renders
+    just that region and matches over exactly the pixels it rendered.
     """
 
     def __init__(
@@ -463,64 +447,16 @@ class NccTracker:
         self.peak_threshold = peak_threshold
         self.search_halfwidth = search_halfwidth
         self.context_margin = context_margin
-        self.reset()
-
-    def reset(self) -> None:
         self._template: np.ndarray | None = None
         self._cache: TemplateCache | None = None
         self._box_size: tuple[float, float] | None = None
         self._center: tuple[float, float] | None = None
 
-    def _search_window(self) -> tuple[tuple[float, float], float]:
-        """((cx, cy), halfwidth) around the last confident location."""
-        halfwidth = (
-            self.search_halfwidth
-            if self.search_halfwidth is not None
-            else self._template.shape[1]
-        )
-        return self._center, halfwidth
-
-    def window(self, frame_shape: tuple[int, int], truth: Box | None = None) -> Roi:
-        """Region of a frame_shape image that the next call reads.
-
-        Before initialize, the template crop around the (x, y, w, h) truth
-        box; after it, the search window around the last confident location.
-        """
-        bounds = (0, frame_shape[0], 0, frame_shape[1])
+    def track(self, window: np.ndarray, origin: tuple[int, int]) -> Detection:
+        """Match the template inside window, whose top-left pixel is image (y, x) origin; lost below threshold."""
         if self._template is None:
-            if truth is None:
-                raise RuntimeError("an uninitialized tracker needs the ground-truth box")
-            return template_roi(truth, self.context_margin, bounds)
-        return search_roi(*self._search_window(), self._template.shape, bounds)
-
-    def initialize(self, frame: np.ndarray, truth: Box, roi: Roi | None = None) -> None:
-        """Crop the template around the frame-0 ground-truth (x, y, w, h) box.
-
-        frame is the whole image, or with roi only that region of it.
-        """
-        fy0, _, fx0, _ = bounds = _bounds(frame, roi)
-        y0, y1, x0, x1 = template_roi(truth, self.context_margin, bounds)
-        if y1 == y0:
-            raise ConfigError("ground-truth box lies outside the frame")
-        self._template = frame[y0 - fy0 : y1 - fy0, x0 - fx0 : x1 - fx0].copy()
-        self._cache = TemplateCache(self._template)
-        self._box_size = truth[2:]
-        self._center = box_center(truth)
-
-    @property
-    def initialized(self) -> bool:
-        return self._template is not None
-
-    def track(self, frame: np.ndarray, roi: Roi | None = None) -> Detection:
-        """Match the template near the previous location; lost below threshold.
-
-        frame is the whole image, or with roi only that region of it.
-        """
-        if self._template is None or self._center is None or self._box_size is None:
-            raise RuntimeError("tracker used before initialize()")
-        det = ncc_track(
-            frame, self._template, self._search_window(), self.peak_threshold, roi, self._cache
-        )
+            raise RuntimeError("tracker used before it started")
+        det = ncc_track(window, self._template, origin, self.peak_threshold, self._cache)
         if det.box is None:
             return det
         self._center = box_center(det.box)
@@ -535,18 +471,28 @@ class NccTracker:
         """One camera frame: render the region this tracker reads, then start on truth or track.
 
         truth is the frame's projected box, or None. The tracker starts on, and reports, the first
-        truth box at least a pixel each way; before that it reports None.
+        truth box at least a pixel each way; before that it reports None. Raises ConfigError when
+        that box lies outside the frame.
         """
-        can_start = truth is not None and truth[2] >= 1.0 and truth[3] >= 1.0
-        # A frame with nothing to read still draws its key, so later frames keep their noise.
-        roi = self.window((cam.height, cam.width), truth) if self.initialized or can_start else (0, 0, 0, 0)
-        frame = render_frame(truth, cam, visibility, rng, noise_sigma=noise_sigma, roi=roi)
-        if self.initialized:
-            return self.track(frame, roi).box  # None while the track is lost
-        if can_start:
-            self.initialize(frame, truth, roi)
-            return truth
-        return None
+        bounds = (0, cam.height, 0, cam.width)
+        if self._template is not None:
+            th, tw = self._template.shape
+            halfwidth = tw if self.search_halfwidth is None else self.search_halfwidth
+            roi = search_roi(self._center, halfwidth, (th, tw), bounds)
+            window = render_frame(truth, cam, visibility, rng, noise_sigma=noise_sigma, roi=roi)
+            return self.track(window, (roi[0], roi[2])).box  # None while the track is lost
+        if truth is None or not (truth[2] >= 1.0 and truth[3] >= 1.0):
+            # A frame with nothing to read still draws its key, so later frames keep their noise.
+            render_frame(truth, cam, visibility, rng, noise_sigma=noise_sigma, roi=(0, 0, 0, 0))
+            return None
+        roi = template_roi(truth, self.context_margin, bounds)
+        if roi[1] == roi[0]:
+            raise ConfigError("ground-truth box lies outside the frame")
+        self._template = render_frame(truth, cam, visibility, rng, noise_sigma=noise_sigma, roi=roi)
+        self._cache = TemplateCache(self._template)
+        self._box_size = truth[2:]
+        self._center = box_center(truth)
+        return truth
 
 
 def lidar_range(usv: Pose, target: Pose, max_range: float, noise: Iterator[float]) -> float | None:

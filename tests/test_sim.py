@@ -442,6 +442,39 @@ class TestNccRegionRender:
             assert not fast.det_valid.all()  # the lost-track path ran
 
 
+class TestNccOneRegionPerFrame:
+    """Each NCC frame picks its region once, and matches over exactly the array it rendered."""
+
+    @pytest.mark.parametrize("visibility", [1.0, 0.1])
+    def test_window_is_the_rendered_frame(self, monkeypatch, visibility):
+        base = load_scenario(SCENARIOS / "ncc_standoff.ini")
+        sc = dataclasses.replace(base, duration=1.0, sea=dataclasses.replace(base.sea, visibility=visibility))
+        calls = Counter()
+        rendered, windows = [], []
+
+        def count(name, keep=lambda args, result: None):
+            func = getattr(sensors, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                result = func(*args, **kwargs)
+                keep(args, result)
+                return result
+
+            monkeypatch.setattr(sensors, name, counted)
+
+        count("render_frame", lambda args, frame: rendered.append(frame))
+        count("ncc_track", lambda args, det: windows.append(args[0]))
+        count("search_roi")
+        count("template_roi")
+        log = run_scenario(sc)
+        # the first frame starts the tracker; every later one is tracked
+        assert calls == Counter(render_frame=26, template_roi=1, search_roi=25, ncc_track=25)
+        assert all(window is frame for window, frame in zip(windows, rendered[1:]))
+        if visibility < 1.0:
+            assert not log.det_valid.all()  # the lost-track path ran
+
+
 class TestOneProjectionPerStep:
     """An NCC run projects the target once per step: render_frame draws the box it is given."""
 
