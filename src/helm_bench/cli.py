@@ -91,8 +91,7 @@ def _evaluate_tracker(
 
 
 def _cmd_evaluate(args) -> int:
-    gt_dir = Path(args.gt)
-    pred_dir = Path(args.pred)
+    gt_dir, pred_dir = Path(args.gt), Path(args.pred)
     if not gt_dir.exists():
         raise EvaluationError(f"ground-truth path not found: {gt_dir}")
     if not pred_dir.exists():
@@ -107,34 +106,24 @@ def _cmd_evaluate(args) -> int:
     if tracker_dirs and any(p.name.endswith(".txt") for p, is_dir in listing if not is_dir):
         raise EvaluationError(f"--pred holds both box files and tracker directories: {pred_dir}")
     truth: dict[Path, metrics.Boxes] = {}
-    rows: list[tuple[str, metrics.MetricReport]] = []
-    curve_rows: list[tuple[str, metrics.MetricReport]] = []
     if tracker_dirs:
         # One row per tracker: aggregate over its sequences.
-        for tdir in tracker_dirs:
-            per_seq = _evaluate_tracker(gt_files, tdir, truth)
-            agg = metrics.aggregate_reports([r for _, r in per_seq])
-            rows.append((tdir.name, agg))
-            curve_rows.append((tdir.name, agg))
+        rows = [
+            (tdir.name, metrics.aggregate_reports([r for _, r in _evaluate_tracker(gt_files, tdir, truth)]))
+            for tdir in tracker_dirs
+        ]
     else:
-        per_seq = _evaluate_tracker(gt_files, pred_dir, truth)
-        rows.extend(per_seq)
-        agg = metrics.aggregate_reports([r for _, r in per_seq])
-        rows.append(("mean", agg))
-        curve_rows = per_seq + [("mean", agg)]
+        rows = _evaluate_tracker(gt_files, pred_dir, truth)
+        rows.append(("mean", metrics.aggregate_reports([r for _, r in rows])))
 
     extra = None
     if args.relative_to_best:
         best = max(r.precision for _, r in rows)
-        extra = {
-            "precision_rel_best": [
-                (100.0 * r.precision / best) if best > 0.0 else 0.0 for _, r in rows
-            ]
-        }
+        extra = {"precision_rel_best": [100.0 * r.precision / best if best > 0.0 else 0.0 for _, r in rows]}
     atomic_write_text(args.out, metrics.format_report(rows, extra))
     if args.curves:
         curves_path = Path(args.out).with_name(Path(args.out).stem + "_curves.csv")
-        atomic_write_text(curves_path, metrics.format_curves(curve_rows))
+        atomic_write_text(curves_path, metrics.format_curves(rows))
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 

@@ -125,7 +125,8 @@ _SCHEMA: dict[str, dict[str, object]] = {
 
 
 def parse_scenario(text: str, default_name: str = "scenario") -> sim.Scenario:
-    cp = configparser.ConfigParser(interpolation=None)
+    # No header names the empty section, so [DEFAULT] is an ordinary, unknown, section.
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str.lower  # type: ignore[assignment]
     try:
         cp.read_string(text)

@@ -120,17 +120,8 @@ class UsvParams:
     r_abs_cap: float = 2.0  # rad/s, hard integrator rate cap
 
     def __post_init__(self) -> None:
-        positive = {
-            "m": self.m,
-            "Izz": self.Izz,
-            "l": self.l,
-            "udot_max": self.udot_max,
-            "rdot_max": self.rdot_max,
-            "thrust_max": self.thrust_max,
-            "u_abs_cap": self.u_abs_cap,
-            "r_abs_cap": self.r_abs_cap,
-        }
-        for name, value in positive.items():
+        for name in ("m", "Izz", "l", "udot_max", "rdot_max", "thrust_max", "u_abs_cap", "r_abs_cap"):
+            value = getattr(self, name)
             if not value > 0.0:
                 raise ConfigError(f"UsvParams.{name} must be > 0, got {value}")
         if not self.thrust_min < self.thrust_max:

@@ -112,6 +112,8 @@ def _forcing(
     if sea.wave_gain == 0.0 and sea.wind_velocity == (0.0, 0.0):
         return 0.0, 0.0, 0.0, 0.0
     arg = 2.0 * math.pi * t / sea.wave_period + sea.wave_phase
+    if not math.isfinite(arg):  # math.sin would raise ValueError
+        raise IntegrationError(f"non-finite wave phase at t={t}: {arg!r}")
     f_surge = sea.wave_gain * sea.wave_force_amp * math.sin(arg)
     tau_yaw = sea.wave_gain * sea.wave_torque_amp * math.sin(arg + math.pi / 2.0)
     vx = u * math.cos(psi)

@@ -24,6 +24,7 @@ report and curves bytes, are bit-identical to that loop's;
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -36,8 +37,6 @@ from .io_utils import read_utf8
 SUCCESS_THRESHOLDS = np.array([k / 100.0 for k in range(101)])
 PRECISION_THRESHOLDS = np.array([float(k) for k in range(51)])  # px
 NORM_PRECISION_THRESHOLDS = np.array([k / 100.0 for k in range(51)])
-
-REPORT_COLUMNS = ("sequence", "auc", "op50", "op75", "precision", "norm_precision", "n_frames")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +209,19 @@ class MetricReport:
     norm_precision_curve: np.ndarray
 
 
+# The report's columns: the sequence name, then MetricReport's scalar fields
+# in order, n_frames last. The *_curve fields go to the curves CSV.
+_SCALARS = tuple(f.name for f in dataclasses.fields(MetricReport) if not f.name.endswith("_curve"))
+REPORT_COLUMNS = ("sequence", *_SCALARS)
+
+# The curves CSV's curves: (curve name, MetricReport field, threshold cells formatted once).
+_CURVES = (
+    ("success", "success_curve", [f"{t:.2f}" for t in SUCCESS_THRESHOLDS.tolist()]),
+    ("precision", "precision_curve", [f"{t:.0f}" for t in PRECISION_THRESHOLDS.tolist()]),
+    ("norm_precision", "norm_precision_curve", [f"{t:.2f}" for t in NORM_PRECISION_THRESHOLDS.tolist()]),
+)
+
+
 def evaluate_pairs(pairs: Iterable[tuple[Boxes, Boxes]]) -> list[MetricReport]:
     """Score each (ground truth, predictions) pair, all pairs in one array pass.
 
@@ -264,20 +276,15 @@ def evaluate_boxes(gt: Boxes, pred: Boxes) -> MetricReport:
 
 
 def aggregate_reports(reports: list[MetricReport]) -> MetricReport:
-    """Unweighted mean of per-sequence metrics (curves included)."""
+    """Unweighted mean of per-sequence metrics (curves included); n_frames is summed."""
     if not reports:
         raise EvaluationError("nothing to aggregate")
-    return MetricReport(
-        auc=float(np.mean([r.auc for r in reports])),
-        op50=float(np.mean([r.op50 for r in reports])),
-        op75=float(np.mean([r.op75 for r in reports])),
-        precision=float(np.mean([r.precision for r in reports])),
-        norm_precision=float(np.mean([r.norm_precision for r in reports])),
-        n_frames=int(sum(r.n_frames for r in reports)),
-        success_curve=np.mean([r.success_curve for r in reports], axis=0),
-        precision_curve=np.mean([r.precision_curve for r in reports], axis=0),
-        norm_precision_curve=np.mean([r.norm_precision_curve for r in reports], axis=0),
-    )
+    agg = {}
+    for f in dataclasses.fields(MetricReport):
+        values = [getattr(r, f.name) for r in reports]
+        mean = sum(values) if f.name == "n_frames" else np.mean(values, axis=0)
+        agg[f.name] = float(mean) if isinstance(mean, np.floating) else mean
+    return MetricReport(**agg)
 
 
 # --- box-file and report IO ---------------------------------------------
@@ -365,28 +372,16 @@ def evaluate_sequence(gt_path, pred_path) -> MetricReport:
 
 
 def format_report(rows: list[tuple[str, MetricReport]], extra: dict[str, list[float]] | None = None) -> str:
-    """Render report rows as CSV in the fixed column order.
+    """Render report rows as CSV in the fixed column order, every metric to four decimals.
 
     `extra` maps an additional column name to per-row values (used for the
     relative-to-best aggregate column).
     """
-    header = list(REPORT_COLUMNS)
     extra = extra or {}
-    for name in extra:
-        header.append(name)
-    lines = [",".join(header)]
+    lines = [",".join([*REPORT_COLUMNS, *extra])]
     for idx, (name, r) in enumerate(rows):
-        cells = [
-            name,
-            f"{r.auc:.4f}",
-            f"{r.op50:.4f}",
-            f"{r.op75:.4f}",
-            f"{r.precision:.4f}",
-            f"{r.norm_precision:.4f}",
-            str(r.n_frames),
-        ]
-        for col in extra:
-            cells.append(f"{extra[col][idx]:.4f}")
+        cells = [name, *(f"{getattr(r, c):.4f}" for c in _SCALARS[:-1]), str(r.n_frames)]
+        cells += [f"{values[idx]:.4f}" for values in extra.values()]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -396,10 +391,6 @@ def format_curves(rows: list[tuple[str, MetricReport]]) -> str:
     lines = ["sequence,curve,threshold,value"]
     # tolist() gives Python floats, which format faster than numpy scalars.
     for name, r in rows:
-        for tau, v in zip(SUCCESS_THRESHOLDS.tolist(), r.success_curve.tolist()):
-            lines.append(f"{name},success,{tau:.2f},{v:.4f}")
-        for tau, v in zip(PRECISION_THRESHOLDS.tolist(), r.precision_curve.tolist()):
-            lines.append(f"{name},precision,{tau:.0f},{v:.4f}")
-        for tau, v in zip(NORM_PRECISION_THRESHOLDS.tolist(), r.norm_precision_curve.tolist()):
-            lines.append(f"{name},norm_precision,{tau:.2f},{v:.4f}")
+        for curve, attr, taus in _CURVES:
+            lines += [f"{name},{curve},{tau},{v:.4f}" for tau, v in zip(taus, getattr(r, attr).tolist())]
     return "\n".join(lines) + "\n"

@@ -233,10 +233,10 @@ class Scenario:
             raise ConfigError("duration must be > 0")
         if not 0.0 < self.dt <= 0.1:
             raise ConfigError("dt must lie in (0, 0.1]")
+        if self.duration / self.dt > 1e7:  # before n_steps, which overflows on an infinite quotient
+            raise ConfigError("scenario too long: duration/dt exceeds 1e7 steps")
         if self.n_steps < 1:
             raise ConfigError("duration must span at least one step of dt")
-        if self.duration / self.dt > 1e7:
-            raise ConfigError("scenario too long: duration/dt exceeds 1e7 steps")
         pixels = self.camera.width * self.camera.height
         if self.tracker.kind is TrackerKind.NCC and pixels > MAX_NCC_CAMERA_PIXELS:
             # The NCC tracker renders up to a whole frame of float64 pixels.
@@ -422,7 +422,11 @@ def run_scenario(sc: Scenario) -> RunLog:
                 box = observe(gt_box)
 
             rng_range = sensors.lidar_range(pose, target, lidar_max, lidar_noise)
-            meas = sensors.measure_state(u, psi, r, next(imu_noise))
+            try:
+                meas = sensors.measure_state(u, psi, r, next(imu_noise))
+            except ValueError as exc:  # from wrap_angle: the heading noise overflowed
+                error = f"non-finite heading measurement at t={t}: {exc}"
+                break
             cmd = guidance.guidance_step(box, rng_range, gcfg, cam, gstate)
             if box is None:
                 det_valid, det_cells = 0, no_box

@@ -54,6 +54,7 @@ from helm_bench.sim import (
     SensorNoise,
     run_scenario,
     summarize,
+    sweep_variant,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -451,9 +452,9 @@ def test_noisy_calm_line_golden(kind):
     assert digest == NOISY_GOLDEN_SHA256[kind]
 
 
-def test_criterion_7_determinism(tmp_path, monkeypatch):
-    """Bit-identical reruns, and sweeps invariant to the worker-thread count."""
-    with _criterion("criterion 7 — end-to-end determinism (reruns + thread count)"):
+def test_criterion_7_determinism(tmp_path):
+    """Bit-identical reruns, and each sweep row the summary of its variant run alone."""
+    with _criterion("criterion 7 — end-to-end determinism (reruns + sweep rows = lone variant runs)"):
         scenario = str(SCENARIOS / "sea_line.ini")
         for d in ("a", "b"):
             assert main(["simulate", "--scenario", scenario,
@@ -461,14 +462,17 @@ def test_criterion_7_determinism(tmp_path, monkeypatch):
         for name in ("runlog.csv", "groundtruth.txt", "predictions.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-        outs = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("HELM_BENCH_THREADS", threads)
-            out = tmp_path / f"sweep_{threads}.csv"
-            assert main(["sweep", "--scenario", scenario, "--axis", "sea.visibility",
-                         "--values", "0.4,0.7,1.0", "--out", str(out)]) == 0
-            outs[threads] = out.read_bytes()
-        assert outs["1"] == outs["4"]
+        out = tmp_path / "sweep.csv"
+        values = ["0.4", "0.7", "1.0"]
+        assert main(["sweep", "--scenario", scenario, "--axis", "sea.visibility",
+                     "--values", ",".join(values), "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["sea.visibility", v] for v in values]
+        base = load_scenario(scenario)
+        for index, (value, row) in enumerate(zip(values, rows)):
+            variant = sweep_variant(base, "sea.visibility", value, index)
+            summary = summarize(run_scenario(variant), variant.cost)
+            assert row[2:] == [repr(float(v)) for v in dataclasses.astuple(summary)]
 
 
 def test_criterion_8_report_pipeline_shape(tmp_path):

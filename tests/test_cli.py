@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -143,6 +144,46 @@ class TestSimulate:
         assert "at least one step" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("[DEFAULT]\nduration = 5\n", "unknown section [DEFAULT]"),
+            ("[run]\nduration = 1e308\n", "scenario too long"),
+            ("[run]\ndt = 5e-324\n", "scenario too long"),
+        ],
+    )
+    def test_rejected_scenario_is_exit_1(self, tmp_path, capsys, text, error):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(ini), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert error in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            *(
+                (f"[sensors]\npsi_sigma = 1e308\n[controller]\nkind = {kind}\n",
+                 "non-finite heading measurement at t=")
+                for kind in ("pid", "smc", "lqr")
+            ),
+            ("[sea]\nwave_period = 1e-308\nwave_gain = 1\n", "non-finite wave phase at t="),
+            ("[sea]\nwave_period = 1e-308\nwind_x = 1\n", "non-finite wave phase at t="),
+        ],
+    )
+    def test_non_finite_measurement_or_wave_phase_is_exit_2(self, tmp_path, capsys, text, error):
+        ini = tmp_path / "overflow.ini"
+        ini.write_text(QUICK + "\n" + text)
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(ini), "--out", str(out)]) == 2
+        assert f"run aborted early: {error}" in capsys.readouterr().err
+        first, rest = read(out / "runlog.csv").split("\n", 1)
+        assert first.startswith(f"# error: {error}")
+        log = RunLog.from_csv(rest)
+        assert 0 < len(log) < 51  # truncated at the last good row of a 1 s run
+
     def test_missing_scenario_is_exit_1(self, tmp_path, capsys):
         rc = main(["simulate", "--scenario", str(tmp_path / "no.ini"), "--out", str(tmp_path)])
         assert rc == 1
@@ -249,6 +290,33 @@ class TestEvaluate:
         # success + precision + norm curves for the sequence row and the mean row
         assert len(lines) == 1 + 2 * (101 + 51 + 51)
 
+    def test_tracker_row_is_the_mean_row_of_its_directory(self, tmp_path):
+        """Tracker directory `a` scores, byte for byte, as the `mean` row of `--pred pred/a`."""
+        rng = np.random.default_rng(5)
+        gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+        for s in range(3):
+            gt = [(x + 7.0 * s, y, w + s, h) for x, y, w, h in BOXES]
+            write_boxes(gt_dir / f"s{s}.txt", gt)
+            for tracker, jitter in (("a", 4.0), ("b", 12.0)):
+                moved = [None if rng.uniform() < 0.1 else (x + rng.normal(0.0, jitter), y + rng.normal(0.0, jitter), w, h)
+                         for x, y, w, h in gt]
+                write_boxes(pred_dir / tracker / f"s{s}.txt", moved)
+
+        def evaluate(pred, name):
+            out = tmp_path / name / "report.csv"
+            assert main(["evaluate", "--gt", str(gt_dir), "--pred", str(pred), "--out", str(out),
+                         "--curves"]) == 0
+            report = {ln.split(",", 1)[0]: ln.split(",", 1)[1] for ln in read(out).splitlines()[1:]}
+            curves = [ln.split(",", 1) for ln in read(out.with_name("report_curves.csv")).splitlines()[1:]]
+            return report, curves
+
+        trackers, trackers_curves = evaluate(pred_dir, "trackers")
+        per_seq, per_seq_curves = evaluate(pred_dir / "a", "a")
+        assert list(per_seq) == ["s0", "s1", "s2", "mean"]
+        assert trackers["a"] == per_seq["mean"]
+        assert [v for k, v in trackers_curves if k == "a"] == [v for k, v in per_seq_curves if k == "mean"]
+        assert trackers["a"] != trackers["b"]
+
     def test_missing_prediction_file_is_exit_1(self, tmp_path, capsys):
         gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
         write_boxes(gt_dir / "a.txt", BOXES)
@@ -348,6 +416,15 @@ class TestEvaluate:
         assert main(["evaluate", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
                      "--out", str(out)]) == 0
         assert [ln.split(",")[0] for ln in read(out).splitlines()[1:]] == ["x"]
+
+
+def test_logformat_doc_lists_report_columns_in_order():
+    """The report column table in docs/logformat.md names every REPORT_COLUMNS entry, in order."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "logformat.md").read_text()
+    table = doc.split("## evaluate report columns", 1)[1].split("\n\n", 2)[1]
+    rows = [ln for ln in table.splitlines() if ln.startswith("| `")]
+    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert tuple(names) == REPORT_COLUMNS
 
 
 class TestGains:
@@ -455,6 +532,8 @@ class TestSweep:
             ("camera.width", "0"),  # rejected by CameraIntrinsics validation
             ("sea.wind_velocity", "1"),  # a tuple field cannot take one sweep value
             ("target.edges", "1"),  # a property, not a field: unknown sweep path
+            ("duration", "1e308"),  # duration/dt overflows to inf: too many steps
+            ("dt", "5e-324"),
         ],
     )
     def test_bad_value_is_exit_1(self, tmp_path, capsys, axis, value):

@@ -328,6 +328,18 @@ class TestSchemaEnforcement:
         with pytest.raises(ConfigError, match=r"unknown section \[weather\]"):
             parse_scenario("[weather]\nwind = 3\n")
 
+    @pytest.mark.parametrize("body", ["duration = 5\n", "bogus = 1\n", ""])
+    def test_default_section_is_an_unknown_section(self, body):
+        # configparser would otherwise accept [DEFAULT] and copy its keys
+        # into every other section.
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            parse_scenario(f"[DEFAULT]\n{body}[run]\nname = x\n")
+
+    @pytest.mark.parametrize("key, value", [("duration", "1e308"), ("dt", "5e-324")])
+    def test_overflowing_step_count_is_too_long(self, key, value):
+        with pytest.raises(ConfigError, match="scenario too long"):
+            parse_scenario(f"[run]\n{key} = {value}\n")
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match=r"unknown key 'mass' in \[usv\]"):
             parse_scenario("[usv]\nmass = 20\n")

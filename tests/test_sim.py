@@ -746,7 +746,7 @@ class TestSweep:
 
 
 _FLOAT_TEXTS = ["-0.0", "0", "1e-300", "-1e-300", "1e6", "-1e6",
-                "0.02", "0.5", "-0.5", "1", "-3", "20"]
+                "0.02", "0.5", "-0.5", "1", "-3", "20", "1e308", "5e-324"]
 _INT_TEXTS = ["0", "1", "-1", "2", "1000000", "-1000000"]
 # (section, key, value texts) for every numeric key, then for keys with
 # enum or tuple values
@@ -806,6 +806,10 @@ class TestAcceptedScenarios:
     @settings(max_examples=200, deadline=None)
     @given(scenario_texts())
     @example("[run]\nduration = 1\n[sensors]\nlidar_sigma = -0.0\n")
+    @example("[DEFAULT]\nduration = 5\n")
+    @example("[run]\nduration = 1e308\n")
+    @example("[run]\nduration = 1\n[sensors]\npsi_sigma = 1e308\n")
+    @example("[run]\nduration = 1\n[sea]\nwave_period = 1e-308\nwave_gain = 1\n")
     def test_runs_or_logs_an_abort(self, text):
         try:
             sc = parse_scenario(text)
