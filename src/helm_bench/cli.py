@@ -149,14 +149,14 @@ def _cmd_gains(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sc = config.load_scenario(args.scenario)
+    keys = config.load_keys(args.scenario)
     if args.seed is not None:
-        sc = dataclasses.replace(sc, seed=args.seed)
+        keys["run"]["seed"] = args.seed
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise ConfigError("--values must list at least one value")
-    csv_text = sim.run_sweep(sc, args.axis, values)
-    atomic_write_text(args.out, csv_text)
+    variants = [config.sweep_variant(keys, args.axis, value, i) for i, value in enumerate(values)]
+    atomic_write_text(args.out, sim.run_sweep(args.axis, values, variants))
     print(f"wrote {args.out} ({len(values)} variants)")
     return 0
 
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a one-axis parameter sweep")
     p_sweep.add_argument("--scenario", required=True)
-    p_sweep.add_argument("--axis", required=True, help="dotted scenario path, e.g. controller.kind")
+    p_sweep.add_argument("--axis", required=True, help="scenario-file key as section.key, e.g. controller.kind")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", required=True, help="summary CSV path")
     p_sweep.add_argument("--seed", type=int, default=None, help="override the scenario seed")

@@ -1,7 +1,9 @@
 """Scenario files: INI-style sections with a strict key schema.
 
 Unknown sections or keys are hard errors; every key is optional and falls
-back to the library defaults.
+back to the library defaults. A file parses in two steps: parse_keys turns
+its text into parsed keys, and _build_scenario builds the scenario from
+them. A sweep variant is the file's keys with one key set, built the same way.
 """
 
 from __future__ import annotations
@@ -124,7 +126,28 @@ _SCHEMA: dict[str, dict[str, object]] = {
 }
 
 
-def parse_scenario(text: str, default_name: str = "scenario") -> sim.Scenario:
+def _parse_key(section: str, key: str, raw: str) -> Any:
+    """The value of one scenario-file key from its text: schema lookup, parse and finite check."""
+    if section not in _SCHEMA:
+        raise ConfigError(f"unknown section [{section}]")
+    if key not in _SCHEMA[section]:
+        raise ConfigError(f"unknown key {key!r} in [{section}]")
+    try:
+        value = _SCHEMA[section][key](raw)  # type: ignore[operator]
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+    if not _finite(value):
+        raise ConfigError(f"[{section}] {key}: {raw.strip()!r} is not finite")
+    return value
+
+
+def parse_keys(text: str, default_name: str = "scenario") -> dict[str, dict[str, Any]]:
+    """Step 1 of parsing a scenario file: its {section: {key: value}}, each value parsed.
+
+    [run] name defaults to default_name.
+    """
     # No header names the empty section, so [DEFAULT] is an ordinary, unknown, section.
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str.lower  # type: ignore[assignment]
@@ -133,30 +156,35 @@ def parse_scenario(text: str, default_name: str = "scenario") -> sim.Scenario:
     except configparser.Error as exc:
         raise ConfigError(f"malformed scenario file: {exc}") from None
 
-    values: dict[str, dict[str, Any]] = {}
+    keys: dict[str, dict[str, Any]] = {"run": {"name": default_name}}
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        values[section] = {}
-        for key, raw in cp.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-            parser = _SCHEMA[section][key]
-            try:
-                values[section][key] = parser(raw)  # type: ignore[operator]
-            except ConfigError:
-                raise
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from None
-            if not _finite(values[section][key]):
-                raise ConfigError(f"[{section}] {key}: {raw.strip()!r} is not finite")
+        keys.setdefault(section, {}).update((key, _parse_key(section, key, raw)) for key, raw in cp.items(section))
+    return keys
 
+
+def parse_scenario(text: str, default_name: str = "scenario") -> sim.Scenario:
+    return _build_scenario(parse_keys(text, default_name))
+
+
+def sweep_variant(keys: dict[str, dict[str, Any]], axis: str, value: str, index: int) -> sim.Scenario:
+    """The scenario of parse_keys' keys with the one key axis, written section.key, set to the text value.
+
+    The variant is named base[axis=value] and runs with a seed derived from
+    the base seed and its index, so run.seed and run.name cannot be an axis.
+    """
+    if axis in ("run.seed", "run.name"):
+        raise ConfigError(f"cannot sweep {axis}: each variant gets a derived seed and a name of its own")
+    section, _, key = axis.partition(".")
+    run = keys["run"]
+    seed = sim.derived_seed(run.get("seed", sim.Scenario.seed), f"sweep:{index}")
     try:
-        return _build_scenario(values, default_name)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
+        variant = keys | {section: keys.get(section, {}) | {key: _parse_key(section, key, value)}}
+        variant["run"] = variant["run"] | {"seed": seed, "name": f"{run['name']}[{axis}={value}]"}
+        return _build_scenario(variant)
+    except ConfigError as exc:
+        raise ConfigError(f"{axis}: {exc}") from None
 
 
 def _make(cls, section: dict[str, Any], **kwargs: Any):
@@ -168,7 +196,8 @@ def _make(cls, section: dict[str, Any], **kwargs: Any):
     return cls(**picked, **kwargs)
 
 
-def _build_scenario(values: dict[str, dict[str, Any]], default_name: str) -> sim.Scenario:
+def _build_scenario(values: dict[str, dict[str, Any]]) -> sim.Scenario:
+    """Step 2 of parsing: the scenario that parsed keys describe; a value it rejects is a ConfigError."""
     sections = ("usv", "sea", "target", "tracker", "controller", "cost")
     usv, sea, tgt, trk, ctl, cost = (values.get(name, {}) for name in sections)
 
@@ -185,40 +214,52 @@ def _build_scenario(values: dict[str, dict[str, Any]], default_name: str) -> sim
     vertices = tgt.get("vertices")
     if vertices is None and tgt.get("kind") is sim.TrajectoryKind.TRIANGLE:
         vertices = sim.default_triangle(**given(tgt, center="triangle_center", side="triangle_side"))
-    return _make(
-        sim.Scenario,
-        {"name": default_name} | values.get("run", {}),
-        params=_make(UsvParams, usv),
-        initial=BodyState(
-            pose=Pose2D(**given(usv, x="x0", y="y0", psi="psi0")), **given(usv, u="u0", r="r0")
-        ),
-        sea=_make(dynamics.SeaState, sea, wind_velocity=wind),
-        target=_make(
-            sim.TrajectorySpec,
-            tgt,
-            origin=Pose2D(**given(tgt, x="x0", y="y0", psi="psi0")),
-            vertices=vertices,
-        ),
-        tracker=_make(sim.TrackerSpec, trk, noise=_make(sensors.TrackerNoiseConfig, trk)),
-        controller=_make(
-            sim.ControllerSpec,
-            ctl,
-            pid=_make(control.PidGains, ctl),
-            smc=_make(control.SmcGains, ctl),
-            lqr=control.LqrWeights(**diagonals(ctl, Q="lqr_q", R="lqr_r")),
-        ),
-        cost=_make(
-            metrics.CostWeights, cost, **diagonals(cost, Q_pixel="q_pixel", R_effort="r_effort")
-        ),
-        camera=_make(CameraIntrinsics, values.get("camera", {})),
-        guidance_cfg=_make(guidance.GuidanceConfig, values.get("guidance", {})),
-        sensor_noise=_make(sim.SensorNoise, values.get("sensors", {})),
-    )
+    try:
+        return _make(
+            sim.Scenario,
+            values.get("run", {}),
+            params=_make(UsvParams, usv),
+            initial=BodyState(
+                pose=Pose2D(**given(usv, x="x0", y="y0", psi="psi0")), **given(usv, u="u0", r="r0")
+            ),
+            sea=_make(dynamics.SeaState, sea, wind_velocity=wind),
+            target=_make(
+                sim.TrajectorySpec,
+                tgt,
+                origin=Pose2D(**given(tgt, x="x0", y="y0", psi="psi0")),
+                vertices=vertices,
+            ),
+            tracker=_make(sim.TrackerSpec, trk, noise=_make(sensors.TrackerNoiseConfig, trk)),
+            controller=_make(
+                sim.ControllerSpec,
+                ctl,
+                pid=_make(control.PidGains, ctl),
+                smc=_make(control.SmcGains, ctl),
+                lqr=control.LqrWeights(**diagonals(ctl, Q="lqr_q", R="lqr_r")),
+            ),
+            cost=_make(
+                metrics.CostWeights, cost, **diagonals(cost, Q_pixel="q_pixel", R_effort="r_effort")
+            ),
+            camera=_make(CameraIntrinsics, values.get("camera", {})),
+            guidance_cfg=_make(guidance.GuidanceConfig, values.get("guidance", {})),
+            sensor_noise=_make(sim.SensorNoise, values.get("sensors", {})),
+        )
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def load_scenario(path) -> sim.Scenario:
-    """Parse a UTF-8 scenario file; a missing path, a non-file or undecodable text is a ConfigError."""
+def load_keys(path) -> dict[str, dict[str, Any]]:
+    """The parsed keys of a UTF-8 scenario file, named after its stem by default.
+
+    A missing path, a non-file or undecodable text is a ConfigError.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    return parse_scenario(read_utf8(path, ConfigError, "scenario path"), default_name=path.stem)
+    return parse_keys(read_utf8(path, ConfigError, "scenario path"), default_name=path.stem)
+
+
+def load_scenario(path) -> sim.Scenario:
+    return _build_scenario(load_keys(path))

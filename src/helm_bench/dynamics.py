@@ -112,10 +112,13 @@ def _forcing(
     if sea.wave_gain == 0.0 and sea.wind_velocity == (0.0, 0.0):
         return 0.0, 0.0, 0.0, 0.0
     arg = 2.0 * math.pi * t / sea.wave_period + sea.wave_phase
-    if not math.isfinite(arg):  # math.sin would raise ValueError
+    if math.isfinite(arg):
+        f_surge = sea.wave_gain * sea.wave_force_amp * math.sin(arg)
+        tau_yaw = sea.wave_gain * sea.wave_torque_amp * math.sin(arg + math.pi / 2.0)
+    elif sea.wave_gain == 0.0:  # zero waves at any phase; math.sin would raise ValueError
+        f_surge = tau_yaw = 0.0
+    else:
         raise IntegrationError(f"non-finite wave phase at t={t}: {arg!r}")
-    f_surge = sea.wave_gain * sea.wave_force_amp * math.sin(arg)
-    tau_yaw = sea.wave_gain * sea.wave_torque_amp * math.sin(arg + math.pi / 2.0)
     vx = u * math.cos(psi)
     vy = u * math.sin(psi)
     scale = sea.wind_drag_coeff / params.m

@@ -9,7 +9,6 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import get_type_hints
 
 import numpy as np
 
@@ -80,6 +79,8 @@ class TrajectorySpec:
 
 def default_triangle(center: tuple[float, float] = (40.0, 0.0), side: float = 20.0):
     """Equilateral vertex set, first vertex straight above the centroid."""
+    if not side > 0.0:  # a negative side would put the first vertex below it
+        raise ConfigError("triangle_side must be > 0")
     radius = side / math.sqrt(3.0)
     return tuple(
         (
@@ -514,59 +515,6 @@ def derived_seed(seed: int, label: str) -> int:
     return int(stream(seed, label).integers(0, 2**62))
 
 
-def _set_by_path(sc: Scenario, path: str, value):
-    """Replace a nested scenario field addressed by a dotted path.
-
-    The value's text is parsed as a scenario file parses the field's key, so
-    any field a key can set can be swept, and a float must be finite.
-    """
-    from . import config  # config imports this module
-
-    parts = path.split(".")
-    chain = [sc]  # the scenario, then the value each segment names
-    for p in parts:
-        obj = chain[-1]
-        if not (dataclasses.is_dataclass(obj) and any(f.init and f.name == p for f in dataclasses.fields(obj))):
-            raise ConfigError(f"unknown sweep path: {path}")
-        chain.append(getattr(obj, p))
-    hint = get_type_hints(type(chain[-2]))[parts[-1]]
-    parser = config._parser(hint)
-    if parser is None:
-        raise ConfigError(f"{path}: cannot sweep a field of type {type(chain[-1]).__name__}")
-    try:
-        rebuilt = parser(_format_value(value))
-    except (ValueError, TypeError):
-        kind = getattr(hint, "__name__", hint)
-        raise ConfigError(f"{path}: cannot parse {value!r} as {kind}") from None
-    if not config._finite(rebuilt):
-        raise ConfigError(f"{path}: {rebuilt!r} is not finite")
-    try:
-        for obj, name in zip(chain[-2::-1], parts[::-1]):
-            rebuilt = dataclasses.replace(obj, **{name: rebuilt})
-    except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
-        raise ConfigError(f"{path}: {exc}") from None
-    return rebuilt
-
-
-def sweep_variant(base: Scenario, axis: str, value, index: int) -> Scenario:
-    """Materialize one sweep point with its derived seed and name."""
-    if axis in ("seed", "name"):
-        raise ConfigError(f"cannot sweep {axis}: each variant gets a derived seed and a name of its own")
-    sc = _set_by_path(base, axis, value)
-    sc = dataclasses.replace(
-        sc,
-        seed=derived_seed(base.seed, f"sweep:{index}"),
-        name=f"{base.name}[{axis}={_format_value(value)}]",
-    )
-    return sc
-
-
-def _format_value(value) -> str:
-    if isinstance(value, enum.Enum):
-        return value.value
-    return str(value)
-
-
 SWEEP_COLUMNS = (
     "axis",
     "value",
@@ -580,25 +528,24 @@ SWEEP_COLUMNS = (
 )
 
 
-def sweep(base: Scenario, axis: str, values: list) -> list[tuple[object, RunSummary]]:
-    """Run one variant per value (independent derived seeds), in input order.
+def sweep(variants: list[Scenario]) -> list[RunSummary]:
+    """Run each variant and summarize it, in input order.
 
     A variant whose run aborts raises IntegrationError.
     """
-    variants = [sweep_variant(base, axis, v, i) for i, v in enumerate(values)]
-    rows = []
-    for value, sc in zip(values, variants):
+    summaries = []
+    for sc in variants:
         log = run_scenario(sc)
         if log.error is not None:
             raise IntegrationError(f"{sc.name}: run aborted early: {log.error}")
-        rows.append((value, summarize(log, sc.cost)))
-    return rows
+        summaries.append(summarize(log, sc.cost))
+    return summaries
 
 
-def run_sweep(base: Scenario, axis: str, values: list) -> str:
-    """Run every variant and render the summary CSV (rows in input order)."""
+def run_sweep(axis: str, values: list[str], variants: list[Scenario]) -> str:
+    """Run every variant and render the summary CSV: one row per value text, written as given."""
     lines = [",".join(SWEEP_COLUMNS)]
-    for value, summary in sweep(base, axis, values):
+    for value, summary in zip(values, sweep(variants), strict=True):
         cells = [repr(float(v)) for v in dataclasses.astuple(summary)]
-        lines.append(",".join([axis, _format_value(value), *cells]))
+        lines.append(",".join([axis, value, *cells]))
     return "\n".join(lines) + "\n"

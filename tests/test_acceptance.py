@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from helm_bench.cli import main
-from helm_bench.config import load_scenario
+from helm_bench.config import load_keys, load_scenario, sweep_variant
 from helm_bench.control import LqrWeights, SmcGains, lqr_gain
 from helm_bench.core import Box, CameraIntrinsics, UsvParams, box_center
 from helm_bench.dynamics import SeaState, step
@@ -54,7 +54,6 @@ from helm_bench.sim import (
     SensorNoise,
     run_scenario,
     summarize,
-    sweep_variant,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -468,9 +467,9 @@ def test_criterion_7_determinism(tmp_path):
                      "--values", ",".join(values), "--out", str(out)]) == 0
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
         assert [row[:2] for row in rows] == [["sea.visibility", v] for v in values]
-        base = load_scenario(scenario)
+        keys = load_keys(scenario)
         for index, (value, row) in enumerate(zip(values, rows)):
-            variant = sweep_variant(base, "sea.visibility", value, index)
+            variant = sweep_variant(keys, "sea.visibility", value, index)
             summary = summarize(run_scenario(variant), variant.cost)
             assert row[2:] == [repr(float(v)) for v in dataclasses.astuple(summary)]
 

@@ -11,7 +11,7 @@ import pytest
 
 from helm_bench.cli import main
 from helm_bench.metrics import REPORT_COLUMNS, Boxes, format_boxes, load_boxes
-from helm_bench.sim import LOG_COLUMNS, RunLog
+from helm_bench.sim import LOG_COLUMNS, SWEEP_COLUMNS, RunLog
 
 SEA_LINE = Path(__file__).resolve().parent.parent / "scenarios" / "sea_line.ini"
 SEA_TRIANGLE = SEA_LINE.with_name("sea_triangle.ini")
@@ -170,7 +170,6 @@ class TestSimulate:
                 for kind in ("pid", "smc", "lqr")
             ),
             ("[sea]\nwave_period = 1e-308\nwave_gain = 1\n", "non-finite wave phase at t="),
-            ("[sea]\nwave_period = 1e-308\nwind_x = 1\n", "non-finite wave phase at t="),
         ],
     )
     def test_non_finite_measurement_or_wave_phase_is_exit_2(self, tmp_path, capsys, text, error):
@@ -183,6 +182,18 @@ class TestSimulate:
         assert first.startswith(f"# error: {error}")
         log = RunLog.from_csv(rest)
         assert 0 < len(log) < 51  # truncated at the last good row of a 1 s run
+
+    def test_zero_gain_waves_at_a_non_finite_phase_run_to_the_end(self, tmp_path):
+        # with wind on, the wave phase is computed; at zero gain it adds no force
+        outs = []
+        for period in ("1e-308", "5"):
+            ini = tmp_path / f"wind_{period}.ini"
+            ini.write_text(QUICK + f"\n[sea]\nwave_period = {period}\nwind_x = 1\n")
+            out = tmp_path / f"run_{period}"
+            assert main(["simulate", "--scenario", str(ini), "--out", str(out)]) == 0
+            outs.append(read(out / "runlog.csv"))
+        assert len(RunLog.from_csv(outs[0])) == 51
+        assert outs[0] == outs[1]
 
     def test_missing_scenario_is_exit_1(self, tmp_path, capsys):
         rc = main(["simulate", "--scenario", str(tmp_path / "no.ini"), "--out", str(tmp_path)])
@@ -427,6 +438,15 @@ def test_logformat_doc_lists_report_columns_in_order():
     assert tuple(names) == REPORT_COLUMNS
 
 
+def test_logformat_doc_lists_sweep_columns_in_order():
+    """The sweep column table in docs/logformat.md names every SWEEP_COLUMNS entry, in order."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "logformat.md").read_text()
+    section = doc.split("## sweep CSV", 1)[1].split("\n## ", 1)[0]
+    rows = [ln for ln in section.splitlines() if ln.startswith("| `")]
+    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert tuple(names) == SWEEP_COLUMNS
+
+
 class TestGains:
     def test_lqr_prints_gain_and_spectrum(self, tmp_path, capsys):
         ini = tmp_path / "lqr.ini"
@@ -500,18 +520,24 @@ class TestSweep:
         assert [ln.split(",")[0] for ln in lines[1:]] == ["sea.visibility"] * 2
         assert [ln.split(",")[1] for ln in lines[1:]] == ["1.0", "0.5"]
 
-    def test_thread_env_does_not_change_results(self, quick_ini, tmp_path, monkeypatch):
-        outs = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("HELM_BENCH_THREADS", threads)
-            out = tmp_path / f"sweep_{threads}.csv"
-            assert main(["sweep", "--scenario", str(quick_ini), "--axis", "sea.visibility",
-                         "--values", "1.0,0.7,0.4", "--out", str(out)]) == 0
-            outs[threads] = read(out)
-        assert outs["1"] == outs["4"]
+    @pytest.mark.parametrize(
+        "scenario, axis, values, digest",
+        [
+            ("calm_line", "controller.kind", "pid,smc,lqr",
+             "28e809376a2393f1b787a3a2ce27ef2e0773aa8b9c0d8ef31bdd8504e98189fc"),
+            ("ncc_approach", "tracker.ncc_search_halfwidth", "auto,8",
+             "f9bc03b90453f7098c775879536cef77be716bb903525cefbe711c9128e476f1"),
+        ],
+        ids=["calm_line", "ncc_approach"],
+    )
+    def test_sweep_csv_golden(self, tmp_path, scenario, axis, values, digest):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--scenario", str(SEA_LINE.with_name(f"{scenario}.ini")), "--axis", axis,
+                     "--values", values, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_int_or_auto_field_on_an_auto_scenario(self, tmp_path):
-        # the value type follows the field's annotation, not the base value (auto)
+        # the value type follows the key's parser, not the base value (auto)
         out = tmp_path / "s.csv"
         rc = main(["sweep", "--scenario", str(SEA_LINE.with_name("calm_line.ini")),
                    "--axis", "tracker.ncc_search_halfwidth", "--values", "auto,8",
@@ -530,10 +556,12 @@ class TestSweep:
             ("sea.visibility", "1.5"),  # rejected by SeaState validation
             ("target.extent", "0"),  # rejected by TrajectorySpec validation
             ("camera.width", "0"),  # rejected by CameraIntrinsics validation
-            ("sea.wind_velocity", "1"),  # a tuple field cannot take one sweep value
-            ("target.edges", "1"),  # a property, not a field: unknown sweep path
-            ("duration", "1e308"),  # duration/dt overflows to inf: too many steps
-            ("dt", "5e-324"),
+            ("sea.wind_velocity", "1"),  # a field, but no file key: wind_x and wind_y set it
+            ("target.edges", "1"),  # a property, not a key
+            ("guidance_cfg.standoff", "5"),  # a dataclass path: guidance.standoff is the key
+            ("controller.pid.kp_u", "1"),
+            ("run.duration", "1e308"),  # duration/dt overflows to inf: too many steps
+            ("run.dt", "5e-324"),
         ],
     )
     def test_bad_value_is_exit_1(self, tmp_path, capsys, axis, value):
@@ -545,7 +573,7 @@ class TestSweep:
         assert axis in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("axis", ["seed", "name"])
+    @pytest.mark.parametrize("axis", ["run.seed", "run.name"])
     def test_seed_or_name_axis_is_exit_1(self, quick_ini, tmp_path, capsys, axis):
         # each variant overwrites both, so the values would be ignored
         out = tmp_path / "s.csv"

@@ -1,5 +1,6 @@
 """Target trajectories, the closed-loop driver, run summaries, and sweeps."""
 
+import configparser
 import dataclasses
 import math
 import re
@@ -12,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helm_bench import control, core, sensors, sim
-from helm_bench.config import _SCHEMA, load_scenario, parse_scenario
+from helm_bench.config import _SCHEMA, load_scenario, parse_keys, parse_scenario, sweep_variant
 from helm_bench.core import BodyState, ConfigError, IntegrationError, Pose2D
 from helm_bench.dynamics import SeaState
 from helm_bench.guidance import GuidanceCommand, GuidanceConfig, GuidanceMode
@@ -33,7 +34,6 @@ from helm_bench.sim import (
     run_scenario,
     summarize,
     sweep,
-    sweep_variant,
     target_pose,
 )
 from test_metrics import _bits
@@ -689,15 +689,38 @@ class TestSummarize:
         assert s.tv_total == pytest.approx(8.0)
 
 
+# The quick scenario as a file: its sections and their key texts.
+QUICK_KEYS = {
+    "run": {"name": "quick", "duration": "1.0", "dt": "0.02", "seed": "0"},
+    "target": {"x0": "15", "speed": "0.5"},
+    "tracker": {"sigma_center_px": "0", "sigma_scale": "0", "p_drop_base": "0"},
+}
+
+
+def scenario_text(sections: dict[str, dict[str, str]]) -> str:
+    return "".join(
+        f"[{sec}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for sec, keys in sections.items()
+    )
+
+
+def quick_keys() -> dict:
+    return parse_keys(scenario_text(QUICK_KEYS))
+
+
 class TestSweep:
+    def test_quick_file_is_the_quick_scenario(self):
+        assert repr(parse_scenario(scenario_text(QUICK_KEYS))) == repr(quick_scenario())
+
     def test_variant_naming_and_seed_derivation(self):
-        base = quick_scenario()
-        v0 = sweep_variant(base, "sea.visibility", 0.5, 0)
-        v1 = sweep_variant(base, "sea.visibility", 0.8, 1)
+        keys = quick_keys()
+        v0 = sweep_variant(keys, "sea.visibility", "0.5", 0)
+        v1 = sweep_variant(keys, "sea.visibility", "0.8", 1)
         assert v0.name == "quick[sea.visibility=0.5]"
         assert v0.sea.visibility == 0.5
-        assert v0.seed == derived_seed(base.seed, "sweep:0")
-        assert v0.seed != v1.seed != base.seed
+        assert v0.seed == derived_seed(0, "sweep:0")
+        assert v0.seed != v1.seed != 0
+        assert keys == quick_keys()  # the base keys are left as they were
 
     def test_derived_seed_is_stable(self):
         assert derived_seed(0, "sweep:0") == derived_seed(0, "sweep:0")
@@ -705,7 +728,7 @@ class TestSweep:
 
     def test_unknown_path_rejected(self):
         with pytest.raises(ConfigError):
-            sweep_variant(quick_scenario(), "sea.depth", 1.0, 0)
+            sweep_variant(quick_keys(), "sea.depth", "1.0", 0)
 
     @pytest.mark.parametrize(
         "path",
@@ -714,35 +737,49 @@ class TestSweep:
          "camera.cx", "camera.hfov", "sea.visibility.real", "target.origin.x.real"],
     )
     def test_a_name_that_is_no_init_field_is_an_unknown_path(self, path):
-        with pytest.raises(ConfigError, match=f"^unknown sweep path: {re.escape(path)}$"):
-            sweep_variant(quick_scenario(), path, "1", 0)
+        # an axis is a file key, section.key, and none of these names is one
+        section, _, key = path.partition(".")
+        unknown = f"unknown key {key!r} in [{section}]" if key else f"unknown section [{section}]"
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {unknown}')}$"):
+            sweep_variant(quick_keys(), path, "1", 0)
 
     def test_nested_init_fields_still_sweep(self):
-        v = sweep_variant(quick_scenario(), "target.origin.x", "12", 0)
+        v = sweep_variant(quick_keys(), "target.x0", "12", 0)
         assert v.target.origin.x == 12.0 and v.target.speed == 0.5
-        v = sweep_variant(quick_scenario(), "tracker.noise.sigma_scale", "0.1", 0)
+        v = sweep_variant(quick_keys(), "tracker.sigma_scale", "0.1", 0)
         assert v.tracker.noise.sigma_scale == 0.1
 
     def test_numeric_coercion_follows_field_type(self):
-        v = sweep_variant(quick_scenario(), "sensor_noise.frame_stride", "3", 0)
+        v = sweep_variant(quick_keys(), "sensors.frame_stride", "3", 0)
         assert v.sensor_noise.frame_stride == 3
-        v = sweep_variant(quick_scenario(), "sea.wave_gain", "0.25", 0)
+        v = sweep_variant(quick_keys(), "sea.wave_gain", "0.25", 0)
         assert v.sea.wave_gain == 0.25
-        # the field's annotation (int | None) decides, not the base value
-        v = sweep_variant(quick_scenario(), "tracker.ncc_search_halfwidth", "8", 0)
+        # the key's parser (int or auto) decides, not the base value
+        v = sweep_variant(quick_keys(), "tracker.ncc_search_halfwidth", "8", 0)
         assert v.tracker.ncc_search_halfwidth == 8
-        v = sweep_variant(v, "tracker.ncc_search_halfwidth", "auto", 0)
+        keys = quick_keys()
+        keys["tracker"]["ncc_search_halfwidth"] = 8
+        v = sweep_variant(keys, "tracker.ncc_search_halfwidth", "auto", 0)
         assert v.tracker.ncc_search_halfwidth is None
 
     def test_results_in_input_order(self):
-        rows = sweep(quick_scenario(), "sea.visibility", [0.9, 0.3, 0.6])
-        assert [v for v, _ in rows] == [0.9, 0.3, 0.6]
+        variants = [sweep_variant(quick_keys(), "sea.visibility", v, i) for i, v in enumerate(["0.9", "0.3", "0.6"])]
+        assert sweep(variants) == [summarize(run_scenario(v), v.cost) for v in variants]
 
     def test_aborted_variant_is_an_integration_error(self):
         # u0 = 1e308 leaves the finite domain in the first step
-        base = quick_scenario(initial=BodyState(u=1e308))
+        keys = parse_keys(scenario_text(QUICK_KEYS | {"usv": {"u0": "1e308"}}))
         with pytest.raises(IntegrationError, match=r"quick\[sea.visibility=0.5\]: run aborted"):
-            sweep(base, "sea.visibility", [0.5])
+            sweep([sweep_variant(keys, "sea.visibility", "0.5", 0)])
+
+    @pytest.mark.parametrize("side", ["-20", "0"])
+    def test_triangle_side_must_be_positive(self, side):
+        # a negative side would give the point-reflected triangle, first vertex below the centroid
+        text = f"[target]\nkind = triangle\ntriangle_side = {side}\n"
+        with pytest.raises(ConfigError, match="triangle_side must be > 0"):
+            parse_scenario(text)
+        with pytest.raises(ConfigError, match="^target.triangle_side: triangle_side must be > 0$"):
+            sweep_variant(parse_keys("[target]\nkind = triangle\n"), "target.triangle_side", side, 0)
 
 
 _FLOAT_TEXTS = ["-0.0", "0", "1e-300", "-1e-300", "1e6", "-1e6",
@@ -770,6 +807,45 @@ _NCC_KEYS = [
 ]
 
 
+def _built(build):
+    """The scenario build() returns, or None if it raises ConfigError."""
+    try:
+        return build()
+    except ConfigError:
+        return None
+
+
+def _assert_sweep_is_file(base: dict[str, dict[str, str]], sec: str, key: str, text: str) -> Scenario | None:
+    """A one-value sweep of base's file over sec.key does what that file with the key set does."""
+    variant = _built(lambda: sweep_variant(parse_keys(scenario_text(base)), f"{sec}.{key}", text, 0))
+    sections = {name: dict(keys) for name, keys in base.items()}
+    sections.setdefault(sec, {})[key] = text
+    parsed = _built(lambda: parse_scenario(scenario_text(sections)))
+    assert (variant is None) == (parsed is None), (sec, key, text)
+    if variant is not None:
+        assert repr(variant) == repr(dataclasses.replace(parsed, seed=variant.seed, name=variant.name))
+    return variant
+
+
+class TestSweepIsTheFileWithOneKeySet:
+    @pytest.mark.parametrize(
+        "sec, key, texts",
+        # every key the scenario strategy draws, but the seed, which no sweep may set
+        [pytest.param(*k, id=f"{k[0]}.{k[1]}") for k in _KEYS + _NCC_KEYS if k[:2] != ("run", "seed")],
+    )
+    def test_quick_scenario(self, sec, key, texts):
+        for text in texts:
+            _assert_sweep_is_file(QUICK_KEYS, sec, key, text)
+
+    @pytest.mark.parametrize("sec, key, text", [("target", "kind", "triangle"), ("sea", "wind_x", "0")])
+    def test_sea_line(self, sec, key, text):
+        # a triangle without vertices gets the default ones; wind_x is a key but no dataclass field
+        sea_line = configparser.ConfigParser()
+        sea_line.read(SCENARIOS / "sea_line.ini")
+        variant = _assert_sweep_is_file({name: dict(sea_line[name]) for name in sea_line.sections()}, sec, key, text)
+        assert variant is not None
+
+
 @st.composite
 def scenario_texts(draw) -> str:
     """Scenario text setting one to four keys, at most 1 s long.
@@ -794,10 +870,7 @@ def scenario_texts(draw) -> str:
         if (sec, key) == ("run", "duration"):
             value = str(min(float(value), float(sections["run"]["duration"])))
         sections.setdefault(sec, {})[key] = value
-    return "".join(
-        f"[{sec}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
-        for sec, keys in sections.items()
-    )
+    return scenario_text(sections)
 
 
 class TestAcceptedScenarios:
