@@ -44,8 +44,8 @@ def _cmd_simulate(args) -> int:
         return 2
     summary = sim.summarize(log, sc.cost)
     print(
-        f"{sc.name}: {len(log)} records, settling={summary.settling_time:.3g} s, "
-        f"rms_e_psi_ss={summary.rms_e_psi_ss:.4g} rad, J={summary.cost:.6g}"
+        f"{sc.name}: {len(log)} records, settling={summary.settling_time_s:.3g} s, "
+        f"rms_e_psi_ss={summary.rms_e_psi_ss:.4g} rad, J={summary.cost_J:.6g}"
     )
     return 0
 

@@ -14,9 +14,7 @@ import enum
 import functools
 import math
 from pathlib import Path
-from typing import Any, get_type_hints
-
-import numpy as np
+from typing import Any, get_args, get_origin, get_type_hints
 
 from . import control, dynamics, guidance, metrics, sensors, sim
 from .core import BodyState, CameraIntrinsics, ConfigError, Pose2D, UsvParams
@@ -63,9 +61,11 @@ def _parse_halfwidth(s: str) -> int | None:
 
 
 def _parser(hint: Any):
-    """Parser for a field annotated with hint; None if the field is not a scalar."""
+    """Parser for a field annotated with hint; None if no key sets such a field."""
     if hint is float or hint is int:
         return hint
+    if get_origin(hint) is tuple and set(get_args(hint)) == {float}:
+        return functools.partial(_parse_floats, n=len(get_args(hint)))
     if hint is str:
         return _parse_str
     if hint == int | None:
@@ -75,8 +75,9 @@ def _parser(hint: Any):
     return None
 
 
-# The dataclasses whose scalar init fields each section sets. A field's key is
-# its name in lower case, prefixed for the gain sets that share [controller].
+# The dataclasses whose scalar and float-tuple init fields each section sets. A
+# field's key is its name in lower case, prefixed for the gain and weight sets
+# that share [controller].
 _SECTIONS: dict[str, tuple[type, ...]] = {
     "run": (sim.Scenario,),
     "usv": (UsvParams,),
@@ -86,29 +87,24 @@ _SECTIONS: dict[str, tuple[type, ...]] = {
     "sensors": (sim.SensorNoise,),
     "target": (sim.TrajectorySpec,),
     "tracker": (sim.TrackerSpec, sensors.TrackerNoiseConfig),
-    "controller": (sim.ControllerSpec, control.PidGains, control.SmcGains),
+    "controller": (sim.ControllerSpec, control.PidGains, control.SmcGains, control.LqrWeights),
     "cost": (metrics.CostWeights,),
 }
-_PREFIXES = {control.PidGains: "pid_", control.SmcGains: "smc_"}
+_PREFIXES = {control.PidGains: "pid_", control.SmcGains: "smc_", control.LqrWeights: "lqr_"}
 
-# The keys that are not a scalar field: initial states, the wind vector, the
-# triangle geometry and the diagonals of weight matrices.
-_FLOATS_2 = functools.partial(_parse_floats, n=2)
+# The keys that are not a field: initial states and the triangle geometry.
 _EXTRA_KEYS: dict[str, dict[str, object]] = {
     "usv": dict.fromkeys(("x0", "y0", "psi0", "u0", "r0"), float),
-    "sea": dict.fromkeys(("wind_x", "wind_y"), float),
     "target": dict.fromkeys(("x0", "y0", "psi0"), float) | {
         "vertices": _parse_vertices,
-        "triangle_center": _FLOATS_2,
+        "triangle_center": functools.partial(_parse_floats, n=2),
         "triangle_side": float,
     },
-    "controller": {"lqr_q": functools.partial(_parse_floats, n=3), "lqr_r": _FLOATS_2},
-    "cost": {"q_pixel": _FLOATS_2, "r_effort": _FLOATS_2},
 }
 
 
-def _scalar_fields(cls: type) -> dict[str, tuple[str, object]]:
-    """Key -> (field name, parser) for each scalar init field of a config dataclass."""
+def _key_fields(cls: type) -> dict[str, tuple[str, object]]:
+    """Key -> (field name, parser) for each init field of a config dataclass that a key sets."""
     hints = get_type_hints(cls)
     prefix = _PREFIXES.get(cls, "")
     return {
@@ -118,7 +114,7 @@ def _scalar_fields(cls: type) -> dict[str, tuple[str, object]]:
     }
 
 
-_FIELDS = {cls: _scalar_fields(cls) for classes in _SECTIONS.values() for cls in classes}
+_FIELDS = {cls: _key_fields(cls) for classes in _SECTIONS.values() for cls in classes}
 _SCHEMA: dict[str, dict[str, object]] = {
     section: {key: parser for cls in classes for key, (_, parser) in _FIELDS[cls].items()}
     | _EXTRA_KEYS.get(section, {})
@@ -188,7 +184,7 @@ def sweep_variant(keys: dict[str, dict[str, Any]], axis: str, value: str, index:
 
 
 def _make(cls, section: dict[str, Any], **kwargs: Any):
-    """cls from the section's keys that name its scalar fields, plus kwargs.
+    """cls from the section's keys that name its fields, plus kwargs.
 
     Keys the file leaves out are not passed, so the dataclass defaults apply.
     """
@@ -198,19 +194,12 @@ def _make(cls, section: dict[str, Any], **kwargs: Any):
 
 def _build_scenario(values: dict[str, dict[str, Any]]) -> sim.Scenario:
     """Step 2 of parsing: the scenario that parsed keys describe; a value it rejects is a ConfigError."""
-    sections = ("usv", "sea", "target", "tracker", "controller", "cost")
-    usv, sea, tgt, trk, ctl, cost = (values.get(name, {}) for name in sections)
+    usv, tgt, trk, ctl = (values.get(name, {}) for name in ("usv", "target", "tracker", "controller"))
 
     def given(section: dict[str, Any], **keys: str) -> dict[str, Any]:
         """Field -> value for each hand-written key (field=key) that a section sets."""
         return {name: section[key] for name, key in keys.items() if key in section}
 
-    def diagonals(section: dict[str, Any], **keys: str) -> dict[str, np.ndarray]:
-        """Like given, for keys that list the diagonal of a weight matrix."""
-        return {name: np.diag(value) for name, value in given(section, **keys).items()}
-
-    calm_x, calm_y = dynamics.SeaState.wind_velocity  # the dataclass default
-    wind = (sea.get("wind_x", calm_x), sea.get("wind_y", calm_y))
     vertices = tgt.get("vertices")
     if vertices is None and tgt.get("kind") is sim.TrajectoryKind.TRIANGLE:
         vertices = sim.default_triangle(**given(tgt, center="triangle_center", side="triangle_side"))
@@ -222,7 +211,7 @@ def _build_scenario(values: dict[str, dict[str, Any]]) -> sim.Scenario:
             initial=BodyState(
                 pose=Pose2D(**given(usv, x="x0", y="y0", psi="psi0")), **given(usv, u="u0", r="r0")
             ),
-            sea=_make(dynamics.SeaState, sea, wind_velocity=wind),
+            sea=_make(dynamics.SeaState, values.get("sea", {})),
             target=_make(
                 sim.TrajectorySpec,
                 tgt,
@@ -235,11 +224,9 @@ def _build_scenario(values: dict[str, dict[str, Any]]) -> sim.Scenario:
                 ctl,
                 pid=_make(control.PidGains, ctl),
                 smc=_make(control.SmcGains, ctl),
-                lqr=control.LqrWeights(**diagonals(ctl, Q="lqr_q", R="lqr_r")),
+                lqr=_make(control.LqrWeights, ctl),
             ),
-            cost=_make(
-                metrics.CostWeights, cost, **diagonals(cost, Q_pixel="q_pixel", R_effort="r_effort")
-            ),
+            cost=_make(metrics.CostWeights, values.get("cost", {})),
             camera=_make(CameraIntrinsics, values.get("camera", {})),
             guidance_cfg=_make(guidance.GuidanceConfig, values.get("guidance", {})),
             sensor_noise=_make(sim.SensorNoise, values.get("sensors", {})),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,33 +58,22 @@ class SmcGains:
 
 @dataclass(frozen=True)
 class LqrWeights:
-    """State and effort weights for the decoupled surge/yaw regulator.
+    """Diagonal state and effort weights for the decoupled surge/yaw regulator.
 
-    Q penalizes (u, psi, r) deviations, R the (T1, T2) effort. The solver
-    exploits the plant's exact {u} x {psi, r} decoupling, so Q must carry no
-    surge/yaw cross terms and R must be diagonal.
+    q weighs the (u, psi, r) deviations and r the (T1, T2) effort: the
+    diagonals of Q and R, which carry no surge/yaw coupling.
     """
 
-    Q: np.ndarray = field(default_factory=lambda: np.diag([4.0, 25.0, 5.0]))
-    R: np.ndarray = field(default_factory=lambda: np.diag([0.05, 0.05]))
+    q: tuple[float, float, float] = (4.0, 25.0, 5.0)
+    r: tuple[float, float] = (0.05, 0.05)
 
     def __post_init__(self) -> None:
-        Q = np.asarray(self.Q, dtype=float)
-        R = np.asarray(self.R, dtype=float)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        if Q.shape != (3, 3) or R.shape != (2, 2):
-            raise ConfigError("Q must be 3x3 and R 2x2")
-        if not np.allclose(Q, Q.T) or not np.allclose(R, R.T):
-            raise ConfigError("Q and R must be symmetric")
-        if np.linalg.eigvalsh(Q).min() < -1e-12:
-            raise ConfigError("Q must be positive semidefinite")
-        if np.linalg.eigvalsh(R).min() <= 0.0:
-            raise ConfigError("R must be positive definite")
-        if Q[0, 1] != 0.0 or Q[0, 2] != 0.0 or Q[1, 0] != 0.0 or Q[2, 0] != 0.0:
-            raise ConfigError("Q must not couple surge with the yaw block")
-        if R[0, 1] != 0.0 or R[1, 0] != 0.0:
-            raise ConfigError("R must be diagonal")
+        object.__setattr__(self, "q", tuple(map(float, self.q)))
+        object.__setattr__(self, "r", tuple(map(float, self.r)))
+        if len(self.q) != 3 or len(self.r) != 2:
+            raise ConfigError("LQR weights need 3 state weights q and 2 effort weights r")
+        if not (all(w >= 0.0 for w in self.q) and all(w > 0.0 for w in self.r)):
+            raise ConfigError("LQR state weights q must be >= 0 and effort weights r > 0")
 
 
 @dataclass(frozen=True)
@@ -250,13 +239,6 @@ def smc_step(
 # --- LQR ---------------------------------------------------------------
 
 
-def _root(x: float) -> float:
-    """Non-negative square root; a negative radicand means no real solution."""
-    if x < 0.0:
-        raise NumericalError("the Riccati equation has no real solution")
-    return math.sqrt(x)
-
-
 def format_poles(poles: tuple[complex, ...]) -> str:
     """The poles as `re+imj` at 6 decimals, in ascending real part."""
     return ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in sorted(poles, key=lambda z: z.real))
@@ -268,15 +250,16 @@ def lqr_gain(params: UsvParams, weights: LqrWeights) -> LqrGain:
     The plant linearized about zero rates, state (u, psi, r), is a surge
     integrator with input gain b_u = 1/m and a yaw double integrator with
     b = l/Izz. Each continuous algebraic Riccati equation (CARE) has a
-    closed-form root. The surge one is q_u - (b_u p_u)^2 / r_u = 0; with
-    r = R[1,1] and the yaw block [[p1, p12], [p12, p2]] of P, the yaw one
-    reads entry by entry
+    closed-form root. With weights.q = (q_u, q_psi, q_r) and
+    weights.r = (r_u, r), the surge one is q_u - (b_u p_u)^2 / r_u = 0; with
+    the yaw block [[p1, p12], [p12, p2]] of P, the yaw one reads entry by entry
 
-        q_psi            - (b p12)^2 / r        = 0
-        q_r    + 2 p12   - (b p2)^2 / r         = 0
-        q_psir + p1      - (b p12) (b p2) / r   = 0
+        q_psi          - (b p12)^2 / r        = 0
+        q_r  + 2 p12   - (b p2)^2 / r         = 0
+               p1      - (b p12) (b p2) / r   = 0
 
-    and the stabilizing root takes p12, p2 >= 0. K = R^-1 B' P. The poles of
+    and the stabilizing root takes p12, p2 >= 0; the weights' signs keep
+    every radicand >= 0. K = R^-1 B' P. The poles of
     A - B K are -b_u k_u and the roots of s^2 + 2 h s + w^2, with
     h = b k_r / 2 and w^2 = b k_psi: -h +- j sqrt(w - h) sqrt(w + h) when
     complex, else s1 = -(h + sqrt(h - w) sqrt(h + w)) and s2 = w^2 / s1,
@@ -287,22 +270,20 @@ def lqr_gain(params: UsvParams, weights: LqrWeights) -> LqrGain:
     b_u, b = 1.0 / params.m, params.l / params.Izz
     if not (0.0 < b_u < math.inf and 0.0 < b < math.inf):
         raise NumericalError(f"input gains 1/m = {b_u!r} and l/Izz = {b!r} must be finite and > 0")
-    Q, R = weights.Q, weights.R
-    q_u, q_psi, q_r, q_psir = float(Q[0, 0]), float(Q[1, 1]), float(Q[2, 2]), float(Q[1, 2])
-    r_u, r = float(R[0, 0]), float(R[1, 1])
+    (q_u, q_psi, q_r), (r_u, r) = weights.q, weights.r
 
-    p_u = _root(q_u * r_u) / b_u
-    p12 = _root(q_psi * r) / b
-    p2 = _root(r * (q_r + 2.0 * p12)) / b
-    p1 = (b * p12) * (b * p2) / r - q_psir
+    p_u = math.sqrt(q_u * r_u) / b_u
+    p12 = math.sqrt(q_psi * r) / b
+    p2 = math.sqrt(r * (q_r + 2.0 * p12)) / b
+    p1 = (b * p12) * (b * p2) / r
     k_u, k_psi, k_r = b_u * p_u / r_u, b * p12 / r, b * p2 / r
     # The CARE residual A'P + PA - (P B) K + Q, entry by entry. An
     # overflowing plant leaves inf in P and a NaN residual.
     if not math.hypot(
         q_u - (b_u * p_u) * k_u,
         q_psi - (b * p12) * k_psi,
-        (p1 - (b * p12) * k_r) + q_psir,
-        (p1 - (b * p2) * k_psi) + float(Q[2, 1]),
+        p1 - (b * p12) * k_r,
+        p1 - (b * p2) * k_psi,
         (2.0 * p12 - (b * p2) * k_r) + q_r,
     ) < 1e-9:
         raise NumericalError("CARE residual exceeds tolerance")

@@ -33,7 +33,8 @@ class SeaState:
     wave_phase: float = 0.0  # rad
     wave_force_amp: float = 10.0  # N, surge forcing at gain 1
     wave_torque_amp: float = 2.0  # N m, yaw forcing at gain 1
-    wind_velocity: tuple[float, float] = (0.0, 0.0)  # m/s, world frame
+    wind_x: float = 0.0  # m/s, world frame
+    wind_y: float = 0.0  # m/s, world frame
     wind_drag_coeff: float = 2.0  # N s/m
     visibility: float = 1.0  # in [0, 1]
 
@@ -109,7 +110,7 @@ def _forcing(
     vessel is doing — the relative-wind drag applies only once wind or waves
     are switched on.
     """
-    if sea.wave_gain == 0.0 and sea.wind_velocity == (0.0, 0.0):
+    if sea.wave_gain == 0.0 and sea.wind_x == 0.0 and sea.wind_y == 0.0:
         return 0.0, 0.0, 0.0, 0.0
     arg = 2.0 * math.pi * t / sea.wave_period + sea.wave_phase
     if math.isfinite(arg):
@@ -122,8 +123,7 @@ def _forcing(
     vx = u * math.cos(psi)
     vy = u * math.sin(psi)
     scale = sea.wind_drag_coeff / params.m
-    wind_x, wind_y = sea.wind_velocity
-    return f_surge, tau_yaw, scale * (wind_x - vx), scale * (wind_y - vy)
+    return f_surge, tau_yaw, scale * (sea.wind_x - vx), scale * (sea.wind_y - vy)
 
 
 def _accelerations(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,25 +149,20 @@ def _pass_percents(values: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Weights of the closed-loop tracking cost integrand."""
+    """Diagonal weights of the closed-loop tracking cost integrand."""
 
-    Q_pixel: np.ndarray = field(default_factory=lambda: np.eye(2))  # on (e_psi, e_y)
-    Q_distance: float = 0.04  # on e_d^2
-    R_effort: np.ndarray = field(default_factory=lambda: 1e-4 * np.eye(2))  # on (T1, T2)
+    q_pixel: tuple[float, float] = (1.0, 1.0)  # on (e_psi^2, e_y^2)
+    q_distance: float = 0.04  # on e_d^2
+    r_effort: tuple[float, float] = (1e-4, 1e-4)  # on (T1^2, T2^2)
 
     def __post_init__(self) -> None:
-        Qp = np.asarray(self.Q_pixel, dtype=float)
-        Re = np.asarray(self.R_effort, dtype=float)
-        object.__setattr__(self, "Q_pixel", Qp)
-        object.__setattr__(self, "R_effort", Re)
-        if Qp.shape != (2, 2) or Re.shape != (2, 2):
-            raise ConfigError("Q_pixel and R_effort must be 2x2")
-        if not np.allclose(Qp, Qp.T) or np.linalg.eigvalsh(Qp).min() < -1e-12:
-            raise ConfigError("Q_pixel must be symmetric PSD")
-        if not np.allclose(Re, Re.T) or np.linalg.eigvalsh(Re).min() <= 0.0:
-            raise ConfigError("R_effort must be symmetric PD")
-        if self.Q_distance < 0.0:
-            raise ConfigError("Q_distance must be >= 0")
+        object.__setattr__(self, "q_pixel", tuple(map(float, self.q_pixel)))
+        object.__setattr__(self, "r_effort", tuple(map(float, self.r_effort)))
+        if len(self.q_pixel) != 2 or len(self.r_effort) != 2:
+            raise ConfigError("q_pixel and r_effort need 2 weights each")
+        nonnegative = all(w >= 0.0 for w in (*self.q_pixel, self.q_distance))
+        if not (nonnegative and all(w > 0.0 for w in self.r_effort)):
+            raise ConfigError("q_pixel and q_distance must be >= 0 and r_effort > 0")
 
 
 def tracking_cost(log, w: CostWeights) -> float:
@@ -184,12 +179,12 @@ def tracking_cost(log, w: CostWeights) -> float:
     if not dt > 0.0 or np.any(np.abs(dts - dt) > 1e-9 * max(1.0, abs(dt))):
         raise EvaluationError("cost needs uniformly increasing timestamps")
 
-    e_body = np.stack([np.asarray(log.e_psi, float), np.asarray(log.e_y, float)])
-    effort = np.stack([np.asarray(log.T1, float), np.asarray(log.T2, float)])
+    e_psi, e_y, e_d, T1, T2 = (np.asarray(getattr(log, c), float) for c in ("e_psi", "e_y", "e_d", "T1", "T2"))
+    (q_psi, q_y), (r_1, r_2) = w.q_pixel, w.r_effort
     integrand = (
-        np.einsum("it,ij,jt->t", e_body, w.Q_pixel, e_body)
-        + w.Q_distance * np.asarray(log.e_d, float) ** 2
-        + np.einsum("it,ij,jt->t", effort, w.R_effort, effort)
+        ((e_psi * q_psi) * e_psi + (e_y * q_y) * e_y)
+        + w.q_distance * e_d**2
+        + ((T1 * r_1) * T1 + (T2 * r_2) * T2)
     )
     return float(dt * (integrand[0] / 2.0 + integrand[1:-1].sum() + integrand[-1] / 2.0))
 

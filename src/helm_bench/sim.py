@@ -464,15 +464,15 @@ def run_scenario(sc: Scenario) -> RunLog:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Step-response style figures of merit for one closed-loop run."""
+    """Step-response style figures of merit for one closed-loop run; a sweep CSV row's cells."""
 
-    settling_time: float  # s until |e_psi| stays within 0.05 rad; inf if never
+    settling_time_s: float  # s until |e_psi| stays within 0.05 rad; inf if never
     overshoot_pct: float  # % of the initial |e_psi| crossed past zero
     rms_e_psi_ss: float  # rad, RMS over the last quarter of the run
     tv_left: float  # N, total variation of the left thruster
     tv_right: float
     tv_total: float
-    cost: float  # tracking cost J
+    cost_J: float  # tracking cost J
 
 
 SETTLE_BAND = 0.05  # rad
@@ -500,13 +500,13 @@ def summarize(log: RunLog, w: metrics.CostWeights) -> RunSummary:
     tv_left = float(np.abs(np.diff(log.TL)).sum())
     tv_right = float(np.abs(np.diff(log.TR)).sum())
     return RunSummary(
-        settling_time=settling,
+        settling_time_s=settling,
         overshoot_pct=overshoot,
         rms_e_psi_ss=rms_ss,
         tv_left=tv_left,
         tv_right=tv_right,
         tv_total=tv_left + tv_right,
-        cost=metrics.tracking_cost(log, w),
+        cost_J=metrics.tracking_cost(log, w),
     )
 
 
@@ -515,17 +515,7 @@ def derived_seed(seed: int, label: str) -> int:
     return int(stream(seed, label).integers(0, 2**62))
 
 
-SWEEP_COLUMNS = (
-    "axis",
-    "value",
-    "settling_time_s",
-    "overshoot_pct",
-    "rms_e_psi_ss",
-    "tv_left",
-    "tv_right",
-    "tv_total",
-    "cost_J",
-)
+SWEEP_COLUMNS = ("axis", "value", *(f.name for f in dataclasses.fields(RunSummary)))
 
 
 def sweep(variants: list[Scenario]) -> list[RunSummary]:
@@ -546,6 +536,6 @@ def run_sweep(axis: str, values: list[str], variants: list[Scenario]) -> str:
     """Run every variant and render the summary CSV: one row per value text, written as given."""
     lines = [",".join(SWEEP_COLUMNS)]
     for value, summary in zip(values, sweep(variants), strict=True):
-        cells = [repr(float(v)) for v in dataclasses.astuple(summary)]
+        cells = [repr(getattr(summary, name)) for name in SWEEP_COLUMNS[2:]]
         lines.append(",".join([axis, value, *cells]))
     return "\n".join(lines) + "\n"

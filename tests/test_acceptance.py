@@ -13,7 +13,10 @@ control at |e_psi| = eta_psi / (Izz * lambda_psi) ~ 0.39 rad, an attracting
 stall the controller cannot leave (see README, "Acceptance suite"). The test
 asserts the unmodified requirement so any behavior change is flagged. So is
 the width check on ncc_approach: the NCC tracker reports the frame-0 box size,
-so its width falls short as the target nears (README, "NCC tracker").
+so its width falls short as the target nears (README, "NCC tracker"). And so is
+the lost-frame count at a frame stride above 1: guidance counts control steps,
+so it searches after half the missed frames at stride 2 (README, "Acceptance
+suite").
 """
 
 from __future__ import annotations
@@ -156,11 +159,10 @@ def test_criterion_1_riccati_solver_properties():
         for _ in range(100):
             q_u = rng.uniform(0.1, 50.0)
             m2 = rng.uniform(-3.0, 3.0, size=(2, 2))
-            Q = np.zeros((3, 3))
-            Q[0, 0] = q_u
-            Q[1:, 1:] = m2.T @ m2 + 1e-3 * np.eye(2)
-            R = np.diag(rng.uniform(0.01, 5.0, size=2))
-            gain = lqr_gain(PARAMS, LqrWeights(Q=Q, R=R))
+            q = (q_u, *np.diag(m2.T @ m2 + 1e-3 * np.eye(2)))
+            r = rng.uniform(0.01, 5.0, size=2)
+            Q, R = np.diag(q), np.diag(r)
+            gain = lqr_gain(PARAMS, LqrWeights(q=q, r=r))
             P = gain.P
             assert np.linalg.norm(A.T @ P + P @ A - P @ B @ np.linalg.solve(R, B.T @ P) + Q) < 1e-9
             assert np.array_equal(gain.P, gain.P.T)
@@ -168,7 +170,7 @@ def test_criterion_1_riccati_solver_properties():
             assert np.linalg.eigvals(A - B @ gain.K).real.max() < -1e-6
             # decoupled surge channel collapses to K_u = sqrt(Q_u / R_1)
             assert abs(gain.K[0, 0] - math.sqrt(q_u / R[0, 0])) < 1e-12
-        unit = lqr_gain(PARAMS, LqrWeights(Q=np.eye(3), R=np.eye(2)))
+        unit = lqr_gain(PARAMS, LqrWeights(q=(1.0, 1.0, 1.0), r=(1.0, 1.0)))
         assert abs(unit.K[0, 0] - 1.0) < 1e-12
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"criterion 1 took {elapsed:.2f}s"
@@ -305,8 +307,8 @@ def test_criterion_4_calm_controller_ordering():
         assert pid.overshoot_pct > lqr.overshoot_pct
         assert lqr.tv_total < pid.tv_total
         assert lqr.tv_total < smc0.tv_total
-        assert pid.settling_time <= 15.0
-        assert lqr.settling_time <= 15.0  # sliding mode: see test_criterion_4c
+        assert pid.settling_time_s <= 15.0
+        assert lqr.settling_time_s <= 15.0  # sliding mode: see test_criterion_4c
 
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"criterion 4 took {elapsed:.2f}s"
@@ -321,13 +323,13 @@ def test_criterion_4_calm_controller_ordering():
 def test_criterion_4c_smc_settling():
     """The unmodified settling requirement for the sliding-mode controller."""
     summary = _scenario_run("calm_line", "SMC")[1]
-    settled = summary.settling_time <= 15.0
+    settled = summary.settling_time_s <= 15.0
     _report(
         "criterion 4c — sliding-mode settles within 15 s",
         settled,
         "" if settled else "documented: yaw error stalls near 0.39 rad with shipped gains",
     )
-    assert settled, f"sliding-mode settling_time = {summary.settling_time}"
+    assert settled, f"sliding-mode settling_time_s = {summary.settling_time_s}"
 
 
 def test_criterion_5_disturbance_robustness():
@@ -341,8 +343,8 @@ def test_criterion_5_disturbance_robustness():
             pid, smc, lqr = runs["PID"][1], runs["SMC"][1], runs["LQR"][1]
             assert lqr.rms_e_psi_ss <= pid.rms_e_psi_ss
             assert lqr.rms_e_psi_ss <= smc.rms_e_psi_ss
-            assert lqr.cost < pid.cost
-            assert lqr.cost < smc.cost
+            assert lqr.cost_J < pid.cost_J
+            assert lqr.cost_J < smc.cost_J
 
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"criterion 5 took {elapsed:.2f}s"
@@ -418,6 +420,23 @@ def test_ncc_approach_width_within_five_percent():
     both = ~np.isnan(log.det_w) & ~np.isnan(log.gt_w)
     rel = np.abs(log.det_w[both] - log.gt_w[both]) / log.gt_w[both]
     assert float(rel.max()) <= 0.05
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="with frame_stride > 1 guidance counts lost control steps, not lost frames: "
+    "ncc_standoff at visibility 0.1 (stride 2, lost_frames_threshold 10) holds from step 2 "
+    "and searches at step 12, after 5 missed frames",
+)
+def test_lost_frames_threshold_counts_camera_frames():
+    """Guidance searches once lost_frames_threshold camera frames in a row have no box."""
+    base = load_scenario(str(SCENARIOS / "ncc_standoff.ini"))
+    sc = dataclasses.replace(base, duration=0.6, sea=dataclasses.replace(base.sea, visibility=0.1))
+    stride, threshold = sc.sensor_noise.frame_stride, sc.guidance_cfg.lost_frames_threshold
+    modes = list(run_scenario(sc).mode)
+    # frame 0 finds the target and frame 1 (step 2) is the first without a box
+    first_lost = modes.index("holding")
+    assert modes.index("searching") == first_lost + threshold * stride, (first_lost, modes.index("searching"))
 
 
 def _noisy_calm_line(kind: str):

@@ -150,6 +150,9 @@ class TestSimulate:
             ("[DEFAULT]\nduration = 5\n", "unknown section [DEFAULT]"),
             ("[run]\nduration = 1e308\n", "scenario too long"),
             ("[run]\ndt = 5e-324\n", "scenario too long"),
+            # a weight below zero, however small, and a zero effort weight
+            ("[controller]\nlqr_q = -1e-13, 1, 1\n", "LQR state weights q must be >= 0"),
+            ("[cost]\nr_effort = 0, 1\n", "r_effort > 0"),
         ],
     )
     def test_rejected_scenario_is_exit_1(self, tmp_path, capsys, text, error):
@@ -556,7 +559,7 @@ class TestSweep:
             ("sea.visibility", "1.5"),  # rejected by SeaState validation
             ("target.extent", "0"),  # rejected by TrajectorySpec validation
             ("camera.width", "0"),  # rejected by CameraIntrinsics validation
-            ("sea.wind_velocity", "1"),  # a field, but no file key: wind_x and wind_y set it
+            ("sea.wind_velocity", "1"),  # no key: wind_x and wind_y are the keys
             ("target.edges", "1"),  # a property, not a key
             ("guidance_cfg.standoff", "5"),  # a dataclass path: guidance.standoff is the key
             ("controller.pid.kp_u", "1"),

@@ -120,9 +120,9 @@ r_effort = 2e-4, 2e-4
 
 class TestDefaults:
     def test_empty_text_gives_library_defaults(self):
-        # repr covers every nested field, numpy weight matrices included.
+        # == compares every nested field, the weights included.
         sc = parse_scenario("", default_name="empty")
-        assert repr(sc) == repr(Scenario(name="empty"))
+        assert sc == Scenario(name="empty")
 
     def test_default_name_from_argument(self):
         assert parse_scenario("").name == "scenario"
@@ -147,7 +147,7 @@ class TestFullRoundTrip:
         assert sc.sea.wave_gain == 0.7 and sc.sea.wave_period == 4.0
         assert sc.sea.wave_phase == 0.5
         assert sc.sea.wave_force_amp == 6.0 and sc.sea.wave_torque_amp == 1.5
-        assert sc.sea.wind_velocity == (2.0, -1.0)
+        assert (sc.sea.wind_x, sc.sea.wind_y) == (2.0, -1.0)
         assert sc.sea.wind_drag_coeff == 0.2 and sc.sea.visibility == 0.8
 
         g = sc.guidance_cfg
@@ -179,12 +179,11 @@ class TestFullRoundTrip:
         assert c.smc.lambda_u == 2.0 and c.smc.eta_u == 6.0
         assert c.smc.lambda_psi == 1.0 and c.smc.eta_psi == 1.0
         assert c.smc.phi == 0.02 and c.smc.ref_filter_tau == 0.2
-        assert np.array_equal(c.lqr.Q, np.diag([2.0, 20.0, 4.0]))
-        assert np.array_equal(c.lqr.R, np.diag([0.1, 0.1]))
+        assert c.lqr.q == (2.0, 20.0, 4.0) and c.lqr.r == (0.1, 0.1)
 
-        assert np.array_equal(sc.cost.Q_pixel, np.diag([2.0, 0.5]))
-        assert sc.cost.Q_distance == 0.1
-        assert np.array_equal(sc.cost.R_effort, np.diag([2e-4, 2e-4]))
+        assert sc.cost.q_pixel == (2.0, 0.5)
+        assert sc.cost.q_distance == 0.1
+        assert sc.cost.r_effort == (2e-4, 2e-4)
 
 
 # The scenario-file schema, written out: section -> key -> parser kind. A
@@ -313,14 +312,15 @@ class TestSchema:
         assert derived == _SCHEMA_LITERAL
 
     def test_key_rule(self):
-        # a scalar field's key is its name in lower case; the gain sets share
-        # [controller] under a pid_ or smc_ prefix
+        # a field's key is its name in lower case; the gain and weight sets
+        # share [controller] under a pid_, smc_ or lqr_ prefix
         sc = parse_scenario(
             "[usv]\nizz = 4.5\n[cost]\nq_distance = 0.5\n"
-            "[controller]\npid_kp_u = 3\nsmc_phi = 0.1\n"
+            "[controller]\npid_kp_u = 3\nsmc_phi = 0.1\nlqr_r = 1, 2\n"
         )
-        assert sc.params.Izz == 4.5 and sc.cost.Q_distance == 0.5
+        assert sc.params.Izz == 4.5 and sc.cost.q_distance == 0.5
         assert sc.controller.pid.kp_u == 3.0 and sc.controller.smc.phi == 0.1
+        assert sc.controller.lqr.r == (1.0, 2.0)
 
 
 class TestSchemaEnforcement:
@@ -493,3 +493,4 @@ class TestLoadScenario:
     def test_shipped_scenarios_parse(self, path):
         sc = load_scenario(path)
         assert sc.duration > 0 and sc.dt > 0
+        assert sc == load_scenario(path)  # every field holds plain values, so == compares without raising

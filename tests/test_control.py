@@ -8,6 +8,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from helm_bench.control import (
     LqrWeights,
     PidGains,
     SmcGains,
-    _root,
     format_poles,
     lqr_gain,
     lqr_step,
@@ -66,6 +66,11 @@ def meas(u=0.0, psi=0.0, r=0.0) -> tuple[float, float, float]:
     return (u, psi, r)
 
 
+def _matrices(weights: LqrWeights) -> SimpleNamespace:
+    """The weights as the matrix-form references below take them: Q = diag(q), R = diag(r)."""
+    return SimpleNamespace(Q=np.diag(weights.q), R=np.diag(weights.r))
+
+
 # --- reference solvers ---------------------------------------------------
 # A verbatim copy of the Newton-Kleinman solve_care that the closed form
 # replaced (pole-placement seed, Kronecker-product Lyapunov solve), kept as
@@ -83,7 +88,7 @@ def _ref_solve_lyapunov_2x2(Acl: np.ndarray, S: np.ndarray) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def _ref_nk_solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
+def _ref_nk_solve_care(A: np.ndarray, B: np.ndarray, weights: SimpleNamespace) -> np.ndarray:
     """Stabilizing solution of the continuous algebraic Riccati equation.
 
     Exploits the plant's exact decoupling: the surge channel reduces to a
@@ -150,9 +155,16 @@ def _ref_nk_solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.
 
 
 # Verbatim copies of the matrix form of the closed-form solve that lqr_gain
-# replaced: the plant as A and B, the solve on template-checked matrices, and
-# the LAPACK residual and eigenvalue checks. The unchanged _root helper is
-# imported from the package.
+# replaced: the plant as A and B, the solve on template-checked matrices, the
+# _root helper, and the LAPACK residual and eigenvalue checks. They take the
+# weights as matrices (see _matrices).
+
+
+def _root(x: float) -> float:
+    """Non-negative square root; a negative radicand means no real solution."""
+    if x < 0.0:
+        raise NumericalError("the Riccati equation has no real solution")
+    return math.sqrt(x)
 
 
 @dataclass(frozen=True)
@@ -183,7 +195,7 @@ def _ref_care_residual(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarra
     return float(np.linalg.norm(res))
 
 
-def _ref_solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.ndarray:
+def _ref_solve_care(A: np.ndarray, B: np.ndarray, weights: SimpleNamespace) -> np.ndarray:
     """Stabilizing solution of the continuous algebraic Riccati equation.
 
     Exploits the plant's exact decoupling into a surge integrator and a yaw
@@ -225,7 +237,7 @@ def _ref_solve_care(A: np.ndarray, B: np.ndarray, weights: LqrWeights) -> np.nda
     return np.array([[p_u, 0.0, 0.0], [0.0, p1, p12], [0.0, p12, p2]])
 
 
-def _ref_lqr_gain(params: UsvParams, weights: LqrWeights) -> _RefLqrGain:
+def _ref_lqr_gain(params: UsvParams, weights: SimpleNamespace) -> _RefLqrGain:
     """Solve the regulator for the plant in params; validates the solution.
 
     The returned gain satisfies K = R^-1 B' P with CARE residual below 1e-9
@@ -254,30 +266,27 @@ def _ref_lqr_gain(params: UsvParams, weights: LqrWeights) -> _RefLqrGain:
 _PLANTS = [PARAMS, UsvParams(m=0.5, Izz=30.0, l=0.1), UsvParams(m=200.0, Izz=0.5, l=2.0)]
 
 
+def _yaw_weights(rng) -> tuple[float, float]:
+    """(q_psi, q_r): the diagonal of a random positive definite 2x2 block."""
+    M = rng.uniform(-3.0, 3.0, size=(2, 2))
+    return tuple(np.diag(M.T @ M + 1e-3 * np.eye(2)).tolist())
+
+
 def _random_weights() -> list[LqrWeights]:
-    """The weight draws of the Riccati tests below, cross terms q_psir included."""
+    """The weight draws of the Riccati tests below."""
     rng = np.random.default_rng(7)  # test_random_draws_solve_exactly
     weights = []
     for _ in range(20):
-        Q = np.zeros((3, 3))
-        Q[0, 0] = rng.uniform(0.1, 50.0)
-        M = rng.uniform(-3.0, 3.0, size=(2, 2))
-        Q[1:, 1:] = M.T @ M + 1e-3 * np.eye(2)
-        weights.append(LqrWeights(Q=Q, R=np.diag(rng.uniform(0.01, 5.0, size=2))))
+        q = (rng.uniform(0.1, 50.0), *_yaw_weights(rng))
+        weights.append(LqrWeights(q=q, r=rng.uniform(0.01, 5.0, size=2)))
     rng = np.random.default_rng(11)  # test_closed_form_matches_newton_kleinman
     for k in range(1000):
-        if k % 2:
-            Q = np.diag(rng.uniform(0.1, 50.0, size=3))
-        else:
-            M = rng.uniform(-3.0, 3.0, size=(2, 2))
-            Q = np.zeros((3, 3))
-            Q[0, 0] = rng.uniform(0.1, 50.0)
-            Q[1:, 1:] = M.T @ M + 1e-3 * np.eye(2)
-        weights.append(LqrWeights(Q=Q, R=np.diag(rng.uniform(0.01, 5.0, size=2))))
+        q = rng.uniform(0.1, 50.0, size=3) if k % 2 else (rng.uniform(0.1, 50.0), *_yaw_weights(rng))
+        weights.append(LqrWeights(q=q, r=rng.uniform(0.01, 5.0, size=2)))
     rng = np.random.default_rng(5)  # test_float_gains_are_the_entries_of_K
     draws = zip(10.0 ** rng.uniform(-3, 3, (200, 3)), 10.0 ** rng.uniform(-3, 3, (200, 2)))
-    weights += [LqrWeights(), LqrWeights(Q=np.eye(3), R=np.eye(2))]
-    return weights + [LqrWeights(Q=np.diag(q), R=np.diag(r)) for q, r in draws]
+    weights += [LqrWeights(), LqrWeights(q=(1.0, 1.0, 1.0), r=(1.0, 1.0))]
+    return weights + [LqrWeights(q=q, r=r) for q, r in draws]
 
 
 _RANDOM_CASES = list(itertools.product(_PLANTS, _random_weights()))
@@ -290,7 +299,7 @@ _EXTREME_GRID = list(
     )
 )
 _EXTREME_CASES = [
-    (UsvParams(m=m, Izz=izz, l=l), LqrWeights(Q=np.diag(q), R=np.diag(r)))
+    (UsvParams(m=m, Izz=izz, l=l), LqrWeights(q=q, r=r))
     for m, izz, l, q, r in _EXTREME_GRID
 ]
 # Grid points whose closed loop has poles more than 1/eps apart: LAPACK returns
@@ -478,24 +487,24 @@ class TestSmcRefs:
 
 class TestRiccati:
     def test_scalar_surge_closed_form(self):
-        W = LqrWeights(Q=np.diag([1.0, 1.0, 1.0]), R=np.diag([1.0, 1.0]))
+        W = LqrWeights(q=(1.0, 1.0, 1.0), r=(1.0, 1.0))
         gain = lqr_gain(PARAMS, W)
         assert gain.P[0, 0] == pytest.approx(20.0, abs=1e-9)  # m * sqrt(Q_u * R_1)
         assert gain.K[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_cost_gives_zero_solution(self):
         # P = 0 gives K = 0, which leaves the open-loop poles at 0
-        W = LqrWeights(Q=np.zeros((3, 3)), R=np.eye(2))
+        W = LqrWeights(q=(0.0, 0.0, 0.0), r=(1.0, 1.0))
         with pytest.raises(NumericalError, match="not strictly stable"):
             lqr_gain(PARAMS, W)
         A, B = _ref_build_system(PARAMS)
-        assert np.all(_ref_solve_care(A, B, W) == 0.0)
+        assert np.all(_ref_solve_care(A, B, _matrices(W)) == 0.0)
 
     def test_yaw_block_residual(self):
-        W = LqrWeights(Q=np.eye(3), R=np.eye(2))
+        W = LqrWeights(q=(1.0, 1.0, 1.0), r=(1.0, 1.0))
         A, B = _ref_build_system(PARAMS)
         gain = lqr_gain(PARAMS, W)
-        assert _ref_care_residual(A, B, W.Q, W.R, gain.P) < 1e-9
+        assert _ref_care_residual(A, B, np.diag(W.q), np.diag(W.r), gain.P) < 1e-9
         eigs = np.linalg.eigvals(A - B @ gain.K)
         assert np.all(eigs.real < 0.0)
 
@@ -503,22 +512,16 @@ class TestRiccati:
         rng = np.random.default_rng(7)
         A, B = _ref_build_system(PARAMS)
         for _ in range(20):
-            q_u = rng.uniform(0.1, 50.0)
-            M = rng.uniform(-3.0, 3.0, size=(2, 2))
-            Q2 = M.T @ M + 1e-3 * np.eye(2)
-            Q = np.zeros((3, 3))
-            Q[0, 0] = q_u
-            Q[1:, 1:] = Q2
-            R = np.diag(rng.uniform(0.01, 5.0, size=2))
-            W = LqrWeights(Q=Q, R=R)
+            q = (rng.uniform(0.1, 50.0), *_yaw_weights(rng))
+            W = LqrWeights(q=q, r=rng.uniform(0.01, 5.0, size=2))
             P = lqr_gain(PARAMS, W).P
-            assert _ref_care_residual(A, B, W.Q, W.R, P) < 1e-9
+            assert _ref_care_residual(A, B, np.diag(W.q), np.diag(W.r), P) < 1e-9
             assert np.allclose(P, P.T, atol=1e-12)
             assert np.linalg.eigvalsh(P).min() >= -1e-10
 
     def test_gain_invariant_under_joint_scaling(self):
         base = LqrWeights()
-        scaled = LqrWeights(Q=7.3 * base.Q, R=7.3 * base.R)
+        scaled = LqrWeights(q=7.3 * np.array(base.q), r=7.3 * np.array(base.r))
         K1 = lqr_gain(PARAMS, base).K
         K2 = lqr_gain(PARAMS, scaled).K
         assert np.max(np.abs(K1 - K2)) < 1e-9
@@ -529,8 +532,8 @@ class TestRiccati:
 
     def test_float_gains_are_the_entries_of_K(self):
         rng = np.random.default_rng(5)
-        weights = [LqrWeights(), LqrWeights(Q=np.eye(3), R=np.eye(2))] + [
-            LqrWeights(Q=np.diag(q), R=np.diag(r))
+        weights = [LqrWeights(), LqrWeights(q=(1.0, 1.0, 1.0), r=(1.0, 1.0))] + [
+            LqrWeights(q=q, r=r)
             for q, r in zip(10.0 ** rng.uniform(-3, 3, (200, 3)), 10.0 ** rng.uniform(-3, 3, (200, 2)))
         ]
         plants = [PARAMS, UsvParams(m=0.5, Izz=30.0, l=0.1), UsvParams(m=200.0, Izz=0.5, l=2.0)]
@@ -553,18 +556,11 @@ class TestRiccati:
         rng = np.random.default_rng(11)
         A, B = _ref_build_system(PARAMS)
         for k in range(1000):
-            if k % 2:
-                Q = np.diag(rng.uniform(0.1, 50.0, size=3))
-            else:
-                M = rng.uniform(-3.0, 3.0, size=(2, 2))
-                Q = np.zeros((3, 3))
-                Q[0, 0] = rng.uniform(0.1, 50.0)
-                Q[1:, 1:] = M.T @ M + 1e-3 * np.eye(2)
-            R = np.diag(rng.uniform(0.01, 5.0, size=2))
-            W = LqrWeights(Q=Q, R=R)
+            q = rng.uniform(0.1, 50.0, size=3) if k % 2 else (rng.uniform(0.1, 50.0), *_yaw_weights(rng))
+            W = LqrWeights(q=q, r=rng.uniform(0.01, 5.0, size=2))
             gain = lqr_gain(PARAMS, W)
-            P_ref = _ref_nk_solve_care(A, B, W)
-            K_ref = np.linalg.solve(R, B.T @ P_ref)
+            P_ref = _ref_nk_solve_care(A, B, _matrices(W))
+            K_ref = np.linalg.solve(np.diag(W.r), B.T @ P_ref)
             np.testing.assert_allclose(gain.P, P_ref, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(gain.K, K_ref, rtol=1e-14, atol=0.0)
 
@@ -583,18 +579,12 @@ class TestRiccati:
         with pytest.raises(NumericalError, match="not strictly stable"):
             lqr_gain(UsvParams(Izz=izz, l=1e300), LqrWeights())
 
-    def test_negative_weight_within_psd_tolerance_is_numerical_error(self):
-        # LqrWeights accepts eigenvalues down to -1e-12; no real root exists
-        for q in ([-1e-13, 1.0, 1.0], [1.0, -1e-13, 1.0]):
-            with pytest.raises(NumericalError, match="no real solution"):
-                lqr_gain(PARAMS, LqrWeights(Q=np.diag(q)))
-
     def test_extreme_plants_and_weights_never_warn(self):
         solved = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for m, izz, l, q, r in _EXTREME_GRID:
-                W = LqrWeights(Q=np.diag(q), R=np.diag(r))
+                W = LqrWeights(q=q, r=r)
                 try:
                     gain = lqr_gain(UsvParams(m=m, Izz=izz, l=l), W)
                 except NumericalError:
@@ -608,12 +598,10 @@ class TestRiccati:
         # The gain and P are bit-identical to the matrix form's, and the
         # accept/reject decision and error text are the same, except where
         # LAPACK's eigenvalues lose a pole (below).
-        Q_skew = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5 + 1e-6, 1.0]])
-        skew = (PARAMS, LqrWeights(Q=Q_skew))  # symmetric within LqrWeights' tolerance
-        grid = [None] * (len(_RANDOM_CASES) + 1) + _EXTREME_GRID
-        for point, (params, W) in zip(grid, _RANDOM_CASES + [skew] + _EXTREME_CASES):
+        grid = [None] * len(_RANDOM_CASES) + _EXTREME_GRID
+        for point, (params, W) in zip(grid, _RANDOM_CASES + _EXTREME_CASES):
             try:
-                want = _ref_lqr_gain(params, W)
+                want = _ref_lqr_gain(params, _matrices(W))
             except NumericalError as exc:
                 if point in _LAPACK_LOSES_A_POLE:
                     continue
@@ -643,9 +631,9 @@ class TestRiccati:
         # solves s^2 + b k_r s + b k_psi = 0.
         assert len(_LAPACK_LOSES_A_POLE) == 15
         for m, izz, l, q, r in _LAPACK_LOSES_A_POLE:
-            params, W = UsvParams(m=m, Izz=izz, l=l), LqrWeights(Q=np.diag(q), R=np.diag(r))
+            params, W = UsvParams(m=m, Izz=izz, l=l), LqrWeights(q=q, r=r)
             with pytest.raises(NumericalError, match="not strictly stable"):
-                _ref_lqr_gain(params, W)
+                _ref_lqr_gain(params, _matrices(W))
             gain = lqr_gain(params, W)
             assert np.all(np.isfinite(gain.K)) and np.all(np.isfinite(gain.P))
             assert all(z.real < 0.0 and cmath.isfinite(z) for z in gain.poles)
@@ -655,37 +643,30 @@ class TestRiccati:
             assert (s1 * s2).real == pytest.approx(b * gain.k_psi, rel=1e-12)
 
     def test_solve_makes_no_numpy_linalg_call(self, monkeypatch):
-        cross = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
-        stable = [LqrWeights(), LqrWeights(Q=cross)]
-        unweighted_heading = LqrWeights(Q=np.diag([1.0, 0.0, 1.0]))
-
         def linalg_call(*args, **kwargs):
             raise AssertionError("numpy.linalg called")
 
         for name in ("eigvals", "solve", "norm", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, linalg_call)
+        # the weights are built under the patch too: they check signs, not eigenvalues
+        stable = [LqrWeights(), LqrWeights(q=(1.0, 2.0, 1.0), r=(0.5, 2.0))]
+        unweighted_heading = LqrWeights(q=(1.0, 0.0, 1.0))
         for W in stable:
             assert all(z.real < 0.0 for z in lqr_gain(PARAMS, W).poles)
         with pytest.raises(NumericalError, match="not strictly stable"):
             lqr_gain(PARAMS, unweighted_heading)
 
     def test_weight_validation(self):
-        with pytest.raises(ConfigError):
-            LqrWeights(Q=np.diag([1.0, 1.0, -1.0]))  # not PSD
-        with pytest.raises(ConfigError):
-            LqrWeights(R=np.diag([1.0, 0.0]))  # not PD
-        with pytest.raises(ConfigError):
-            LqrWeights(Q=np.eye(2), R=np.eye(2))  # wrong shape
-
-    def test_structure_validation(self):
-        # the solver assumes the plant's surge/yaw decoupling, so the weights
-        # reject what breaks it when they are built, before any run
-        Q_cross = np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ConfigError, match="^Q must not couple surge with the yaw block$"):
-            LqrWeights(Q=Q_cross, R=np.eye(2))
-        R_full = np.array([[1.0, 0.5], [0.5, 1.0]])
-        with pytest.raises(ConfigError, match="^R must be diagonal$"):
-            LqrWeights(Q=np.eye(3), R=R_full)
+        for q, r in [
+            ((1.0, 1.0, -1.0), (1.0, 1.0)),  # a negative state weight
+            ((-1e-13, 1.0, 1.0), (1.0, 1.0)),  # however small
+            ((1.0, 1.0, 1.0), (1.0, 0.0)),  # a zero effort weight
+            ((1.0, math.nan, 1.0), (1.0, 1.0)),
+            ((1.0, 1.0), (1.0, 1.0)),  # wrong lengths
+            ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
+        ]:
+            with pytest.raises(ConfigError):
+                LqrWeights(q=q, r=r)
 
 
 def _fma_oracle(a: float, b: float, c: float) -> float:
@@ -704,7 +685,7 @@ class TestLqrStep:
         # fused sum rounded once. Bits are compared, signed zeros included.
         rng = np.random.default_rng(20)
         weights = [LqrWeights()] + [
-            LqrWeights(Q=np.diag(q), R=np.diag(r))
+            LqrWeights(q=q, r=r)
             for q, r in zip(rng.uniform(0.01, 100.0, (4, 3)), rng.uniform(0.01, 10.0, (4, 2)))
         ]
         signed_zeros = list(itertools.product((0.0, -0.0, 0.5, -0.5), repeat=3))
@@ -732,7 +713,7 @@ class TestLqrStep:
         assert T2 == pytest.approx(0.0, abs=1e-12)
 
     def test_accelerates_when_slow(self):
-        gain = lqr_gain(PARAMS, LqrWeights(Q=np.eye(3), R=np.eye(2)))
+        gain = lqr_gain(PARAMS, LqrWeights(q=(1.0, 1.0, 1.0), r=(1.0, 1.0)))
         T1, _ = lqr_step(gain, meas(u=0.5), refs=(1.0, 0.0))
         assert T1 == pytest.approx(0.5, abs=1e-9)  # surge row is [1, 0, 0]
 
@@ -909,7 +890,7 @@ _SMC_PARAMS = st.sampled_from([PARAMS, UsvParams(m=1e-3, Izz=1e3)])
 _LQR_GAINS = st.sampled_from(
     [
         lqr_gain(PARAMS, LqrWeights()),
-        lqr_gain(PARAMS, LqrWeights(Q=np.diag([1e-6, 1e6, 0.0]), R=np.diag([1e3, 1e-3]))),
+        lqr_gain(PARAMS, LqrWeights(q=(1e-6, 1e6, 0.0), r=(1e3, 1e-3))),
     ]
 )
 

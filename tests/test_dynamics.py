@@ -85,7 +85,7 @@ class TestDisturbance:
         assert tau_yaw == pytest.approx(0.5 * 2.0, abs=1e-12)  # cosine peak
 
     def test_wind_drift_relative_to_hull(self):
-        sea = SeaState(wind_velocity=(1.5, -5.0), wind_drag_coeff=2.0)
+        sea = SeaState(wind_x=1.5, wind_y=-5.0, wind_drag_coeff=2.0)
         _, _, drift_x, drift_y = _forcing(0.0, sea, 1.0, 0.0, PARAMS)  # surging at 1 m/s, heading 0
         scale = 2.0 / PARAMS.m
         assert drift_x == pytest.approx(scale * (1.5 - 1.0))
@@ -235,7 +235,7 @@ class TestStep:
 
 
 def _ref_disturbance_at(t, sea, state, params):
-    if sea.wave_gain == 0.0 and sea.wind_velocity == (0.0, 0.0):
+    if sea.wave_gain == 0.0 and (sea.wind_x, sea.wind_y) == (0.0, 0.0):
         return Disturbance()
     arg = 2.0 * math.pi * t / sea.wave_period + sea.wave_phase
     f_surge = sea.wave_gain * sea.wave_force_amp * math.sin(arg)
@@ -244,8 +244,8 @@ def _ref_disturbance_at(t, sea, state, params):
     vy = state.u * math.sin(state.pose.psi)
     scale = sea.wind_drag_coeff / params.m
     drift = (
-        scale * (sea.wind_velocity[0] - vx),
-        scale * (sea.wind_velocity[1] - vy),
+        scale * (sea.wind_x - vx),
+        scale * (sea.wind_y - vy),
     )
     return Disturbance(f_surge=f_surge, tau_yaw=tau_yaw, drift=drift)
 
@@ -321,11 +321,11 @@ _THRUSTS = st.one_of(st.floats(-150.0, 150.0), st.sampled_from([-100.0, 100.0, 0
 _SEAS = st.one_of(
     st.just(CALM),
     st.builds(
-        SeaState,
+        lambda wind, **knobs: SeaState(wind_x=wind[0], wind_y=wind[1], **knobs),
         wave_gain=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
         wave_period=st.floats(0.5, 20.0),
         wave_phase=st.floats(-math.pi, math.pi),
-        wind_velocity=st.one_of(
+        wind=st.one_of(
             st.just((0.0, 0.0)), st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
         ),
     ),

@@ -230,18 +230,36 @@ def constant_log(n=101, dt=0.02, e_psi=0.0, e_y=0.0, e_d=0.0, T1=0.0, T2=0.0):
     )
 
 
+_COST_SAMPLES = st.one_of(st.floats(-1e4, 1e4), st.sampled_from([0.0, -0.0]))
+_COST_WEIGHTS = st.floats(1e-6, 1e6)
+
+
+def _ref_tracking_cost(log, Q_pixel: np.ndarray, Q_distance: float, R_effort: np.ndarray) -> float:
+    """The einsum form of tracking_cost on full weight matrices, kept verbatim as an oracle."""
+    t = np.asarray(log.t, dtype=float)
+    dt = np.diff(t)[0]
+    e_body = np.stack([np.asarray(log.e_psi, float), np.asarray(log.e_y, float)])
+    effort = np.stack([np.asarray(log.T1, float), np.asarray(log.T2, float)])
+    integrand = (
+        np.einsum("it,ij,jt->t", e_body, Q_pixel, e_body)
+        + Q_distance * np.asarray(log.e_d, float) ** 2
+        + np.einsum("it,ij,jt->t", effort, R_effort, effort)
+    )
+    return float(dt * (integrand[0] / 2.0 + integrand[1:-1].sum() + integrand[-1] / 2.0))
+
+
 class TestTrackingCost:
     def test_zero_log(self):
         assert tracking_cost(constant_log(), CostWeights()) == 0.0
 
     def test_hand_trapezoid_of_constant(self):
-        w = CostWeights(Q_pixel=np.eye(2), Q_distance=1.0, R_effort=1e-4 * np.eye(2))
+        w = CostWeights(q_pixel=(1.0, 1.0), q_distance=1.0, r_effort=(1e-4, 1e-4))
         log = constant_log(n=201, dt=0.01, e_psi=1.0, e_d=2.0)  # 2 s span
         assert tracking_cost(log, w) == pytest.approx(10.0, abs=1e-9)  # (1+4)*2
 
     def test_effort_term_linear_in_weight(self):
-        base = CostWeights(Q_pixel=np.zeros((2, 2)), Q_distance=0.0, R_effort=np.eye(2))
-        double = CostWeights(Q_pixel=np.zeros((2, 2)), Q_distance=0.0, R_effort=2 * np.eye(2))
+        base = CostWeights(q_pixel=(0.0, 0.0), q_distance=0.0, r_effort=(1.0, 1.0))
+        double = CostWeights(q_pixel=(0.0, 0.0), q_distance=0.0, r_effort=(2.0, 2.0))
         log = constant_log(e_psi=0.3, T1=2.0, T2=-1.0)
         assert tracking_cost(log, double) == pytest.approx(2 * tracking_cost(log, base))
 
@@ -260,9 +278,9 @@ class TestTrackingCost:
         e = np.stack([log.e_psi, log.e_y])
         u = np.stack([log.T1, log.T2])
         integrand = (
-            np.einsum("it,ij,jt->t", e, w.Q_pixel, e)
-            + w.Q_distance * log.e_d**2
-            + np.einsum("it,ij,jt->t", u, w.R_effort, u)
+            np.einsum("it,ij,jt->t", e, np.diag(w.q_pixel), e)
+            + w.q_distance * log.e_d**2
+            + np.einsum("it,ij,jt->t", u, np.diag(w.r_effort), u)
         )
         want = np.trapezoid(integrand, log.t)
         assert tracking_cost(log, w) == pytest.approx(want, rel=1e-12)
@@ -281,9 +299,28 @@ class TestTrackingCost:
         from helm_bench.core import ConfigError
 
         with pytest.raises(ConfigError):
-            CostWeights(Q_distance=-1.0)
+            CostWeights(q_distance=-1.0)
         with pytest.raises(ConfigError):
-            CostWeights(R_effort=np.zeros((2, 2)))
+            CostWeights(r_effort=(0.0, 1.0))
+        with pytest.raises(ConfigError):
+            CostWeights(q_pixel=(1.0, -1e-13))
+        with pytest.raises(ConfigError):
+            CostWeights(q_pixel=(1.0, 1.0, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(*[_COST_SAMPLES] * 5), min_size=2, max_size=40),
+        st.sampled_from([0.01, 0.02, 0.1]),
+        st.lists(_COST_WEIGHTS, min_size=5, max_size=5),
+    )
+    def test_bit_identical_to_the_einsum_form(self, rows, dt, weights):
+        # rows of (e_psi, e_y, e_d, T1, T2); weights (q_psi, q_y, q_distance, r_1, r_2)
+        e_psi, e_y, e_d, T1, T2 = np.array(rows, dtype=float).T
+        log = SimpleNamespace(t=np.arange(len(rows)) * dt, e_psi=e_psi, e_y=e_y, e_d=e_d, T1=T1, T2=T2)
+        q_psi, q_y, q_distance, r_1, r_2 = weights
+        w = CostWeights(q_pixel=(q_psi, q_y), q_distance=q_distance, r_effort=(r_1, r_2))
+        want = _ref_tracking_cost(log, np.diag(w.q_pixel), w.q_distance, np.diag(w.r_effort))
+        assert tracking_cost(log, w).hex() == want.hex()
 
 
 _GRIDS = {

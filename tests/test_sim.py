@@ -664,12 +664,12 @@ class TestSummarize:
     def test_settling_time_backward_scan(self):
         e = np.concatenate([np.full(50, 0.2), np.full(50, 0.01)])
         s = summarize(synthetic_log(e, dt=0.1), CostWeights())
-        assert s.settling_time == pytest.approx(5.0)  # first index inside the band
+        assert s.settling_time_s == pytest.approx(5.0)  # first index inside the band
 
     def test_settling_infinite_when_final_outside_band(self):
         e = np.concatenate([np.zeros(99), [0.2]])
         s = summarize(synthetic_log(e), CostWeights())
-        assert s.settling_time == math.inf
+        assert s.settling_time_s == math.inf
 
     def test_rms_uses_last_quarter(self):
         e = np.concatenate([np.full(75, 1.0), np.full(25, 0.04)])
@@ -710,7 +710,7 @@ def quick_keys() -> dict:
 
 class TestSweep:
     def test_quick_file_is_the_quick_scenario(self):
-        assert repr(parse_scenario(scenario_text(QUICK_KEYS))) == repr(quick_scenario())
+        assert parse_scenario(scenario_text(QUICK_KEYS)) == quick_scenario()
 
     def test_variant_naming_and_seed_derivation(self):
         keys = quick_keys()
@@ -799,6 +799,8 @@ _KEYS = [
     ("controller", "kind", ["pid", "smc", "lqr"]),
     ("controller", "lqr_q", ["1,1,1", "0,0,0", "1e6,1e-300,0", "-1,1,1"]),
     ("controller", "lqr_r", ["1,1", "0,1", "1e-300,1e6", "-1,1"]),
+    ("cost", "q_pixel", ["1,1", "0,0", "1e6,1e-300", "-1e-13,1"]),
+    ("cost", "r_effort", ["1e-4,1e-4", "0,1", "1e-300,1e6", "-1,1"]),
 ]
 _NCC_KEYS = [
     ("tracker", "ncc_search_halfwidth", ["auto", "-1", "0", "3", "20", "1000000"]),
@@ -823,7 +825,7 @@ def _assert_sweep_is_file(base: dict[str, dict[str, str]], sec: str, key: str, t
     parsed = _built(lambda: parse_scenario(scenario_text(sections)))
     assert (variant is None) == (parsed is None), (sec, key, text)
     if variant is not None:
-        assert repr(variant) == repr(dataclasses.replace(parsed, seed=variant.seed, name=variant.name))
+        assert variant == dataclasses.replace(parsed, seed=variant.seed, name=variant.name)
     return variant
 
 
@@ -844,6 +846,21 @@ class TestSweepIsTheFileWithOneKeySet:
         sea_line.read(SCENARIOS / "sea_line.ini")
         variant = _assert_sweep_is_file({name: dict(sea_line[name]) for name in sea_line.sections()}, sec, key, text)
         assert variant is not None
+
+    @pytest.mark.parametrize(
+        "sec, key, text, other",
+        [("controller", "lqr_q", "4.1234567891, 25, 5", "4.1234567899, 25, 5"),
+         ("cost", "q_pixel", "1.00000000001, 1", "1, 1")],
+        ids=["lqr_q", "q_pixel"],
+    )
+    def test_weights_apart_in_the_tenth_digit(self, sec, key, text, other):
+        # the values differ past the 8th significant digit: == compares every bit
+        variant = _assert_sweep_is_file(QUICK_KEYS, sec, key, text)
+        sections = {name: dict(keys) for name, keys in QUICK_KEYS.items()}
+        sections.setdefault(sec, {})[key] = other
+        assert variant != dataclasses.replace(
+            parse_scenario(scenario_text(sections)), seed=variant.seed, name=variant.name
+        )
 
 
 @st.composite
