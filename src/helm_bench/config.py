@@ -1,5 +1,6 @@
 """Scenario files: INI-style sections with a strict key schema.
 
+Every key is an init field of a dataclass its section lists in _SECTIONS.
 Unknown sections or keys are hard errors; every key is optional and falls
 back to the library defaults. A file parses in two steps: parse_keys turns
 its text into parsed keys, and _build_scenario builds the scenario from
@@ -70,45 +71,44 @@ def _parser(hint: Any):
         return _parse_str
     if hint == int | None:
         return _parse_halfwidth
+    if hint == tuple[tuple[float, float], ...] | None:
+        return _parse_vertices
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
         return functools.partial(_enum, hint)
     return None
 
 
-# The dataclasses whose scalar and float-tuple init fields each section sets. A
-# field's key is its name in lower case, prefixed for the gain and weight sets
-# that share [controller].
+# The dataclasses whose scalar, float-tuple and vertex init fields each section
+# sets. A field's key is its name in lower case, prefixed for the gain and
+# weight sets that share [controller] and suffixed 0 for the initial state and
+# the target's origin pose.
 _SECTIONS: dict[str, tuple[type, ...]] = {
     "run": (sim.Scenario,),
-    "usv": (UsvParams,),
+    "usv": (UsvParams, BodyState, Pose2D),
     "camera": (CameraIntrinsics,),
     "sea": (dynamics.SeaState,),
     "guidance": (guidance.GuidanceConfig,),
     "sensors": (sim.SensorNoise,),
-    "target": (sim.TrajectorySpec,),
+    "target": (sim.TrajectorySpec, Pose2D),
     "tracker": (sim.TrackerSpec, sensors.TrackerNoiseConfig),
     "controller": (sim.ControllerSpec, control.PidGains, control.SmcGains, control.LqrWeights),
     "cost": (metrics.CostWeights,),
 }
-_PREFIXES = {control.PidGains: "pid_", control.SmcGains: "smc_", control.LqrWeights: "lqr_"}
-
-# The keys that are not a field: initial states and the triangle geometry.
-_EXTRA_KEYS: dict[str, dict[str, object]] = {
-    "usv": dict.fromkeys(("x0", "y0", "psi0", "u0", "r0"), float),
-    "target": dict.fromkeys(("x0", "y0", "psi0"), float) | {
-        "vertices": _parse_vertices,
-        "triangle_center": functools.partial(_parse_floats, n=2),
-        "triangle_side": float,
-    },
+_AFFIXES = {
+    control.PidGains: ("pid_", ""),
+    control.SmcGains: ("smc_", ""),
+    control.LqrWeights: ("lqr_", ""),
+    BodyState: ("", "0"),
+    Pose2D: ("", "0"),
 }
 
 
 def _key_fields(cls: type) -> dict[str, tuple[str, object]]:
     """Key -> (field name, parser) for each init field of a config dataclass that a key sets."""
     hints = get_type_hints(cls)
-    prefix = _PREFIXES.get(cls, "")
+    prefix, suffix = _AFFIXES.get(cls, ("", ""))
     return {
-        prefix + f.name.lower(): (f.name, parser)
+        prefix + f.name.lower() + suffix: (f.name, parser)
         for f in dataclasses.fields(cls)
         if f.init and (parser := _parser(hints[f.name])) is not None
     }
@@ -117,7 +117,6 @@ def _key_fields(cls: type) -> dict[str, tuple[str, object]]:
 _FIELDS = {cls: _key_fields(cls) for classes in _SECTIONS.values() for cls in classes}
 _SCHEMA: dict[str, dict[str, object]] = {
     section: {key: parser for cls in classes for key, (_, parser) in _FIELDS[cls].items()}
-    | _EXTRA_KEYS.get(section, {})
     for section, classes in _SECTIONS.items()
 }
 
@@ -195,29 +194,14 @@ def _make(cls, section: dict[str, Any], **kwargs: Any):
 def _build_scenario(values: dict[str, dict[str, Any]]) -> sim.Scenario:
     """Step 2 of parsing: the scenario that parsed keys describe; a value it rejects is a ConfigError."""
     usv, tgt, trk, ctl = (values.get(name, {}) for name in ("usv", "target", "tracker", "controller"))
-
-    def given(section: dict[str, Any], **keys: str) -> dict[str, Any]:
-        """Field -> value for each hand-written key (field=key) that a section sets."""
-        return {name: section[key] for name, key in keys.items() if key in section}
-
-    vertices = tgt.get("vertices")
-    if vertices is None and tgt.get("kind") is sim.TrajectoryKind.TRIANGLE:
-        vertices = sim.default_triangle(**given(tgt, center="triangle_center", side="triangle_side"))
     try:
         return _make(
             sim.Scenario,
             values.get("run", {}),
             params=_make(UsvParams, usv),
-            initial=BodyState(
-                pose=Pose2D(**given(usv, x="x0", y="y0", psi="psi0")), **given(usv, u="u0", r="r0")
-            ),
+            initial=_make(BodyState, usv, pose=_make(Pose2D, usv)),
             sea=_make(dynamics.SeaState, values.get("sea", {})),
-            target=_make(
-                sim.TrajectorySpec,
-                tgt,
-                origin=Pose2D(**given(tgt, x="x0", y="y0", psi="psi0")),
-                vertices=vertices,
-            ),
+            target=_make(sim.TrajectorySpec, tgt, origin=_make(Pose2D, tgt)),
             tracker=_make(sim.TrackerSpec, trk, noise=_make(sensors.TrackerNoiseConfig, trk)),
             controller=_make(
                 sim.ControllerSpec,

@@ -44,6 +44,8 @@ class TrajectorySpec:
     speed: float = 1.0  # m/s along the path
     vertices: tuple[tuple[float, float], ...] | None = None  # TRIANGLE only
     extent: float = 2.0  # m, target size seen by the camera
+    triangle_center: tuple[float, float] = (40.0, 0.0)  # m, TRIANGLE without vertices only
+    triangle_side: float = 20.0  # m, TRIANGLE without vertices only
 
     def __post_init__(self) -> None:
         if self.speed < 0.0:
@@ -51,10 +53,22 @@ class TrajectorySpec:
         if not self.extent > 0.0:
             raise ConfigError("target extent must be > 0")
         if self.kind is TrajectoryKind.TRIANGLE:
-            if self.vertices is None or len(self.vertices) != 3:
+            if len(self.corners) != 3:
                 raise ConfigError("TRIANGLE needs exactly 3 vertices")
             if any(edge[4] <= 0.0 for edge in self.edges):
                 raise ConfigError("triangle edges must have positive length")
+
+    @functools.cached_property
+    def corners(self) -> tuple[tuple[float, float], ...]:
+        """The TRIANGLE's corners: the vertices given, or else the equilateral triangle of
+        side triangle_side around triangle_center, first corner straight above the centroid."""
+        if self.vertices is not None:
+            return self.vertices
+        if not self.triangle_side > 0.0:  # a negative side would put the first corner below the centroid
+            raise ConfigError("triangle_side must be > 0")
+        (cx, cy), radius = self.triangle_center, self.triangle_side / math.sqrt(3.0)
+        angles = [math.pi / 2.0 + 2.0 * math.pi * k / 3.0 for k in range(3)]
+        return tuple((cx + radius * math.cos(a), cy + radius * math.sin(a)) for a in angles)
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[float, float, float, float, float, float], ...]:
@@ -63,11 +77,10 @@ class TrajectorySpec:
         psi is the edge heading, wrapped onto (-pi, pi] as Pose2D stores it:
         atan2 gives -pi for an edge pointing along -x.
         """
-        assert self.vertices is not None
         edges = []
         for i in range(3):
-            ax, ay = self.vertices[i]
-            bx, by = self.vertices[(i + 1) % 3]
+            ax, ay = self.corners[i]
+            bx, by = self.corners[(i + 1) % 3]
             ex, ey = bx - ax, by - ay
             edges.append((ax, ay, ex, ey, math.hypot(ex, ey), wrap_angle(math.atan2(ey, ex))))
         return tuple(edges)
@@ -75,20 +88,6 @@ class TrajectorySpec:
     @functools.cached_property
     def perimeter(self) -> float:
         return sum(e[4] for e in self.edges)
-
-
-def default_triangle(center: tuple[float, float] = (40.0, 0.0), side: float = 20.0):
-    """Equilateral vertex set, first vertex straight above the centroid."""
-    if not side > 0.0:  # a negative side would put the first vertex below it
-        raise ConfigError("triangle_side must be > 0")
-    radius = side / math.sqrt(3.0)
-    return tuple(
-        (
-            center[0] + radius * math.cos(math.pi / 2.0 + 2.0 * math.pi * k / 3.0),
-            center[1] + radius * math.sin(math.pi / 2.0 + 2.0 * math.pi * k / 3.0),
-        )
-        for k in range(3)
-    )
 
 
 def target_pose(spec: TrajectorySpec, t: float) -> Pose:

@@ -530,8 +530,10 @@ class TestSweep:
              "28e809376a2393f1b787a3a2ce27ef2e0773aa8b9c0d8ef31bdd8504e98189fc"),
             ("ncc_approach", "tracker.ncc_search_halfwidth", "auto,8",
              "f9bc03b90453f7098c775879536cef77be716bb903525cefbe711c9128e476f1"),
+            ("sea_triangle", "target.triangle_side", "15,20",
+             "b7209d985ce534253a3351543fb2970be7c999e91571b17e120ee38d7b20c654"),
         ],
-        ids=["calm_line", "ncc_approach"],
+        ids=["calm_line", "ncc_approach", "sea_triangle"],
     )
     def test_sweep_csv_golden(self, tmp_path, scenario, axis, values, digest):
         out = tmp_path / "s.csv"

@@ -311,6 +311,13 @@ class TestSchema:
         }
         assert derived == _SCHEMA_LITERAL
 
+    def test_every_key_is_a_field(self):
+        # a section's keys are exactly its classes' field keys, none shared by two classes
+        for section, classes in config._SECTIONS.items():
+            field_keys = [key for cls in classes for key in config._key_fields(cls)]
+            assert len(field_keys) == len(set(field_keys)), section
+            assert set(config._SCHEMA[section]) == set(field_keys), section
+
     def test_key_rule(self):
         # a field's key is its name in lower case; the gain and weight sets
         # share [controller] under a pid_, smc_ or lqr_ prefix
@@ -421,7 +428,7 @@ class TestTriangleConstruction:
         sc = parse_scenario(
             "[target]\nkind = triangle\ntriangle_center = 12, 0\ntriangle_side = 20\n"
         )
-        vs = sc.target.vertices
+        vs = sc.target.corners
         assert len(vs) == 3
         assert np.mean([v[0] for v in vs]) == pytest.approx(12.0)
         for i in range(3):

@@ -29,7 +29,6 @@ from helm_bench.sim import (
     TrackerSpec,
     TrajectoryKind,
     TrajectorySpec,
-    default_triangle,
     derived_seed,
     run_scenario,
     summarize,
@@ -119,7 +118,8 @@ class TestTargetPose:
             )
 
     def test_default_triangle_geometry(self):
-        vertices = default_triangle(center=(40.0, 0.0), side=20.0)
+        spec = TrajectorySpec(kind=TrajectoryKind.TRIANGLE, triangle_center=(40.0, 0.0), triangle_side=20.0)
+        vertices = spec.corners
         assert len(vertices) == 3
         xs = [v[0] for v in vertices]
         ys = [v[1] for v in vertices]
@@ -130,9 +130,36 @@ class TestTargetPose:
             ax, ay = vertices[i]
             bx, by = vertices[(i + 1) % 3]
             assert math.hypot(bx - ax, by - ay) == pytest.approx(20.0)
-        # and TrajectorySpec accepts it
+        # and TrajectorySpec accepts them as vertices
         spec = TrajectorySpec(kind=TrajectoryKind.TRIANGLE, vertices=vertices)
-        assert spec.vertices == vertices
+        assert spec.vertices == spec.corners == vertices
+
+
+class TestConstructorAndFileAgree:
+    def test_default_triangle_is_the_file_default(self):
+        spec = TrajectorySpec(kind=TrajectoryKind.TRIANGLE)
+        assert spec == parse_scenario("[target]\nkind = triangle\n").target
+        assert spec.vertices is None
+
+    def test_replaced_side_moves_the_triangle(self):
+        spec = dataclasses.replace(TrajectorySpec(kind=TrajectoryKind.TRIANGLE), triangle_side=30.0)
+        corners = spec.corners
+        for i in range(3):
+            (ax, ay), (bx, by) = corners[i], corners[(i + 1) % 3]
+            assert math.hypot(bx - ax, by - ay) == pytest.approx(30.0, rel=1e-12)
+
+    @pytest.mark.parametrize("side", [0.0, -20.0])
+    def test_side_must_be_positive_on_a_default_triangle(self, side):
+        with pytest.raises(ConfigError, match="^triangle_side must be > 0$"):
+            TrajectorySpec(kind=TrajectoryKind.TRIANGLE, triangle_side=side)
+
+    def test_side_is_unused_elsewhere(self):
+        # as the file: a line, or a triangle with vertices, never reads triangle_side
+        TrajectorySpec(kind=TrajectoryKind.LINE, triangle_side=-20.0)
+        vertices = ((0.0, 0.0), (3.0, 0.0), (0.0, 4.0))
+        assert TrajectorySpec(kind=TrajectoryKind.TRIANGLE, vertices=vertices, triangle_side=-20.0).corners == vertices
+        parse_scenario("[target]\nkind = line\ntriangle_side = -20\n")
+        parse_scenario("[target]\nkind = triangle\nvertices = 0,0; 3,0; 0,4\ntriangle_side = -20\n")
 
 
 # --- oracle: target_pose on Pose2D, before the edges kept their headings, kept verbatim
