@@ -4,7 +4,9 @@ Every key is an init field of a dataclass its section lists in _SECTIONS.
 Unknown sections or keys are hard errors; every key is optional and falls
 back to the library defaults. A file parses in two steps: parse_keys turns
 its text into parsed keys, and _build_scenario builds the scenario from
-them. A sweep variant is the file's keys with one key set, built the same way.
+them by one rule, _make, which places each nested config dataclass by
+_SECTIONS alone. A sweep variant is the file's keys with one key set, built
+the same way.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import configparser
 import dataclasses
 import enum
 import functools
-import math
+import sys
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -46,9 +48,9 @@ def _parse_vertices(s: str) -> tuple[tuple[float, float], ...]:
 
 
 def _finite(value: Any) -> bool:
-    """False if a parsed value is, or holds, a NaN or infinite float."""
-    if isinstance(value, float):
-        return math.isfinite(value)
+    """False if a parsed value is, or holds, a NaN, an infinity or an int too large for a float."""
+    if isinstance(value, (int, float)):
+        return abs(value) <= sys.float_info.max  # NaN fails the comparison
     if isinstance(value, tuple):
         return all(map(_finite, value))
     return True
@@ -101,20 +103,23 @@ _AFFIXES = {
     BodyState: ("", "0"),
     Pose2D: ("", "0"),
 }
+# Each listed class's resolved field types, and the section listing it (Pose2D,
+# listed twice, is only ever nested, so _make never reads its entry here).
+_HINTS = {cls: get_type_hints(cls) for classes in _SECTIONS.values() for cls in classes}
+_HOME = {cls: section for section, classes in _SECTIONS.items() for cls in classes}
 
 
 def _key_fields(cls: type) -> dict[str, tuple[str, object]]:
     """Key -> (field name, parser) for each init field of a config dataclass that a key sets."""
-    hints = get_type_hints(cls)
     prefix, suffix = _AFFIXES.get(cls, ("", ""))
     return {
         prefix + f.name.lower() + suffix: (f.name, parser)
         for f in dataclasses.fields(cls)
-        if f.init and (parser := _parser(hints[f.name])) is not None
+        if f.init and (parser := _parser(_HINTS[cls][f.name])) is not None
     }
 
 
-_FIELDS = {cls: _key_fields(cls) for classes in _SECTIONS.values() for cls in classes}
+_FIELDS = {cls: _key_fields(cls) for cls in _HINTS}
 _SCHEMA: dict[str, dict[str, object]] = {
     section: {key: parser for cls in classes for key, (_, parser) in _FIELDS[cls].items()}
     for section, classes in _SECTIONS.items()
@@ -182,39 +187,24 @@ def sweep_variant(keys: dict[str, dict[str, Any]], axis: str, value: str, index:
         raise ConfigError(f"{axis}: {exc}") from None
 
 
-def _make(cls, section: dict[str, Any], **kwargs: Any):
-    """cls from the section's keys that name its fields, plus kwargs.
+def _make(cls, section: str, values: dict[str, dict[str, Any]]):
+    """cls from the keys of values[section] that name its fields; the dataclass defaults fill the rest.
 
-    Keys the file leaves out are not passed, so the dataclass defaults apply.
+    A field that holds a listed class is built by the same rule, from section
+    if section lists that class, else from the one section that does.
     """
-    picked = {name: section[key] for key, (name, _) in _FIELDS[cls].items() if key in section}
-    return cls(**picked, **kwargs)
+    keys = values.get(section, {})
+    args = {name: keys[key] for key, (name, _) in _FIELDS[cls].items() if key in keys}
+    for name, sub in _HINTS[cls].items():
+        if sub in _FIELDS:
+            args[name] = _make(sub, section if sub in _SECTIONS[section] else _HOME[sub], values)
+    return cls(**args)
 
 
 def _build_scenario(values: dict[str, dict[str, Any]]) -> sim.Scenario:
     """Step 2 of parsing: the scenario that parsed keys describe; a value it rejects is a ConfigError."""
-    usv, tgt, trk, ctl = (values.get(name, {}) for name in ("usv", "target", "tracker", "controller"))
     try:
-        return _make(
-            sim.Scenario,
-            values.get("run", {}),
-            params=_make(UsvParams, usv),
-            initial=_make(BodyState, usv, pose=_make(Pose2D, usv)),
-            sea=_make(dynamics.SeaState, values.get("sea", {})),
-            target=_make(sim.TrajectorySpec, tgt, origin=_make(Pose2D, tgt)),
-            tracker=_make(sim.TrackerSpec, trk, noise=_make(sensors.TrackerNoiseConfig, trk)),
-            controller=_make(
-                sim.ControllerSpec,
-                ctl,
-                pid=_make(control.PidGains, ctl),
-                smc=_make(control.SmcGains, ctl),
-                lqr=_make(control.LqrWeights, ctl),
-            ),
-            cost=_make(metrics.CostWeights, values.get("cost", {})),
-            camera=_make(CameraIntrinsics, values.get("camera", {})),
-            guidance_cfg=_make(guidance.GuidanceConfig, values.get("guidance", {})),
-            sensor_noise=_make(sim.SensorNoise, values.get("sensors", {})),
-        )
+        return _make(sim.Scenario, "run", values)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:

@@ -189,7 +189,7 @@ def tracking_cost(log, w: CostWeights) -> float:
     return float(dt * (integrand[0] / 2.0 + integrand[1:-1].sum() + integrand[-1] / 2.0))
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricReport:
     """Scalar metrics plus the curves behind them for one evaluation unit."""
 

@@ -55,8 +55,8 @@ class TrajectorySpec:
         if self.kind is TrajectoryKind.TRIANGLE:
             if len(self.corners) != 3:
                 raise ConfigError("TRIANGLE needs exactly 3 vertices")
-            if any(edge[4] <= 0.0 for edge in self.edges):
-                raise ConfigError("triangle edges must have positive length")
+            if not all(0.0 < edge[4] < math.inf for edge in self.edges):
+                raise ConfigError("triangle edges must have positive, finite length")
 
     @functools.cached_property
     def corners(self) -> tuple[tuple[float, float], ...]:
@@ -237,6 +237,9 @@ class Scenario:
             raise ConfigError("scenario too long: duration/dt exceeds 1e7 steps")
         if self.n_steps < 1:
             raise ConfigError("duration must span at least one step of dt")
+        t_end = self.n_steps * self.dt  # the last t that target_pose sees
+        if self.target.kind is not TrajectoryKind.STATIONARY and not math.isfinite(self.target.speed * t_end):
+            raise ConfigError("a moving target's speed * duration must be finite")
         pixels = self.camera.width * self.camera.height
         if self.tracker.kind is TrackerKind.NCC and pixels > MAX_NCC_CAMERA_PIXELS:
             # The NCC tracker renders up to a whole frame of float64 pixels.
@@ -251,7 +254,7 @@ class Scenario:
         return int(math.floor(self.duration / self.dt + 1e-9))
 
 
-@dataclass
+@dataclass(eq=False)
 class RunLog:
     """Column-oriented run record; exact CSV layout in docs/logformat.md."""
 

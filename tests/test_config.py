@@ -1,22 +1,28 @@
 """Scenario-file parsing: schema enforcement, defaults, and full round trips."""
 
+import dataclasses
 import functools
+import hashlib
 import math
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from helm_bench import config
-from helm_bench.config import _SCHEMA, load_scenario, parse_scenario
+from helm_bench.config import _SCHEMA, load_scenario, parse_keys, parse_scenario, sweep_variant
 from helm_bench.core import ConfigError
 from helm_bench.guidance import SpeedLaw
+from helm_bench import sim
 from helm_bench.sim import (
     MAX_NCC_CAMERA_PIXELS,
     ControllerKind,
     Scenario,
     TrackerKind,
     TrajectoryKind,
+    TrajectorySpec,
+    run_scenario,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -318,6 +324,16 @@ class TestSchema:
             assert len(field_keys) == len(set(field_keys)), section
             assert set(config._SCHEMA[section]) == set(field_keys), section
 
+    def test_every_scenario_section_class_is_listed_once(self):
+        # _make builds a Scenario field that holds a config dataclass from the
+        # one section listing its class, so no such class may be listed twice.
+        hints = get_type_hints(sim.Scenario)
+        nested = [hints[f.name] for f in dataclasses.fields(sim.Scenario) if hints[f.name] in config._FIELDS]
+        assert len(nested) == 10
+        for cls in nested:
+            homes = [sec for sec, classes in config._SECTIONS.items() if cls in classes]
+            assert len(homes) == 1, (cls, homes)
+
     def test_key_rule(self):
         # a field's key is its name in lower case; the gain and weight sets
         # share [controller] under a pid_, smc_ or lqr_ prefix
@@ -423,6 +439,69 @@ class TestNonFiniteRejected:
         parse_scenario(f"[{sec}]\n{key} = {_FLOAT_TUPLE_KEYS[sec, key].format('2')}\n")
 
 
+def _int_valued(parser) -> bool:
+    try:
+        return type(parser("1")) is int
+    except ValueError:
+        return False
+
+
+_INT_KEYS = [(sec, key) for sec, keys in _SCHEMA.items() for key, p in keys.items() if _int_valued(p)]
+_NO_FLOAT_HOLDS = ["1" + "0" * 400, "-1" + "0" * 400]
+
+
+class TestIntTooLargeForAFloat:
+    def test_int_keys(self):
+        assert _INT_KEYS == [
+            ("run", "seed"),
+            ("camera", "width"),
+            ("camera", "height"),
+            ("guidance", "lost_frames_threshold"),
+            ("sensors", "frame_stride"),
+            ("tracker", "ncc_search_halfwidth"),
+        ]
+
+    @pytest.mark.parametrize("raw", _NO_FLOAT_HOLDS, ids=["positive", "negative"])
+    @pytest.mark.parametrize("sec, key", _INT_KEYS, ids=lambda v: v)
+    def test_rejected(self, sec, key, raw):
+        with pytest.raises(ConfigError, match=rf"\[{sec}\] {key}: .* is not finite"):
+            parse_scenario(f"[{sec}]\n{key} = {raw}\n")
+        if (sec, key) == ("run", "seed"):
+            return  # not an axis: each variant gets a derived seed
+        with pytest.raises(ConfigError, match=rf"^{sec}\.{key}: \[{sec}\] {key}: .* is not finite"):
+            sweep_variant(parse_keys(""), f"{sec}.{key}", raw, 0)
+
+    @pytest.mark.parametrize("sec, key", _INT_KEYS, ids=lambda v: v)
+    def test_a_float_holds_parses(self, sec, key):
+        # the default emulator tracker renders nothing, so no key here is a pixel count it allocates
+        raw = "1" + "0" * 300
+        sc = parse_scenario(f"[{sec}]\n{key} = {raw}\n")
+        assert sc.tracker.kind is TrackerKind.EMULATOR
+        if (sec, key) != ("run", "seed"):
+            sweep_variant(parse_keys(""), f"{sec}.{key}", raw, 0)
+
+
+class TestTargetPathOverflow:
+    @pytest.mark.parametrize("kind", ["line", "triangle"])
+    def test_speed_times_duration_rejected(self, kind):
+        # speed * t reaches inf inside the run: a NaN pose on a line, fmod's domain error on a triangle
+        with pytest.raises(ConfigError, match=r"speed \* duration must be finite"):
+            parse_scenario(f"[run]\nduration = 3\n[target]\nkind = {kind}\nspeed = 1e308\n")
+
+    def test_overflowing_edge_rejected(self):
+        vertices = "-1e308,0; 1e308,0; 0,1e308"
+        with pytest.raises(ConfigError, match="triangle edges must have positive, finite length"):
+            parse_scenario(f"[target]\nkind = triangle\nvertices = {vertices}\n")
+        with pytest.raises(ConfigError, match="triangle edges must have positive, finite length"):
+            TrajectorySpec(kind=TrajectoryKind.TRIANGLE, vertices=((-1e308, 0.0), (1e308, 0.0), (0.0, 1e308)))
+
+    @pytest.mark.parametrize("target", ["kind = stationary\nspeed = 1e308", "speed = 1e300"])
+    def test_finite_path_runs_to_the_end(self, target):
+        sc = parse_scenario(f"[run]\nduration = 3\n[target]\n{target}\n")
+        log = run_scenario(sc)
+        assert log.error is None and len(log) == sc.n_steps + 1 == 151
+
+
 class TestTriangleConstruction:
     def test_center_and_side_build_equilateral(self):
         sc = parse_scenario(
@@ -495,6 +574,24 @@ class TestLoadScenario:
         p = tmp_path / "harbor_patrol.ini"
         p.write_text("[run]\nduration = 1\n")
         assert load_scenario(p).name == "harbor_patrol"
+
+    # sha256 of repr(load_scenario(p)) for each shipped scenario (Python 3.11.7):
+    # every field of every nested class, as the file and the defaults set it.
+    REPR_SHA256 = {
+        "calm_line": "fc2ae0bd2a269091339d51043b49dec9f339154d9a28eb510d1564c8900a3ce8",
+        "sea_line": "5109f94556351ab9b1618f22b15e244546230e661c261890fa6f14ec478c4e01",
+        "sea_triangle": "270e0c53358a0a0c2200c3218370ee882b685b89910907f88e29fc914c7f4626",
+        "ncc_standoff": "84cf3cff7299c44669c51f058edaeb931d006ac424b34abd64b7579194b13fc5",
+        "ncc_approach": "2fca2ce761f684276fc13e573deca79fa3bfd64b4a664dae252c7647339da5ae",
+    }
+
+    def test_every_shipped_scenario_is_pinned(self):
+        assert sorted(p.stem for p in SCENARIO_DIR.glob("*.ini")) == sorted(self.REPR_SHA256)
+
+    @pytest.mark.parametrize("stem", sorted(REPR_SHA256))
+    def test_shipped_scenario_repr(self, stem):
+        digest = hashlib.sha256(repr(load_scenario(SCENARIO_DIR / f"{stem}.ini")).encode()).hexdigest()
+        assert digest == self.REPR_SHA256[stem]
 
     @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.ini")), ids=lambda p: p.stem)
     def test_shipped_scenarios_parse(self, path):

@@ -421,6 +421,15 @@ class TestAggregate:
             aggregate_reports([])
 
 
+class TestMetricReport:
+    def test_equality_is_identity(self):
+        # the curves are arrays with no single truth value, so == compares identity and never raises
+        gt = Boxes.of([(0, 0, 10, 10)] * 10)
+        report, again = evaluate_boxes(gt, gt), evaluate_boxes(gt, gt)
+        assert (report == report) is True
+        assert (report == again) is False
+
+
 class TestBoxes:
     def test_of_takes_tuples_and_none(self):
         boxes = Boxes.of([(1.25, -3.5, 10.0, 20.0), None, (0, 0, 5, 5)])

@@ -553,6 +553,12 @@ class TestRunLogCsv:
         assert back.to_csv() == log.to_csv()
         assert back.error is None
 
+    def test_equality_is_identity(self):
+        # numpy columns have no single truth value, so == compares identity and never raises
+        log, again = run_scenario(quick_scenario()), run_scenario(quick_scenario())
+        assert (log == log) is True
+        assert (log == again) is False
+
     def test_error_line_round_trip(self):
         log = run_scenario(quick_scenario())
         log.error = "integration diverged at t=0.5"
