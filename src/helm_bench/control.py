@@ -124,6 +124,7 @@ class ControllerState:
 
 
 def _lowpass(current: float, raw: float, dt: float, tau: float) -> float:
+    """One first-order low-pass update; pid_step and smc_refs compute it inline."""
     if tau <= 0.0:
         return raw
     return current + (dt / (tau + dt)) * (raw - current)
@@ -144,27 +145,39 @@ def pid_step(
     """
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
-    e_psi = wrap_angle(e_psi)
+    pi = math.pi
+    e_psi = e_psi if -pi < e_psi <= pi else wrap_angle(e_psi)
     lim = gains.integral_limit
 
-    state.i_u = min(max(state.i_u + e_u * dt, -lim), lim)
-    state.i_psi = min(max(state.i_psi + e_psi * dt, -lim), lim)
+    i_u = state.i_u + e_u * dt
+    i_u = -lim if -lim > i_u else i_u
+    state.i_u = i_u = lim if lim < i_u else i_u
+    i_psi = state.i_psi + e_psi * dt
+    i_psi = -lim if -lim > i_psi else i_psi
+    state.i_psi = i_psi = lim if lim < i_psi else i_psi
 
     raw_du = 0.0 if state.prev_e_u is None else (e_u - state.prev_e_u) / dt
-    raw_dpsi = 0.0 if state.prev_e_psi is None else wrap_angle(e_psi - state.prev_e_psi) / dt
-    state.d_u = _lowpass(state.d_u, raw_du, dt, gains.derivative_filter_tau)
-    state.d_psi = _lowpass(state.d_psi, raw_dpsi, dt, gains.derivative_filter_tau)
+    raw_dpsi = 0.0 if state.prev_e_psi is None else e_psi - state.prev_e_psi
+    raw_dpsi = (raw_dpsi if -pi < raw_dpsi <= pi else wrap_angle(raw_dpsi)) / dt
+    tau = gains.derivative_filter_tau
+    if tau <= 0.0:  # _lowpass, inline
+        d_u, d_psi = raw_du, raw_dpsi
+    else:
+        k = dt / (tau + dt)
+        d_u = state.d_u + k * (raw_du - state.d_u)
+        d_psi = state.d_psi + k * (raw_dpsi - state.d_psi)
+    state.d_u, state.d_psi = d_u, d_psi
     state.prev_e_u = e_u
     state.prev_e_psi = e_psi
 
     return (
-        gains.kp_u * e_u + gains.ki_u * state.i_u + gains.kd_u * state.d_u,
-        gains.kp_psi * e_psi + gains.ki_psi * state.i_psi + gains.kd_psi * state.d_psi,
+        gains.kp_u * e_u + gains.ki_u * i_u + gains.kd_u * d_u,
+        gains.kp_psi * e_psi + gains.ki_psi * i_psi + gains.kd_psi * d_psi,
     )
 
 
 def _switch(s: float, phi: float) -> float:
-    """sgn(s), smoothed to a unit ramp inside the boundary layer when phi > 0."""
+    """sgn(s), smoothed to a unit ramp inside the boundary layer when phi > 0; smc_step computes it inline."""
     if phi > 0.0:
         return min(max(s / phi, -1.0), 1.0)
     return float(np.sign(s))
@@ -188,24 +201,25 @@ def smc_refs(
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
     tau = gains.ref_filter_tau
+    k = None if tau <= 0.0 else dt / (tau + dt)  # _lowpass's gain; None passes raw through
 
-    raw_udot_des = 0.0 if state.prev_u_des is None else (u_des - state.prev_u_des) / dt
-    state.udot_des = _lowpass(state.udot_des, raw_udot_des, dt, tau)
+    raw = 0.0 if state.prev_u_des is None else (u_des - state.prev_u_des) / dt
+    state.udot_des = udot_des = raw if k is None else state.udot_des + k * (raw - state.udot_des)
     state.prev_u_des = u_des
 
-    raw_psidot = (
-        0.0 if state.prev_psi_des is None else wrap_angle(psi_des - state.prev_psi_des) / dt
-    )
-    prev_filtered = state.psidot_des
-    state.psidot_des = _lowpass(state.psidot_des, raw_psidot, dt, tau)
-    state.rdot_des = _lowpass(state.rdot_des, (state.psidot_des - prev_filtered) / dt, dt, tau)
+    raw = 0.0 if state.prev_psi_des is None else psi_des - state.prev_psi_des
+    raw = (raw if -math.pi < raw <= math.pi else wrap_angle(raw)) / dt
+    prev = state.psidot_des
+    state.psidot_des = psidot_des = raw if k is None else prev + k * (raw - prev)
+    raw = (psidot_des - prev) / dt
+    state.rdot_des = rdot_des = raw if k is None else state.rdot_des + k * (raw - state.rdot_des)
     state.prev_psi_des = psi_des
 
-    raw_udot = 0.0 if state.prev_u_meas is None else (u_meas - state.prev_u_meas) / dt
-    state.udot_est = _lowpass(state.udot_est, raw_udot, dt, tau)
+    raw = 0.0 if state.prev_u_meas is None else (u_meas - state.prev_u_meas) / dt
+    state.udot_est = raw if k is None else state.udot_est + k * (raw - state.udot_est)
     state.prev_u_meas = u_meas
 
-    return (u_des, state.udot_des, psi_des, state.psidot_des, state.rdot_des)
+    return (u_des, udot_des, psi_des, psidot_des, rdot_des)
 
 
 def smc_step(
@@ -225,14 +239,23 @@ def smc_step(
     u_des, udot_des, psi_des, psidot_des, rdot_des = refs
     u, psi, r = meas
     e_u = u_des - u
-    e_psi = wrap_angle(psi_des - psi)
-    s_u = gains.lambda_u * e_u + udot_des - state.udot_est
-    s_psi = gains.lambda_psi * e_psi + psidot_des - r
+    e_psi = psi_des - psi
+    e_psi = e_psi if -math.pi < e_psi <= math.pi else wrap_angle(e_psi)
+    lambda_u, lambda_psi, phi = gains.lambda_u, gains.lambda_psi, gains.phi
+    s_u = lambda_u * e_u + udot_des - state.udot_est
+    s_psi = lambda_psi * e_psi + psidot_des - r
+    if phi > 0.0:  # _switch, inline
+        s_u /= phi
+        s_u = -1.0 if -1.0 > s_u else s_u
+        s_u = 1.0 if 1.0 < s_u else s_u
+        s_psi /= phi
+        s_psi = -1.0 if -1.0 > s_psi else s_psi
+        s_psi = 1.0 if 1.0 < s_psi else s_psi
+    else:
+        s_u, s_psi = float(np.sign(s_u)), float(np.sign(s_psi))
 
-    T1 = params.m * (udot_des + gains.lambda_u * e_u) - gains.eta_u * _switch(s_u, gains.phi)
-    T2 = params.Izz * (rdot_des + gains.lambda_psi * e_psi) - gains.eta_psi * _switch(
-        s_psi, gains.phi
-    )
+    T1 = params.m * (udot_des + lambda_u * e_u) - gains.eta_u * s_u
+    T2 = params.Izz * (rdot_des + lambda_psi * e_psi) - gains.eta_psi * s_psi
     return T1, T2
 
 
@@ -317,24 +340,39 @@ def lqr_step(
     """
     u, psi, r = meas
     u_ref, psi_ref = refs
-    e_psi = wrap_angle(psi - psi_ref)
+    e_psi = psi - psi_ref
+    e_psi = e_psi if -math.pi < e_psi <= math.pi else wrap_angle(e_psi)
     return -(gain.k_u * (u - u_ref)), -_fma(gain.k_r, r, gain.k_psi * e_psi)
 
 
 def _fma(a: float, b: float, c: float) -> float:
     """a * b + c rounded once, as a fused multiply-add rounds it.
 
-    The exact sum is formed from the floats' integer ratios, and CPython rounds
-    an int true division correctly. An exact zero, an overflow or an infinite
-    input falls back to a * b + c, which keeps the IEEE sign of a zero sum.
+    Dekker's product (Veltkamp split) gives a * b = p + e exactly, and
+    math.fsum rounds p + e + c correctly. Where a split, product or sum could
+    overflow or underflow, the exact sum comes from the floats' integer ratios
+    instead, rounded by an int true division. An exact zero, an overflow or an
+    infinite input falls back to a * b + c, which keeps the IEEE sign of a zero sum.
     """
-    try:
-        na, da = a.as_integer_ratio()
-        nb, db = b.as_integer_ratio()
-        nc, dc = c.as_integer_ratio()
-        num = na * nb * dc + nc * da * db
-        if num:
-            return num / (da * db * dc)
-    except OverflowError:
-        pass
-    return a * b + c
+    p = a * b
+    if 1e-290 < abs(p) < 1e300 and abs(a) + abs(b) + abs(c) < 1e300:
+        t = 134217729.0 * a  # 2**27 + 1
+        a_hi = t - (t - a)
+        a_lo = a - a_hi
+        t = 134217729.0 * b
+        b_hi = t - (t - b)
+        b_lo = b - b_hi
+        s = math.fsum((p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo, c))
+        if s:
+            return s
+    else:
+        try:
+            na, da = a.as_integer_ratio()
+            nb, db = b.as_integer_ratio()
+            nc, dc = c.as_integer_ratio()
+            num = na * nb * dc + nc * da * db
+            if num:
+                return num / (da * db * dc)
+        except OverflowError:
+            pass
+    return p + c

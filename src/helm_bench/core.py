@@ -95,6 +95,9 @@ class CameraIntrinsics:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0 or not self.fx > 0.0:
             raise ConfigError("camera needs positive width, height and fx")
+        # A pixel error over fx, such as the log's e_y, is at most width / fx or height / fx.
+        if not (math.isfinite(self.width / self.fx) and math.isfinite(self.height / self.fx)):
+            raise ConfigError(f"camera width / fx and height / fx must be finite, got fx = {self.fx!r}")
         object.__setattr__(self, "cx", self.width / 2.0)
         object.__setattr__(self, "cy", self.height / 2.0)
         object.__setattr__(self, "hfov", 2.0 * math.atan(self.width / (2.0 * self.fx)))

@@ -66,27 +66,26 @@ class StateDerivative:
     dr: float
 
 
-def _mix(T1: float, T2: float) -> tuple[float, float]:
-    return T1 / 2.0 - T2 / 2.0, T1 / 2.0 + T2 / 2.0
-
-
-def _saturate(left: float, right: float, params: UsvParams) -> tuple[float, float]:
-    lo, hi = params.thrust_min, params.thrust_max
-    return min(max(left, lo), hi), min(max(right, lo), hi)
-
-
 def thrust_forces(T1: float, T2: float, params: UsvParams) -> tuple[float, float]:
     """Saturated per-thruster forces (left, right) for the channel commands.
 
     The float form of saturate(mix(GeneralizedThrust(T1, T2)), params); the
     commands the thrusters then apply are T1 = left + right, T2 = right - left.
     """
-    return _saturate(*_mix(T1, T2), params)
+    lo, hi = params.thrust_min, params.thrust_max
+    half_T1, half_T2 = T1 / 2.0, T2 / 2.0
+    left = half_T1 - half_T2
+    left = lo if lo > left else left
+    left = hi if hi < left else left
+    right = half_T1 + half_T2
+    right = lo if lo > right else right
+    right = hi if hi < right else right
+    return left, right
 
 
 def mix(gen: GeneralizedThrust) -> ThrustPair:
     """Split channel commands onto the two thrusters."""
-    return ThrustPair(*_mix(gen.T1, gen.T2))
+    return ThrustPair(gen.T1 / 2.0 - gen.T2 / 2.0, gen.T1 / 2.0 + gen.T2 / 2.0)
 
 
 def unmix(pair: ThrustPair) -> GeneralizedThrust:
@@ -96,7 +95,8 @@ def unmix(pair: ThrustPair) -> GeneralizedThrust:
 
 def saturate(pair: ThrustPair, params: UsvParams) -> ThrustPair:
     """Clamp each thruster to its force limits."""
-    return ThrustPair(*_saturate(pair.left, pair.right, params))
+    lo, hi = params.thrust_min, params.thrust_max
+    return ThrustPair(min(max(pair.left, lo), hi), min(max(pair.right, lo), hi))
 
 
 def _forcing(
@@ -126,29 +126,16 @@ def _forcing(
     return f_surge, tau_yaw, scale * (sea.wind_x - vx), scale * (sea.wind_y - vy)
 
 
-def _accelerations(
-    left: float, right: float, f_surge: float, tau_yaw: float, params: UsvParams
-) -> tuple[float, float]:
-    """(du, dr), each clamped at its actuator cap."""
-    du = (left + right + f_surge) / params.m
-    du = min(max(du, -params.udot_max), params.udot_max)
-    dr = ((right - left) * params.l + tau_yaw) / params.Izz
-    dr = min(max(dr, -params.rdot_max), params.rdot_max)
-    return du, dr
-
-
-def _velocity(u: float, psi: float, wx: float, wy: float) -> tuple[float, float]:
-    """World-frame (dx, dy) at surge speed u and heading psi."""
-    return u * math.cos(psi) + wx, u * math.sin(psi) + wy
-
-
 def derivatives(
     state: BodyState, pair: ThrustPair, dist: Disturbance, params: UsvParams
 ) -> StateDerivative:
     """Reduced 3-DOF rates; accelerations clamp at the actuator caps."""
-    du, dr = _accelerations(pair.left, pair.right, dist.f_surge, dist.tau_yaw, params)
-    dx, dy = _velocity(state.u, state.pose.psi, *dist.drift)
-    return StateDerivative(dx=dx, dy=dy, dpsi=state.r, du=du, dr=dr)
+    du = (pair.left + pair.right + dist.f_surge) / params.m
+    du = min(max(du, -params.udot_max), params.udot_max)
+    dr = ((pair.right - pair.left) * params.l + dist.tau_yaw) / params.Izz
+    dr = min(max(dr, -params.rdot_max), params.rdot_max)
+    u, psi = state.u, state.pose.psi
+    return StateDerivative(u * math.cos(psi) + dist.drift[0], u * math.sin(psi) + dist.drift[1], state.r, du, dr)
 
 
 def step(
@@ -177,7 +164,15 @@ def step(
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
     f_surge, tau_yaw, wx, wy = _forcing(t, sea, u, psi, params)
-    du, dr = _accelerations(left, right, f_surge, tau_yaw, params)
+    # The accelerations, each clamped at its actuator cap.
+    cap = params.udot_max
+    du = (left + right + f_surge) / params.m
+    du = -cap if -cap > du else du
+    du = cap if cap < du else du
+    cap = params.rdot_max
+    dr = ((right - left) * params.l + tau_yaw) / params.Izz
+    dr = -cap if -cap > dr else dr
+    dr = cap if cap < dr else dr
     # The rates of x and y do not depend on x and y, so no stage position
     # is formed; stages 2 and 3 share their speed and rate. The stage-1
     # heading is psi, wrapped already.
@@ -186,11 +181,18 @@ def step(
     r2 = r + h * dr
     u4 = u + dt * du
     r4 = r + dt * dr
+    cos, sin, pi = math.cos, math.sin, math.pi
     try:
-        dx1, dy1 = _velocity(u, psi, wx, wy)
-        dx2, dy2 = _velocity(u2, wrap_angle(psi + h * r), wx, wy)
-        dx3, dy3 = _velocity(u2, wrap_angle(psi + h * r2), wx, wy)
-        dx4, dy4 = _velocity(u4, wrap_angle(psi + dt * r2), wx, wy)
+        dx1, dy1 = u * cos(psi) + wx, u * sin(psi) + wy
+        stage = psi + h * r
+        stage = stage if -pi < stage <= pi else wrap_angle(stage)
+        dx2, dy2 = u2 * cos(stage) + wx, u2 * sin(stage) + wy
+        stage = psi + h * r2
+        stage = stage if -pi < stage <= pi else wrap_angle(stage)
+        dx3, dy3 = u2 * cos(stage) + wx, u2 * sin(stage) + wy
+        stage = psi + dt * r2
+        stage = stage if -pi < stage <= pi else wrap_angle(stage)
+        dx4, dy4 = u4 * cos(stage) + wx, u4 * sin(stage) + wy
     except ValueError as exc:  # from wrap_angle
         raise IntegrationError(f"non-finite heading inside step at t={t}: {exc}") from None
     c = dt / 6.0
@@ -202,6 +204,10 @@ def step(
     isfinite = math.isfinite
     if not (isfinite(x) and isfinite(y) and isfinite(psi) and isfinite(u) and isfinite(r)):
         raise IntegrationError(f"non-finite state after step at t={t}: {[x, y, psi, u, r]}")
-    u = min(max(u, -params.u_abs_cap), params.u_abs_cap)
-    r = min(max(r, -params.r_abs_cap), params.r_abs_cap)
-    return x, y, wrap_angle(psi), u, r
+    cap = params.u_abs_cap
+    u = -cap if -cap > u else u
+    u = cap if cap < u else u
+    cap = params.r_abs_cap
+    r = -cap if -cap > r else r
+    r = cap if cap < r else r
+    return x, y, psi if -pi < psi <= pi else wrap_angle(psi), u, r

@@ -24,6 +24,11 @@ class GuidanceMode(enum.Enum):
     SEARCHING = "searching"
 
 
+# The members guidance_step reads, as globals: a global read costs less than an enum member lookup.
+_TRACKING, _HOLDING, _SEARCHING = GuidanceMode.TRACKING, GuidanceMode.HOLDING, GuidanceMode.SEARCHING
+_PAPER_CLAMPED = SpeedLaw.PAPER_CLAMPED
+
+
 class GuidanceCommand(NamedTuple):
     mode: GuidanceMode
     u_ref: float  # m/s
@@ -72,13 +77,16 @@ def distance_error(range_m: float, cfg: GuidanceConfig) -> float:
 
 def reference_speed(range_m: float | None, cfg: GuidanceConfig) -> float:
     """Forward speed command for the measured range (None = beyond LiDAR)."""
+    u_max = cfg.u_max
     if range_m is None:
-        return cfg.u_max
-    if cfg.speed_law is SpeedLaw.PAPER_CLAMPED:
-        return min(max(cfg.u_max * range_m / cfg.standoff, 0.0), cfg.u_max)
-    span = cfg.lidar_max_range - cfg.standoff
-    frac = min(max((range_m - cfg.standoff) / span, 0.0), 1.0)
-    return cfg.u_max * frac
+        return u_max
+    if cfg.speed_law is _PAPER_CLAMPED:
+        u = u_max * range_m / cfg.standoff
+        u = 0.0 if 0.0 > u else u
+        return u_max if u_max < u else u
+    frac = (range_m - cfg.standoff) / (cfg.lidar_max_range - cfg.standoff)
+    frac = 0.0 if 0.0 > frac else frac
+    return u_max * (1.0 if 1.0 < frac else frac)
 
 
 @dataclass
@@ -111,19 +119,24 @@ def guidance_step(
     """
     if box is not None:
         state.lost_count = 0
-        ex, _ = pixel_error(box, cam)
-        e_psi = pixel_to_body(ex, cam)
+        # pixel_error, pixel_to_body and distance_error on the box.
+        x, y, w, h = box
+        cx = x + w / 2.0
+        cy = y + h / 2.0
+        if not (0.0 <= cx <= cam.width and 0.0 <= cy <= cam.height):
+            raise ValueError(f"box center ({cx}, {cy}) lies outside the image")
+        e_psi = math.atan2(cam.cx - cx, cam.fx)
         if e_psi != 0.0:
             state.last_seen_sign = math.copysign(1.0, e_psi)
-        e_d = distance_error(range_m, cfg) if range_m is not None else 0.0
-        cmd = GuidanceCommand(GuidanceMode.TRACKING, reference_speed(range_m, cfg), e_psi, e_d)
+        e_d = 0.0 if range_m is None else cfg.standoff - range_m
+        cmd = GuidanceCommand(_TRACKING, reference_speed(range_m, cfg), e_psi, e_d)
     else:
         state.lost_count += 1
         if state.lost_count <= cfg.lost_frames_threshold:
-            prev = state.last_command
-            cmd = GuidanceCommand(GuidanceMode.HOLDING, prev.u_ref * cfg.holding_decay, prev.e_psi, prev.e_d)
+            _, u_ref, e_psi, e_d = state.last_command
+            cmd = GuidanceCommand(_HOLDING, u_ref * cfg.holding_decay, e_psi, e_d)
         else:
             e_psi = cfg.search_yaw_bias * state.last_seen_sign
-            cmd = GuidanceCommand(GuidanceMode.SEARCHING, 0.0, e_psi, 0.0)
+            cmd = GuidanceCommand(_SEARCHING, 0.0, e_psi, 0.0)
     state.last_command = cmd
     return cmd

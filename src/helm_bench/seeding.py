@@ -7,6 +7,7 @@ so adding or removing a sensor never shifts the draws of the others.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections.abc import Iterator
 
 import numpy as np
@@ -22,7 +23,7 @@ def stream(seed: int, label: str) -> np.random.Generator:
 
 
 def normal_rows(rng: np.random.Generator, scales, n_rows: int) -> Iterator:
-    """Yield n_rows draws of rng.normal(0.0, scales), at most BLOCK_ROWS per numpy call.
+    """An iterator over n_rows draws of rng.normal(0.0, scales), at most BLOCK_ROWS per numpy call.
 
     A scalar scale yields floats, a sequence of scales yields lists. The
     values equal, bit for bit and in order, one rng.normal(0.0, s) call per
@@ -31,7 +32,6 @@ def normal_rows(rng: np.random.Generator, scales, n_rows: int) -> Iterator:
     the run.
     """
     scales = np.asarray(scales, dtype=float)
-    while n_rows > 0:
-        rows = min(n_rows, BLOCK_ROWS)
-        yield from rng.normal(0.0, scales, size=(rows, *scales.shape)).tolist()
-        n_rows -= rows
+    blocks = (min(BLOCK_ROWS, n_rows - start) for start in range(0, n_rows, BLOCK_ROWS))
+    draws = (rng.normal(0.0, scales, size=(rows, *scales.shape)).tolist() for rows in blocks)
+    return itertools.chain.from_iterable(draws)  # each block is drawn when the last one runs out

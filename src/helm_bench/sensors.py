@@ -65,16 +65,22 @@ def project_target(usv: Pose, target: Pose, extent: float, cam: CameraIntrinsics
     dx = target[0] - ux
     dy = target[1] - uy
     d = math.hypot(dx, dy)
-    beta = wrap_angle(math.atan2(dy, dx) - upsi)
+    beta = math.atan2(dy, dx) - upsi
+    beta = beta if -math.pi < beta <= math.pi else wrap_angle(beta)
     if abs(beta) >= cam.hfov / 2.0 or d <= _MIN_PROJECT_RANGE:
         return None
     center_x = cam.cx - cam.fx * math.tan(beta)
     center_y = cam.cy
-    size = cam.fx * extent / d
-    left = max(center_x - size / 2.0, 0.0)
-    right = min(center_x + size / 2.0, float(cam.width))
-    top = max(center_y - size / 2.0, 0.0)
-    bottom = min(center_y + size / 2.0, float(cam.height))
+    half = cam.fx * extent / d / 2.0
+    width, height = float(cam.width), float(cam.height)
+    left = center_x - half
+    left = 0.0 if 0.0 > left else left
+    right = center_x + half
+    right = width if width < right else right
+    top = center_y - half
+    top = 0.0 if 0.0 > top else top
+    bottom = center_y + half
+    bottom = height if height < bottom else bottom
     return (left, top, right - left, bottom - top)
 
 
@@ -107,15 +113,18 @@ def emulate_tracker(
     if rng.random() < p_drop:
         return None
     zx, zy, zs = rng.standard_normal(3).tolist()
-    cx, cy = box_center(truth)
+    x, y, w, h = truth
     sigma_c = noise.sigma_center_px / visibility
-    cx += 0.0 + sigma_c * zx
-    cy += 0.0 + sigma_c * zy
-    scale = max(1.0 + (0.0 + noise.sigma_scale * zs), 0.0)
-    w = truth[2] * scale
-    h = truth[3] * scale
-    box = (cx - w / 2.0, cy - h / 2.0, w, h)
-    return box if cam.sees(box) else None
+    cx = x + w / 2.0 + (0.0 + sigma_c * zx)
+    cy = y + h / 2.0 + (0.0 + sigma_c * zy)
+    scale = 1.0 + (0.0 + noise.sigma_scale * zs)
+    scale = 0.0 if 0.0 > scale else scale
+    w *= scale
+    h *= scale
+    x = cx - w / 2.0
+    y = cy - h / 2.0
+    seen = 0.0 <= x + w / 2.0 <= cam.width and 0.0 <= y + h / 2.0 <= cam.height  # CameraIntrinsics.sees
+    return (x, y, w, h) if seen else None
 
 
 Roi = tuple[int, int, int, int]  # (y0, y1, x0, x1): rows y0..y1-1, columns x0..x1-1
@@ -507,7 +516,8 @@ def lidar_range(usv: Pose, target: Pose, max_range: float, noise: Iterator[float
     d = math.hypot(target[0] - usv[0], target[1] - usv[1])
     if d > max_range:
         return None
-    return max(d + next(noise), 0.0)
+    d += next(noise)
+    return 0.0 if 0.0 > d else d
 
 
 def measure_state(u: float, psi: float, r: float, noise: Sequence[float]) -> tuple[float, float, float]:
@@ -520,4 +530,5 @@ def measure_state(u: float, psi: float, r: float, noise: Sequence[float]) -> tup
     noise configurations.
     """
     du, dpsi, dr = noise
-    return u + du, wrap_angle(psi + dpsi), r + dr
+    psi += dpsi
+    return u + du, psi if -math.pi < psi <= math.pi else wrap_angle(psi), r + dr

@@ -23,7 +23,6 @@ from .core import (
     Pose,
     Pose2D,
     UsvParams,
-    box_center,
     wrap_angle,
 )
 from .seeding import normal_rows, stream
@@ -33,6 +32,9 @@ class TrajectoryKind(enum.Enum):
     LINE = "line"
     TRIANGLE = "triangle"
     STATIONARY = "stationary"
+
+
+_LINE, _STATIONARY = TrajectoryKind.LINE, TrajectoryKind.STATIONARY  # read per step, as cheap globals
 
 
 @dataclass(frozen=True)
@@ -97,15 +99,12 @@ def target_pose(spec: TrajectorySpec, t: float) -> Pose:
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    origin = spec.origin
-    if spec.kind is TrajectoryKind.STATIONARY:
+    origin, kind = spec.origin, spec.kind
+    if kind is _LINE:
+        s, psi = spec.speed * t, origin.psi
+        return (origin.x + s * math.cos(psi), origin.y + s * math.sin(psi), psi)
+    if kind is _STATIONARY:
         return (origin.x, origin.y, origin.psi)
-    if spec.kind is TrajectoryKind.LINE:
-        return (
-            origin.x + spec.speed * t * math.cos(origin.psi),
-            origin.y + spec.speed * t * math.sin(origin.psi),
-            origin.psi,
-        )
     s = math.fmod(spec.speed * t, spec.perimeter)
     for ax, ay, ex, ey, length, psi in spec.edges:
         if s < length:
@@ -145,12 +144,20 @@ class ControllerSpec:
             smc = self.smc
 
             def smc_law(cmd, meas):
-                refs = control.smc_refs(state, cmd.u_ref, wrap_angle(meas[1] + cmd.e_psi), meas[0], dt, smc)
+                psi_ref = meas[1] + cmd.e_psi
+                psi_ref = psi_ref if -math.pi < psi_ref <= math.pi else wrap_angle(psi_ref)
+                refs = control.smc_refs(state, cmd.u_ref, psi_ref, meas[0], dt, smc)
                 return control.smc_step(state, refs, meas, smc, params)
 
             return smc_law
         gain = control.lqr_gain(params, self.lqr)
-        return lambda cmd, meas: control.lqr_step(gain, meas, (cmd.u_ref, wrap_angle(meas[1] + cmd.e_psi)))
+
+        def lqr_law(cmd, meas):
+            psi_ref = meas[1] + cmd.e_psi
+            psi_ref = psi_ref if -math.pi < psi_ref <= math.pi else wrap_angle(psi_ref)
+            return control.lqr_step(gain, meas, (cmd.u_ref, psi_ref))
+
+        return lqr_law
 
 
 MAX_NCC_CAMERA_PIXELS = 4096 * 4096
@@ -402,13 +409,14 @@ def run_scenario(sc: Scenario) -> RunLog:
 
     rows: list[tuple] = []
     no_box = (math.nan,) * 4
+    mode_text = {mode: mode.value for mode in guidance.GuidanceMode}
     # The plant state as floats; Pose2D holds psi wrapped, and step keeps it so.
     init = sc.initial
     x, y, psi, u, r = init.pose.x, init.pose.y, init.pose.psi, init.u, init.r
     # Per-run constants, read once.
-    dt, sea, gcfg = sc.dt, sc.sea, sc.guidance_cfg
-    extent, stride, lidar_max = sc.target.extent, noise.frame_stride, gcfg.lidar_max_range
-    box = None  # the tracker's (x, y, w, h) box, None while it reports none
+    dt, sea, gcfg, spec = sc.dt, sc.sea, sc.guidance_cfg, sc.target
+    extent, stride, lidar_max = spec.extent, noise.frame_stride, gcfg.lidar_max_range
+    box = None  # the tracker's (x, y, w, h) box, None while it reports none; det_* hold its log cells
     e_y = 0.0
     error: str | None = None
 
@@ -417,12 +425,18 @@ def run_scenario(sc: Scenario) -> RunLog:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             t = k * dt
-            target = target_pose(sc.target, t)
+            target = target_pose(spec, t)
             pose = (x, y, psi)
             gt_box = sensors.project_target(pose, target, extent, cam)
 
             if k % stride == 0:
                 box = observe(gt_box)
+                if box is None:
+                    det_valid, (det_x, det_y, det_w, det_h) = 0, no_box
+                else:
+                    det_valid = 1
+                    det_x, det_y, det_w, det_h = box
+                    e_y = (cam.cy - (det_y + det_h / 2.0)) / cam.fx
 
             rng_range = sensors.lidar_range(pose, target, lidar_max, lidar_noise)
             try:
@@ -431,23 +445,21 @@ def run_scenario(sc: Scenario) -> RunLog:
                 error = f"non-finite heading measurement at t={t}: {exc}"
                 break
             cmd = guidance.guidance_step(box, rng_range, gcfg, cam, gstate)
-            if box is None:
-                det_valid, det_cells = 0, no_box
-            else:
-                det_valid, det_cells = 1, box
-                e_y = (cam.cy - box_center(box)[1]) / cam.fx
-            left, right = dynamics.thrust_forces(*law(cmd, meas), params)
+            T1, T2 = law(cmd, meas)
+            left, right = dynamics.thrust_forces(T1, T2, params)
 
             # One cell per LOG_COLUMNS entry, in RunLog field order.
+            tx, ty, tpsi = target
+            mode, u_ref, e_psi, e_d = cmd
+            gt_x, gt_y, gt_w, gt_h = no_box if gt_box is None else gt_box
             rows.append(
                 (
-                    t, x, y, psi, u, r,
-                    *target,
-                    det_valid, *det_cells,
+                    t, x, y, psi, u, r, tx, ty, tpsi,
+                    det_valid, det_x, det_y, det_w, det_h,
                     math.nan if rng_range is None else rng_range,
-                    cmd.mode.value, cmd.u_ref, cmd.e_psi, cmd.e_d, e_y,
+                    mode_text[mode], u_ref, e_psi, e_d, e_y,
                     left + right, right - left, left, right,
-                    *(no_box if gt_box is None else gt_box),
+                    gt_x, gt_y, gt_w, gt_h,
                 )
             )
 

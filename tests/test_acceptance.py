@@ -36,7 +36,7 @@ import pytest
 from helm_bench.cli import main
 from helm_bench.config import load_keys, load_scenario, sweep_variant
 from helm_bench.control import LqrWeights, SmcGains, lqr_gain
-from helm_bench.core import Box, CameraIntrinsics, UsvParams, box_center
+from helm_bench.core import BodyState, Box, CameraIntrinsics, Pose2D, UsvParams, box_center
 from helm_bench.dynamics import SeaState, step
 from helm_bench.metrics import (
     NORM_PRECISION_THRESHOLDS,
@@ -99,6 +99,16 @@ NOISY_GOLDEN_SHA256 = {
     "LQR": "83059b0023503b10ce0e518a2c5c1d428f9d1ecbdb63ac1a70584cda27c07e60",
 }
 
+# sha256 of RunLog.to_csv() for sea_line made noisy and hazy, starting turned
+# away from its target (see _noisy_sea_line), keyed by controller. Besides
+# dropouts, holding and searching, it pins what the noisy calm_line runs reach
+# only in part: a jittered box that leaves the frame (twice, under PID) and
+# the noisy heading measurement's wrap across +-pi under every law.
+NOISY_SEA_LINE_SHA256 = {
+    "PID": "06bac188973b1f894daf6db7aa5f68635dbd133b4ffa4d749e20ba0ae470486e",
+    "SMC": "158d1d1c957a087559a15f13930cf934aff41c88d5ef43359725e216f9629bf5",
+    "LQR": "f888f5a2278c13ef3d3617b1f14e26d023310bf35266cc9c58c3d34bda48d6dd",
+}
 
 # sha256 of RunLog.to_csv() for scenarios that pin a behavior of the trackers
 # rather than a controller comparison. ncc_approach closes on the target, so
@@ -468,6 +478,35 @@ def test_noisy_calm_line_golden(kind):
     assert len(log) == 3001 and log.error is None
     digest = hashlib.sha256(log.to_csv().encode()).hexdigest()
     assert digest == NOISY_GOLDEN_SHA256[kind]
+
+
+def _noisy_sea_line(kind: str):
+    """sea_line at visibility 0.3 with every tracker and sensor noise on, heading psi0 = pi.
+
+    The hull starts facing away from the target, so it searches, turns
+    through +-pi (where the noisy heading measurement wraps) and meets the
+    target at the image edge, where a jittered box can leave the frame.
+    """
+    base = load_scenario(str(SCENARIOS / "sea_line.ini"))
+    return dataclasses.replace(
+        base,
+        initial=BodyState(pose=Pose2D(psi=math.pi)),
+        sea=dataclasses.replace(base.sea, visibility=0.3),
+        tracker=dataclasses.replace(base.tracker, noise=TrackerNoiseConfig(2.0, 0.05, 0.05)),
+        sensor_noise=SensorNoise(lidar_sigma=0.1, u_sigma=0.02, psi_sigma=0.05, r_sigma=0.01),
+        controller=ControllerSpec(kind=ControllerKind[kind]),
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(NOISY_SEA_LINE_SHA256))
+def test_noisy_sea_line_golden(kind):
+    """Dropouts, off-image jitter, searching and the IMU heading wrap, pinned byte for byte."""
+    log = run_scenario(_noisy_sea_line(kind))
+    assert len(log) == 2001 and log.error is None
+    assert set(log.mode) == {"tracking", "holding", "searching"}
+    assert (np.abs(np.diff(log.psi)) > math.pi).any()  # the heading crossed +-pi
+    digest = hashlib.sha256(log.to_csv().encode()).hexdigest()
+    assert digest == NOISY_SEA_LINE_SHA256[kind]
 
 
 def test_criterion_7_determinism(tmp_path):

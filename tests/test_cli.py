@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helm_bench.cli import main
+from helm_bench.cli import build_parser, main
 from helm_bench.metrics import REPORT_COLUMNS, Boxes, format_boxes, load_boxes
 from helm_bench.sim import LOG_COLUMNS, SWEEP_COLUMNS, RunLog
 
@@ -697,3 +697,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["teleport"])
         assert exc.value.code == 1
+
+    def test_one_parser_serves_successive_commands(self, quick_ini, tmp_path, capsys):
+        # main builds its parser once per process; no call may leave state in it for the next.
+        parser = build_parser()
+        assert main(["simulate", "--scenario", str(quick_ini), "--out", str(tmp_path / "run")]) == 0
+        assert main(["gains", "--scenario", str(quick_ini), "--lqr"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["gains", "--lqr"])  # --scenario is required
+        assert exc.value.code == 1
+        assert "the following arguments are required: --scenario" in capsys.readouterr().err
+        run = tmp_path / "run"
+        assert main(["evaluate", "--gt", str(run / "groundtruth.txt"), "--pred", str(run / "predictions.txt"),
+                     "--out", str(tmp_path / "report.csv")]) == 0
+        assert main(["simulate", "--scenario", str(quick_ini), "--out", str(tmp_path / "again")]) == 0
+        assert read(run / "runlog.csv") == read(tmp_path / "again" / "runlog.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", str(quick_ini)])
+        assert exc.value.code == 1
+        assert build_parser() is parser

@@ -555,6 +555,11 @@ class TestNccTrackerLimits:
             parse_scenario(camera + "[tracker]\nkind = ncc\n")
         parse_scenario(camera)  # the emulator renders nothing
 
+    def test_camera_with_overflowing_pixel_ratios_rejected_at_parse_time(self):
+        # 640 / 5e-324 is inf, so every pixel error over fx would be too.
+        with pytest.raises(ConfigError, match=r"width / fx and height / fx must be finite, got fx = 5e-324"):
+            parse_scenario("[run]\nduration = 1\n[camera]\nfx = 5e-324\n")
+
     def test_camera_bound_is_inclusive(self):
         assert MAX_NCC_CAMERA_PIXELS == 4096 * 4096
         parse_scenario("[camera]\nwidth = 4096\nheight = 4096\n[tracker]\nkind = ncc\n")

@@ -748,6 +748,40 @@ class TestLqrStep:
         assert reversals <= 2  # first crossing plus at most one more
 
 
+# Finite floats across the whole exponent range, with subnormals, the edges
+# of _fma's split-product range and exact halves, where rounding ties.
+_FMA_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(
+        lambda m, e: math.ldexp(m, e), st.floats(-1.0, 1.0), st.integers(-1074, 1023)
+    ),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-290, 1e300, -1e300, 0.5, 1.5, 2.0**53 + 1.0]),
+)
+
+
+class TestFma:
+    @settings(max_examples=2000, deadline=None)
+    @given(_FMA_FLOATS, _FMA_FLOATS, _FMA_FLOATS, st.booleans())
+    def test_rounds_once(self, a, b, c, cancel):
+        if cancel and math.isfinite(a * b):
+            c = -(a * b)  # the exact sum is the product's rounding error
+        try:
+            want = _fma_oracle(a, b, c)
+        except OverflowError:  # beyond the largest float: an FMA gives inf
+            assert math.isinf(control._fma(a, b, c))
+            return
+        assert control._fma(a, b, c).hex() == want.hex(), (a, b, c)
+
+    def test_ties_round_to_even(self):
+        # a * a = 2**54 + 2**28 + 1 exactly, where floats lie 4 apart. Each c puts
+        # the exact sum halfway between two floats; a * a + c, rounded twice,
+        # misses the even one for c = 5 and c = -3.
+        a, base = 2.0**27 + 1.0, 2.0**54 + 2.0**28
+        for c, want in ((1.0, base), (5.0, base + 8.0), (-3.0, base)):
+            assert control._fma(a, a, c) == want == _fma_oracle(a, a, c), c
+        assert a * a + 5.0 == base + 4.0 and a * a - 3.0 == base - 4.0
+
+
 class TestZeroAtReset:
     def test_all_three_idle_at_zero(self):
         pid = pid_step(ControllerState(), 0.0, 0.0, 0.02, PidGains())

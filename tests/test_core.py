@@ -152,6 +152,16 @@ class TestCameraIntrinsics:
         with pytest.raises(ConfigError):
             CameraIntrinsics(**kwargs)
 
+    @pytest.mark.parametrize("fx", [5e-324, 3e-306])
+    def test_fx_whose_pixel_ratios_overflow_rejected(self, fx):
+        # 480 / 3e-306 is finite, 640 / 3e-306 is not: either ratio rejects.
+        with pytest.raises(ConfigError, match="width / fx and height / fx must be finite"):
+            CameraIntrinsics(fx=fx)
+
+    def test_smallest_fx_with_finite_ratios_accepted(self):
+        fx = 640.0 / 1.7976931348623157e308
+        assert math.isfinite(640 / fx) and CameraIntrinsics(fx=fx).cx == 320.0
+
     @pytest.mark.parametrize(
         "box, seen",
         [
