@@ -123,13 +123,6 @@ class ControllerState:
     udot_est: float = 0.0
 
 
-def _lowpass(current: float, raw: float, dt: float, tau: float) -> float:
-    """One first-order low-pass update; pid_step and smc_refs compute it inline."""
-    if tau <= 0.0:
-        return raw
-    return current + (dt / (tau + dt)) * (raw - current)
-
-
 def pid_step(
     state: ControllerState,
     e_u: float,
@@ -160,7 +153,7 @@ def pid_step(
     raw_dpsi = 0.0 if state.prev_e_psi is None else e_psi - state.prev_e_psi
     raw_dpsi = (raw_dpsi if -pi < raw_dpsi <= pi else wrap_angle(raw_dpsi)) / dt
     tau = gains.derivative_filter_tau
-    if tau <= 0.0:  # _lowpass, inline
+    if tau <= 0.0:  # first-order low-pass with gain dt / (tau + dt); tau <= 0 passes raw through
         d_u, d_psi = raw_du, raw_dpsi
     else:
         k = dt / (tau + dt)
@@ -174,13 +167,6 @@ def pid_step(
         gains.kp_u * e_u + gains.ki_u * i_u + gains.kd_u * d_u,
         gains.kp_psi * e_psi + gains.ki_psi * i_psi + gains.kd_psi * d_psi,
     )
-
-
-def _switch(s: float, phi: float) -> float:
-    """sgn(s), smoothed to a unit ramp inside the boundary layer when phi > 0; smc_step computes it inline."""
-    if phi > 0.0:
-        return min(max(s / phi, -1.0), 1.0)
-    return float(np.sign(s))
 
 
 def smc_refs(
@@ -201,7 +187,7 @@ def smc_refs(
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
     tau = gains.ref_filter_tau
-    k = None if tau <= 0.0 else dt / (tau + dt)  # _lowpass's gain; None passes raw through
+    k = None if tau <= 0.0 else dt / (tau + dt)  # low-pass gain; None passes raw through
 
     raw = 0.0 if state.prev_u_des is None else (u_des - state.prev_u_des) / dt
     state.udot_des = udot_des = raw if k is None else state.udot_des + k * (raw - state.udot_des)
@@ -244,7 +230,7 @@ def smc_step(
     lambda_u, lambda_psi, phi = gains.lambda_u, gains.lambda_psi, gains.phi
     s_u = lambda_u * e_u + udot_des - state.udot_est
     s_psi = lambda_psi * e_psi + psidot_des - r
-    if phi > 0.0:  # _switch, inline
+    if phi > 0.0:  # sgn(s), ramped to s / phi clipped to [-1, 1] inside the boundary layer
         s_u /= phi
         s_u = -1.0 if -1.0 > s_u else s_u
         s_u = 1.0 if 1.0 < s_u else s_u

@@ -102,11 +102,6 @@ class CameraIntrinsics:
         object.__setattr__(self, "cy", self.height / 2.0)
         object.__setattr__(self, "hfov", 2.0 * math.atan(self.width / (2.0 * self.fx)))
 
-    def sees(self, box: Box) -> bool:
-        """Whether the (x, y, w, h) box's center lies in the image, edges included."""
-        cx, cy = box_center(box)
-        return 0.0 <= cx <= self.width and 0.0 <= cy <= self.height
-
 
 @dataclass(frozen=True)
 class UsvParams:

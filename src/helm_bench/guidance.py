@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Box, CameraIntrinsics, ConfigError, box_center
+from .core import Box, CameraIntrinsics, ConfigError
 
 
 class SpeedLaw(enum.Enum):
@@ -57,24 +57,6 @@ class GuidanceConfig:
             raise ConfigError("holding_decay must lie in [0, 1]")
 
 
-def pixel_error(box: Box, cam: CameraIntrinsics) -> tuple[float, float]:
-    """Offset (ex, ey) of the (x, y, w, h) box's center from the image center, in px, positive left/up."""
-    cx, cy = box_center(box)
-    if not cam.sees(box):
-        raise ValueError(f"box center ({cx}, {cy}) lies outside the image")
-    return cam.cx - cx, cam.cy - cy
-
-
-def pixel_to_body(ex: float, cam: CameraIntrinsics) -> float:
-    """Horizontal pixel error ex as a body-frame bearing error (rad, + to port)."""
-    return math.atan2(ex, cam.fx)
-
-
-def distance_error(range_m: float, cfg: GuidanceConfig) -> float:
-    """Standoff tracking error D - d; positive when inside the standoff."""
-    return cfg.standoff - range_m
-
-
 def reference_speed(range_m: float | None, cfg: GuidanceConfig) -> float:
     """Forward speed command for the measured range (None = beyond LiDAR)."""
     u_max = cfg.u_max
@@ -119,7 +101,8 @@ def guidance_step(
     """
     if box is not None:
         state.lost_count = 0
-        # pixel_error, pixel_to_body and distance_error on the box.
+        # Bearing error atan2(cam.cx - box center x, fx), + to port, for a box center in
+        # the image (edges included); range error standoff - range, 0 beyond the lidar.
         x, y, w, h = box
         cx = x + w / 2.0
         cy = y + h / 2.0

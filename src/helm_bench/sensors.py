@@ -21,6 +21,7 @@ import numpy as np
 from .core import Box, CameraIntrinsics, ConfigError, Pose, box_center, wrap_angle
 
 _MIN_PROJECT_RANGE = 0.1  # m, closer targets are behind/inside the hull
+_MIN_BOX_SIZE = 1e-6  # px, the finest width or height six decimals write (metrics.format_boxes)
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ def project_target(usv: Pose, target: Pose, extent: float, cam: CameraIntrinsics
 
     usv and target are (x, y, psi) poses. The (x, y, w, h) box is clipped to
     the image; a target to port always lands left of the principal point.
+    A clipped box narrower or shorter than _MIN_BOX_SIZE is out of view too:
+    a box file could not record it.
     """
     if not extent > 0.0:
         raise ConfigError("target extent must be > 0")
@@ -81,7 +84,10 @@ def project_target(usv: Pose, target: Pose, extent: float, cam: CameraIntrinsics
     top = 0.0 if 0.0 > top else top
     bottom = center_y + half
     bottom = height if height < bottom else bottom
-    return (left, top, right - left, bottom - top)
+    w, h = right - left, bottom - top
+    if not (w >= _MIN_BOX_SIZE and h >= _MIN_BOX_SIZE):
+        return None
+    return (left, top, w, h)
 
 
 def emulate_tracker(
@@ -100,8 +106,8 @@ def emulate_tracker(
     rng.normal(0.0, s) calls bit for bit through cheaper numpy entry points,
     and leave the generator in the same state. Dropout probability is
     1 - (1 - p_drop_base) * visibility; center jitter scales with
-    1 / visibility. A jittered box the camera does not see
-    (CameraIntrinsics.sees) is a miss: a tracker cannot report a target
+    1 / visibility. A jittered box whose center lies off the image (edges
+    count as on it) is a miss: a tracker cannot report a target
     outside its frame. That is decided after the draws, so the stream stays
     aligned.
     """
@@ -123,7 +129,7 @@ def emulate_tracker(
     h *= scale
     x = cx - w / 2.0
     y = cy - h / 2.0
-    seen = 0.0 <= x + w / 2.0 <= cam.width and 0.0 <= y + h / 2.0 <= cam.height  # CameraIntrinsics.sees
+    seen = 0.0 <= x + w / 2.0 <= cam.width and 0.0 <= y + h / 2.0 <= cam.height  # center in the image, edges included
     return (x, y, w, h) if seen else None
 
 

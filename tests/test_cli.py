@@ -511,6 +511,29 @@ class TestOffImageDetection:
         assert np.any(~np.isnan(log.gt_x) & (log.det_valid == 0))
 
 
+class TestSubPixelTarget:
+    # A target whose box is under 1e-6 px a side is out of view, so simulate
+    # writes no box that evaluate would reject as degenerate.
+    def simulate_then_evaluate(self, tmp_path, target):
+        ini = tmp_path / "far.ini"
+        ini.write_text(f"[run]\nduration = 1\n[target]\n{target}\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(ini), "--out", str(out)]) == 0
+        return main(["evaluate", "--gt", str(out / "groundtruth.txt"), "--pred", str(out / "predictions.txt"),
+                     "--out", str(tmp_path / "report.csv")])
+
+    @pytest.mark.parametrize("target", ["x0 = 1e10", "extent = 1e-300"])
+    def test_out_of_view_target_leaves_no_ground_truth(self, tmp_path, capsys, target):
+        assert self.simulate_then_evaluate(tmp_path, target) == 1
+        err = capsys.readouterr().err
+        assert "no frames with ground truth to evaluate" in err and "degenerate" not in err
+
+    def test_hundred_thousandth_pixel_target_round_trips(self, tmp_path, capsys):
+        assert self.simulate_then_evaluate(tmp_path, "x0 = 1e8") == 0
+        assert "degenerate" not in capsys.readouterr().err
+        assert read(tmp_path / "run" / "groundtruth.txt").startswith("319.999995,239.999995,0.000010,0.000010\n")
+
+
 class TestSweep:
     def test_sweep_csv(self, quick_ini, tmp_path):
         out = tmp_path / "sweep.csv"

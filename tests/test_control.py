@@ -794,8 +794,23 @@ class TestZeroAtReset:
 
 # --- oracle: the dataclass control laws that the tuple forms replaced ------
 # Verbatim copies of the laws that took a StateMeasurement and returned a
-# GeneralizedThrust, with the two dataclasses; the unchanged helpers
-# (_lowpass, _switch, _fma) are called from the package.
+# GeneralizedThrust, with the two dataclasses and the _lowpass and _switch
+# helpers that pid_step, smc_refs and smc_step now compute inline; _fma is
+# called from the package.
+
+
+def _lowpass(current: float, raw: float, dt: float, tau: float) -> float:
+    """One first-order low-pass update; pid_step and smc_refs compute it inline."""
+    if tau <= 0.0:
+        return raw
+    return current + (dt / (tau + dt)) * (raw - current)
+
+
+def _switch(s: float, phi: float) -> float:
+    """sgn(s), smoothed to a unit ramp inside the boundary layer when phi > 0; smc_step computes it inline."""
+    if phi > 0.0:
+        return min(max(s / phi, -1.0), 1.0)
+    return float(np.sign(s))
 
 
 @dataclass(frozen=True)
@@ -826,8 +841,8 @@ def _ref_pid_step(state, e_u, e_psi, dt, gains):
 
     raw_du = 0.0 if state.prev_e_u is None else (e_u - state.prev_e_u) / dt
     raw_dpsi = 0.0 if state.prev_e_psi is None else wrap_angle(e_psi - state.prev_e_psi) / dt
-    state.d_u = control._lowpass(state.d_u, raw_du, dt, gains.derivative_filter_tau)
-    state.d_psi = control._lowpass(state.d_psi, raw_dpsi, dt, gains.derivative_filter_tau)
+    state.d_u = _lowpass(state.d_u, raw_du, dt, gains.derivative_filter_tau)
+    state.d_psi = _lowpass(state.d_psi, raw_dpsi, dt, gains.derivative_filter_tau)
     state.prev_e_u = e_u
     state.prev_e_psi = e_psi
 
@@ -843,21 +858,21 @@ def _ref_smc_refs(state, u_des, psi_des, u_meas, dt, gains):
     tau = gains.ref_filter_tau
 
     raw_udot_des = 0.0 if state.prev_u_des is None else (u_des - state.prev_u_des) / dt
-    state.udot_des = control._lowpass(state.udot_des, raw_udot_des, dt, tau)
+    state.udot_des = _lowpass(state.udot_des, raw_udot_des, dt, tau)
     state.prev_u_des = u_des
 
     raw_psidot = (
         0.0 if state.prev_psi_des is None else wrap_angle(psi_des - state.prev_psi_des) / dt
     )
     prev_filtered = state.psidot_des
-    state.psidot_des = control._lowpass(state.psidot_des, raw_psidot, dt, tau)
-    state.rdot_des = control._lowpass(
+    state.psidot_des = _lowpass(state.psidot_des, raw_psidot, dt, tau)
+    state.rdot_des = _lowpass(
         state.rdot_des, (state.psidot_des - prev_filtered) / dt, dt, tau
     )
     state.prev_psi_des = psi_des
 
     raw_udot = 0.0 if state.prev_u_meas is None else (u_meas - state.prev_u_meas) / dt
-    state.udot_est = control._lowpass(state.udot_est, raw_udot, dt, tau)
+    state.udot_est = _lowpass(state.udot_est, raw_udot, dt, tau)
     state.prev_u_meas = u_meas
 
     return (u_des, state.udot_des, psi_des, state.psidot_des, state.rdot_des)
@@ -870,10 +885,10 @@ def _ref_smc_step(state, refs, meas, gains, params):
     s_u = gains.lambda_u * e_u + udot_des - state.udot_est
     s_psi = gains.lambda_psi * e_psi + psidot_des - meas.r
 
-    T1 = params.m * (udot_des + gains.lambda_u * e_u) - gains.eta_u * control._switch(
+    T1 = params.m * (udot_des + gains.lambda_u * e_u) - gains.eta_u * _switch(
         s_u, gains.phi
     )
-    T2 = params.Izz * (rdot_des + gains.lambda_psi * e_psi) - gains.eta_psi * control._switch(
+    T2 = params.Izz * (rdot_des + gains.lambda_psi * e_psi) - gains.eta_psi * _switch(
         s_psi, gains.phi
     )
     return GeneralizedThrust(T1=T1, T2=T2)

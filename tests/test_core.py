@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from helm_bench.core import (
     box_center,
     wrap_angle,
 )
+from helm_bench.guidance import GuidanceConfig, GuidanceMode, GuidanceState, guidance_step
+from helm_bench.sensors import TrackerNoiseConfig, emulate_tracker
 
 
 class TestWrapAngle:
@@ -173,7 +176,17 @@ class TestCameraIntrinsics:
         ],
     )
     def test_sees_box_center(self, box, seen):
-        assert CameraIntrinsics().sees(box) is seen
+        # The rule is applied where it runs: the emulator misses a box whose center is off
+        # the image, and guidance rejects one.
+        cam = CameraIntrinsics()
+        exact = TrackerNoiseConfig(sigma_center_px=0.0, sigma_scale=0.0, p_drop_base=0.0)
+        reported = emulate_tracker(box, 1.0, exact, np.random.default_rng(0), cam)
+        assert reported == (box if seen else None)
+        if seen:
+            assert guidance_step(box, None, GuidanceConfig(), cam, GuidanceState()).mode is GuidanceMode.TRACKING
+        else:
+            with pytest.raises(ValueError, match="lies outside the image"):
+                guidance_step(box, None, GuidanceConfig(), cam, GuidanceState())
 
 
 class TestUsvParams:

@@ -1,14 +1,17 @@
 """Pixel-error extraction, body-frame mapping, speed law, and the lost-target FSM."""
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helm_bench.config import load_scenario
 from helm_bench.core import CameraIntrinsics, ConfigError
 from helm_bench.guidance import (
     GuidanceCommand,
@@ -16,16 +19,15 @@ from helm_bench.guidance import (
     GuidanceMode,
     GuidanceState,
     SpeedLaw,
-    distance_error,
     guidance_step,
-    pixel_error,
-    pixel_to_body,
     reference_speed,
 )
-from helm_bench.sensors import project_target
+from helm_bench.sensors import TrackerNoiseConfig, project_target
+from helm_bench.sim import run_scenario
 from test_sensors import _ref_sees, _RefBoundingBox, _RefDetection
 
 CAM = CameraIntrinsics()
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def box_at(center_x: float, center_y: float = 240.0, size: float = 40.0) -> tuple:
@@ -36,28 +38,36 @@ def box_at(center_x: float, center_y: float = 240.0, size: float = 40.0) -> tupl
 MISS = None  # no detection this frame
 
 
+def errors(box, cam=CAM, range_m=None, cfg=GuidanceConfig()) -> tuple[float, float]:
+    """(e_psi, e_d) of the TRACKING command guidance_step gives for one box."""
+    cmd = guidance_step(box, range_m, cfg, cam, GuidanceState())
+    assert cmd.mode is GuidanceMode.TRACKING
+    return cmd.e_psi, cmd.e_d
+
+
 class TestPixelError:
     def test_centered_target(self):
-        assert pixel_error(box_at(320.0), CAM) == (0.0, 0.0)
+        assert errors(box_at(320.0)) == (0.0, 0.0)
 
     def test_lower_right_target(self):
-        assert pixel_error(box_at(400.0, 300.0), CAM) == (-80.0, -60.0)
+        assert errors(box_at(400.0, 300.0))[0] == math.atan2(-80.0, 500.0)
 
     def test_corner_target(self):
         box = (-20.0, -20.0, 40.0, 40.0)  # center (0, 0)
-        assert pixel_error(box, CAM) == (320.0, 240.0)
+        assert errors(box)[0] == math.atan2(320.0, 500.0)
 
     def test_center_outside_image_rejected(self):
-        with pytest.raises(ValueError):
-            pixel_error((700.0, 200.0, 10.0, 10.0), CAM)
+        with pytest.raises(ValueError, match=re.escape("box center (705.0, 205.0) lies outside the image")):
+            errors((700.0, 200.0, 10.0, 10.0))
 
     def test_in_image_errors_bounded(self):
         rng = np.random.default_rng(0)
+        bound = math.atan2(CAM.cx, CAM.fx)  # |ex| <= cx for a center in the image
         for _ in range(200):
             cx = rng.uniform(0.0, CAM.width)
             cy = rng.uniform(0.0, CAM.height)
-            ex, ey = pixel_error(box_at(cx, cy), CAM)
-            assert abs(ex) <= CAM.width and abs(ey) <= CAM.height
+            e_psi, _ = errors(box_at(cx, cy))
+            assert abs(e_psi) <= bound
 
 
 # --- oracle: the PixelError and BoundingBox forms that the tuple forms replaced, kept verbatim
@@ -82,6 +92,11 @@ def _ref_pixel_to_body(err: PixelError, cam: CameraIntrinsics) -> float:
     return math.atan2(err.ex, cam.fx)
 
 
+def _ref_distance_error(range_m: float, cfg: GuidanceConfig) -> float:
+    """Standoff tracking error D - d; positive when inside the standoff."""
+    return cfg.standoff - range_m
+
+
 # Box corners and sizes: in-image values, signed zeros, the image edges and
 # centers, infinities and values just off the edges.
 _COORDS = st.one_of(
@@ -92,44 +107,57 @@ _COORDS = st.one_of(
 )
 _SIZES = st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, -0.0, 5e-324, math.inf]))
 _CAMS = st.sampled_from([CAM, CameraIntrinsics(width=97, height=31, fx=0.3)])
+_RANGES = st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, 5.0]), st.none())
 
 
 class TestPixelErrorOracle:
     @settings(max_examples=500, deadline=None)
-    @given(_COORDS, _COORDS, _SIZES, _SIZES, _CAMS)
-    def test_bit_identical_to_the_dataclass_form(self, x, y, w, h, cam):
+    @given(_COORDS, _COORDS, _SIZES, _SIZES, _CAMS, _RANGES)
+    def test_bit_identical_to_the_dataclass_form(self, x, y, w, h, cam, range_m):
         box = _RefBoundingBox(x, y, w, h)
+        cfg = GuidanceConfig()
         try:
             want = _ref_pixel_error(box, cam)
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                pixel_error((x, y, w, h), cam)
+                errors((x, y, w, h), cam, range_m, cfg)
             return
-        ex, ey = pixel_error((x, y, w, h), cam)
-        assert (ex.hex(), ey.hex()) == (want.ex.hex(), want.ey.hex())
-        assert pixel_to_body(ex, cam).hex() == _ref_pixel_to_body(want, cam).hex()
+        e_psi, e_d = errors((x, y, w, h), cam, range_m, cfg)
+        assert e_psi.hex() == _ref_pixel_to_body(want, cam).hex()
+        assert e_d.hex() == (0.0 if range_m is None else _ref_distance_error(range_m, cfg)).hex()
+
+    @pytest.mark.parametrize("ini", ["sea_triangle.ini", "ncc_standoff.ini"])
+    def test_run_log_e_y_is_the_vertical_pixel_error_over_fx(self, ini):
+        sc = load_scenario(SCENARIOS / ini)
+        noisy = dataclasses.replace(sc.tracker, noise=TrackerNoiseConfig())
+        log = run_scenario(dataclasses.replace(sc, duration=2.0, tracker=noisy))
+        hits = np.flatnonzero(log.det_valid)
+        assert hits.size > 0 and log.error is None
+        for k in hits.tolist():
+            box = _RefBoundingBox(log.det_x[k], log.det_y[k], log.det_w[k], log.det_h[k])
+            want = _ref_pixel_error(box, sc.camera).ey / sc.camera.fx
+            assert log.e_y[k].hex() == want.hex(), k
 
 
 class TestPixelToBody:
     def test_centered_is_zero(self):
-        ex, _ = pixel_error(box_at(320.0), CAM)
-        assert pixel_to_body(ex, CAM) == 0.0
+        assert errors(box_at(320.0))[0] == 0.0
 
     def test_starboard_detection_turns_clockwise(self):
-        ex, _ = pixel_error(box_at(400.0), CAM)  # ex = -80
-        assert pixel_to_body(ex, CAM) == pytest.approx(math.atan2(-80, 500), abs=1e-12)
-        assert pixel_to_body(ex, CAM) == pytest.approx(-0.1587, abs=1e-4)
+        e_psi, _ = errors(box_at(400.0))  # ex = -80
+        assert e_psi == pytest.approx(math.atan2(-80, 500), abs=1e-12)
+        assert e_psi == pytest.approx(-0.1587, abs=1e-4)
 
     def test_forty_five_degree_geometry(self):
         # wide camera so a pixel offset equal to fx stays inside the image
         cam = CameraIntrinsics(width=1200, height=480, fx=500.0)
         box = (80.0, 220.0, 40.0, 40.0)  # center (100, 240), ex = 500
-        assert pixel_to_body(pixel_error(box, cam)[0], cam) == pytest.approx(math.pi / 4)
+        assert errors(box, cam)[0] == pytest.approx(math.pi / 4)
 
     def test_odd_function(self):
         for ex in (10.0, 80.0, 319.0):
-            left = pixel_to_body(pixel_error(box_at(320.0 - ex), CAM)[0], CAM)
-            right = pixel_to_body(pixel_error(box_at(320.0 + ex), CAM)[0], CAM)
+            left, _ = errors(box_at(320.0 - ex))
+            right, _ = errors(box_at(320.0 + ex))
             assert left == pytest.approx(-right, abs=1e-15)
             assert left > 0.0  # target left of center: positive (port) correction
 
@@ -137,9 +165,9 @@ class TestPixelToBody:
 class TestDistanceError:
     def test_examples(self):
         cfg = GuidanceConfig(standoff=5.0)
-        assert distance_error(5.0, cfg) == 0.0
-        assert distance_error(20.0, cfg) == -15.0
-        assert distance_error(0.0, cfg) == 5.0
+        assert errors(box_at(320.0), range_m=5.0, cfg=cfg)[1] == 0.0
+        assert errors(box_at(320.0), range_m=20.0, cfg=cfg)[1] == -15.0
+        assert errors(box_at(320.0), range_m=0.0, cfg=cfg)[1] == 5.0
 
 
 class TestReferenceSpeed:
@@ -269,11 +297,10 @@ def _ref_guidance_step(
 ) -> _RefGuidanceCommand:
     if det.valid and det.box is not None:
         state.lost_count = 0
-        ex = _ref_pixel_error(det.box, cam).ex
-        e_psi = pixel_to_body(ex, cam)
+        e_psi = _ref_pixel_to_body(_ref_pixel_error(det.box, cam), cam)
         if e_psi != 0.0:
             state.last_seen_sign = math.copysign(1.0, e_psi)
-        e_d = distance_error(range_m, cfg) if range_m is not None else 0.0
+        e_d = _ref_distance_error(range_m, cfg) if range_m is not None else 0.0
         cmd = _RefGuidanceCommand(
             mode=GuidanceMode.TRACKING,
             u_ref=reference_speed(range_m, cfg),
@@ -328,7 +355,7 @@ _STEP_BOXES = st.tuples(
 # A detection, or (one frame in three) a miss; a range, or None beyond the lidar.
 _STEPS = st.tuples(
     st.tuples(_STEP_BOXES, st.integers(0, 2)).map(lambda pair: None if pair[1] == 2 else pair[0]),
-    st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, 5.0]), st.none()),
+    _RANGES,
 )
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helm_bench import sensors
+from helm_bench.config import parse_scenario
 from helm_bench.core import CameraIntrinsics, ConfigError, wrap_angle
 from helm_bench.seeding import normal_rows, stream
 from helm_bench.sensors import (
@@ -42,7 +43,7 @@ from helm_bench.sensors import (
     search_roi,
     zncc_scores,
 )
-from helm_bench.sim import SensorNoise
+from helm_bench.sim import SensorNoise, run_scenario
 from test_core import _ref_wrap_angle
 
 CAM = CameraIntrinsics()
@@ -107,6 +108,20 @@ class TestProjectTarget:
     def test_extent_validation(self):
         with pytest.raises(ConfigError):
             project_target((0, 0, 0), (10, 0, 0), 0.0, CAM)
+
+    def test_box_under_a_micropixel_is_out_of_view(self):
+        # fx * extent / d: 1e-5 px is kept, 1e-7 px is below what six decimals write
+        assert project_target((0, 0, 0), (1e8, 0, 0), 2.0, CAM)[2] == pytest.approx(1e-5)
+        assert project_target((0, 0, 0), (1e10, 0, 0), 2.0, CAM) is None
+        assert project_target((0, 0, 0), (15, 0, 0), 1e-300, CAM) is None
+
+    @pytest.mark.parametrize("target", ["x0 = 1e10", "extent = 1e-300"])
+    def test_run_logs_a_sub_micropixel_target_as_out_of_view(self, target):
+        log = run_scenario(parse_scenario(f"[run]\nduration = 1\n[target]\n{target}\n"))
+        assert log.error is None and len(log) == 51
+        for column in (log.gt_x, log.gt_y, log.gt_w, log.gt_h):
+            assert np.isnan(column).all()
+        assert not log.det_valid.any()
 
 
 class TestEmulateTracker:
@@ -183,7 +198,7 @@ class TestEmulateTracker:
             cy += rng.normal(0.0, sigma_c)
             scale = max(1.0 + rng.normal(0.0, cfg.sigma_scale), 0.0)
             box = (cx - w * scale / 2.0, cy - h * scale / 2.0, w * scale, h * scale)
-            return box if CAM.sees(box) else None
+            return box if _ref_sees(CAM, _RefBoundingBox(*box)) else None
 
         edge = (0.0, 190.0, 4.0, 100.0)
         rng, draws = stream(11, "t"), stream(11, "t")
@@ -1429,13 +1444,14 @@ class TestProjectTargetOracle:
         except ValueError as exc:
             if str(exc).startswith("box size must be non-negative"):
                 # BoundingBox rejected a clipped box that rounding left
-                # narrower than zero; the tuple form returns those floats.
-                box = project_target(usv, target, extent, cam)
-                assert box[2] < 0.0 or box[3] < 0.0
+                # narrower than zero; the tuple form calls it out of view.
+                assert project_target(usv, target, extent, cam) is None
                 return
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 project_target(usv, target, extent, cam)
             return
+        if want is not None and not (want.w >= 1e-6 and want.h >= 1e-6):
+            want = None  # a side under 1e-6 px, which six decimals cannot write: out of view
         assert _box_hex(project_target(usv, target, extent, cam)) == _box_hex(want)
 
 
